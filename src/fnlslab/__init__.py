@@ -18,7 +18,6 @@ from .spectral import (
     bracket_power,
     conjugate,
     derivative,
-    fractional_derivative,
     pointwise_product,
     project,
     sobolev_norm,
@@ -29,8 +28,6 @@ from .nonlinearity import (
     CriterionVerdict,
     check_wellposedness_condition,
     criterion_functional,
-    derived_system_rhs,
-    wirtinger_derivative,
 )
 from .evolution import (
     EvolutionConfig,

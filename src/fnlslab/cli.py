@@ -74,7 +74,7 @@ def _collect(args: argparse.Namespace) -> tuple[str | None, dict, int, str]:
         overrides["m"] = int(conf.pop("m"))
     nl_path = conf.pop("nonlinearity", None)
     if conf:
-        raise SystemExit(f"unknown config keys: {sorted(conf)}")
+        raise ValueError(f"unknown config keys: {sorted(conf)}")
     if nl_path:
         overrides["_nonlinearity_path"] = nl_path
     return preset, overrides, seed, out
@@ -88,7 +88,7 @@ def _load_nonlinearity(preset: str | None, overrides: dict):
     if preset:
         params = {k: overrides[k] for k in ("c", "m", "c1", "c2") if k in overrides}
         return nonlinearity_preset(preset, **params)
-    raise SystemExit("need --preset or --nonlinearity")
+    raise ValueError("need --preset or --nonlinearity")
 
 
 def cmd_check(args) -> int:
@@ -114,7 +114,7 @@ def cmd_check(args) -> int:
 def cmd_run(args) -> int:
     preset, overrides, seed, out = _collect(args)
     if preset is None:
-        raise SystemExit("run needs --preset")
+        raise ValueError("run needs --preset")
     nl = None
     if "_nonlinearity_path" in overrides:
         nl = _load_nonlinearity(None, overrides)
@@ -128,7 +128,7 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     preset, overrides, seed, out = _collect(args)
     if preset is None:
-        raise SystemExit("sweep needs --preset")
+        raise ValueError("sweep needs --preset")
     axis = args.axis
     values: list = []
     for tok in args.values:
@@ -139,17 +139,20 @@ def cmd_sweep(args) -> int:
         else:
             values.append(float(tok))
     rows = exp.sweep(preset, axis, values, out, overrides=overrides, seed=seed)
+    ok = True
     for row in rows:
         if row["error"]:
+            ok = False
             print(f"{axis}={row['value']}: ERROR {row['error']}")
         else:
+            ok &= all(a["pass"] for a in row["summary"]["analyses"])
             flags = ",".join(
                 f"{a['name']}={'pass' if a['pass'] else 'FAIL'}"
                 for a in row["summary"]["analyses"]
             )
             print(f"{axis}={row['value']}: {flags}")
     print(f"artifacts: {out}")
-    return 0
+    return 0 if ok else 1
 
 
 def cmd_estimates(args) -> int:
@@ -174,7 +177,7 @@ def cmd_audit(args) -> int:
     elif "nonlinearity" in meta:
         F = parse_nonlinearity(meta["nonlinearity"])
     else:
-        raise SystemExit("no nonlinearity available: pass --nonlinearity")
+        raise ValueError("no nonlinearity available: pass --nonlinearity")
     r = args.r if args.r is not None else exp.regularity_threshold(traj.config.alpha) + 0.1
     trace = energy_mod.energy_audit(traj, F, r)
     os.makedirs(out, exist_ok=True)
@@ -223,8 +226,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except SystemExit:
-        raise
     except (ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -54,8 +54,8 @@ from .spectral import (
     bracket_power,
     derivative,
     imag_part,
+    padded_size,
     sobolev_norm,
-    _next_pow2,
 )
 
 __all__ = [
@@ -153,10 +153,6 @@ def _weight_field(F: PolynomialNonlinearity, u: SpectralField) -> SpectralField:
     return antiderivative(imag_part(theta))
 
 
-def _integral_grid(*bandwidths: int) -> int:
-    return _next_pow2(sum(bandwidths) + 2)
-
-
 def correction_term(
     n: int,
     u: SpectralField,
@@ -174,7 +170,7 @@ def correction_term(
         v = derivative(u)
     g = _weight_field(F, u)
     w = bracket_power(v, r - 1.0 - (alpha - 2.0) * n / 2.0)
-    m = _integral_grid(n * g.cutoff, 2 * w.cutoff)
+    m = padded_size(max(g.cutoff, w.cutoff), n * g.cutoff + 2 * w.cutoff, 0)
     gv = np.real(g.to_samples(m))
     wv = w.to_samples(m)
     return correction_coefficient(n, alpha) * float(np.mean(gv**n * np.abs(wv) ** 2))
@@ -203,7 +199,7 @@ def flux_term(
     sp = r - 1.0 - (alpha - 2.0) * (n - 1) / 2.0
     w1 = bracket_power(v, sp)
     w2 = bracket_power(derivative(v), sp)
-    m = _integral_grid(n * g.cutoff, 2 * max(w1.cutoff, w2.cutoff))
+    m = padded_size(max(g.cutoff, v.cutoff), n * g.cutoff + 2 * v.cutoff, 0)
     gv = np.real(g.to_samples(m))
     gn = gv**n
     freqs = np.fft.fftfreq(m, d=1.0 / m)
@@ -340,8 +336,8 @@ def gauge_limit_partial_sums(
     v = derivative(u)
     g = _weight_field(F, u)
     w = bracket_power(v, r - 1.0)
-    band = n_terms * g.cutoff + 2 * w.cutoff
-    m = _next_pow2(max(2048, 2 * band))
+    # exact for every partial sum; exp(g) aliases only through terms past n_terms
+    m = padded_size(max(g.cutoff, w.cutoff), n_terms * g.cutoff + 2 * w.cutoff, 0)
     gv = np.real(g.to_samples(m))
     w2 = np.abs(w.to_samples(m)) ** 2
     target = float(np.mean(np.exp(gv) * w2))

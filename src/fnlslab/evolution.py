@@ -17,10 +17,11 @@ Runs that go nonfinite or exceed a configurable H^1 ceiling stop cleanly and
 return a record flagged as truncated; ill-posed data must terminate
 informatively, not crash.
 
-Horizons are always user-set.  The guaranteed-existence-time formula of the
-energy theory depends on an abstract constant that is not computable, so no
-a-priori horizon is derived here; runs that outlive their welcome are caught
-by the blowup ceiling instead.
+Horizons are always user-set, as a whole number of steps dt, so a run that
+is not truncated ends exactly at its horizon.  The guaranteed-existence-time
+formula of the energy theory depends on an abstract constant that is not
+computable, so no a-priori horizon is derived here; runs that outlive their
+welcome are caught by the blowup ceiling instead.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .nonlinearity import PolynomialNonlinearity
-from .spectral import SpectralField, sobolev_norm, truncate_modes, _next_pow2
+from .spectral import SpectralField, sobolev_norm, truncate_modes
 
 __all__ = [
     "EvolutionConfig",
@@ -43,7 +44,6 @@ __all__ = [
     "EpsConvergenceTable",
     "continuity_probe",
     "truncate_modes",  # sharp initial-data truncation, defined in spectral
-    "suggested_dt",
     "sup_l2_gap",
     "write_trajectory",
     "read_trajectory",
@@ -59,10 +59,8 @@ class EvolutionConfig:
     cutoff: int = 64
     dt: float = 1e-3
     horizon: float = 1.0
-    scheme: str = "IFRK4"
     record_every: int = 10
     blowup_ceiling: float = 1e6
-    absorb_linear: bool = True
 
     def __post_init__(self):
         if not self.alpha > 2:
@@ -71,10 +69,12 @@ class EvolutionConfig:
             raise ValueError("eps must be >= 0")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.horizon < self.dt:
-            raise ValueError("horizon must be at least one step")
-        if self.scheme != "IFRK4":
-            raise ValueError(f"unsupported scheme {self.scheme!r}")
+        steps = self.horizon / self.dt
+        n = round(steps) if math.isfinite(steps) else 0
+        if n < 1 or abs(steps - n) > 1e-9 * steps:
+            raise ValueError(
+                f"horizon {self.horizon} is not a whole number of steps dt={self.dt}"
+            )
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
@@ -102,17 +102,6 @@ class TrajectoryRecord:
         if abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
             raise KeyError(f"no snapshot recorded at t={t}")
         return self.snapshots[i]
-
-
-def suggested_dt(cutoff: int, alpha: float, eps: float = 0.0, base: float = 1e-3) -> float:
-    """Default step: 1e-3, shrunk like K^{-alpha/2} for eps = 0 runs.
-
-    Not a stability bound (the linear part is exact); it controls the
-    quadrature error of the oscillatory nonlinear integrand.
-    """
-    if eps > 0:
-        return base
-    return min(base, float(cutoff) ** (-alpha / 2.0))
 
 
 def _multipliers(k: np.ndarray, alpha: float, eps: float) -> np.ndarray:
@@ -146,31 +135,6 @@ def _split_diagonal_linear(
     return c0, c1, PolynomialNonlinearity.from_terms(rest)
 
 
-class _NonlinearRHS:
-    """Cached padded-grid evaluator for the Galerkin nonlinearity on raw arrays."""
-
-    def __init__(self, F: PolynomialNonlinearity, cutoff: int):
-        self.F = F
-        self.cutoff = cutoff
-        p = max(F.total_degree, 1)
-        self.m = _next_pow2(p * cutoff + cutoff + 2)
-        ks = np.arange(-cutoff, cutoff + 1)
-        self.idx = np.mod(ks, self.m)
-        self.ik = 1j * ks.astype(float)
-
-    def __call__(self, coeffs: np.ndarray) -> np.ndarray:
-        if self.F.is_zero():
-            return np.zeros_like(coeffs)
-        buf = np.zeros(self.m, dtype=np.complex128)
-        buf[self.idx] = coeffs
-        u_vals = np.fft.ifft(buf) * self.m
-        buf[self.idx] = coeffs * self.ik
-        du_vals = np.fft.ifft(buf) * self.m
-        vals = self.F.evaluate_values(u_vals, du_vals)
-        hat = np.fft.fft(vals) / self.m
-        return hat[self.idx]
-
-
 def integrate(
     phi: SpectralField, F: PolynomialNonlinearity, cfg: EvolutionConfig
 ) -> TrajectoryRecord:
@@ -185,16 +149,12 @@ def integrate(
     phi = phi.with_cutoff(k)
 
     ks = phi.wavenumbers()
-    lam = _multipliers(ks, cfg.alpha, cfg.eps)
-    if cfg.absorb_linear:
-        c0, c1, F_rest = _split_diagonal_linear(F)
-        lam = lam + c0 + 1j * c1 * ks.astype(float)
-    else:
-        F_rest = F
-    rhs = _NonlinearRHS(F_rest, k)
+    c0, c1, F_rest = _split_diagonal_linear(F)
+    lam = _multipliers(ks, cfg.alpha, cfg.eps) + c0 + 1j * c1 * ks.astype(float)
+    rhs = F_rest.coefficient_map(k, k)
 
     dt = cfg.dt
-    nsteps = max(1, int(round(cfg.horizon / dt)))
+    nsteps = int(round(cfg.horizon / dt))
     e_half = np.exp(lam * dt / 2.0)
     e_full = np.exp(lam * dt)
 
@@ -315,10 +275,8 @@ def write_trajectory(
             "cutoff": traj.config.cutoff,
             "dt": traj.config.dt,
             "horizon": traj.config.horizon,
-            "scheme": traj.config.scheme,
             "record_every": traj.config.record_every,
             "blowup_ceiling": traj.config.blowup_ceiling,
-            "absorb_linear": traj.config.absorb_linear,
             "truncated": traj.truncated,
         }
         if extra:
@@ -337,10 +295,8 @@ def read_trajectory(csv_path, json_path) -> TrajectoryRecord:
         cutoff=meta["cutoff"],
         dt=meta["dt"],
         horizon=meta["horizon"],
-        scheme=meta.get("scheme", "IFRK4"),
         record_every=meta.get("record_every", 10),
         blowup_ceiling=meta.get("blowup_ceiling", 1e6),
-        absorb_linear=meta.get("absorb_linear", True),
     )
     k = cfg.cutoff
     by_time: dict[float, np.ndarray] = {}

@@ -179,10 +179,6 @@ def _wellposed_sibling(name: str, params: dict) -> PolynomialNonlinearity:
     return nonlinearity_preset("cubic", c=1j)
 
 
-def _build_nonlinearity(name: str, params: dict) -> PolynomialNonlinearity:
-    return nonlinearity_preset(name, **params)
-
-
 # -- analyses -------------------------------------------------------------------
 
 
@@ -422,7 +418,7 @@ def run(
         F = nonlinearity
         params = dict(params, _custom=True)
     else:
-        F = _build_nonlinearity(preset_name, params)
+        F = nonlinearity_preset(preset_name, **params)
     os.makedirs(out_dir, exist_ok=True)
 
     results = []

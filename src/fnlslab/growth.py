@@ -142,6 +142,13 @@ def _lookup(coeffs: np.ndarray, cutoff: int, k: np.ndarray) -> np.ndarray:
     return np.where(inside, coeffs[idx], 0.0)
 
 
+def _times(F: PolynomialNonlinearity, slot: int) -> PolynomialNonlinearity:
+    """F times the variable in `slot` (1 = omega, 3 = omega_bar)."""
+    return PolynomialNonlinearity.from_terms(
+        {idx[:slot] + (idx[slot] + 1,) + idx[slot + 1 :]: c for idx, c in F.terms}
+    )
+
+
 def _galerkin_time_derivative(
     u: SpectralField,
     F: PolynomialNonlinearity,
@@ -170,7 +177,6 @@ def resonant_decomposition(
     u = traj.snapshot_at(t)
     alpha = traj.config.alpha
     eps = traj.config.eps
-    v = derivative(u)
     ks = u.wavenumbers()
 
     theta_o = F.wirtinger("omega").evaluate(u)
@@ -204,16 +210,8 @@ def resonant_decomposition(
     dtheta_o = chain(F.wirtinger("omega"))
     dtheta_ob = chain(F.wirtinger("omega_bar"))
 
-    # Remainder R = T_z v + T_zb conj v and its free-flow phase.
-    tz = F.wirtinger("zeta").evaluate(u)
-    tzb = F.wirtinger("zeta_bar").evaluate(u)
-    r_field = SpectralField.zeros(0)
-    if not tz.is_zero():
-        r_field = r_field + pointwise_product(tz, v, out_cutoff=tz.cutoff + v.cutoff)
-    if not tzb.is_zero():
-        r_field = r_field + pointwise_product(
-            tzb, conjugate(v), out_cutoff=tzb.cutoff + v.cutoff
-        )
+    # Remainder R = T_z v + T_zb conj v, one polynomial in the four slots.
+    remainder = _times(F.wirtinger("zeta"), 1) + _times(F.wirtinger("zeta_bar"), 3)
 
     absk = np.abs(ks.astype(float))
     phase = np.exp(1j * absk**alpha * t)
@@ -271,7 +269,7 @@ def resonant_decomposition(
     m2 = np.sum(w2 * thb * k2 * Vm2, axis=1)
     k2_arr = -np.sum(w2 * (dthb * k2 * Vm2 + thb * k2 * dVm2), axis=1)
 
-    n3 = phase * _lookup(r_field.coeffs, r_field.cutoff, ks)
+    n3 = phase * remainder.evaluate(u, out_cutoff=u.cutoff).coeffs
 
     return ResonantParts(
         time=float(t),

@@ -27,22 +27,14 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .spectral import (
-    DealiasBudgetError,
-    SpectralField,
-    derivative,
-    grid_size,
-    random_field,
-)
+from .spectral import SpectralField, derivative, padded_size, random_field
 
 __all__ = [
     "PolynomialNonlinearity",
     "CriterionVerdict",
-    "wirtinger_derivative",
     "theta_omega_mean",
     "criterion_functional",
     "check_wellposedness_condition",
-    "derived_system_rhs",
     "structured_witnesses",
     "cubic",
     "example_b",
@@ -155,6 +147,36 @@ class PolynomialNonlinearity:
             out = out + term
         return out
 
+    def coefficient_map(self, cutoff: int, out_cutoff: int | None = None):
+        """Map from the coefficients of u (|k| <= cutoff) to those of F along u.
+
+        The returned function takes the 2*cutoff+1 coefficients of u and
+        returns the 2*kout+1 coefficients of F(u, u_x, conj u, conj u_x),
+        alias-free, where kout is ``out_cutoff`` capped at the full product
+        bandwidth total_degree * cutoff (the default).  The padded grid, its
+        scatter/gather indices and the derivative multiplier are built once
+        per map, so repeated calls (one per Runge-Kutta stage) only transform.
+        """
+        band = max(self.total_degree, 1) * cutoff
+        kout = band if out_cutoff is None else min(out_cutoff, band)
+        if self.is_zero():
+            return lambda coeffs: np.zeros(2 * kout + 1, dtype=np.complex128)
+        m = padded_size(cutoff, band, kout)
+        ks = np.arange(-cutoff, cutoff + 1)
+        scatter = np.mod(ks, m)
+        gather = np.mod(np.arange(-kout, kout + 1), m)
+        ik = 1j * ks.astype(float)
+
+        def apply(coeffs: np.ndarray) -> np.ndarray:
+            buf = np.zeros(m, dtype=np.complex128)
+            buf[scatter] = coeffs
+            u_vals = np.fft.ifft(buf) * m
+            buf[scatter] = coeffs * ik
+            du_vals = np.fft.ifft(buf) * m
+            return (np.fft.fft(self.evaluate_values(u_vals, du_vals)) / m)[gather]
+
+        return apply
+
     def evaluate(
         self, u: SpectralField, out_cutoff: int | None = None
     ) -> SpectralField:
@@ -163,29 +185,8 @@ class PolynomialNonlinearity:
         Default output keeps the full product bandwidth total_degree * K;
         pass ``out_cutoff`` (e.g. K) to truncate.
         """
-        p = max(self.total_degree, 1)
-        kfull = p * u.cutoff
-        kout = kfull if out_cutoff is None else min(out_cutoff, kfull)
-        if self.is_zero():
-            return SpectralField.zeros(kout)
-        m = _eval_grid(u.cutoff, p, kout)
-        uv = u.to_samples(m)
-        dv = derivative(u).to_samples(m)
-        return SpectralField.from_samples(self.evaluate_values(uv, dv), kout)
-
-
-def _eval_grid(cutoff: int, degree: int, out_cutoff: int) -> int:
-    # Need M > degree*K + out_cutoff so no alias lands inside |k| <= out_cutoff.
-    from .spectral import MAX_GRID_POINTS, _next_pow2
-
-    m = _next_pow2(degree * cutoff + out_cutoff + 2)
-    if m > MAX_GRID_POINTS:
-        raise DealiasBudgetError(f"evaluation grid {m} exceeds budget")
-    return m
-
-
-def wirtinger_derivative(F: PolynomialNonlinearity, var: str) -> PolynomialNonlinearity:
-    return F.wirtinger(var)
+        coeffs = self.coefficient_map(u.cutoff, out_cutoff)(u.coeffs)
+        return SpectralField(coeffs, len(coeffs) // 2)
 
 
 def theta_omega_mean(F: PolynomialNonlinearity, u: SpectralField) -> complex:
@@ -193,8 +194,7 @@ def theta_omega_mean(F: PolynomialNonlinearity, u: SpectralField) -> complex:
     fo = F.wirtinger("omega")
     if fo.is_zero():
         return 0.0 + 0.0j
-    p = max(fo.total_degree, 1)
-    m = grid_size(u.cutoff, p)
+    m = padded_size(u.cutoff, max(fo.total_degree, 1) * u.cutoff, 0)
     vals = fo.evaluate_values(u.to_samples(m), derivative(u).to_samples(m))
     return complex(np.mean(vals))
 
@@ -277,31 +277,6 @@ def check_wellposedness_condition(
             if abs(g) > tol:
                 return CriterionVerdict(False, psi, g, n_eval, tol)
     return CriterionVerdict(True, None, best_val, n_eval, tol)
-
-
-def derived_system_rhs(
-    F: PolynomialNonlinearity, u: SpectralField, out_cutoff: int | None = None
-) -> tuple[SpectralField, SpectralField, SpectralField]:
-    """Coefficient fields of the equation for v = u_x, split as the flow splits them.
-
-    Returns (theta_omega, theta_omega_bar, remainder) where theta_* are the
-    omega-derivatives of F along u and the zeroth-order remainder is
-    R = F_zeta(u,...) * v + F_zeta_bar(u,...) * conj v.
-    """
-    v = derivative(u)
-    th_o = F.wirtinger("omega").evaluate(u, out_cutoff)
-    th_ob = F.wirtinger("omega_bar").evaluate(u, out_cutoff)
-    p = max(F.total_degree, 1)
-    kfull = p * u.cutoff
-    kout = kfull if out_cutoff is None else min(out_cutoff, kfull)
-    m = _eval_grid(u.cutoff, p, kout)
-    uv = u.to_samples(m)
-    dv = derivative(u).to_samples(m)
-    rz = F.wirtinger("zeta").evaluate_values(uv, dv)
-    rzb = F.wirtinger("zeta_bar").evaluate_values(uv, dv)
-    rvals = rz * dv + rzb * np.conj(dv)
-    remainder = SpectralField.from_samples(rvals, kout)
-    return th_o, th_ob, remainder
 
 
 # -- presets and text format ---------------------------------------------------

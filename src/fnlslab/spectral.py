@@ -9,11 +9,11 @@ normalized measure
 so Parseval reads ||f||_{L2}^2 = sum_k |c(k)|^2 with no 2*pi factors and
 ||e^{ikx}||_{L2} = 1.
 
-Operators provided as free functions: the fractional derivative D^alpha
-(multiplier |k|^alpha), the Japanese bracket <D>^s (multiplier (1+k^2)^{s/2}),
-mean/nonmean/positive/negative mode projections, the mean-free antiderivative
-(multiplier 1/(ik) off k=0), and alias-free pointwise products via zero-padded
-FFT grids.
+Operators provided as free functions: the Japanese bracket <D>^s (multiplier
+(1+k^2)^{s/2}), mean/nonmean/positive/negative mode projections, the
+mean-free antiderivative (multiplier 1/(ik) off k=0), and alias-free
+pointwise products via zero-padded FFT grids.  Every padded grid in the
+package is sized by `padded_size`.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ import numpy as np
 __all__ = [
     "SpectralField",
     "DealiasBudgetError",
-    "grid_size",
-    "fractional_derivative",
+    "padded_size",
     "bracket_power",
     "sobolev_norm",
     "project",
@@ -42,8 +41,6 @@ __all__ = [
     "sup_norm",
     "convolve_coefficients",
     "random_field",
-    "write_field_csv",
-    "read_field_csv",
 ]
 
 # Hard cap on padded FFT grids; products requiring more raise.
@@ -61,20 +58,20 @@ def _next_pow2(n: int) -> int:
     return m
 
 
-def grid_size(cutoff: int, degree: int) -> int:
-    """Padded grid size for alias-free degree-`degree` products of K-band fields.
+def padded_size(cutoff: int, bandwidth: int, out_cutoff: int) -> int:
+    """FFT grid size for reading modes |k| <= out_cutoff of a pointwise product.
 
-    A monomial of total degree p in fields band-limited to |k| <= K has true
-    bandwidth p*K; sampling on M points folds mode m onto m +- M, so modes
-    |k| <= K come out exact as soon as M >= (p+1)*K + 1.  Rounded up to a
-    power of two for transform efficiency.
+    The grid holds the inputs (band-limited to |k| <= cutoff, which needs
+    M >= 2*cutoff + 1 samples) and keeps the product, of bandwidth
+    `bandwidth`, alias-free: sampling on M points folds mode m onto m +- M,
+    so modes |k| <= out_cutoff come out exact once M > bandwidth + out_cutoff.
+    Rounded up to a power of two for transform efficiency.
     """
-    degree = max(degree, 1)
-    m = _next_pow2(max((degree + 1) * cutoff + 1, 2 * cutoff + 2))
+    m = _next_pow2(max(bandwidth + out_cutoff, 2 * cutoff) + 2)
     if m > MAX_GRID_POINTS:
         raise DealiasBudgetError(
-            f"alias-free grid needs {m} points (cutoff={cutoff}, degree={degree}), "
-            f"budget is {MAX_GRID_POINTS}"
+            f"alias-free grid needs {m} points (cutoff={cutoff}, bandwidth={bandwidth}, "
+            f"out_cutoff={out_cutoff}), budget is {MAX_GRID_POINTS}"
         )
     return m
 
@@ -150,7 +147,8 @@ class SpectralField:
 
     def to_samples(self, npoints: int | None = None) -> np.ndarray:
         """Values on `npoints` uniform points x_j = 2*pi*j/M."""
-        m = npoints if npoints is not None else _next_pow2(2 * self.cutoff + 2)
+        k = self.cutoff
+        m = npoints if npoints is not None else padded_size(k, k, k)
         if m < 2 * self.cutoff + 1:
             raise ValueError("sample grid too coarse for this cutoff")
         buf = np.zeros(m, dtype=np.complex128)
@@ -196,19 +194,6 @@ class SpectralField:
 
 
 # -- Fourier multipliers -----------------------------------------------------
-
-
-def fractional_derivative(f: SpectralField, alpha: float) -> SpectralField:
-    """D^alpha f: multiply mode k by |k|^alpha; the mean is annihilated for alpha > 0."""
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0; use antiderivative for the inverse")
-    k = f.wavenumbers().astype(float)
-    mult = np.zeros_like(k)
-    nz = k != 0
-    mult[nz] = np.abs(k[nz]) ** alpha
-    if alpha == 0:
-        mult[~nz] = 1.0
-    return SpectralField(f.coeffs * mult, f.cutoff)
 
 
 def bracket_power(f: SpectralField, s: float) -> SpectralField:
@@ -304,9 +289,7 @@ def pointwise_product(
     full = f.cutoff + g.cutoff
     kout = max(f.cutoff, g.cutoff) if out_cutoff is None else out_cutoff
     kout = min(kout, full)
-    m = _next_pow2(full + kout + 2)
-    if m > MAX_GRID_POINTS:
-        raise DealiasBudgetError(f"product grid {m} exceeds budget")
+    m = padded_size(max(f.cutoff, g.cutoff), full, kout)
     vals = f.to_samples(m) * g.to_samples(m)
     return SpectralField.from_samples(vals, kout)
 
@@ -317,7 +300,7 @@ def convolve_coefficients(f: SpectralField, g: SpectralField) -> SpectralField:
     return SpectralField(c, f.cutoff + g.cutoff)
 
 
-# -- random fields and I/O -----------------------------------------------------
+# -- random fields -----------------------------------------------------------
 
 
 def random_field(
@@ -346,29 +329,3 @@ def random_field(
     if not include_mean:
         c[k == 0] = 0.0
     return SpectralField(c, cutoff)
-
-
-def write_field_csv(f: SpectralField, path) -> None:
-    """Spectrum snapshot: header then rows ``k,re,im``."""
-    with open(path, "w") as fh:
-        fh.write("k,re,im\n")
-        for k, c in zip(f.wavenumbers(), f.coeffs):
-            fh.write(f"{k},{c.real:.17g},{c.imag:.17g}\n")
-
-
-def read_field_csv(path) -> SpectralField:
-    ks: list[int] = []
-    cs: list[complex] = []
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.lower().startswith("k"):
-            raise ValueError("expected header 'k,re,im'")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            k_s, re_s, im_s = line.split(",")
-            ks.append(int(k_s))
-            cs.append(float(re_s) + 1j * float(im_s))
-    cutoff = max(abs(k) for k in ks) if ks else 0
-    return SpectralField.from_modes(dict(zip(ks, cs)), cutoff)

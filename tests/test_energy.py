@@ -164,6 +164,17 @@ def test_correction_matches_refined_direct_quadrature():
     assert abs(val - fine) < 1e-10
 
 
+def test_weight_wider_than_product_grid_regression():
+    # a degree-3 weight at K=12 has 73 samples, more than the product grid once held
+    u = random_field(12, 3.0, np.random.default_rng(17), amplitude=0.5)
+    F = PolynomialNonlinearity.from_terms({(2, 1, 1, 0): 1j})
+    wide = u.with_cutoff(16)  # the same function on a larger grid
+    for term in (correction_term, flux_term):
+        val = term(1, u, F, 3.0, 2.6)
+        assert abs(val) > 1e-8
+        assert abs(val - term(1, wide, F, 3.0, 2.6)) < 1e-12 * abs(val)
+
+
 def test_flux_real_and_refinement_consistent():
     rng = np.random.default_rng(2)
     u = random_field(6, 2.5, rng)

@@ -11,7 +11,6 @@ from fnlslab.evolution import (
     integrate,
     linear_semigroup_apply,
     read_trajectory,
-    suggested_dt,
     sup_l2_gap,
     write_trajectory,
 )
@@ -177,13 +176,16 @@ def test_config_validation():
         EvolutionConfig(alpha=3.0, dt=-1e-3)
     with pytest.raises(ValueError):
         EvolutionConfig(alpha=3.0, eps=-0.1)
-    with pytest.raises(ValueError):
-        EvolutionConfig(alpha=3.0, scheme="leapfrog")
 
 
-def test_suggested_dt_scales():
-    assert suggested_dt(64, 3.0, eps=0.1) == 1e-3
-    assert suggested_dt(256, 4.0, eps=0.0) == pytest.approx(256.0**-2)
+def test_horizon_must_be_whole_number_of_steps():
+    # horizon 1.0 with dt 0.3 used to stop silently at t = 0.9
+    for horizon, dt in ((1.0, 0.3), (5e-4, 1e-3), (0.0, 1e-3), (float("inf"), 1e-3)):
+        with pytest.raises(ValueError):
+            EvolutionConfig(alpha=3.0, dt=dt, horizon=horizon)
+    cfg = EvolutionConfig(alpha=3.0, cutoff=4, dt=0.1, horizon=0.3)  # 0.3/0.1 rounds off
+    traj = integrate(SpectralField.constant(0.1, 4), ZERO, cfg)
+    assert traj.times[-1] == pytest.approx(0.3)
 
 
 # -- viscosity convergence ---------------------------------------------------------------

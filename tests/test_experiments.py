@@ -223,9 +223,32 @@ def test_cli_estimates_verb(tmp_path, capsys):
     assert (tmp_path / "estimate_ratios.gp").exists()
 
 
-def test_cli_invalid_config_is_exit_two(capsys):
+def test_cli_invalid_config_is_exit_two(tmp_path, capsys):
     rc = cli_main(["run", "--preset", "cubic", "--alpha", "1.0", "--out", "/tmp/nope_art"])
     assert rc == 2
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("preset=cubic\nviscosity=1\n")
+    out = str(tmp_path / "art")
+    for argv in (
+        ["run", "--config", str(bad), "--out", out],  # unknown config key
+        ["run", "--out", out],
+        ["sweep", "--axis", "eps", "--values", "0.1", "--out", out],
+        ["check", "--out", out],
+        ["run", "--preset", "cubic", "--horizon", "1.0", "--dt", "0.3", "--out", out],
+    ):
+        assert cli_main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_sweep_exit_one_on_failure(tmp_path, capsys):
+    # a run that errors, then an analysis that fails (too few snapshots to fit)
+    rc = cli_main(["sweep", "--preset", "cubic", "--axis", "alpha", "--values", "1.5",
+                   "--out", str(tmp_path / "a")])
+    assert rc == 1
+    rc = cli_main(["sweep", "--preset", "example_c", "--c", "i", "--axis", "horizon",
+                   "--values", "0.0005", "--modes", "8", "--out", str(tmp_path / "b")])
+    assert rc == 1
+    assert "growth_probe=FAIL" in capsys.readouterr().out
 
 
 def test_cli_entry_point_subprocess(tmp_path):

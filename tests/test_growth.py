@@ -26,7 +26,14 @@ from fnlslab.nonlinearity import (
     example_c,
     linear_transport,
 )
-from fnlslab.spectral import SpectralField, random_field, sobolev_norm
+from fnlslab.spectral import (
+    SpectralField,
+    conjugate,
+    convolve_coefficients,
+    derivative,
+    random_field,
+    sobolev_norm,
+)
 
 ZERO = PolynomialNonlinearity.zero()
 
@@ -119,6 +126,12 @@ def test_decomposition_omega_free_nonlinearity():
     for name in ("n11", "n21", "m1", "m2", "k1", "k2"):
         assert np.max(np.abs(parts.by_name()[name])) < 1e-12
     assert np.max(np.abs(parts.n3)) > 1e-8
+    # n3 is the free-flow phase times R = 2i |u|^2 u_x + i u^2 conj(u_x)
+    v = derivative(u)
+    r = 2j * convolve_coefficients(convolve_coefficients(u, conjugate(u)), v)
+    r = r + 1j * convolve_coefficients(convolve_coefficients(u, u), conjugate(v))
+    phase = np.exp(1j * np.abs(u.wavenumbers()) ** 3.0 * 0.25)
+    assert np.max(np.abs(parts.n3 - phase * r.with_cutoff(8).coeffs)) < 1e-12
 
 
 def test_single_mode_separated_set_is_empty():

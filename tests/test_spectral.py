@@ -12,20 +12,19 @@ from fnlslab.spectral import (
     conjugate,
     convolve_coefficients,
     derivative,
-    fractional_derivative,
-    grid_size,
     imag_part,
+    padded_size,
     pointwise_product,
     project,
     random_field,
-    read_field_csv,
     real_part,
     sobolev_norm,
     sup_norm,
     translate,
     truncate_modes,
-    write_field_csv,
 )
+from fnlslab.evolution import linear_semigroup_apply
+from fnlslab.nonlinearity import PolynomialNonlinearity
 
 RNG = np.random.default_rng(1234)
 
@@ -64,41 +63,17 @@ def test_value_semantics():
         f.coeffs[0] = 1.0  # frozen buffer
 
 
-# -- fractional derivative -------------------------------------------------------
-
-
-def test_fractional_derivative_examples():
-    # D^2 e^{ix} = e^{ix}
-    out = fractional_derivative(e(1), 2.0)
-    assert abs(out.coefficient(1) - 1.0) < 1e-15
-    # constants die for alpha > 0
-    out = fractional_derivative(SpectralField.constant(3.0 + 1j), 1.7)
-    assert out.is_zero()
-    # D^3 e^{2ix} = 8 e^{2ix}
-    out = fractional_derivative(e(2), 3.0)
-    assert abs(out.coefficient(2) - 8.0) < 1e-14
-
-
-def test_fractional_derivative_rejects_negative_alpha():
-    with pytest.raises(ValueError):
-        fractional_derivative(e(1), -0.5)
-
-
-def test_fractional_derivative_linear():
-    rng = np.random.default_rng(2)
-    f = random_field(16, 1.0, rng)
-    g = random_field(16, 1.0, rng)
-    a, b = 2.0 - 1j, 0.3 + 0.7j
-    lhs = fractional_derivative(a * f + b * g, 2.5)
-    rhs = a * fractional_derivative(f, 2.5) + b * fractional_derivative(g, 2.5)
-    assert sobolev_norm(lhs - rhs) < 1e-12
+# -- the dispersion multiplier ------------------------------------------------------
 
 
 def test_d2_is_minus_second_derivative_on_mean_free():
+    # at alpha = 2 the free group exp(-it D^alpha) acts mode by mode as
+    # exp(-it k^2), the symbol of -d_xx
     f = project(random_field(16, 1.0, np.random.default_rng(3)), "nonmean")
-    lhs = fractional_derivative(f, 2.0)
-    rhs = -1.0 * derivative(derivative(f))
-    assert sobolev_norm(lhs - rhs) < 1e-12
+    t = 0.37
+    symbol = -derivative(derivative(SpectralField(np.ones(33), 16))).coeffs
+    rhs = SpectralField(np.exp(-1j * t * symbol) * f.coeffs, 16)
+    assert sobolev_norm(linear_semigroup_apply(f, t, 2.0) - rhs) < 1e-12
 
 
 # -- bracket power and Sobolev norms ----------------------------------------------
@@ -185,7 +160,68 @@ def test_product_full_bandwidth_matches_convolution():
 
 def test_grid_budget_guard():
     with pytest.raises(DealiasBudgetError):
-        grid_size(1 << 21, 4)
+        padded_size(1 << 21, 4 << 21, 1 << 21)
+
+
+def test_padded_size_holds_inputs_and_product():
+    assert padded_size(8, 8, 8) == 32  # 2K + 2 samples resolve the inputs
+    assert padded_size(8, 24, 8) == 64  # degree 3, truncated to K
+    assert padded_size(8, 8, 0) == 32  # a mean still needs the inputs on the grid
+    assert padded_size(0, 0, 0) == 2
+
+
+def test_product_with_narrow_output_regression():
+    # the grid once held the product but not g's 17 samples
+    g = random_field(8, 1.0, np.random.default_rng(15))
+    p = pointwise_product(SpectralField.constant(2.0), g, out_cutoff=0)
+    assert p.cutoff == 0
+    assert abs(p.coefficient(0) - 2.0 * g.coefficient(0)) < 1e-14
+
+
+def _monomial_by_convolution(idx, coeff, u):
+    # u, u_x, conj u, conj u_x multiplied by direct coefficient convolution
+    out = SpectralField.constant(coeff)
+    for factor, power in zip(
+        (u, derivative(u), conjugate(u), conjugate(derivative(u))), idx
+    ):
+        for _ in range(power):
+            out = convolve_coefficients(out, factor)
+    return out
+
+
+@given(
+    st.integers(min_value=0, max_value=5),
+    st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1), st.integers(0, 1)),
+        min_size=1,
+        max_size=3,
+    ),
+    st.integers(min_value=0, max_value=5),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=30)),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_grid_products_match_convolution(cutoff, idxs, g_cutoff, out_cutoff, seed):
+    rng = np.random.default_rng(seed)
+    u = random_field(cutoff, 1.0, rng)
+    terms = {i: complex(*rng.standard_normal(2)) for i in idxs if sum(i) <= 4}
+    F = PolynomialNonlinearity.from_terms(terms)
+    band = max(F.total_degree, 1) * cutoff
+    kout = band if out_cutoff is None else min(out_cutoff, band)
+    expect = SpectralField.zeros(kout)
+    for idx, c in F.terms:
+        expect = expect + _monomial_by_convolution(idx, c, u).with_cutoff(kout)
+    got = F.evaluate(u, out_cutoff=out_cutoff)
+    assert got.cutoff == kout
+    assert sobolev_norm(got - expect) < 1e-12 * (1.0 + sobolev_norm(expect))
+
+    g = random_field(g_cutoff, 1.0, rng)
+    full = cutoff + g_cutoff
+    k = max(cutoff, g_cutoff) if out_cutoff is None else min(out_cutoff, full)
+    prod = pointwise_product(u, g, out_cutoff=out_cutoff)
+    assert prod.cutoff == k
+    conv = convolve_coefficients(u, g).with_cutoff(k)
+    assert sobolev_norm(prod - conv) < 1e-12 * (1.0 + sobolev_norm(conv))
 
 
 # -- misc field ops ----------------------------------------------------------------
@@ -220,12 +256,3 @@ def test_truncate_modes():
 
 def test_sup_norm_single_mode():
     assert abs(sup_norm(e(3, amp=2.0)) - 2.0) < 1e-10
-
-
-def test_csv_round_trip(tmp_path):
-    f = random_field(9, 1.0, np.random.default_rng(14))
-    path = tmp_path / "field.csv"
-    write_field_csv(f, path)
-    g = read_field_csv(path)
-    assert g.cutoff == f.cutoff
-    assert np.max(np.abs(g.coeffs - f.coeffs)) < 1e-16
