@@ -199,7 +199,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("check", help="criterion verdict only")
     _add_common(p)
-    p.set_defaults(fn=cmd_check)
+    p.set_defaults(fn=cmd_check, out=None)  # criterion.json only with --out
 
     p = sub.add_parser("run", help="execute a preset")
     _add_common(p)
@@ -226,7 +226,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

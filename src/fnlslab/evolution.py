@@ -175,7 +175,11 @@ def integrate(
         n4 = rhs(a4)
         u = e_full * u + (dt / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
 
-        if not np.all(np.isfinite(u)) or np.linalg.norm(sob_w * u) > cfg.blowup_ceiling:
+        # The H^1 norm is at least the largest |Re uhat|, |Im uhat| (weights
+        # >= 1), so a nan, inf or above-ceiling part stops the run before the
+        # norm squares it, which could overflow.
+        peak = np.abs(u.view(np.float64)).max()
+        if not peak <= cfg.blowup_ceiling or np.linalg.norm(sob_w * u) > cfg.blowup_ceiling:
             truncated = True
             break
         if step % cfg.record_every == 0 or step == nsteps:

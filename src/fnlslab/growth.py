@@ -25,7 +25,12 @@ The machinery implemented here:
                           |k|^alpha -+ |k2|^alpha on the separated pairs, and
                           their time-derivative remainders K_j, with the time
                           derivatives substituted from the evolution equation
-                          rather than finite-differenced;
+                          rather than finite-differenced.  No (2K+1)^2 pair
+                          grid is built: the phases separate per mode, the
+                          coefficients at k1 = k - k2 are Toeplitz views of
+                          one padded array, and each pair sum is a masked
+                          matrix-vector product over blocks of output rows,
+                          so memory is O(block * K);
   resonant_norm_audit     the weighted l2 bounds each part must satisfy on a
                           bounded run;
   directional_growth      per-mode log-linear rate fits and the paired
@@ -39,6 +44,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .evolution import TrajectoryRecord, sup_l2_gap
 from .nonlinearity import PolynomialNonlinearity, theta_omega_mean
@@ -135,11 +141,27 @@ class ResonantParts:
         }
 
 
-def _lookup(coeffs: np.ndarray, cutoff: int, k: np.ndarray) -> np.ndarray:
-    """coeffs over -cutoff..cutoff evaluated at integer array k, zero outside."""
-    inside = np.abs(k) <= cutoff
-    idx = np.clip(k + cutoff, 0, 2 * cutoff)
-    return np.where(inside, coeffs[idx], 0.0)
+# Entries per block array in resonant_decomposition: memory is O(block * K).
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _pair_window(
+    fields: tuple[SpectralField, ...], cutoff: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Toeplitz view of the fields at k1 = k - k2, and the array it strides.
+
+    view[c, i, j] is the coefficient of fields[c] at k - k2 for row k = i - K
+    and column k2 = K - j (|k|, |k2| <= K = cutoff), zero outside the field's
+    band.  The view copies nothing: it reads pad[c, k1 + 2K], so a write to
+    pad shows in the view.
+    """
+    pad = np.zeros((len(fields), 4 * cutoff + 1), dtype=np.complex128)
+    for c, f in enumerate(fields):
+        band = min(f.cutoff, 2 * cutoff)
+        pad[c, 2 * cutoff - band : 2 * cutoff + band + 1] = f.coeffs[
+            f.cutoff - band : f.cutoff + band + 1
+        ]
+    return sliding_window_view(pad, 2 * cutoff + 1, axis=1), pad
 
 
 def _times(F: PolynomialNonlinearity, slot: int) -> PolynomialNonlinearity:
@@ -173,10 +195,12 @@ def resonant_decomposition(
     the residual real mean is folded into the substituted time derivatives
     either way.  Sums run over the literal near-diagonal / separated index
     sets; zero denominators cannot occur on the separated set (asserted).
+    They are taken over blocks of about 2^16 pairs, so memory is O(block * K).
     """
     u = traj.snapshot_at(t)
     alpha = traj.config.alpha
     eps = traj.config.eps
+    K = u.cutoff
     ks = u.wavenumbers()
 
     theta_o = F.wirtinger("omega").evaluate(u)
@@ -213,74 +237,80 @@ def resonant_decomposition(
     # Remainder R = T_z v + T_zb conj v, one polynomial in the four slots.
     remainder = _times(F.wirtinger("zeta"), 1) + _times(F.wirtinger("zeta_bar"), 3)
 
-    absk = np.abs(ks.astype(float))
-    phase = np.exp(1j * absk**alpha * t)
+    # Pair sums over rows k (ascending) and columns k2 (descending).  The
+    # phases separate: e^{i delta t} Vhat(k2) = phase(k) vhat(k2) and
+    # e^{i sigma t} conj(Vhat(-k2)) = phase(k) conj(vhat(-k2)), so each sum is
+    # phase(k) times a masked matrix-vector product over k2.
+    n = 2 * K + 1
+    p = np.abs(ks.astype(float)) ** alpha
+    phase = np.exp(1j * p * t)
     vhat = (1j * ks) * u.coeffs
-    Vhat = phase * vhat
-    dtVhat = phase * (1j * absk**alpha * vhat + dtv.coeffs)
+    dv = 1j * p * vhat + dtv.coeffs  # conj(phase) * dt Vhat
+    cols = ks[::-1]
+    abs_cols = np.abs(cols)
+    p_cols = p[::-1]
+    q_cols = np.maximum(abs_cols.astype(float), 1.0) ** (alpha - 1.0)
+    # Column vectors: k2 vhat(k2), k2 dv(k2) for the omega family and
+    # k2 conj(vhat(-k2)), k2 conj(dv(-k2)) for the omega_bar family.
+    x_o = np.stack([cols * vhat[::-1], cols * dv[::-1]], axis=1)
+    x_ob = np.stack([cols * np.conj(vhat), cols * np.conj(dv)], axis=1)
 
-    # Pair grids: rows = output k, cols = k2 (both over -K..K).
-    kk = ks[:, None].astype(float)
-    k2 = ks[None, :].astype(float)
-    k1 = kk - k2
-    k1_int = k1.astype(int)
+    win_o, pad_o = _pair_window((theta_o, dtheta_o), K)
+    pad_o[:, 2 * K] = 0.0  # P_nonmean for the omega family
+    win_ob, _ = _pair_window((theta_ob, dtheta_ob), K)
+    th_used = sliding_window_view(pad_o[0] != 0, n)
 
-    th = _lookup(theta_o.coeffs, theta_o.cutoff, k1_int)
-    th_nz = np.where(k1_int != 0, th, 0.0)  # P_nonmean for the omega family
-    dth = _lookup(dtheta_o.coeffs, dtheta_o.cutoff, k1_int)
-    dth_nz = np.where(k1_int != 0, dth, 0.0)
-    thb = _lookup(theta_ob.coeffs, theta_ob.cutoff, k1_int)
-    dthb = _lookup(dtheta_ob.coeffs, dtheta_ob.cutoff, k1_int)
+    n11, n21 = np.zeros(n, complex), np.zeros(n, complex)
+    m1, k1_arr = np.zeros(n, complex), np.zeros(n, complex)
+    m2, k2_arr = np.zeros(n, complex), np.zeros(n, complex)
+    min_ratio = float("inf")
+    rows = max(1, _BLOCK_ENTRIES // n)
+    for i0 in range(0, n, rows):
+        r = slice(i0, i0 + rows)
+        k1 = ks[r, None] - cols
+        abs_k1 = np.abs(k1)
+        d2 = 2 * abs_k1 < abs_cols
+        delta = p[r, None] - p_cols
+        sigma = p[r, None] + p_cols
 
-    V2 = Vhat[None, :]
-    dV2 = dtVhat[None, :]
-    Vm2 = np.conj(Vhat[::-1])[None, :]  # conj(Vhat(-k2)) aligned with k2
-    dVm2 = np.conj(dtVhat[::-1])[None, :]
+        # Separated pairs with k1 != 0 never have |k2| == |k|; assert before dividing.
+        used = d2 & th_used[r]
+        if np.any(delta[used] == 0.0):
+            raise AssertionError("zero denominator on the separated index set")
+        if np.any(used):
+            q = np.broadcast_to(q_cols, used.shape)[used]
+            ratio = np.abs(delta[used]) / (abs_k1[used] * q)
+            min_ratio = min(min_ratio, float(np.min(ratio)))
 
-    d1 = np.abs(k1) >= np.abs(k2) / 2.0
-    d2 = ~d1
+        # delta = 0 on D2 only at k1 = 0, where P_nonmean theta vanishes.
+        w1 = np.zeros(delta.shape)
+        np.divide(1.0, delta, out=w1, where=d2 & (delta != 0.0))
+        w2 = np.zeros(sigma.shape)
+        np.divide(1.0, sigma, out=w2, where=d2 & (sigma != 0.0))
 
-    abs_k = np.abs(kk)
-    abs_k2 = np.abs(k2)
-    delta = abs_k**alpha - abs_k2**alpha
-    sigma = abs_k**alpha + abs_k2**alpha
+        d1 = (~d2).astype(float)
+        n11[r] = (win_o[0, r] * d1) @ x_o[:, 0]
+        n21[r] = (win_ob[0, r] * d1) @ x_ob[:, 0]
+        # sep[c, :, d] = (field c * weight) @ column vector d
+        sep_o = (win_o[:, r] * w1) @ x_o
+        sep_ob = (win_ob[:, r] * w2) @ x_ob
+        m1[r] = sep_o[0, :, 0]
+        k1_arr[r] = sep_o[1, :, 0] + sep_o[0, :, 1]
+        m2[r] = sep_ob[0, :, 0]
+        k2_arr[r] = sep_ob[1, :, 0] + sep_ob[0, :, 1]
 
-    # Separated pairs with k1 != 0 never have |k2| == |k|; assert before dividing.
-    used_m1 = d2 & (k1_int != 0) & (th != 0)
-    if np.any(used_m1 & (delta == 0.0)):
-        raise AssertionError("zero denominator on the separated index set")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.abs(delta) / (np.abs(k1) * np.maximum(abs_k2, 1.0) ** (alpha - 1.0))
-    min_ratio = float(np.min(ratio[used_m1])) if np.any(used_m1) else float("inf")
-
-    exp_d = np.exp(1j * delta * t)
-    exp_s = np.exp(1j * sigma * t)
-
-    n11 = np.sum(np.where(d1, 1j * exp_d * th_nz * k2 * V2, 0.0), axis=1)
-    n21 = np.sum(np.where(d1, 1j * exp_s * thb * k2 * Vm2, 0.0), axis=1)
-
-    safe_delta = np.where(delta == 0.0, 1.0, delta)
-    w1 = np.where(d2 & (k1_int != 0), exp_d / safe_delta, 0.0)
-    m1 = np.sum(w1 * th_nz * k2 * V2, axis=1)
-    k1_arr = -np.sum(w1 * (dth_nz * k2 * V2 + th_nz * k2 * dV2), axis=1)
-
-    safe_sigma = np.where(sigma == 0.0, 1.0, sigma)
-    w2 = np.where(d2, exp_s / safe_sigma, 0.0)
-    m2 = np.sum(w2 * thb * k2 * Vm2, axis=1)
-    k2_arr = -np.sum(w2 * (dthb * k2 * Vm2 + thb * k2 * dVm2), axis=1)
-
-    n3 = phase * remainder.evaluate(u, out_cutoff=u.cutoff).coeffs
+    n3 = phase * remainder.evaluate(u, out_cutoff=K).coeffs
 
     return ResonantParts(
         time=float(t),
         k=ks.copy(),
-        n11=n11,
-        n21=n21,
+        n11=1j * phase * n11,
+        n21=1j * phase * n21,
         n3=n3,
-        m1=m1,
-        m2=m2,
-        k1=k1_arr,
-        k2=k2_arr,
+        m1=phase * m1,
+        m2=phase * m2,
+        k1=-phase * k1_arr,
+        k2=-phase * k2_arr,
         mean_im=mean_im,
         min_denominator_ratio=min_ratio,
     )

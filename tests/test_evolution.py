@@ -1,5 +1,7 @@
 """Time integration: exact linear propagation, regressions, convergence studies."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,8 @@ from fnlslab.evolution import (
     sup_l2_gap,
     write_trajectory,
 )
-from fnlslab.nonlinearity import PolynomialNonlinearity, cubic, linear_transport
+from fnlslab.growth import probe_initial_data
+from fnlslab.nonlinearity import PolynomialNonlinearity, cubic, example_d, linear_transport
 from fnlslab.spectral import (
     SpectralField,
     random_field,
@@ -167,6 +170,23 @@ def test_blowup_marks_record_truncated():
     assert traj.truncated
     assert traj.times[-1] < 2.0
     assert all(np.all(np.isfinite(s.coeffs)) for s in traj.snapshots)
+
+
+def test_blowup_past_float_range_is_quiet_regression():
+    # The K = 64 run of example_d(1, i)'s paired growth probe at alpha = 4:
+    # one step takes the still-finite state so far past the ceiling that its
+    # squared H^1 norm overflows.  The run stops there, with no warning.
+    witness = SpectralField.from_modes({1: 1.0}, 2)
+    s = 3.1  # regularity_threshold(4) + 0.1
+    phi = probe_initial_data(witness, 64, s, side="minus", seed=1748979406)
+    cfg = EvolutionConfig(
+        alpha=4.0, eps=0.0, cutoff=64, dt=2.5e-4, horizon=0.18, record_every=10
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate(phi, example_d(1.0, 1j), cfg)
+    assert traj.truncated
+    assert traj.times[-1] == pytest.approx(0.1675)
 
 
 def test_config_validation():

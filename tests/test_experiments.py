@@ -143,6 +143,13 @@ def test_cli_check_verb(tmp_path, capsys):
     assert json.loads(read(tmp_path / "criterion.json"))["satisfied"] is True
 
 
+def test_cli_check_without_out_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["check", "--preset", "cubic"]) == 0
+    assert json.loads(capsys.readouterr().out.strip())["satisfied"] is True
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_check_nonlinearity_file(tmp_path, capsys):
     nl = tmp_path / "f.txt"
     nl.write_text("0 1 0 0 0 1\n")  # i * u_x
@@ -234,6 +241,7 @@ def test_cli_invalid_config_is_exit_two(tmp_path, capsys):
         ["run", "--out", out],
         ["sweep", "--axis", "eps", "--values", "0.1", "--out", out],
         ["check", "--out", out],
+        ["check", "--nonlinearity", str(tmp_path)],  # a directory: IsADirectoryError
         ["run", "--preset", "cubic", "--horizon", "1.0", "--dt", "0.3", "--out", out],
     ):
         assert cli_main(argv) == 2, argv

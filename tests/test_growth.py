@@ -1,13 +1,18 @@
 """Ill-posedness machinery: gauge shift, resonant decomposition, growth verdicts."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fnlslab.evolution import EvolutionConfig, TrajectoryRecord, integrate
 from fnlslab.growth import (
     GrowthReport,
+    ResonantParts,
+    _galerkin_time_derivative,
+    _times,
     directional_growth,
     decomposition_series,
     gauge_shift,
@@ -24,6 +29,7 @@ from fnlslab.nonlinearity import (
     PolynomialNonlinearity,
     cubic,
     example_c,
+    example_d,
     linear_transport,
 )
 from fnlslab.spectral import (
@@ -31,6 +37,7 @@ from fnlslab.spectral import (
     conjugate,
     convolve_coefficients,
     derivative,
+    pointwise_product,
     random_field,
     sobolev_norm,
 )
@@ -104,6 +111,193 @@ def test_interaction_variable_constant_under_free_flow():
 def _single_snapshot_record(u, alpha, t):
     cfg = EvolutionConfig(alpha=alpha, eps=0.0, cutoff=u.cutoff, dt=1e-3, horizon=1e-3)
     return TrajectoryRecord(np.array([t]), [u], cfg)
+
+
+def _lookup(coeffs: np.ndarray, cutoff: int, k: np.ndarray) -> np.ndarray:
+    """coeffs over -cutoff..cutoff evaluated at integer array k, zero outside."""
+    inside = np.abs(k) <= cutoff
+    idx = np.clip(k + cutoff, 0, 2 * cutoff)
+    return np.where(inside, coeffs[idx], 0.0)
+
+
+def dense_resonant_decomposition(
+    traj: TrajectoryRecord, F: PolynomialNonlinearity, t: float
+) -> ResonantParts:
+    """Reference: the literal sums over dense (2K+1)^2 pair grids."""
+    u = traj.snapshot_at(t)
+    alpha = traj.config.alpha
+    eps = traj.config.eps
+    ks = u.wavenumbers()
+
+    theta_o = F.wirtinger("omega").evaluate(u)
+    theta_ob = F.wirtinger("omega_bar").evaluate(u)
+    mean_theta = theta_o.coefficient(0)
+    mean_im = float(mean_theta.imag)
+    mean_re = float(mean_theta.real)
+
+    dtu = _galerkin_time_derivative(u, F, alpha, eps, mean_re)
+    dtv = derivative(dtu)
+
+    # Chain rule through the equation for the inner time derivatives.
+    def chain(theta_var: PolynomialNonlinearity) -> SpectralField:
+        tz = theta_var.wirtinger("zeta").evaluate(u)
+        tw = theta_var.wirtinger("omega").evaluate(u)
+        tzb = theta_var.wirtinger("zeta_bar").evaluate(u)
+        twb = theta_var.wirtinger("omega_bar").evaluate(u)
+        out = SpectralField.zeros(0)
+        for coef_field, darg in (
+            (tz, dtu),
+            (tw, dtv),
+            (tzb, conjugate(dtu)),
+            (twb, conjugate(dtv)),
+        ):
+            if coef_field.is_zero():
+                continue
+            full = coef_field.cutoff + darg.cutoff
+            out = out + pointwise_product(coef_field, darg, out_cutoff=full)
+        return out
+
+    dtheta_o = chain(F.wirtinger("omega"))
+    dtheta_ob = chain(F.wirtinger("omega_bar"))
+
+    # Remainder R = T_z v + T_zb conj v, one polynomial in the four slots.
+    remainder = _times(F.wirtinger("zeta"), 1) + _times(F.wirtinger("zeta_bar"), 3)
+
+    absk = np.abs(ks.astype(float))
+    phase = np.exp(1j * absk**alpha * t)
+    vhat = (1j * ks) * u.coeffs
+    Vhat = phase * vhat
+    dtVhat = phase * (1j * absk**alpha * vhat + dtv.coeffs)
+
+    # Pair grids: rows = output k, cols = k2 (both over -K..K).
+    kk = ks[:, None].astype(float)
+    k2 = ks[None, :].astype(float)
+    k1 = kk - k2
+    k1_int = k1.astype(int)
+
+    th = _lookup(theta_o.coeffs, theta_o.cutoff, k1_int)
+    th_nz = np.where(k1_int != 0, th, 0.0)  # P_nonmean for the omega family
+    dth = _lookup(dtheta_o.coeffs, dtheta_o.cutoff, k1_int)
+    dth_nz = np.where(k1_int != 0, dth, 0.0)
+    thb = _lookup(theta_ob.coeffs, theta_ob.cutoff, k1_int)
+    dthb = _lookup(dtheta_ob.coeffs, dtheta_ob.cutoff, k1_int)
+
+    V2 = Vhat[None, :]
+    dV2 = dtVhat[None, :]
+    Vm2 = np.conj(Vhat[::-1])[None, :]  # conj(Vhat(-k2)) aligned with k2
+    dVm2 = np.conj(dtVhat[::-1])[None, :]
+
+    d1 = np.abs(k1) >= np.abs(k2) / 2.0
+    d2 = ~d1
+
+    abs_k = np.abs(kk)
+    abs_k2 = np.abs(k2)
+    delta = abs_k**alpha - abs_k2**alpha
+    sigma = abs_k**alpha + abs_k2**alpha
+
+    # Separated pairs with k1 != 0 never have |k2| == |k|; assert before dividing.
+    used_m1 = d2 & (k1_int != 0) & (th != 0)
+    if np.any(used_m1 & (delta == 0.0)):
+        raise AssertionError("zero denominator on the separated index set")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.abs(delta) / (np.abs(k1) * np.maximum(abs_k2, 1.0) ** (alpha - 1.0))
+    min_ratio = float(np.min(ratio[used_m1])) if np.any(used_m1) else float("inf")
+
+    exp_d = np.exp(1j * delta * t)
+    exp_s = np.exp(1j * sigma * t)
+
+    n11 = np.sum(np.where(d1, 1j * exp_d * th_nz * k2 * V2, 0.0), axis=1)
+    n21 = np.sum(np.where(d1, 1j * exp_s * thb * k2 * Vm2, 0.0), axis=1)
+
+    safe_delta = np.where(delta == 0.0, 1.0, delta)
+    w1 = np.where(d2 & (k1_int != 0), exp_d / safe_delta, 0.0)
+    m1 = np.sum(w1 * th_nz * k2 * V2, axis=1)
+    k1_arr = -np.sum(w1 * (dth_nz * k2 * V2 + th_nz * k2 * dV2), axis=1)
+
+    safe_sigma = np.where(sigma == 0.0, 1.0, sigma)
+    w2 = np.where(d2, exp_s / safe_sigma, 0.0)
+    m2 = np.sum(w2 * thb * k2 * Vm2, axis=1)
+    k2_arr = -np.sum(w2 * (dthb * k2 * Vm2 + thb * k2 * dVm2), axis=1)
+
+    n3 = phase * remainder.evaluate(u, out_cutoff=u.cutoff).coeffs
+
+    return ResonantParts(
+        time=float(t),
+        k=ks.copy(),
+        n11=n11,
+        n21=n21,
+        n3=n3,
+        m1=m1,
+        m2=m2,
+        k1=k1_arr,
+        k2=k2_arr,
+        mean_im=mean_im,
+        min_denominator_ratio=min_ratio,
+    )
+
+
+def assert_matches_oracle(traj, F, t):
+    # Both routines round |k|^alpha t in their phases, so they agree to
+    # ~eps |K|^alpha t on each pair; the data decay keeps that below 1e-12
+    # relative to each part.  A part that cancels to roundoff (mirror pairs)
+    # is held to 1e-15 of the largest part instead.
+    got = resonant_decomposition(traj, F, t)
+    want = dense_resonant_decomposition(traj, F, t)
+    scale = max(np.linalg.norm(ref) for ref in want.by_name().values())
+    for name, ref in want.by_name().items():
+        err = np.linalg.norm(got.by_name()[name] - ref)
+        assert err <= 1e-12 * np.linalg.norm(ref) + 1e-15 * scale, (name, err)
+    assert got.min_denominator_ratio == want.min_denominator_ratio
+    assert got.mean_im == want.mean_im
+    assert np.array_equal(got.k, want.k)
+
+
+@st.composite
+def four_slot_polynomials(draw):
+    """Degree <= 3 polynomials with a term in each of zeta, omega, zeta_bar, omega_bar."""
+    coeff = st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0, allow_infinity=False)
+    terms: dict = {}
+    for slot in range(4):
+        idx = [0, 0, 0, 0]
+        idx[slot] = 1
+        for extra in draw(st.lists(st.integers(0, 3), max_size=2)):
+            idx[extra] += 1
+        terms[tuple(idx)] = terms.get(tuple(idx), 0.0) + draw(coeff)
+    return PolynomialNonlinearity.from_terms(terms)
+
+
+@given(
+    four_slot_polynomials(),
+    st.integers(min_value=1, max_value=24),
+    st.floats(min_value=2.0, max_value=4.0, exclude_min=True),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=40, deadline=None)
+def test_decomposition_matches_dense_oracle(F, cutoff, alpha, t, seed):
+    u = decaying_data(cutoff, seed=seed)
+    assert_matches_oracle(_single_snapshot_record(u, alpha, t), F, t)
+
+
+@pytest.mark.parametrize("F", [example_c(1j), example_d(1.0, 1j)], ids=["example_c(i)", "example_d(1,i)"])
+def test_decomposition_matches_dense_oracle_at_128(F):
+    u = decaying_data(128, seed=13, rate=0.2)
+    assert_matches_oracle(_single_snapshot_record(u, 3.0, 0.05), F, 0.05)
+
+
+def test_decomposition_at_2048_fits_256_mb():
+    u = decaying_data(2048, seed=14, rate=0.05)
+    traj = _single_snapshot_record(u, 3.0, 0.05)
+    tracemalloc.start()
+    try:
+        parts = resonant_decomposition(traj, example_d(1.0, 1j), 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2**20, peak
+    for name, arr in parts.by_name().items():
+        assert arr.shape == (4097,) and np.all(np.isfinite(arr)), name
+    assert np.isfinite(parts.min_denominator_ratio)
 
 
 def test_decomposition_collapses_for_linear_flow():
