@@ -257,15 +257,18 @@ def resonant_decomposition(
 
     win_o, pad_o = _pair_window((theta_o, dtheta_o), K)
     pad_o[:, 2 * K] = 0.0  # P_nonmean for the omega family
-    win_ob, _ = _pair_window((theta_ob, dtheta_ob), K)
+    win_ob, pad_ob = _pair_window((theta_ob, dtheta_ob), K)
     th_used = sliding_window_view(pad_o[0] != 0, n)
 
     n11, n21 = np.zeros(n, complex), np.zeros(n, complex)
     m1, k1_arr = np.zeros(n, complex), np.zeros(n, complex)
     m2, k2_arr = np.zeros(n, complex), np.zeros(n, complex)
     min_ratio = float("inf")
+    # With both windows zero (F free of omega and omega_bar up to a mean
+    # theta_omega) every pair sum is an exact zero and no pair is used.
     rows = max(1, _BLOCK_ENTRIES // n)
-    for i0 in range(0, n, rows):
+    blocks = range(0, n, rows) if pad_o.any() or pad_ob.any() else ()
+    for i0 in blocks:
         r = slice(i0, i0 + rows)
         k1 = ks[r, None] - cols
         abs_k1 = np.abs(k1)

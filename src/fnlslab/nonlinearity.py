@@ -130,21 +130,36 @@ class PolynomialNonlinearity:
     # -- evaluation ----------------------------------------------------------
 
     def evaluate_values(self, u_vals, du_vals) -> np.ndarray:
-        """Pointwise values of F on given sample arrays of u and u_x."""
-        cu = np.conj(u_vals)
-        cdu = np.conj(du_vals)
-        out = np.zeros_like(u_vals)
-        for (a, b, c, d), coeff in self.terms:
-            term = np.full_like(u_vals, coeff)
-            if a:
-                term = term * u_vals**a
-            if b:
-                term = term * du_vals**b
-            if c:
-                term = term * cu**c
-            if d:
-                term = term * cdu**d
-            out = out + term
+        """Pointwise values of F on given sample arrays of u and u_x.
+
+        Each power of a slot is computed once and shared by every term that
+        uses it, a slot is conjugated only if some term uses it, and the terms
+        accumulate in place into the first one.
+        """
+        bases = [u_vals, du_vals, None, None]
+        powers: dict[tuple[int, int], np.ndarray] = {}
+        out = None
+        for idx, coeff in self.terms:
+            term = None
+            for slot, e in enumerate(idx):
+                if not e:
+                    continue
+                if (slot, e) not in powers:
+                    if bases[slot] is None:
+                        bases[slot] = np.conj(bases[slot - 2])
+                    powers[slot, e] = bases[slot] if e == 1 else bases[slot] ** e
+                if term is None:
+                    term = coeff * powers[slot, e]
+                else:
+                    term *= powers[slot, e]
+            if term is None:  # the constant term
+                term = np.full(np.shape(u_vals), coeff)
+            if out is None:
+                out = term
+            else:
+                out += term
+        if out is None:
+            return np.zeros(np.shape(u_vals), dtype=np.complex128)
         return out
 
     def coefficient_map(self, cutoff: int, out_cutoff: int | None = None):
@@ -153,9 +168,10 @@ class PolynomialNonlinearity:
         The returned function takes the 2*cutoff+1 coefficients of u and
         returns the 2*kout+1 coefficients of F(u, u_x, conj u, conj u_x),
         alias-free, where kout is ``out_cutoff`` capped at the full product
-        bandwidth total_degree * cutoff (the default).  The padded grid, its
-        scatter/gather indices and the derivative multiplier are built once
-        per map, so repeated calls (one per Runge-Kutta stage) only transform.
+        bandwidth total_degree * cutoff (the default).  The padded grid and
+        its buffer, the scatter/gather indices and the derivative multiplier
+        are built once per map, so repeated calls (one per Runge-Kutta stage)
+        only transform; a map is therefore not for concurrent use.
         """
         band = max(self.total_degree, 1) * cutoff
         kout = band if out_cutoff is None else min(out_cutoff, band)
@@ -166,14 +182,16 @@ class PolynomialNonlinearity:
         scatter = np.mod(ks, m)
         gather = np.mod(np.arange(-kout, kout + 1), m)
         ik = 1j * ks.astype(float)
+        # Only the scatter entries are ever written, so the rest stay zero.
+        buf = np.zeros(m, dtype=np.complex128)
 
         def apply(coeffs: np.ndarray) -> np.ndarray:
-            buf = np.zeros(m, dtype=np.complex128)
             buf[scatter] = coeffs
-            u_vals = np.fft.ifft(buf) * m
+            u_vals = np.fft.ifft(buf, norm="forward")
             buf[scatter] = coeffs * ik
-            du_vals = np.fft.ifft(buf) * m
-            return (np.fft.fft(self.evaluate_values(u_vals, du_vals)) / m)[gather]
+            du_vals = np.fft.ifft(buf, norm="forward")
+            vals = self.evaluate_values(u_vals, du_vals)
+            return np.fft.fft(vals, norm="forward")[gather]
 
         return apply
 
@@ -191,11 +209,15 @@ class PolynomialNonlinearity:
 
 def theta_omega_mean(F: PolynomialNonlinearity, u: SpectralField) -> complex:
     """Mean (zeroth coefficient) of F_omega along u, as a complex number."""
-    fo = F.wirtinger("omega")
-    if fo.is_zero():
+    return _grid_mean(F.wirtinger("omega"), u)
+
+
+def _grid_mean(P: PolynomialNonlinearity, u: SpectralField) -> complex:
+    """Mean of P(u, u_x, conj u, conj u_x) over one period."""
+    if P.is_zero():
         return 0.0 + 0.0j
-    m = padded_size(u.cutoff, max(fo.total_degree, 1) * u.cutoff, 0)
-    vals = fo.evaluate_values(u.to_samples(m), derivative(u).to_samples(m))
+    m = padded_size(u.cutoff, max(P.total_degree, 1) * u.cutoff, 0)
+    vals = P.evaluate_values(u.to_samples(m), derivative(u).to_samples(m))
     return complex(np.mean(vals))
 
 
@@ -256,11 +278,12 @@ def check_wellposedness_condition(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    fo = F.wirtinger("omega")
     best_val = 0.0
     best_field: SpectralField | None = None
     n_eval = 0
     for psi in structured_witnesses():
-        g = criterion_functional(F, psi)
+        g = _grid_mean(fo, psi).imag
         n_eval += 1
         if abs(g) > abs(best_val):
             best_val, best_field = g, psi
@@ -270,7 +293,7 @@ def check_wellposedness_condition(
     for cut in cutoffs:
         for _ in range(trials):
             psi = random_field(cut, decay, rng)
-            g = criterion_functional(F, psi)
+            g = _grid_mean(fo, psi).imag
             n_eval += 1
             if abs(g) > abs(best_val):
                 best_val, best_field = g, psi

@@ -328,6 +328,29 @@ def test_decomposition_omega_free_nonlinearity():
     assert np.max(np.abs(parts.n3 - phase * r.with_cutoff(8).coeffs)) < 1e-12
 
 
+@pytest.mark.parametrize("F", [cubic(1j), linear_transport(1j)], ids=["cubic(i)", "linear_transport(i)"])
+def test_omega_free_pair_sums_are_exact_zeros(F):
+    # theta_omega is at most a mean and theta_omega_bar vanishes: no pair is used.
+    u = decaying_data(64, seed=7, rate=0.2)
+    traj = _single_snapshot_record(u, 3.0, 0.1)
+    got = resonant_decomposition(traj, F, 0.1)
+    want = dense_resonant_decomposition(traj, F, 0.1)
+    for name in ("n11", "n21", "m1", "m2", "k1", "k2"):
+        assert np.array_equal(got.by_name()[name], np.zeros(129)), name
+        assert np.array_equal(got.by_name()[name], want.by_name()[name]), name
+    assert got.min_denominator_ratio == want.min_denominator_ratio == float("inf")
+    assert_matches_oracle(traj, F, 0.1)
+
+
+def test_omega_bar_alone_still_runs_the_pair_sums():
+    # theta_omega vanishes but theta_omega_bar = u^2 does not: m2 and k2 live.
+    u = decaying_data(64, seed=8, rate=0.2)
+    traj = _single_snapshot_record(u, 3.0, 0.1)
+    F = PolynomialNonlinearity.from_terms({(2, 0, 0, 1): 1j})
+    assert_matches_oracle(traj, F, 0.1)
+    assert np.max(np.abs(resonant_decomposition(traj, F, 0.1).m2)) > 1e-6
+
+
 def test_single_mode_separated_set_is_empty():
     # With one active mode every candidate pair fails |k1| < |k2|/2 (or is the
     # excluded mean), so the normal-form parts vanish for any polynomial F.

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fnlslab.nonlinearity import (
     PolynomialNonlinearity,
@@ -85,6 +85,40 @@ def test_evaluate_additive_in_terms():
     lhs = (F + G).evaluate(u)
     rhs = F.evaluate(u) + G.evaluate(u)
     assert sobolev_norm(lhs - rhs) < 1e-12
+
+
+def _naive_values(F, u_vals, du_vals):
+    # one fresh product per term, as F is written
+    out = np.zeros(u_vals.shape, dtype=np.complex128)
+    scale = np.zeros(u_vals.shape)
+    for (a, b, c, d), coeff in F.terms:
+        term = coeff * u_vals**a * du_vals**b * np.conj(u_vals) ** c * np.conj(du_vals) ** d
+        out = out + term
+        scale = scale + np.abs(term)
+    return out, scale
+
+
+_EXPONENTS = st.tuples(*(st.integers(0, 4),) * 4).filter(lambda idx: sum(idx) <= 4)
+
+
+@given(
+    st.dictionaries(_EXPONENTS, st.complex_numbers(max_magnitude=10.0), max_size=6),
+    st.booleans(),
+    st.integers(min_value=1, max_value=64),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example({}, False, 5, 0)  # the zero polynomial
+@settings(max_examples=80, deadline=None)
+def test_evaluate_values_matches_per_term_products(terms, constant, n, seed):
+    if constant:
+        terms[(0, 0, 0, 0)] = 1.5 - 0.5j
+    F = PolynomialNonlinearity.from_terms(terms)
+    rng = np.random.default_rng(seed)
+    u_vals, du_vals = rng.standard_normal((2, n, 2)) @ np.array([1.0, 1j])
+    got = F.evaluate_values(u_vals, du_vals)
+    want, scale = _naive_values(F, u_vals, du_vals)
+    assert got.shape == (n,) and got.dtype == np.complex128
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
 
 def test_chain_rule_against_central_differences():

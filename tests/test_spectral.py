@@ -189,6 +189,51 @@ def _monomial_by_convolution(idx, coeff, u):
     return out
 
 
+def _is_5_smooth(m):
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+@given(
+    st.integers(min_value=0, max_value=1 << 15),
+    st.integers(min_value=0, max_value=1 << 17),
+    st.integers(min_value=0, max_value=1 << 15),
+)
+@settings(max_examples=200, deadline=None)
+def test_padded_size_is_the_least_5_smooth_above_64(cutoff, bandwidth, out_cutoff):
+    need = max(bandwidth + out_cutoff, 2 * cutoff) + 2
+    pow2 = 1 << (need - 1).bit_length()
+    m = padded_size(cutoff, bandwidth, out_cutoff)
+    assert need <= m <= pow2
+    assert _is_5_smooth(m)
+    if pow2 <= 64:
+        assert m == pow2
+    else:
+        assert not any(_is_5_smooth(j) for j in range(need, m))
+
+
+@pytest.mark.parametrize("cutoff, points", [(1360, 5625), (2048, 8640)], ids=["odd", "even"])
+def test_grid_products_on_5_smooth_grids_regression(cutoff, points):
+    # Degree 3 truncated to K needs 4K + 2 points: 5442 -> 5625 and 8194 -> 8640.
+    rng = np.random.default_rng(cutoff)
+    u = random_field(cutoff, 1.0, rng)
+    F = PolynomialNonlinearity.from_terms({(0, 2, 1, 0): 1.0, (1, 1, 0, 1): 2.0 - 1j})
+    assert padded_size(cutoff, 3 * cutoff, cutoff) == points
+    expect = SpectralField.zeros(cutoff)
+    for idx, c in F.terms:
+        expect = expect + _monomial_by_convolution(idx, c, u).with_cutoff(cutoff)
+    got = SpectralField(F.coefficient_map(cutoff, cutoff)(u.coeffs), cutoff)
+    assert sobolev_norm(got - expect) < 1e-12 * sobolev_norm(expect)
+
+    g = random_field(2 * cutoff, 1.0, rng)
+    assert padded_size(2 * cutoff, 3 * cutoff, cutoff) == points
+    prod = pointwise_product(u, g, out_cutoff=cutoff)
+    conv = convolve_coefficients(u, g).with_cutoff(cutoff)
+    assert sobolev_norm(prod - conv) < 1e-12 * sobolev_norm(conv)
+
+
 @given(
     st.integers(min_value=0, max_value=5),
     st.lists(
