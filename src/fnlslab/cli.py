@@ -4,13 +4,16 @@ Verbs:
 
   check      criterion verdict only (preset or nonlinearity file)
   run        execute a preset's analyses into an artifact directory
-  sweep      run a preset across values of one parameter
+  sweep      run a preset across values of one setting
   estimates  the inequality stress lab
   audit      modified-energy audit of a stored trajectory
 
-Flat key=value config files are accepted via --config; command-line flags
-override file values.  Exit status: 0 all analyses passed, 1 an analysis
-failed, 2 invalid configuration.
+The run settings come from one table, `experiments.SETTINGS`: each of its
+keys is a flag (--alpha, --modes, --c1, ...), a key of the flat key=value
+file given by --config, and (seed aside) a sweep --axis.  Flag and file
+values merge as strings, flags overriding the file, and the table's parsers
+type them.  Exit status: 0 all analyses passed, 1 an analysis failed, 2
+invalid configuration (a bad command line included).
 """
 
 from __future__ import annotations
@@ -31,69 +34,46 @@ from .nonlinearity import (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a bad command line is invalid configuration too
+        raise ValueError(f"{message}\n{self.format_usage().rstrip()}")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--preset", help="preset name")
     p.add_argument("--nonlinearity", help="nonlinearity terms file (a b c d re im)")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--modes", type=int)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", default="artifacts", help="artifact directory")
-    p.add_argument("--c", help="coefficient for cubic/example_b/example_c/linear_transport")
-    p.add_argument("--m", type=int, help="power for example_b")
-    p.add_argument("--c1", help="first coefficient for example_d")
-    p.add_argument("--c2", help="second coefficient for example_d")
+    for key, parse in exp.SETTINGS.items():
+        p.add_argument(f"--{key}", help=f"run setting, parsed by {parse.__name__}")
 
 
-def _collect(args: argparse.Namespace) -> tuple[str | None, dict, int, str]:
-    conf: dict = {}
-    if args.config:
-        conf.update(exp.parse_config_file(args.config))
-    for key in ("preset", "alpha", "eps", "modes", "dt", "horizon", "seed", "c", "m", "c1", "c2", "nonlinearity"):
-        val = getattr(args, key, None)
-        if val is not None:
-            conf[key] = val
+def _collect(args: argparse.Namespace) -> tuple[str | None, str | None, dict, int]:
+    """Preset, nonlinearity path, typed run settings and seed; flags override the file."""
+    conf = exp.parse_config_file(args.config) if args.config else {}
+    for key in ("preset", "nonlinearity", *exp.SETTINGS):
+        if getattr(args, key) is not None:
+            conf[key] = getattr(args, key)
     preset = conf.pop("preset", None)
-    seed = int(conf.pop("seed", 0))
-    out = args.out
-    overrides: dict = {}
-    for key in ("alpha", "eps", "dt", "horizon"):
-        if key in conf:
-            overrides[key] = float(conf.pop(key))
-    if "modes" in conf:
-        overrides["modes"] = int(conf.pop("modes"))
-    if "record_every" in conf:
-        overrides["record_every"] = int(conf.pop("record_every"))
-    for key in ("c", "c1", "c2"):
-        if key in conf:
-            overrides[key] = exp.parse_complex(str(conf.pop(key)))
-    if "m" in conf:
-        overrides["m"] = int(conf.pop("m"))
     nl_path = conf.pop("nonlinearity", None)
-    if conf:
-        raise ValueError(f"unknown config keys: {sorted(conf)}")
-    if nl_path:
-        overrides["_nonlinearity_path"] = nl_path
-    return preset, overrides, seed, out
+    settings = exp.parse_settings(conf)
+    seed = settings.pop("seed", 0)
+    return preset, nl_path, settings, seed
 
 
-def _load_nonlinearity(preset: str | None, overrides: dict):
-    path = overrides.pop("_nonlinearity_path", None)
-    if path:
-        with open(path) as fh:
-            return parse_nonlinearity(fh.read())
-    if preset:
-        params = {k: overrides[k] for k in ("c", "m", "c1", "c2") if k in overrides}
-        return nonlinearity_preset(preset, **params)
-    raise ValueError("need --preset or --nonlinearity")
+def _read_nonlinearity(path: str):
+    with open(path) as fh:
+        return parse_nonlinearity(fh.read())
 
 
 def cmd_check(args) -> int:
-    preset, overrides, seed, out = _collect(args)
-    F = _load_nonlinearity(preset, dict(overrides))
+    preset, nl_path, settings, seed = _collect(args)
+    if nl_path:
+        F = _read_nonlinearity(nl_path)
+    elif preset:
+        F = nonlinearity_preset(preset, **exp.family_params(preset, settings))
+    else:
+        raise ValueError("need --preset or --nonlinearity")
     verdict = check_wellposedness_condition(F, seed=seed)
     payload = {
         "satisfied": verdict.satisfied,
@@ -103,42 +83,35 @@ def cmd_check(args) -> int:
         "nonlinearity": format_nonlinearity(F).strip().splitlines(),
     }
     print(json.dumps(payload, sort_keys=True))
-    if out:
-        os.makedirs(out, exist_ok=True)
-        with open(os.path.join(out, "criterion.json"), "w") as fh:
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        with open(os.path.join(args.out, "criterion.json"), "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return 0
 
 
 def cmd_run(args) -> int:
-    preset, overrides, seed, out = _collect(args)
+    preset, nl_path, settings, seed = _collect(args)
     if preset is None:
         raise ValueError("run needs --preset")
-    nl = None
-    if "_nonlinearity_path" in overrides:
-        nl = _load_nonlinearity(None, overrides)
-    summary = exp.run(preset, out, overrides=overrides, nonlinearity=nl, seed=seed)
+    nl = _read_nonlinearity(nl_path) if nl_path else None
+    summary = exp.run(preset, args.out, overrides=settings, nonlinearity=nl, seed=seed)
     for a in summary["analyses"]:
         print(f"{a['name']}: {'pass' if a['pass'] else 'FAIL'}")
-    print(f"artifacts: {out}")
+    print(f"artifacts: {args.out}")
     return 0 if all(a["pass"] for a in summary["analyses"]) else 1
 
 
 def cmd_sweep(args) -> int:
-    preset, overrides, seed, out = _collect(args)
+    preset, nl_path, settings, seed = _collect(args)
     if preset is None:
         raise ValueError("sweep needs --preset")
+    if nl_path:
+        raise ValueError("sweep runs preset families only; it takes no --nonlinearity")
     axis = args.axis
-    values: list = []
-    for tok in args.values:
-        if axis in ("modes", "m", "record_every"):
-            values.append(int(tok))
-        elif axis in ("c", "c1", "c2"):
-            values.append(exp.parse_complex(tok))
-        else:
-            values.append(float(tok))
-    rows = exp.sweep(preset, axis, values, out, overrides=overrides, seed=seed)
+    values = [exp.parse_settings({axis: v})[axis] for v in args.values]
+    rows = exp.sweep(preset, axis, values, args.out, overrides=settings, seed=seed)
     ok = True
     for row in rows:
         if row["error"]:
@@ -151,37 +124,36 @@ def cmd_sweep(args) -> int:
                 for a in row["summary"]["analyses"]
             )
             print(f"{axis}={row['value']}: {flags}")
-    print(f"artifacts: {out}")
+    print(f"artifacts: {args.out}")
     return 0 if ok else 1
 
 
 def cmd_estimates(args) -> int:
-    _, _, seed, out = _collect(args)
-    summary = exp.run_estimates(out, seed=seed, quick=args.quick)
+    summary = exp.run_estimates(args.out, seed=_collect(args)[3], quick=args.quick)
     ok = True
     for a in summary["analyses"]:
         name = a.get("estimate", a.get("name"))
         ok &= a["pass"]
         print(f"{name}: {'pass' if a['pass'] else 'FAIL'}")
-    print(f"artifacts: {out}")
+    print(f"artifacts: {args.out}")
     return 0 if ok else 1
 
 
 def cmd_audit(args) -> int:
-    preset, overrides, seed, out = _collect(args)
+    nl_path = _collect(args)[1]
     traj = read_trajectory(args.trajectory, args.sidecar)
     with open(args.sidecar) as fh:
         meta = json.load(fh)
-    if "_nonlinearity_path" in overrides:
-        F = _load_nonlinearity(None, overrides)
+    if nl_path:
+        F = _read_nonlinearity(nl_path)
     elif "nonlinearity" in meta:
         F = parse_nonlinearity(meta["nonlinearity"])
     else:
         raise ValueError("no nonlinearity available: pass --nonlinearity")
     r = args.r if args.r is not None else exp.regularity_threshold(traj.config.alpha) + 0.1
     trace = energy_mod.energy_audit(traj, F, r)
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, "energy_trace.csv")
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, "energy_trace.csv")
     energy_mod.write_energy_csv(trace, path)
     violations = int((~trace.coercivity_ok).sum())
     print(f"snapshots: {len(trace.times)}  coercivity violations: {violations}")
@@ -190,8 +162,8 @@ def cmd_audit(args) -> int:
     return 0 if violations == 0 else 1
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
         prog="fnlslab",
         description="Pseudospectral laboratory for derivative fractional NLS on the torus",
     )
@@ -207,8 +179,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("sweep", help="run a preset across parameter values")
     _add_common(p)
-    p.add_argument("--axis", required=True, help="parameter to vary (eps, alpha, modes, ...)")
-    p.add_argument("--values", nargs="*", default=[], help="values for the axis")
+    p.add_argument("--axis", required=True, help="run setting to vary (any but seed)")
+    p.add_argument("--values", nargs="+", required=True, help="values for the axis")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("estimates", help="inequality stress lab")
@@ -222,9 +194,12 @@ def main(argv=None) -> int:
     p.add_argument("--sidecar", required=True, help="trajectory JSON sidecar")
     p.add_argument("--r", type=float, help="energy regularity index (default s0(alpha)+0.1)")
     p.set_defaults(fn=cmd_audit)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

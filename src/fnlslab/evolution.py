@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -273,16 +273,7 @@ def write_trajectory(
             for k, c in zip(snap.wavenumbers(), snap.coeffs):
                 fh.write(f"{t:.17g},{k},{c.real:.17g},{c.imag:.17g}\n")
     if json_path is not None:
-        meta = {
-            "alpha": traj.config.alpha,
-            "eps": traj.config.eps,
-            "cutoff": traj.config.cutoff,
-            "dt": traj.config.dt,
-            "horizon": traj.config.horizon,
-            "record_every": traj.config.record_every,
-            "blowup_ceiling": traj.config.blowup_ceiling,
-            "truncated": traj.truncated,
-        }
+        meta = dict(asdict(traj.config), truncated=traj.truncated)
         if extra:
             meta.update(extra)
         with open(json_path, "w") as fh:

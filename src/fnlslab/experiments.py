@@ -52,6 +52,9 @@ from .spectral import SpectralField, random_field, sobolev_norm, truncate_modes
 __all__ = [
     "ExperimentPreset",
     "PRESETS",
+    "SETTINGS",
+    "parse_settings",
+    "family_params",
     "regularity_threshold",
     "run",
     "sweep",
@@ -67,14 +70,34 @@ def regularity_threshold(alpha: float) -> float:
     return max(alpha / 2.0 + 1.0, 2.5)
 
 
-def parse_complex(text: str) -> complex:
-    """Accept '1', '-2.5', 'i', '-i', '2i', '1+2i' (j also works)."""
+def parse_complex(text: str | complex) -> complex:
+    """Accept '1', '-2.5', 'i', '-i', '2i', '1+2i' (j also works); a number as given."""
+    if not isinstance(text, str):
+        return text
     t = text.strip().replace("i", "j")
     if t in ("j", "+j"):
         return 1j
     if t == "-j":
         return -1j
     return complex(t)
+
+
+# Every run setting and its parser, which takes a string or an already-typed
+# value: the run's seed, the evolution settings and the family parameters.  The
+# CLI flags, the --config keys and the sweep axes (all but seed) are these names.
+SETTINGS = {
+    "seed": int,
+    "alpha": float, "eps": float, "modes": int, "dt": float, "horizon": float, "record_every": int,
+    "c": parse_complex, "m": int, "c1": parse_complex, "c2": parse_complex,
+}
+
+
+def parse_settings(raw: dict) -> dict:
+    """Type each value of `raw` by its SETTINGS parser; other keys are a ValueError."""
+    unknown = sorted(set(raw) - set(SETTINGS))
+    if unknown:
+        raise ValueError(f"unknown settings {unknown}; have {sorted(SETTINGS)}")
+    return {key: SETTINGS[key](value) for key, value in raw.items()}
 
 
 @dataclass(frozen=True)
@@ -128,6 +151,19 @@ PRESETS: dict[str, ExperimentPreset] = {
 }
 
 
+def family_params(preset_name: str, settings: dict) -> dict:
+    """The preset's family parameters updated from typed `settings` (evolution
+    settings are ignored); a parameter of another family is a ValueError."""
+    if preset_name not in PRESETS:
+        raise KeyError(f"unknown preset {preset_name!r}; have {sorted(PRESETS)}")
+    defaults = PRESETS[preset_name].default_params
+    family = {key for spec in PRESETS.values() for key in spec.default_params}
+    foreign = sorted(k for k in settings if k in family and k not in defaults)
+    if foreign:
+        raise ValueError(f"{preset_name} takes {sorted(defaults)}, not {foreign}")
+    return {k: settings.get(k, v) for k, v in defaults.items()}
+
+
 def _criterion_expected(name: str, params: dict) -> bool | None:
     """Known classification of a preset family; None for custom nonlinearities."""
     if params.get("_custom"):
@@ -137,11 +173,11 @@ def _criterion_expected(name: str, params: dict) -> bool | None:
     if name == "example_b":
         return params["c"] == 0
     if name == "example_c":
-        return complex(params["c"]).imag == 0.0
+        return params["c"].imag == 0.0
     if name == "example_d":
-        return (2 * complex(params["c1"]) - complex(params["c2"])).real == 0.0
+        return (2 * params["c1"] - params["c2"]).real == 0.0
     if name == "linear_transport":
-        return complex(params["c"]).imag == 0.0
+        return params["c"].imag == 0.0
     raise KeyError(name)
 
 
@@ -156,7 +192,7 @@ def _known_witness(name: str, params: dict, cutoff: int, F=None, seed: int = 0) 
             return verdict.witness
         return SpectralField.constant(1.0, cutoff)
     if name == "example_b":
-        c, m = complex(params["c"]), int(params["m"])
+        c, m = complex(params["c"]), params["m"]
         val = c ** (-1.0 / m) * np.exp(1j * np.pi / (2 * m)) if c != 0 else 1.0
         return SpectralField.constant(val, cutoff)
     if name == "example_d":
@@ -170,12 +206,11 @@ def _wellposed_sibling(name: str, params: dict) -> PolynomialNonlinearity:
     if params.get("_custom"):
         return nonlinearity_preset("cubic", c=1j)
     if name == "example_c":
-        return nonlinearity_preset(name, c=abs(complex(params["c"])))
+        return nonlinearity_preset(name, c=abs(params["c"]))
     if name == "example_d":
-        c1 = complex(params["c1"])
-        return nonlinearity_preset(name, c1=c1, c2=2 * c1)
+        return nonlinearity_preset(name, c1=params["c1"], c2=2 * params["c1"])
     if name == "linear_transport":
-        return nonlinearity_preset(name, c=complex(params["c"]).real)
+        return nonlinearity_preset(name, c=params["c"].real)
     return nonlinearity_preset("cubic", c=1j)
 
 
@@ -396,24 +431,20 @@ def run(
     Returns the summary dict; also written as summary.json.  Per-analysis
     failures are recorded, never raised; blowup is recorded, not fatal.
     """
-    if preset_name not in PRESETS:
-        raise KeyError(f"unknown preset {preset_name!r}; have {sorted(PRESETS)}")
+    settings = parse_settings(overrides or {})
+    params = family_params(preset_name, settings)
     spec = PRESETS[preset_name]
-    overrides = dict(overrides or {})
-    params = dict(spec.default_params)
-    for key in list(overrides):
-        if key in params:
-            params[key] = overrides.pop(key)
+    rest = {k: v for k, v in settings.items() if k not in params}
     cfg = EvolutionConfig(
-        alpha=float(overrides.pop("alpha", spec.alpha)),
-        eps=float(overrides.pop("eps", spec.eps)),
-        cutoff=int(overrides.pop("modes", spec.cutoff)),
-        dt=float(overrides.pop("dt", spec.dt)),
-        horizon=float(overrides.pop("horizon", spec.horizon)),
-        record_every=int(overrides.pop("record_every", spec.record_every)),
+        alpha=rest.pop("alpha", spec.alpha),
+        eps=rest.pop("eps", spec.eps),
+        cutoff=rest.pop("modes", spec.cutoff),
+        dt=rest.pop("dt", spec.dt),
+        horizon=rest.pop("horizon", spec.horizon),
+        record_every=rest.pop("record_every", spec.record_every),
     )
-    if overrides:
-        raise ValueError(f"unknown overrides: {sorted(overrides)}")
+    if rest:
+        raise ValueError(f"unknown overrides: {sorted(rest)}")
     if nonlinearity is not None:
         F = nonlinearity
         params = dict(params, _custom=True)
@@ -468,7 +499,9 @@ def sweep(
     overrides: dict | None = None,
     seed: int = 0,
 ) -> list[dict]:
-    """Run a preset across parameter values; per-run failures stay isolated."""
+    """Run a preset across values of one setting (not seed); runs fail in isolation."""
+    if axis not in SETTINGS or axis == "seed":
+        raise ValueError(f"sweep axis must be a run setting other than seed, not {axis!r}")
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     for i, value in enumerate(values):

@@ -296,9 +296,9 @@ def truncate_modes(f: SpectralField, mu: int) -> SpectralField:
     return SpectralField(np.where(np.abs(k) <= mu, f.coeffs, 0.0), f.cutoff)
 
 
-def sup_norm(f: SpectralField, oversample: int = 4) -> float:
-    """L-infinity norm estimated on an oversampled uniform grid."""
-    m = _next_pow2(oversample * (2 * f.cutoff + 2))
+def sup_norm(f: SpectralField) -> float:
+    """L-infinity norm estimated on a uniform grid oversampled about 4x."""
+    m = padded_size(f.cutoff, 4 * f.cutoff, 4 * f.cutoff)
     return float(np.max(np.abs(f.to_samples(m))))
 
 

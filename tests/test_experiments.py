@@ -7,10 +7,13 @@ import sys
 
 import pytest
 
+from fnlslab.cli import _collect, build_parser
 from fnlslab.cli import main as cli_main
 from fnlslab.experiments import (
+    SETTINGS,
     parse_complex,
     parse_config_file,
+    parse_settings,
     regularity_threshold,
     run,
     run_estimates,
@@ -243,9 +246,16 @@ def test_cli_invalid_config_is_exit_two(tmp_path, capsys):
         ["check", "--out", out],
         ["check", "--nonlinearity", str(tmp_path)],  # a directory: IsADirectoryError
         ["run", "--preset", "cubic", "--horizon", "1.0", "--dt", "0.3", "--out", out],
+        ["check", "--preset", "cubic", "--c1", "2"],  # a parameter of another family
+        ["check", "--preset", "example_d", "--m", "2"],
+        ["sweep", "--preset", "cubic", "--axis", "bogus", "--values", "1", "2", "--out", out],
+        ["sweep", "--preset", "cubic", "--axis", "seed", "--values", "1", "--out", out],
+        ["sweep", "--preset", "cubic", "--axis", "eps", "--out", out],  # no values
+        ["sweep", "--preset", "cubic", "--axis", "eps", "--values", "--out", out],
     ):
         assert cli_main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error: ")
+    assert not os.path.exists(out)  # rejected before any run started
 
 
 def test_cli_sweep_exit_one_on_failure(tmp_path, capsys):
@@ -268,3 +278,41 @@ def test_cli_entry_point_subprocess(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip())["satisfied"] is True
+
+
+# one typed value per run setting, and the same value as a flag or file would spell it
+TYPED = {"alpha": 2.5, "eps": 0.01, "modes": 16, "dt": 1e-3, "horizon": 0.05,
+         "record_every": 5, "seed": 3, "c": 1j, "m": 2, "c1": 1 + 2j, "c2": -1.0}
+TEXT = {"alpha": "2.5", "eps": "1e-2", "modes": "16", "dt": "0.001", "horizon": "0.05",
+        "record_every": "5", "seed": "3", "c": "i", "m": "2", "c1": "1+2i", "c2": "-1"}
+
+
+def test_settings_table_drives_flags_config_and_axes(tmp_path):
+    assert set(TYPED) == set(TEXT) == set(SETTINGS)
+    assert parse_settings(TEXT) == parse_settings(TYPED) == TYPED
+    parser = build_parser()
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in TEXT.items()))
+    for verb, extra in (("run", []), ("check", []), ("sweep", ["--axis", "eps", "--values", "0"])):
+        for key, text in TEXT.items():
+            _, _, settings, seed = _collect(parser.parse_args([verb, f"--{key}", text, *extra]))
+            assert dict(settings, seed=seed) == {"seed": 0, key: TYPED[key]}
+        args = parser.parse_args([verb, "--config", str(cfg), *extra])
+        preset, nl_path, settings, seed = _collect(args)
+        assert (preset, nl_path, dict(settings, seed=seed)) == (None, None, TYPED)
+    for key in SETTINGS:
+        if key == "seed":
+            with pytest.raises(ValueError):
+                sweep("cubic", key, [], tmp_path / key)
+        else:
+            assert sweep("cubic", key, [], tmp_path / key) == []
+
+
+def test_cli_record_every_by_flag_or_file(tmp_path, capsys):
+    base = ["run", "--preset", "example_c", "--c", "1", "--modes", "16", "--horizon", "0.05"]
+    assert cli_main([*base, "--record_every", "5", "--out", str(tmp_path / "flag")]) == 0
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("record_every=5\n")
+    assert cli_main([*base, "--config", str(cfg), "--out", str(tmp_path / "file")]) == 0
+    for name in ("flag", "file"):
+        assert json.loads(read(tmp_path / name / "summary.json"))["config"]["record_every"] == 5
