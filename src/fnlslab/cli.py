@@ -38,6 +38,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # a bad command line is invalid configuration too
         raise ValueError(f"{message}\n{self.format_usage().rstrip()}")
 
+    def _parse_optional(self, arg_string):
+        # A number such as -i, -2.5 or -1+2i is a value, never an option:
+        # argparse by itself only lets plain negative numbers through.
+        try:
+            exp.parse_complex(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key=value config file")

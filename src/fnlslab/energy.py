@@ -168,7 +168,11 @@ def correction_term(
         raise ValueError(f"n={n} outside the ladder for alpha={alpha}")
     if v is None:
         v = derivative(u)
-    g = _weight_field(F, u)
+    return _rung(n, _weight_field(F, u), v, alpha, r)
+
+
+def _rung(n: int, g: SpectralField, v: SpectralField, alpha: float, r: float) -> float:
+    """L_n for the weight g = dxinv Im T_w and the quadratic slot v."""
     w = bracket_power(v, r - 1.0 - (alpha - 2.0) * n / 2.0)
     m = padded_size(max(g.cutoff, w.cutoff), n * g.cutoff + 2 * w.cutoff, 0)
     gv = np.real(g.to_samples(m))
@@ -237,9 +241,8 @@ def modified_energy(
     theta = F.wirtinger("omega").evaluate(u)
     w = sobolev_norm(theta, 0.0)
     mean_im = float(theta.coefficient(0).imag)
-    ls = tuple(
-        correction_term(n, u, F, alpha, r, v=v) for n in range(1, ladder.depth + 1)
-    )
+    g = antiderivative(imag_part(theta))  # _weight_field(F, u), shared by every rung
+    ls = tuple(_rung(n, g, v, alpha, r) for n in range(1, ladder.depth + 1))
     e2 = nu**2 + nv**2 + sum(ls) + ladder.a * nu**2 * w ** (2 * ladder.depth)
     if e2 < 0:
         raise ArithmeticError(

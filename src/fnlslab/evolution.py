@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .nonlinearity import PolynomialNonlinearity
+from .nonlinearity import PolynomialNonlinearity, _rows_coefficient_map
 from .spectral import SpectralField, sobolev_norm, truncate_modes
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "TrajectoryRecord",
     "linear_semigroup_apply",
     "integrate",
+    "integrate_rows",
     "eps_convergence_study",
     "EpsConvergenceTable",
     "continuity_probe",
@@ -135,58 +136,141 @@ def _split_diagonal_linear(
     return c0, c1, PolynomialNonlinearity.from_terms(rest)
 
 
+def _prepare(phi: SpectralField, F: PolynomialNonlinearity, cfg: EvolutionConfig):
+    """Initial coefficients, the rest of F and the half- and full-step factors."""
+    k = cfg.cutoff
+    if phi.cutoff > k:
+        raise ValueError(f"initial data cutoff {phi.cutoff} exceeds config cutoff {k}")
+    phi = phi.with_cutoff(k)
+    ks = phi.wavenumbers()
+    c0, c1, F_rest = _split_diagonal_linear(F)
+    lam = _multipliers(ks, cfg.alpha, cfg.eps) + c0 + 1j * c1 * ks.astype(float)
+    return phi.coeffs.copy(), F_rest, np.exp(lam * cfg.dt / 2.0), np.exp(lam * cfg.dt)
+
+
+def _rk4_step(u, rhs, e_half, e_full, dt):
+    """One IF-RK4 step of one row (2K+1,) or of a block of rows (B, 2K+1)."""
+    n1 = rhs(u)
+    a2 = e_half * (u + 0.5 * dt * n1)
+    n2 = rhs(a2)
+    a3 = e_half * u + 0.5 * dt * n2
+    n3 = rhs(a3)
+    a4 = e_full * u + dt * e_half * n3
+    n4 = rhs(a4)
+    return e_full * u + (dt / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
+
+
+def _blown_up(u: np.ndarray, sob_w: np.ndarray, ceiling: float) -> bool:
+    """Whether one row is nonfinite or its H^1 norm exceeds the ceiling.
+
+    The H^1 norm is at least the largest |Re uhat|, |Im uhat| (weights >= 1),
+    so a nan, inf or above-ceiling part stops the run before the norm squares
+    it, which could overflow.
+    """
+    peak = np.abs(u.view(np.float64)).max()
+    return not peak <= ceiling or np.linalg.norm(sob_w * u) > ceiling
+
+
+def _h1_weights(cutoff: int) -> np.ndarray:
+    return np.sqrt(1.0 + np.arange(-cutoff, cutoff + 1).astype(float) ** 2)
+
+
 def integrate(
     phi: SpectralField, F: PolynomialNonlinearity, cfg: EvolutionConfig
 ) -> TrajectoryRecord:
     """Advance the flow from phi; snapshots every record_every steps.
 
     The record is flagged truncated (never an exception) when the state goes
-    nonfinite or its H^1 norm crosses cfg.blowup_ceiling.
+    nonfinite or its H^1 norm crosses cfg.blowup_ceiling.  A stage that
+    overflows on the way is caught by that check, so it raises no warning.
     """
     k = cfg.cutoff
-    if phi.cutoff > k:
-        raise ValueError(f"initial data cutoff {phi.cutoff} exceeds config cutoff {k}")
-    phi = phi.with_cutoff(k)
-
-    ks = phi.wavenumbers()
-    c0, c1, F_rest = _split_diagonal_linear(F)
-    lam = _multipliers(ks, cfg.alpha, cfg.eps) + c0 + 1j * c1 * ks.astype(float)
+    u, F_rest, e_half, e_full = _prepare(phi, F, cfg)
     rhs = F_rest.coefficient_map(k, k)
-
     dt = cfg.dt
     nsteps = int(round(cfg.horizon / dt))
-    e_half = np.exp(lam * dt / 2.0)
-    e_full = np.exp(lam * dt)
+    sob_w = _h1_weights(k)
 
-    sob_w = np.sqrt(1.0 + ks.astype(float) ** 2)  # H^1 weights
-
-    u = phi.coeffs.copy()
     times = [0.0]
     snaps = [SpectralField(u, k)]
     truncated = False
-
-    for step in range(1, nsteps + 1):
-        n1 = rhs(u)
-        a2 = e_half * (u + 0.5 * dt * n1)
-        n2 = rhs(a2)
-        a3 = e_half * u + 0.5 * dt * n2
-        n3 = rhs(a3)
-        a4 = e_full * u + dt * e_half * n3
-        n4 = rhs(a4)
-        u = e_full * u + (dt / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
-
-        # The H^1 norm is at least the largest |Re uhat|, |Im uhat| (weights
-        # >= 1), so a nan, inf or above-ceiling part stops the run before the
-        # norm squares it, which could overflow.
-        peak = np.abs(u.view(np.float64)).max()
-        if not peak <= cfg.blowup_ceiling or np.linalg.norm(sob_w * u) > cfg.blowup_ceiling:
-            truncated = True
-            break
-        if step % cfg.record_every == 0 or step == nsteps:
-            times.append(step * dt)
-            snaps.append(SpectralField(u, k))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, nsteps + 1):
+            u = _rk4_step(u, rhs, e_half, e_full, dt)
+            if _blown_up(u, sob_w, cfg.blowup_ceiling):
+                truncated = True
+                break
+            if step % cfg.record_every == 0 or step == nsteps:
+                times.append(step * dt)
+                snaps.append(SpectralField(u, k))
 
     return TrajectoryRecord(np.asarray(times), snaps, cfg, truncated)
+
+
+def integrate_rows(
+    rows: list[tuple[SpectralField, PolynomialNonlinearity, EvolutionConfig]],
+) -> list[TrajectoryRecord]:
+    """`integrate` for several (phi, F, cfg) rows at once, one record per row.
+
+    The rows must share cutoff, dt, horizon and record_every (anything else
+    is a ValueError); alpha, eps, F and the blowup ceiling are per row.  Each
+    record is bitwise equal to integrate(phi, F, cfg).  Two or more rows
+    advance together as one (B, 2K+1) block, so each RHS evaluation costs
+    one pair of transforms per padded grid instead of one per row; a row
+    that trips the ceiling is recorded truncated and leaves the block while
+    the others go on.  A single row is handed to `integrate`.
+    """
+    rows = list(rows)
+    if len({(c.cutoff, c.dt, c.horizon, c.record_every) for _, _, c in rows}) > 1:
+        raise ValueError("rows must share cutoff, dt, horizon and record_every")
+    if len(rows) < 2:
+        return [integrate(*row) for row in rows]
+    cfg = rows[0][2]
+    k, dt = cfg.cutoff, cfg.dt
+    nsteps = int(round(cfg.horizon / dt))
+    sob_w = _h1_weights(k)
+    u0, polys, e_half0, e_full0 = zip(*(_prepare(*row) for row in rows))
+
+    def block(js):
+        """The RHS map and the step factors of rows js, stacked in that order."""
+        return (
+            _rows_coefficient_map([polys[j] for j in js], k),
+            np.stack([e_half0[j] for j in js]),
+            np.stack([e_full0[j] for j in js]),
+        )
+
+    # Rows of one degree (so of one padded grid), and within it rows of one
+    # polynomial, are made adjacent so that they share transforms and calls.
+    active = sorted(range(len(rows)), key=lambda j: (polys[j].total_degree, polys.index(polys[j])))
+    u = np.stack([u0[j] for j in active])
+    rhs, e_half, e_full = block(active)
+    times = [[0.0] for _ in rows]
+    snaps = [[SpectralField(c, k)] for c in u0]
+    truncated = [False] * len(rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, nsteps + 1):
+            u = _rk4_step(u, rhs, e_half, e_full, dt)
+            keep = []
+            for i, j in enumerate(active):
+                if _blown_up(u[i], sob_w, rows[j][2].blowup_ceiling):
+                    truncated[j] = True
+                else:
+                    keep.append(i)
+            if len(keep) < len(active):
+                if not keep:
+                    break
+                u = u[keep]
+                active = [active[i] for i in keep]
+                rhs, e_half, e_full = block(active)
+            if step % cfg.record_every == 0 or step == nsteps:
+                for i, j in enumerate(active):
+                    times[j].append(step * dt)
+                    snaps[j].append(SpectralField(u[i], k))
+
+    return [
+        TrajectoryRecord(np.asarray(times[j]), snaps[j], rows[j][2], truncated[j])
+        for j in range(len(rows))
+    ]
 
 
 def sup_l2_gap(a: TrajectoryRecord, b: TrajectoryRecord) -> float:
@@ -221,7 +305,7 @@ def eps_convergence_study(
     """Run the flow for each eps and fit the vanishing-viscosity difference rate."""
     if len(eps_list) < 2:
         raise ValueError("need at least two eps values")
-    runs = [integrate(phi, F, replace(cfg, eps=e)) for e in eps_list]
+    runs = integrate_rows([(phi, F, replace(cfg, eps=e)) for e in eps_list])
     truncated = any(r.truncated for r in runs)
     pairs = []
     xs, ys = [], []

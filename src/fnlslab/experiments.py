@@ -25,6 +25,7 @@ byte-reproducible for a fixed seed.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -39,6 +40,8 @@ from .evolution import (
     EvolutionConfig,
     eps_convergence_study,
     integrate,
+    integrate_rows,
+    sup_l2_gap,
     write_trajectory,
 )
 from .nonlinearity import (
@@ -181,15 +184,16 @@ def _criterion_expected(name: str, params: dict) -> bool | None:
     raise KeyError(name)
 
 
-def _known_witness(name: str, params: dict, cutoff: int, F=None, seed: int = 0) -> SpectralField:
+def _known_witness(name: str, params: dict, cutoff: int, criterion) -> SpectralField:
     """The readable witness each family is known to violate the criterion on.
 
-    Custom nonlinearities fall back to the checker's own witness.
+    Custom nonlinearities fall back to the checker's own witness, from the
+    run's `criterion` (a function returning its CriterionVerdict).
     """
     if params.get("_custom"):
-        verdict = check_wellposedness_condition(F, seed=seed)
-        if verdict.witness is not None:
-            return verdict.witness
+        witness = criterion().witness
+        if witness is not None:
+            return witness
         return SpectralField.constant(1.0, cutoff)
     if name == "example_b":
         c, m = complex(params["c"]), params["m"]
@@ -217,8 +221,8 @@ def _wellposed_sibling(name: str, params: dict) -> PolynomialNonlinearity:
 # -- analyses -------------------------------------------------------------------
 
 
-def _analysis_criterion(name, F, params, cfg, seed, out_dir):
-    verdict = check_wellposedness_condition(F, seed=seed)
+def _analysis_criterion(name, F, params, cfg, seed, out_dir, criterion):
+    verdict = criterion()
     expected = _criterion_expected(name, params)
     ok = True if expected is None else verdict.satisfied == expected
     metrics = {
@@ -237,7 +241,7 @@ def _analysis_criterion(name, F, params, cfg, seed, out_dir):
     return ok, metrics
 
 
-def _analysis_linear_regression(name, F, params, cfg, seed, out_dir):
+def _analysis_linear_regression(name, F, params, cfg, seed, out_dir, criterion):
     if params.get("_custom"):
         return True, {"skipped": "exact-solution regression applies to the preset formula only"}
     rng = np.random.default_rng(seed)
@@ -271,7 +275,7 @@ def _smooth_small_data(cutoff: int, seed: int, amplitude: float = 0.2) -> Spectr
     return truncate_modes(f.with_cutoff(cutoff), max(cutoff // 2, 2))
 
 
-def _analysis_energy_audit(name, F, params, cfg, seed, out_dir):
+def _analysis_energy_audit(name, F, params, cfg, seed, out_dir, criterion):
     r = regularity_threshold(cfg.alpha) + 0.1
     phi = _smooth_small_data(cfg.cutoff, seed)
     traj = integrate(phi, F, cfg)
@@ -288,7 +292,7 @@ def _analysis_energy_audit(name, F, params, cfg, seed, out_dir):
     }
 
 
-def _analysis_eps_rate(name, F, params, cfg, seed, out_dir):
+def _analysis_eps_rate(name, F, params, cfg, seed, out_dir, criterion):
     phi = _smooth_small_data(cfg.cutoff, seed)
     eps_list = [1e-1, 1e-2, 1e-3]
     table = eps_convergence_study(phi, F, cfg, eps_list)
@@ -326,19 +330,20 @@ def paired_growth_probe(
     unresolved part is negligible, providing the convergence baseline.
     """
     k = cfg.cutoff
+    cfg_2k = replace(cfg, cutoff=2 * k)
     phi_k = growth_mod.probe_initial_data(witness, k, s, side=side, seed=seed)
     phi_2k = growth_mod.probe_initial_data(witness, 2 * k, s, side=side, seed=seed)
-    run_k = integrate(phi_k, F, cfg)
-    run_2k = integrate(phi_2k, F, replace(cfg, cutoff=2 * k))
 
     control_div = None
-    if control is not None:
+    if control is None:
+        run_k = integrate(phi_k, F, cfg)
+        run_2k = integrate(phi_2k, F, cfg_2k)
+    else:
+        # Each run advances beside the control run at its cutoff.
         smooth_k = _control_data(witness, k, s, side, seed)
         smooth_2k = smooth_k.with_cutoff(2 * k)
-        c_k = integrate(smooth_k, control, cfg)
-        c_2k = integrate(smooth_2k, control, replace(cfg, cutoff=2 * k))
-        from .evolution import sup_l2_gap
-
+        run_k, c_k = integrate_rows([(phi_k, F, cfg), (smooth_k, control, cfg)])
+        run_2k, c_2k = integrate_rows([(phi_2k, F, cfg_2k), (smooth_2k, control, cfg_2k)])
         control_div = sup_l2_gap(c_k, c_2k)
 
     report = growth_mod.directional_growth(
@@ -358,9 +363,9 @@ def _control_data(witness, cutoff, s, side, seed):
     return witness.with_cutoff(cutoff) + tail
 
 
-def _analysis_growth_probe(name, F, params, cfg, seed, out_dir):
+def _analysis_growth_probe(name, F, params, cfg, seed, out_dir, criterion):
     s = regularity_threshold(cfg.alpha) + 0.1
-    witness = _known_witness(name, params, 2, F=F, seed=seed)
+    witness = _known_witness(name, params, 2, criterion)
     from .nonlinearity import theta_omega_mean
 
     mean0 = theta_omega_mean(F, witness).imag
@@ -451,17 +456,19 @@ def run(
     else:
         F = nonlinearity_preset(preset_name, **params)
     os.makedirs(out_dir, exist_ok=True)
+    # The criterion verdict, computed on first use and then shared by every
+    # analysis of the run.
+    criterion = functools.cache(functools.partial(check_wellposedness_condition, F, seed=seed))
 
     results = []
     for analysis in analyses or spec.analyses:
         if analysis == "dynamics":
             # auto-dispatch: well-posed families get the energy audit, the
             # others the paired-resolution growth probe
-            satisfied = check_wellposedness_condition(F, seed=seed).satisfied
-            analysis = "energy_audit" if satisfied else "growth_probe"
+            analysis = "energy_audit" if criterion().satisfied else "growth_probe"
         fn = _ANALYSES[analysis]
         try:
-            ok, metrics = fn(preset_name, F, params, cfg, seed, out_dir)
+            ok, metrics = fn(preset_name, F, params, cfg, seed, out_dir, criterion)
         except Exception as exc:  # analysis failures are data, not crashes
             ok, metrics = False, {"error": f"{type(exc).__name__}: {exc}"}
         results.append({"name": analysis, "pass": bool(ok), "metrics": _jsonable(metrics)})

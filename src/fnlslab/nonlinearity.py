@@ -23,6 +23,7 @@ almost surely).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -205,6 +206,63 @@ class PolynomialNonlinearity:
         """
         coeffs = self.coefficient_map(u.cutoff, out_cutoff)(u.coeffs)
         return SpectralField(coeffs, len(coeffs) // 2)
+
+
+def _rows_coefficient_map(polys: list[PolynomialNonlinearity], cutoff: int):
+    """`coefficient_map(cutoff, cutoff)` for a block of rows, row j under polys[j].
+
+    The returned function takes a (B, 2*cutoff+1) array of coefficients and
+    returns the (B, 2*cutoff+1) coefficients of each row's polynomial along
+    that row, each row bitwise equal to the one-row map.  Adjacent rows whose
+    polynomials need the same padded grid share the transforms: one inverse
+    transform of a (2b, m) buffer holding the u rows and then the u_x rows,
+    and one forward transform of (b, m).  Adjacent rows with an identical
+    polynomial also share one `evaluate_values` call.  Callers order the rows
+    so that such rows are adjacent; any order is correct.  Rows move in and
+    out of the grid through the two contiguous runs k >= 0 and k < 0 that
+    wrap to the two ends of the grid, which is cheaper than a 2-D scatter.
+    Not for concurrent use, like coefficient_map.
+    """
+    k = cutoff
+    grids = [None if P.is_zero() else padded_size(k, max(P.total_degree, 1) * k, k) for P in polys]
+    groups = []  # (first row, end row, m, buffer, [(first, end, polynomial) within the group])
+    for m, rows in groupby(range(len(polys)), key=grids.__getitem__):
+        rows = list(rows)
+        r0, r1 = rows[0], rows[-1] + 1
+        if m is None:
+            continue
+        runs = []
+        for P, same in groupby(range(r1 - r0), key=lambda i: polys[r0 + i]):
+            same = list(same)
+            runs.append((same[0], same[-1] + 1, P))
+        # Only the two runs of modes are ever written, so the rest stays zero.
+        groups.append((r0, r1, m, np.zeros((2 * (r1 - r0), m), dtype=np.complex128), runs))
+    alloc = np.zeros if None in grids else np.empty
+    ik = 1j * np.arange(-k, k + 1).astype(float)
+
+    def apply(coeffs: np.ndarray) -> np.ndarray:
+        out = alloc(coeffs.shape, dtype=np.complex128)
+        for r0, r1, m, buf, runs in groups:
+            b = r1 - r0
+            u = coeffs[r0:r1]
+            du = u * ik
+            buf[:b, : k + 1] = u[:, k:]
+            buf[:b, m - k :] = u[:, :k]
+            buf[b:, : k + 1] = du[:, k:]
+            buf[b:, m - k :] = du[:, :k]
+            vals = np.fft.ifft(buf, norm="forward")
+            if len(runs) == 1:
+                f = runs[0][2].evaluate_values(vals[:b], vals[b:])
+            else:
+                f = np.concatenate(
+                    [P.evaluate_values(vals[p0:p1], vals[b + p0 : b + p1]) for p0, p1, P in runs]
+                )
+            h = np.fft.fft(f, norm="forward")
+            out[r0:r1, :k] = h[:, m - k :]
+            out[r0:r1, k:] = h[:, : k + 1]
+        return out
+
+    return apply
 
 
 def theta_omega_mean(F: PolynomialNonlinearity, u: SpectralField) -> complex:

@@ -287,6 +287,24 @@ def test_energy_of_zero_field():
     assert me.value == 0.0 and me.coercive
 
 
+def test_modified_energy_evaluates_the_weight_once(monkeypatch):
+    # depth 3 at alpha = 2.4: one F_omega evaluation per snapshot, and each
+    # rung bitwise equal to the public correction_term
+    lad = CorrectionLadder.build(2.4, 2.3)
+    u = random_field(12, 3.0, np.random.default_rng(5), amplitude=0.8)
+    calls = []
+    evaluate = PolynomialNonlinearity.evaluate
+    monkeypatch.setattr(
+        PolynomialNonlinearity, "evaluate", lambda *a, **k: calls.append(1) or evaluate(*a, **k)
+    )
+    me = modified_energy(u, BALANCED_IMAG, lad)
+    assert len(calls) == 1
+    assert me.corrections == tuple(
+        correction_term(n, u, BALANCED_IMAG, 2.4, 2.3) for n in range(1, lad.depth + 1)
+    )
+    assert lad.depth == 3 and all(c != 0 for c in me.corrections)
+
+
 @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
 def test_coercivity_sandwich_random_states(alpha):
     r = max(alpha / 2.0 + 1.0, 2.5) + 0.1

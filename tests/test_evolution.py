@@ -1,9 +1,11 @@
 """Time integration: exact linear propagation, regressions, convergence studies."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fnlslab.evolution import (
     EvolutionConfig,
@@ -11,13 +13,21 @@ from fnlslab.evolution import (
     continuity_probe,
     eps_convergence_study,
     integrate,
+    integrate_rows,
     linear_semigroup_apply,
     read_trajectory,
     sup_l2_gap,
     write_trajectory,
 )
 from fnlslab.growth import probe_initial_data
-from fnlslab.nonlinearity import PolynomialNonlinearity, cubic, example_d, linear_transport
+from fnlslab.nonlinearity import (
+    PolynomialNonlinearity,
+    cubic,
+    example_b,
+    example_c,
+    example_d,
+    linear_transport,
+)
 from fnlslab.spectral import (
     SpectralField,
     random_field,
@@ -187,6 +197,65 @@ def test_blowup_past_float_range_is_quiet_regression():
         traj = integrate(phi, example_d(1.0, 1j), cfg)
     assert traj.truncated
     assert traj.times[-1] == pytest.approx(0.1675)
+
+
+# -- integrate_rows: batches bitwise equal to their one-row runs -------------------
+
+ROW_CFG = EvolutionConfig(alpha=3.0, cutoff=64, dt=2.5e-4, horizon=0.05, record_every=10)
+
+
+def _row_pool():
+    """(phi, F, cfg) rows sharing ROW_CFG's cutoff, dt, horizon and record_every."""
+    smooth = decaying_data(64, seed=3, rate=0.5) * 0.3
+    rough = probe_initial_data(SpectralField.from_modes({1: 1.0}, 2), 64, 3.1, side="minus", seed=1)
+    return [
+        # example_d(1, i) at alpha = 4 leaves the float range mid-run (t ~ 0.04)
+        (rough * 2.0, example_d(1.0, 1j), replace(ROW_CFG, alpha=4.0)),
+        (smooth, example_d(1.0, 2.0), ROW_CFG),  # degree 3, like the row above
+        (smooth, cubic(1j), replace(ROW_CFG, alpha=2.5, eps=1e-2)),
+        (smooth, cubic(1j), replace(ROW_CFG, alpha=2.5, eps=1e-1)),  # the same polynomial
+        (smooth, example_b(1.0, 1), ROW_CFG),  # degree 2: another padded grid
+        (smooth, linear_transport(1j), ROW_CFG),  # absorbed whole into the linear part
+        (smooth, PolynomialNonlinearity.from_terms({(0, 0, 1, 0): 0.5j}), ROW_CFG),  # linear, not diagonal
+        (smooth, example_c(1.0) + linear_transport(0.5), replace(ROW_CFG, eps=1e-3)),
+    ]
+
+
+ROW_POOL = _row_pool()
+ROW_ALONE = [integrate(*row) for row in ROW_POOL]
+
+
+def assert_same_record(a, b):
+    assert a.config == b.config and a.truncated == b.truncated
+    assert np.array_equal(a.times, b.times)
+    assert len(a.snapshots) == len(b.snapshots)
+    for x, y in zip(a.snapshots, b.snapshots):
+        assert x.cutoff == y.cutoff and np.array_equal(x.coeffs, y.coeffs)
+
+
+def test_row_pool_truncates_one_row_mid_run():
+    assert [r.truncated for r in ROW_ALONE] == [True] + [False] * (len(ROW_POOL) - 1)
+    assert 0.0 < ROW_ALONE[0].times[-1] < ROW_CFG.horizon
+
+
+@given(st.lists(st.integers(0, len(ROW_POOL) - 1), min_size=1, max_size=5))
+@example([0, 1, 2, 3, 4, 5, 6])
+@example([2, 3, 2])
+@settings(max_examples=15, deadline=None)
+def test_integrate_rows_equals_one_row_runs(picks):
+    records = integrate_rows([ROW_POOL[i] for i in picks])
+    assert len(records) == len(picks)
+    for i, rec in zip(picks, records):
+        assert_same_record(rec, ROW_ALONE[i])
+
+
+@pytest.mark.parametrize(
+    "field, value", [("dt", 5e-4), ("horizon", 0.1), ("cutoff", 96), ("record_every", 5)]
+)
+def test_integrate_rows_rejects_unshared_settings(field, value):
+    phi, F, cfg = ROW_POOL[1]
+    with pytest.raises(ValueError):
+        integrate_rows([(phi, F, cfg), (phi, F, replace(cfg, **{field: value}))])
 
 
 def test_config_validation():

@@ -4,8 +4,11 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
+
+from fnlslab import experiments
 
 from fnlslab.cli import _collect, build_parser
 from fnlslab.cli import main as cli_main
@@ -74,6 +77,29 @@ def test_rerun_is_byte_identical(tmp_path):
     run("example_c", tmp_path / "b", overrides={"c": 1j}, seed=5)
     for name in ("summary.json", "growth_rates.csv", "verdict.json", "probe_trajectory.csv"):
         assert read(tmp_path / "a" / name) == read(tmp_path / "b" / name), name
+
+
+def test_run_computes_the_criterion_verdict_once(tmp_path, monkeypatch):
+    calls = []
+    check = experiments.check_wellposedness_condition
+    monkeypatch.setattr(
+        experiments, "check_wellposedness_condition", lambda *a, **k: calls.append(1) or check(*a, **k)
+    )
+    s = run("example_c", tmp_path, overrides={"c": 1.0, "horizon": 0.005}, seed=0)
+    assert [a["name"] for a in s["analyses"]] == ["criterion", "energy_audit"]
+    assert len(calls) == 1
+
+
+def test_growth_probe_blowup_is_quiet(tmp_path):
+    # An RK stage of the probe's K = 64 run overflows before the end-of-step
+    # ceiling check records the run as truncated; that must not warn.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = run("example_d", tmp_path, overrides={"c1": 1, "c2": "i", "alpha": 3}, seed=1)
+    assert [(a["name"], a["pass"]) for a in s["analyses"]] == [
+        ("criterion", True), ("growth_probe", True)
+    ]
+    assert s["analyses"][1]["metrics"]["matching_run"] == 29
 
 
 def test_unknown_overrides_rejected(tmp_path):
@@ -256,6 +282,25 @@ def test_cli_invalid_config_is_exit_two(tmp_path, capsys):
         assert cli_main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error: ")
     assert not os.path.exists(out)  # rejected before any run started
+
+
+def test_cli_takes_negative_complex_values(tmp_path, capsys):
+    base = ["--preset", "example_c", "--modes", "4", "--horizon", "0.0025"]
+    rc = cli_main(["sweep", *base, "--axis", "c", "--values", "1", "i", "-i", "1+2i",
+                   "--out", str(tmp_path / "s")])
+    assert rc in (0, 1)
+    rows = json.loads(read(tmp_path / "s" / "sweep.json"))
+    assert [r["value"] for r in rows] == [
+        {"re": 1.0, "im": 0.0}, {"re": 0.0, "im": 1.0}, {"re": -0.0, "im": -1.0},
+        {"re": 1.0, "im": 2.0},
+    ]
+    rc = cli_main(["run", *base, "--c", "-i", "--out", str(tmp_path / "r")])
+    assert rc in (0, 1)
+    params = json.loads(read(tmp_path / "r" / "summary.json"))["config"]["params"]
+    assert params["c"] == {"re": -0.0, "im": -1.0}
+    capsys.readouterr()
+    assert cli_main(["run", *base, "--bogus", "--out", str(tmp_path / "b")]) == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
 
 
 def test_cli_sweep_exit_one_on_failure(tmp_path, capsys):
