@@ -59,13 +59,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _collect(args: argparse.Namespace) -> tuple[str | None, str | None, dict, int]:
     """Preset, nonlinearity path, typed run settings and seed; flags override the file."""
-    conf = exp.parse_config_file(args.config) if args.config else {}
+    sources: dict = {}
+    conf = exp.parse_config_file(args.config, sources) if args.config else {}
     for key in ("preset", "nonlinearity", *exp.SETTINGS):
         if getattr(args, key) is not None:
-            conf[key] = getattr(args, key)
+            conf[key], sources[key] = getattr(args, key), f"--{key}"
     preset = conf.pop("preset", None)
     nl_path = conf.pop("nonlinearity", None)
-    settings = exp.parse_settings(conf)
+    settings = exp.parse_settings(conf, sources)
     seed = settings.pop("seed", 0)
     return preset, nl_path, settings, seed
 
@@ -119,7 +120,7 @@ def cmd_sweep(args) -> int:
     if nl_path:
         raise ValueError("sweep runs preset families only; it takes no --nonlinearity")
     axis = args.axis
-    values = [exp.parse_settings({axis: v})[axis] for v in args.values]
+    values = [exp.parse_settings({axis: v}, {axis: "--values"})[axis] for v in args.values]
     rows = exp.sweep(preset, axis, values, args.out, overrides=settings, seed=seed)
     ok = True
     for row in rows:

@@ -95,12 +95,23 @@ SETTINGS = {
 }
 
 
-def parse_settings(raw: dict) -> dict:
-    """Type each value of `raw` by its SETTINGS parser; other keys are a ValueError."""
+def parse_settings(raw: dict, sources: dict | None = None) -> dict:
+    """Type each value of `raw` by its SETTINGS parser; other keys are a ValueError.
+
+    A value its parser rejects is a ValueError naming where the value came
+    from: ``sources[key]`` (a flag, or a config file's path:line), else the key.
+    """
     unknown = sorted(set(raw) - set(SETTINGS))
     if unknown:
         raise ValueError(f"unknown settings {unknown}; have {sorted(SETTINGS)}")
-    return {key: SETTINGS[key](value) for key, value in raw.items()}
+    typed = {}
+    for key, value in raw.items():
+        try:
+            typed[key] = SETTINGS[key](value)
+        except (TypeError, ValueError) as exc:
+            where = (sources or {}).get(key, key)
+            raise ValueError(f"{where}: invalid {key} value {value!r} ({exc})") from None
+    return typed
 
 
 @dataclass(frozen=True)
@@ -167,9 +178,9 @@ def family_params(preset_name: str, settings: dict) -> dict:
     return {k: settings.get(k, v) for k, v in defaults.items()}
 
 
-def _criterion_expected(name: str, params: dict) -> bool | None:
+def _criterion_expected(name: str, params: dict, custom: bool) -> bool | None:
     """Known classification of a preset family; None for custom nonlinearities."""
-    if params.get("_custom"):
+    if custom:
         return None
     if name == "cubic":
         return True
@@ -184,13 +195,13 @@ def _criterion_expected(name: str, params: dict) -> bool | None:
     raise KeyError(name)
 
 
-def _known_witness(name: str, params: dict, cutoff: int, criterion) -> SpectralField:
+def _known_witness(name: str, params: dict, custom: bool, cutoff: int, criterion) -> SpectralField:
     """The readable witness each family is known to violate the criterion on.
 
     Custom nonlinearities fall back to the checker's own witness, from the
     run's `criterion` (a function returning its CriterionVerdict).
     """
-    if params.get("_custom"):
+    if custom:
         witness = criterion().witness
         if witness is not None:
             return witness
@@ -205,9 +216,9 @@ def _known_witness(name: str, params: dict, cutoff: int, criterion) -> SpectralF
     return SpectralField.constant(1.0, cutoff)
 
 
-def _wellposed_sibling(name: str, params: dict) -> PolynomialNonlinearity:
+def _wellposed_sibling(name: str, params: dict, custom: bool) -> PolynomialNonlinearity:
     """A criterion-satisfying member of the same family, for control pairs."""
-    if params.get("_custom"):
+    if custom:
         return nonlinearity_preset("cubic", c=1j)
     if name == "example_c":
         return nonlinearity_preset(name, c=abs(params["c"]))
@@ -221,9 +232,9 @@ def _wellposed_sibling(name: str, params: dict) -> PolynomialNonlinearity:
 # -- analyses -------------------------------------------------------------------
 
 
-def _analysis_criterion(name, F, params, cfg, seed, out_dir, criterion):
+def _analysis_criterion(name, F, params, custom, cfg, seed, out_dir, criterion):
     verdict = criterion()
-    expected = _criterion_expected(name, params)
+    expected = _criterion_expected(name, params, custom)
     ok = True if expected is None else verdict.satisfied == expected
     metrics = {
         "satisfied": verdict.satisfied,
@@ -241,8 +252,8 @@ def _analysis_criterion(name, F, params, cfg, seed, out_dir, criterion):
     return ok, metrics
 
 
-def _analysis_linear_regression(name, F, params, cfg, seed, out_dir, criterion):
-    if params.get("_custom"):
+def _analysis_linear_regression(name, F, params, custom, cfg, seed, out_dir, criterion):
+    if custom:
         return True, {"skipped": "exact-solution regression applies to the preset formula only"}
     rng = np.random.default_rng(seed)
     k = cfg.cutoff
@@ -275,7 +286,7 @@ def _smooth_small_data(cutoff: int, seed: int, amplitude: float = 0.2) -> Spectr
     return truncate_modes(f.with_cutoff(cutoff), max(cutoff // 2, 2))
 
 
-def _analysis_energy_audit(name, F, params, cfg, seed, out_dir, criterion):
+def _analysis_energy_audit(name, F, params, custom, cfg, seed, out_dir, criterion):
     r = regularity_threshold(cfg.alpha) + 0.1
     phi = _smooth_small_data(cfg.cutoff, seed)
     traj = integrate(phi, F, cfg)
@@ -292,7 +303,7 @@ def _analysis_energy_audit(name, F, params, cfg, seed, out_dir, criterion):
     }
 
 
-def _analysis_eps_rate(name, F, params, cfg, seed, out_dir, criterion):
+def _analysis_eps_rate(name, F, params, custom, cfg, seed, out_dir, criterion):
     phi = _smooth_small_data(cfg.cutoff, seed)
     eps_list = [1e-1, 1e-2, 1e-3]
     table = eps_convergence_study(phi, F, cfg, eps_list)
@@ -363,14 +374,14 @@ def _control_data(witness, cutoff, s, side, seed):
     return witness.with_cutoff(cutoff) + tail
 
 
-def _analysis_growth_probe(name, F, params, cfg, seed, out_dir, criterion):
+def _analysis_growth_probe(name, F, params, custom, cfg, seed, out_dir, criterion):
     s = regularity_threshold(cfg.alpha) + 0.1
-    witness = _known_witness(name, params, 2, criterion)
+    witness = _known_witness(name, params, custom, 2, criterion)
     from .nonlinearity import theta_omega_mean
 
     mean0 = theta_omega_mean(F, witness).imag
     side = "minus" if mean0 >= 0 else "plus"
-    control = _wellposed_sibling(name, params)
+    control = _wellposed_sibling(name, params, custom)
     report, verdict, run_k, run_2k = paired_growth_probe(
         F, witness, cfg, s, side=side, seed=seed, control=control
     )
@@ -450,11 +461,8 @@ def run(
     )
     if rest:
         raise ValueError(f"unknown overrides: {sorted(rest)}")
-    if nonlinearity is not None:
-        F = nonlinearity
-        params = dict(params, _custom=True)
-    else:
-        F = nonlinearity_preset(preset_name, **params)
+    custom = nonlinearity is not None
+    F = nonlinearity if custom else nonlinearity_preset(preset_name, **params)
     os.makedirs(out_dir, exist_ok=True)
     # The criterion verdict, computed on first use and then shared by every
     # analysis of the run.
@@ -468,7 +476,7 @@ def run(
             analysis = "energy_audit" if criterion().satisfied else "growth_probe"
         fn = _ANALYSES[analysis]
         try:
-            ok, metrics = fn(preset_name, F, params, cfg, seed, out_dir, criterion)
+            ok, metrics = fn(preset_name, F, params, custom, cfg, seed, out_dir, criterion)
         except Exception as exc:  # analysis failures are data, not crashes
             ok, metrics = False, {"error": f"{type(exc).__name__}: {exc}"}
         results.append({"name": analysis, "pass": bool(ok), "metrics": _jsonable(metrics)})
@@ -485,9 +493,9 @@ def run(
                 "dt": cfg.dt,
                 "horizon": cfg.horizon,
                 "record_every": cfg.record_every,
-                "params": {k: v for k, v in params.items() if k != "_custom"},
+                "params": params,
                 "custom_nonlinearity": format_nonlinearity(F).strip().splitlines()
-                if params.get("_custom")
+                if custom
                 else None,
             }
         ),
@@ -595,8 +603,11 @@ def run_estimates(out_dir: str, seed: int = 0, quick: bool = False) -> dict:
 # -- config files and gnuplot ------------------------------------------------------
 
 
-def parse_config_file(path) -> dict:
-    """Flat key=value lines; '#' starts a comment."""
+def parse_config_file(path, sources: dict | None = None) -> dict:
+    """Flat key=value lines; '#' starts a comment.
+
+    If given, `sources` receives each key's "path:line", for error messages.
+    """
     out: dict = {}
     with open(path) as fh:
         for ln, raw in enumerate(fh, 1):
@@ -607,6 +618,8 @@ def parse_config_file(path) -> dict:
                 raise ValueError(f"{path}:{ln}: expected key=value, got {raw!r}")
             key, val = (x.strip() for x in line.split("=", 1))
             out[key] = val
+            if sources is not None:
+                sources[key] = f"{path}:{ln}"
     return out
 
 

@@ -344,16 +344,31 @@ def random_field(
     Coefficients are complex Gaussian; ``side`` restricts support to 'plus'
     or 'minus' modes.
     """
+    coeffs = _random_coefficients(1, cutoff, decay, rng, amplitude, side, include_mean)
+    return SpectralField(coeffs[0], cutoff)
+
+
+def _random_coefficients(
+    count: int,
+    cutoff: int,
+    decay: float,
+    rng: np.random.Generator,
+    amplitude: float = 1.0,
+    side: str | None = None,
+    include_mean: bool = True,
+) -> np.ndarray:
+    """(count, 2*cutoff+1) coefficients, row i those of the i-th of `count`
+    successive `random_field` calls with these arguments on `rng`."""
     k = np.arange(-cutoff, cutoff + 1)
     w = (1.0 + k.astype(float) ** 2) ** (-decay / 2.0)
-    z = rng.standard_normal(2 * cutoff + 1) + 1j * rng.standard_normal(2 * cutoff + 1)
-    c = amplitude * w * z / np.sqrt(2.0)
+    g = rng.standard_normal((count, 2, 2 * cutoff + 1))  # real, then imaginary parts
+    c = amplitude * w * (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)
     if side == "plus":
-        c[k <= 0] = 0.0
+        c[:, k <= 0] = 0.0
     elif side == "minus":
-        c[k >= 0] = 0.0
+        c[:, k >= 0] = 0.0
     elif side is not None:
         raise ValueError(f"unknown side {side!r}")
     if not include_mean:
-        c[k == 0] = 0.0
-    return SpectralField(c, cutoff)
+        c[:, k == 0] = 0.0
+    return c

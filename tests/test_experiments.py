@@ -284,6 +284,29 @@ def test_cli_invalid_config_is_exit_two(tmp_path, capsys):
     assert not os.path.exists(out)  # rejected before any run started
 
 
+def test_cli_rejected_value_names_its_flag(tmp_path, capsys):
+    out = str(tmp_path / "art")
+    assert cli_main(["run", "--preset", "cubic", "--modes", "2.5", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --modes: invalid modes value '2.5'")
+    assert cli_main(["sweep", "--preset", "cubic", "--axis", "eps", "--values", "0.1", "x",
+                     "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: --values: invalid eps value 'x'")
+    assert not os.path.exists(out)
+
+
+def test_cli_rejected_value_names_its_config_line(tmp_path, capsys):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("preset=example_c\n# the coefficient\nc = 1+\nmodes=8\n")
+    out = str(tmp_path / "art")
+    assert cli_main(["run", "--config", str(cfg), "--out", out]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg}:3: invalid c value '1+'")
+    # a flag overrides the file, and is then the value's source
+    assert cli_main(["run", "--config", str(cfg), "--c", "2j+", "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: --c: invalid c value '2j+'")
+    assert not os.path.exists(out)
+
+
 def test_cli_takes_negative_complex_values(tmp_path, capsys):
     base = ["--preset", "example_c", "--modes", "4", "--horizon", "0.0025"]
     rc = cli_main(["sweep", *base, "--axis", "c", "--values", "1", "i", "-i", "1+2i",

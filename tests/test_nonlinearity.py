@@ -1,10 +1,13 @@
 """Polynomial nonlinearities: Wirtinger algebra, evaluation, the criterion checker."""
 
+from itertools import chain
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fnlslab.nonlinearity import (
+    CriterionVerdict,
     PolynomialNonlinearity,
     check_wellposedness_condition,
     criterion_functional,
@@ -16,9 +19,10 @@ from fnlslab.nonlinearity import (
     linear_transport,
     parse_nonlinearity,
     preset,
+    structured_witnesses,
     theta_omega_mean,
 )
-from fnlslab.spectral import SpectralField, derivative, random_field, sobolev_norm
+from fnlslab.spectral import SpectralField, derivative, padded_size, random_field, sobolev_norm
 
 
 def const(z):
@@ -223,6 +227,119 @@ def test_checker_witness_is_evaluated_consistently():
     v = check_wellposedness_condition(example_c(1j), seed=0)
     assert not v.satisfied
     assert abs(criterion_functional(example_c(1j), v.witness) - v.witness_value) < 1e-14
+
+
+# -- the checker against its sequential oracle -------------------------------------------
+
+
+def _one_mean(P, u):
+    # one witness on its own grid: two samplings, one evaluation, the mean
+    if P.is_zero():
+        return 0.0 + 0.0j
+    m = padded_size(u.cutoff, max(P.total_degree, 1) * u.cutoff, 0)
+    return complex(np.mean(P.evaluate_values(u.to_samples(m), derivative(u).to_samples(m))))
+
+
+def _oracle_witnesses(F, trials, cutoffs, seed, decay):
+    """The checker's witnesses in order, one at a time, each with its G."""
+    fo = F.wirtinger("omega")
+    rng = np.random.default_rng(seed)
+    randoms = (random_field(cut, decay, rng) for cut in cutoffs for _ in range(trials))
+    for psi in chain(structured_witnesses(), randoms):
+        yield psi, _one_mean(fo, psi).imag
+
+
+def sequential_checker(F, trials=40, cutoffs=(2, 4, 8), tol=1e-9, seed=0, decay=3.5):
+    """Reference: the witness-by-witness scan the block checker must reproduce."""
+    best_val, n_eval = 0.0, 0
+    for psi, g in _oracle_witnesses(F, trials, cutoffs, seed, decay):
+        n_eval += 1
+        if abs(g) > abs(best_val):
+            best_val = g
+        if abs(g) > tol:
+            return CriterionVerdict(False, psi, g, n_eval, tol)
+    return CriterionVerdict(True, None, best_val, n_eval, tol)
+
+
+N_STRUCTURED = (48, 30)  # the constants at cutoff 1, then the cutoff-2 fields
+
+
+def _block_bounds(trials, cutoffs):
+    sizes = [*N_STRUCTURED, *(trials for _ in cutoffs)]
+    ends = np.cumsum(sizes).tolist()
+    return list(zip([0, *ends[:-1]], ends))
+
+
+def _tol_exiting_in(block, values, trials, cutoffs):
+    """A tolerance whose first exceedance lies in `block`, or None if there is none."""
+    start, end = _block_bounds(trials, cutoffs)[block]
+    before = max((abs(g) for g in values[:start]), default=0.0)
+    if max((abs(g) for g in values[start:end]), default=0.0) > before:
+        return before
+    return None
+
+
+def assert_same_verdict(got, want):
+    assert got.satisfied is want.satisfied
+    assert got.trials == want.trials and got.tolerance == want.tolerance
+    assert np.float64(got.witness_value).tobytes() == np.float64(want.witness_value).tobytes()
+    if want.witness is None:
+        assert got.witness is None
+    else:
+        assert got.witness.cutoff == want.witness.cutoff
+        assert got.witness.coeffs.tobytes() == want.witness.coeffs.tobytes()
+
+
+_LOW_DEGREE = st.tuples(*(st.integers(0, 3),) * 4).filter(lambda idx: 1 <= sum(idx) <= 3)
+
+
+@given(
+    st.dictionaries(_LOW_DEGREE, st.complex_numbers(max_magnitude=10.0), min_size=1, max_size=5),
+    st.floats(-12.0, 8.0),
+    st.integers(1, 12),
+    st.lists(st.integers(1, 40), min_size=1, max_size=3),  # degree 3 past cutoff 20: 5-smooth grids
+    st.floats(-2.0, 5.0),
+    st.integers(0, 2**32 - 1),
+    st.one_of(st.floats(-14.0, 10.0), st.integers(0, 4)),
+)
+@example({(0, 2, 1, 0): 1.0, (1, 1, 0, 1): 1.0}, 0.0, 40, [2, 4, 8], 3.5, 0, -9.0)  # cutoff-2 modes
+@example({(1, 1, 0, 0): 1j}, 0.0, 1, [2], 3.5, 0, -9.0)  # constants, one trial
+@settings(max_examples=60, deadline=None)
+def test_block_checker_matches_sequential_oracle(terms, lam_exp, trials, cutoffs, decay, seed, tol):
+    """Bitwise the same verdict; an integer `tol` picks the block to exit in."""
+    F = PolynomialNonlinearity.from_terms(terms) * 10.0**lam_exp
+    cutoffs = tuple(cutoffs)
+    if isinstance(tol, int):
+        values = [g for _, g in _oracle_witnesses(F, trials, cutoffs, seed, decay)]
+        target = tol % (2 + len(cutoffs))
+        tol = _tol_exiting_in(target, values, trials, cutoffs)
+        if tol is None:
+            tol = 1e-9
+    else:
+        tol = 10.0**tol
+    kwargs = dict(trials=trials, cutoffs=cutoffs, tol=tol, seed=seed, decay=decay)
+    assert_same_verdict(check_wellposedness_condition(F, **kwargs), sequential_checker(F, **kwargs))
+
+
+def test_block_checker_exits_in_every_block():
+    # example_d(1, 1) vanishes on constants; growing random fields (negative
+    # decay) give each random cutoff a larger |G| than any field before it.
+    F = example_d(1.0, 1.0) + 0.25j * example_b(1.0, 1)
+    trials, cutoffs, decay = 5, (2, 4, 8), -1.0
+    values = [g for _, g in _oracle_witnesses(F, trials, cutoffs, 3, decay)]
+    for block, (start, end) in enumerate(_block_bounds(trials, cutoffs)):
+        tol = _tol_exiting_in(block, values, trials, cutoffs)
+        assert tol is not None, block
+        kwargs = dict(trials=trials, cutoffs=cutoffs, tol=tol, seed=3, decay=decay)
+        got = check_wellposedness_condition(F, **kwargs)
+        assert start < got.trials <= end
+        assert_same_verdict(got, sequential_checker(F, **kwargs))
+
+
+@pytest.mark.parametrize("F", [cubic(1j), example_d(1.0, 2.0), PolynomialNonlinearity.zero()])
+def test_block_checker_satisfied_matches_oracle(F):
+    for kwargs in ({}, {"trials": 1, "cutoffs": (5,)}, {"cutoffs": ()}):
+        assert_same_verdict(check_wellposedness_condition(F, **kwargs), sequential_checker(F, **kwargs))
 
 
 def test_linear_evaluate_to_narrow_output_regression():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from fnlslab.spectral import (
     DealiasBudgetError,
     SpectralField,
+    _random_coefficients,
     antiderivative,
     bracket_power,
     conjugate,
@@ -270,6 +271,26 @@ def test_grid_products_match_convolution(cutoff, idxs, g_cutoff, out_cutoff, see
 
 
 # -- misc field ops ----------------------------------------------------------------
+
+
+@given(
+    st.integers(1, 6),
+    st.integers(0, 12),
+    st.floats(-2.0, 5.0),
+    st.floats(0.1, 10.0),
+    st.sampled_from([None, "plus", "minus"]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_random_block_rows_are_successive_random_fields(count, cutoff, decay, amp, side, mean, seed):
+    block = _random_coefficients(
+        count, cutoff, decay, np.random.default_rng(seed), amp, side, include_mean=mean
+    )
+    rng = np.random.default_rng(seed)
+    rows = [random_field(cutoff, decay, rng, amp, side, include_mean=mean) for _ in range(count)]
+    assert block.shape == (count, 2 * cutoff + 1)
+    assert block.tobytes() == np.array([f.coeffs for f in rows]).tobytes()
 
 
 def test_translate_preserves_amplitudes():

@@ -16,7 +16,10 @@ fresh single-BLAS-thread processes that alternate which side goes first:
   energy         `modified_energy` of one snapshot, example_d(i, 2i),
                  alpha = 2.5 (ladder depth 2)
   criterion      one `check_wellposedness_condition` of example_d(1, 2),
-                 which does not depend on K
+                 which does not depend on K: satisfied, so every witness runs
+  criterion_violated
+                 the same for example_c(i), violated on the first
+                 structured witness: the early exit
 
 Within a process each time is the best of five repeats; the report gives the
 median and the minimum over the rounds.
@@ -76,7 +79,8 @@ def measure() -> dict:
             row["step_2rows"] = _best_us(lambda: evolution.integrate_rows(pair), 1) / steps
         for name, value in row.items():
             out.setdefault(name, {})[str(k)] = value
-    out["criterion"] = {"any": _best_us(lambda: nonlinearity.check_wellposedness_condition(F), 3)}
+    for name, P in (("criterion", F), ("criterion_violated", nonlinearity.example_c(1j))):
+        out[name] = {"any": _best_us(lambda: nonlinearity.check_wellposedness_condition(P), 3)}
     return out
 
 
