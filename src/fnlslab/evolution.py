@@ -43,7 +43,6 @@ __all__ = [
     "integrate_rows",
     "eps_convergence_study",
     "EpsConvergenceTable",
-    "continuity_probe",
     "truncate_modes",  # sharp initial-data truncation, defined in spectral
     "sup_l2_gap",
     "write_trajectory",
@@ -53,7 +52,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Parameters of one run.  alpha > 2; eps >= 0 (eps = 0 is the Galerkin flow)."""
+    """Parameters of one run.  2 < alpha < inf; 0 <= eps < inf (eps = 0 is the Galerkin flow)."""
 
     alpha: float
     eps: float = 0.0
@@ -64,10 +63,10 @@ class EvolutionConfig:
     blowup_ceiling: float = 1e6
 
     def __post_init__(self):
-        if not self.alpha > 2:
-            raise ValueError("alpha must exceed 2")
-        if self.eps < 0:
-            raise ValueError("eps must be >= 0")
+        if not 2 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and exceed 2, not {self.alpha}")
+        if not 0 <= self.eps < math.inf:
+            raise ValueError(f"eps must be finite and >= 0, not {self.eps}")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         steps = self.horizon / self.dt
@@ -183,48 +182,29 @@ def integrate(
     The record is flagged truncated (never an exception) when the state goes
     nonfinite or its H^1 norm crosses cfg.blowup_ceiling.  A stage that
     overflows on the way is caught by that check, so it raises no warning.
+    This is the one-row call of `integrate_rows`.
     """
-    k = cfg.cutoff
-    u, F_rest, e_half, e_full = _prepare(phi, F, cfg)
-    rhs = F_rest.coefficient_map(k, k)
-    dt = cfg.dt
-    nsteps = int(round(cfg.horizon / dt))
-    sob_w = _h1_weights(k)
-
-    times = [0.0]
-    snaps = [SpectralField(u, k)]
-    truncated = False
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, nsteps + 1):
-            u = _rk4_step(u, rhs, e_half, e_full, dt)
-            if _blown_up(u, sob_w, cfg.blowup_ceiling):
-                truncated = True
-                break
-            if step % cfg.record_every == 0 or step == nsteps:
-                times.append(step * dt)
-                snaps.append(SpectralField(u, k))
-
-    return TrajectoryRecord(np.asarray(times), snaps, cfg, truncated)
+    return integrate_rows([(phi, F, cfg)])[0]
 
 
 def integrate_rows(
     rows: list[tuple[SpectralField, PolynomialNonlinearity, EvolutionConfig]],
 ) -> list[TrajectoryRecord]:
-    """`integrate` for several (phi, F, cfg) rows at once, one record per row.
+    """Advance several (phi, F, cfg) rows of the flow at once, one record per row.
 
     The rows must share cutoff, dt, horizon and record_every (anything else
-    is a ValueError); alpha, eps, F and the blowup ceiling are per row.  Each
-    record is bitwise equal to integrate(phi, F, cfg).  Two or more rows
-    advance together as one (B, 2K+1) block, so each RHS evaluation costs
-    one pair of transforms per padded grid instead of one per row; a row
-    that trips the ceiling is recorded truncated and leaves the block while
-    the others go on.  A single row is handed to `integrate`.
+    is a ValueError); alpha, eps, F and the blowup ceiling are per row.  The
+    rows advance together as one (B, 2K+1) block, so each RHS evaluation
+    costs one pair of transforms per padded grid instead of one per row,
+    and a row's record is bitwise the same whichever rows share the call.
+    A row is recorded truncated as in `integrate` and leaves the block while
+    the others go on.  No rows give no records.
     """
     rows = list(rows)
     if len({(c.cutoff, c.dt, c.horizon, c.record_every) for _, _, c in rows}) > 1:
         raise ValueError("rows must share cutoff, dt, horizon and record_every")
-    if len(rows) < 2:
-        return [integrate(*row) for row in rows]
+    if not rows:
+        return []
     cfg = rows[0][2]
     k, dt = cfg.cutoff, cfg.dt
     nsteps = int(round(cfg.horizon / dt))
@@ -233,11 +213,14 @@ def integrate_rows(
 
     def block(js):
         """The RHS map and the step factors of rows js, stacked in that order."""
-        return (
-            _rows_coefficient_map([polys[j] for j in js], k),
-            np.stack([e_half0[j] for j in js]),
-            np.stack([e_full0[j] for j in js]),
-        )
+        if len(rows) == 1:
+            # A one-row call keeps the one-row map: its two (m,) inverse
+            # transforms beat one (2, m) transform on large grids (8640 points).
+            one = polys[0].coefficient_map(k, k)
+            rhs = lambda u: one(u[0])[None]
+        else:
+            rhs = _rows_coefficient_map([polys[j] for j in js], k)
+        return rhs, np.stack([e_half0[j] for j in js]), np.stack([e_full0[j] for j in js])
 
     # Rows of one degree (so of one padded grid), and within it rows of one
     # polynomial, are made adjacent so that they share transforms and calls.
@@ -321,27 +304,6 @@ def eps_convergence_study(
     if len(xs) >= 2 and max(xs) > min(xs):
         beta = float(np.polyfit(xs, ys, 1)[0])
     return EpsConvergenceTable(tuple(eps_list), pairs, beta, truncated)
-
-
-def continuity_probe(
-    phi: SpectralField,
-    dpsi: SpectralField,
-    F: PolynomialNonlinearity,
-    cfg: EvolutionConfig,
-) -> float:
-    """Empirical Lipschitz ratio sup_t ||u[phi+dpsi] - u[phi]||_{H^1} / ||dpsi||_{H^1}."""
-    denom = sobolev_norm(dpsi, 1.0)
-    if denom == 0.0:
-        return 0.0
-    base = integrate(phi, F, cfg)
-    pert = integrate(phi + dpsi, F, cfg)
-    n = min(len(base.times), len(pert.times))
-    k = max(base.config.cutoff, pert.config.cutoff)
-    sup = 0.0
-    for i in range(n):
-        d = pert.snapshots[i].with_cutoff(k) - base.snapshots[i].with_cutoff(k)
-        sup = max(sup, sobolev_norm(d, 1.0))
-    return sup / denom
 
 
 # -- storage -------------------------------------------------------------------

@@ -41,12 +41,12 @@ The machinery implemented here:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .evolution import TrajectoryRecord, sup_l2_gap
+from .evolution import TrajectoryRecord, _multipliers, sup_l2_gap
 from .nonlinearity import PolynomialNonlinearity, theta_omega_mean
 from .spectral import (
     SpectralField,
@@ -70,7 +70,6 @@ __all__ = [
     "nonexistence_verdict",
     "Verdict",
     "probe_initial_data",
-    "weighted_l2",
     "write_growth_csv",
     "verdict_json",
 ]
@@ -179,8 +178,8 @@ def _galerkin_time_derivative(
     mean_re: float,
 ) -> SpectralField:
     """du/dt from the (gauge-shifted) evolution equation, truncated to the cutoff."""
-    k = u.wavenumbers().astype(float)
-    lin = (-1j * np.abs(k) ** alpha - eps * k**2) * u.coeffs
+    k = u.wavenumbers()
+    lin = _multipliers(k, alpha, eps) * u.coeffs
     theta = F.evaluate(u, out_cutoff=u.cutoff)
     transport = -mean_re * (1j * k) * u.coeffs
     return SpectralField(lin + theta.coeffs + transport, u.cutoff)
@@ -326,11 +325,6 @@ def decomposition_series(
     return [resonant_decomposition(traj, F, t) for t in ts]
 
 
-def weighted_l2(values: np.ndarray, k: np.ndarray, s: float) -> float:
-    w = (1.0 + k.astype(float) ** 2) ** s
-    return float(np.sqrt(np.sum(w * np.abs(values) ** 2)))
-
-
 @dataclass
 class PartNorms:
     name: str
@@ -366,7 +360,9 @@ def resonant_norm_audit(
     }
     out: dict[str, PartNorms] = {}
     for name, sig in weights.items():
-        norms = np.array([weighted_l2(p.by_name()[name], p.k, sig) for p in parts])
+        norms = np.array(
+            [sobolev_norm(SpectralField(p.by_name()[name], len(p.k) // 2), sig) for p in parts]
+        )
         initial, sup = float(norms[0]), float(np.max(norms))
         if sup <= floor:
             flagged = False
@@ -559,15 +555,4 @@ def write_growth_csv(report: GrowthReport, path) -> None:
 
 def verdict_json(v: Verdict) -> str:
     """One-line machine-readable verdict with thresholds echoed."""
-    payload = {
-        "classification": v.classification,
-        "side": v.side,
-        "matching_run": v.matching_run,
-        "min_consecutive": v.min_consecutive,
-        "rate_tol": v.rate_tol,
-        "divergence": v.divergence,
-        "diverge_threshold": v.diverge_threshold,
-        "agree_threshold": v.agree_threshold,
-        "control_divergence": v.control_divergence,
-    }
-    return json.dumps(payload, sort_keys=True)
+    return json.dumps(asdict(v), sort_keys=True)

@@ -22,6 +22,7 @@ almost surely).
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from itertools import chain, groupby
 from typing import Iterable, Mapping
@@ -66,6 +67,8 @@ class PolynomialNonlinearity:
             if len(idx) != 4 or any(e < 0 for e in idx):
                 raise ValueError(f"bad multi-index {idx}")
             coeff = complex(coeff)
+            if not cmath.isfinite(coeff):
+                raise ValueError(f"coefficient of {idx} is not finite: {coeff}")
             if coeff != 0:
                 items.append((idx, coeff))
         items.sort(key=lambda t: t[0])

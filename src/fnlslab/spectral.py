@@ -35,12 +35,9 @@ __all__ = [
     "derivative",
     "pointwise_product",
     "conjugate",
-    "real_part",
     "imag_part",
     "translate",
     "truncate_modes",
-    "sup_norm",
-    "convolve_coefficients",
     "random_field",
 ]
 
@@ -275,10 +272,6 @@ def conjugate(f: SpectralField) -> SpectralField:
     return SpectralField(np.conj(f.coeffs[::-1]), f.cutoff)
 
 
-def real_part(f: SpectralField) -> SpectralField:
-    return 0.5 * (f + conjugate(f))
-
-
 def imag_part(f: SpectralField) -> SpectralField:
     return (-0.5j) * (f - conjugate(f))
 
@@ -294,12 +287,6 @@ def truncate_modes(f: SpectralField, mu: int) -> SpectralField:
         raise ValueError("mu must be >= 0")
     k = f.wavenumbers()
     return SpectralField(np.where(np.abs(k) <= mu, f.coeffs, 0.0), f.cutoff)
-
-
-def sup_norm(f: SpectralField) -> float:
-    """L-infinity norm estimated on a uniform grid oversampled about 4x."""
-    m = padded_size(f.cutoff, 4 * f.cutoff, 4 * f.cutoff)
-    return float(np.max(np.abs(f.to_samples(m))))
 
 
 # -- products ----------------------------------------------------------------
@@ -320,12 +307,6 @@ def pointwise_product(
     m = padded_size(max(f.cutoff, g.cutoff), full, kout)
     vals = f.to_samples(m) * g.to_samples(m)
     return SpectralField.from_samples(vals, kout)
-
-
-def convolve_coefficients(f: SpectralField, g: SpectralField) -> SpectralField:
-    """Direct convolution of the coefficient sequences (independent of the FFT path)."""
-    c = np.convolve(f.coeffs, g.coeffs)
-    return SpectralField(c, f.cutoff + g.cutoff)
 
 
 # -- random fields -----------------------------------------------------------

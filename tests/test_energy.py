@@ -371,10 +371,10 @@ def test_audit_rejects_mismatched_ladder():
 def test_gauge_limit_identity():
     rng = np.random.default_rng(11)
     u = random_field(8, 3.0, rng, amplitude=0.6)
-    from fnlslab.spectral import antiderivative, imag_part, sup_norm
+    from fnlslab.spectral import antiderivative, imag_part
 
     g = antiderivative(imag_part(BALANCED_IMAG.wirtinger("omega").evaluate(u)))
-    assert sup_norm(g) <= 1.0  # the diagnostic's stated regime
+    assert np.abs(g.to_samples(8 * g.cutoff)).max() <= 1.0  # the diagnostic's stated regime
     sums, target = gauge_limit_partial_sums(u, BALANCED_IMAG, 2.6, n_terms=20)
     rel = abs(sums[-1] - target) / abs(target)
     assert rel < 1e-8, rel

@@ -284,6 +284,30 @@ def test_cli_invalid_config_is_exit_two(tmp_path, capsys):
     assert not os.path.exists(out)  # rejected before any run started
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--preset", "cubic", "--eps", "nan"],
+        ["run", "--preset", "cubic", "--eps", "inf"],
+        ["run", "--preset", "cubic", "--alpha", "inf"],
+        ["run", "--preset", "cubic", "--c", "nan"],
+        ["check", "--preset", "cubic", "--c", "nan"],
+        ["check", "--nonlinearity", "NAN_FILE"],
+    ],
+    ids=" ".join,
+)
+def test_cli_non_finite_setting_is_exit_two(argv, tmp_path, capsys):
+    nl = tmp_path / "nan.txt"
+    nl.write_text("2 0 1 0 0 1\n1 0 0 0 nan 0\n")
+    out = str(tmp_path / "art")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli_main([str(nl) if a == "NAN_FILE" else a for a in argv] + ["--out", out])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not os.path.exists(out)  # rejected before any run started
+
+
 def test_cli_rejected_value_names_its_flag(tmp_path, capsys):
     out = str(tmp_path / "art")
     assert cli_main(["run", "--preset", "cubic", "--modes", "2.5", "--out", out]) == 2

@@ -1,5 +1,6 @@
 """Ill-posedness machinery: gauge shift, resonant decomposition, growth verdicts."""
 
+import json
 import tracemalloc
 from dataclasses import replace
 
@@ -22,7 +23,6 @@ from fnlslab.growth import (
     resonant_decomposition,
     resonant_norm_audit,
     verdict_json,
-    weighted_l2,
     write_growth_csv,
 )
 from fnlslab.nonlinearity import (
@@ -35,12 +35,12 @@ from fnlslab.nonlinearity import (
 from fnlslab.spectral import (
     SpectralField,
     conjugate,
-    convolve_coefficients,
     derivative,
     pointwise_product,
     random_field,
     sobolev_norm,
 )
+from test_spectral import convolve_coefficients
 
 ZERO = PolynomialNonlinearity.zero()
 
@@ -500,13 +500,6 @@ def test_norm_audit_bounded_omega_dependent_run():
     assert populated == 7
 
 
-def test_weighted_l2():
-    k = np.array([-1, 0, 1])
-    vals = np.array([0.0, 3.0, 4.0])
-    assert weighted_l2(vals, k, 0.0) == pytest.approx(5.0)
-    assert weighted_l2(vals, k, 1.0) == pytest.approx(np.sqrt(9.0 + 32.0))
-
-
 # -- directional growth --------------------------------------------------------------------
 
 
@@ -559,6 +552,10 @@ def test_verdict_requires_divergence_and_thresholds_echoed():
     assert v.classification == "directional_growth_detected"
     payload = verdict_json(v)
     assert '"diverge_threshold": 0.001' in payload
+    assert sorted(json.loads(payload)) == [
+        "agree_threshold", "classification", "control_divergence", "diverge_threshold",
+        "divergence", "matching_run", "min_consecutive", "rate_tol", "side",
+    ]
     # too-coarse signature: saturation-style report stays inconclusive
     rep2 = GrowthReport(
         side="minus", fit_window=(0.0, 0.1), mode_rates={}, ratios={},

@@ -11,16 +11,13 @@ from fnlslab.spectral import (
     antiderivative,
     bracket_power,
     conjugate,
-    convolve_coefficients,
     derivative,
     imag_part,
     padded_size,
     pointwise_product,
     project,
     random_field,
-    real_part,
     sobolev_norm,
-    sup_norm,
     translate,
     truncate_modes,
 )
@@ -28,6 +25,12 @@ from fnlslab.evolution import linear_semigroup_apply
 from fnlslab.nonlinearity import PolynomialNonlinearity
 
 RNG = np.random.default_rng(1234)
+
+
+def convolve_coefficients(f: SpectralField, g: SpectralField) -> SpectralField:
+    """Reference: direct convolution of the coefficient sequences (no FFT)."""
+    c = np.convolve(f.coeffs, g.coeffs)
+    return SpectralField(c, f.cutoff + g.cutoff)
 
 
 def e(k, amp=1.0, cutoff=None):
@@ -98,6 +101,9 @@ def test_bracket_power_inverts(s):
 
 def test_sobolev_norm_examples():
     assert abs(sobolev_norm(e(1), 1.0) - np.sqrt(2)) < 1e-14
+    f = SpectralField(np.array([0.0, 3.0, 4.0]), 1)
+    assert sobolev_norm(f, 0.0) == pytest.approx(5.0)
+    assert sobolev_norm(f, 1.0) == pytest.approx(np.sqrt(9.0 + 32.0))
     assert sobolev_norm(SpectralField.zeros(4), 2.0) == 0.0
     f = SpectralField.from_modes({0: 3.0, 2: 4.0}, 2)
     assert abs(sobolev_norm(f, 0.0) - 5.0) < 1e-14
@@ -307,7 +313,7 @@ def test_conjugate_and_parts():
     m = 64
     vals = f.to_samples(m)
     assert np.max(np.abs(conjugate(f).to_samples(m) - np.conj(vals))) < 1e-12
-    assert np.max(np.abs(real_part(f).to_samples(m) - vals.real)) < 1e-12
+    assert np.max(np.abs((0.5 * (f + conjugate(f))).to_samples(m) - vals.real)) < 1e-12
     assert np.max(np.abs(imag_part(f).to_samples(m) - vals.imag)) < 1e-12
 
 
@@ -318,7 +324,3 @@ def test_truncate_modes():
     assert all(g.coefficient(k) == 0 for k in range(5, 17))
     assert sobolev_norm(truncate_modes(f, 16) - f) == 0.0
     assert sobolev_norm(truncate_modes(f, 0) - project(f, "mean")) == 0.0
-
-
-def test_sup_norm_single_mode():
-    assert abs(sup_norm(e(3, amp=2.0)) - 2.0) < 1e-10

@@ -1,0 +1,128 @@
+"""Replay fixed fnlslab invocations on two checkouts and diff what they produce.
+
+    python tools/artifact_diff.py --parent PARENT_CHECKOUT
+
+The invocations run once for the checkout this file sits in ("change") and
+once for another checkout of the repository ("parent"), each side in a fresh
+process with its own ``src`` on PYTHONPATH:
+
+  - the 21 ``run`` calls of the benchmark's ``preset_sweep`` workload (7
+    families x 3 alphas, as built by ``perfbench/workloads.py``) at workload
+    seeds 1 and 7;
+  - ``check`` of example_d(1, 2), and of example_c(1e-12i) with ``--seed 2``;
+  - ``sweep --preset example_c --axis c --values 1 i -i 1+2i``;
+  - ``estimates --quick``;
+  - one ``run --nonlinearity FILE`` (a custom polynomial).
+
+Each invocation writes into its own directory.  The exit codes, the printed
+lines (with the output directory normalised) and ``diff -r`` of the output
+trees are compared in invocation order.  The tool prints the first
+difference and exits 1, or exits 0 when everything is byte-identical.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# A custom nonlinearity for the `run --nonlinearity` call: i|u|^2 u_x plus a
+# transport term, so the run takes the custom path through every analysis.
+CUSTOM_TERMS = "1 1 1 0 0 1\n0 1 0 0 0.5 0\n"
+
+
+def invocations(nl_path: str) -> list[list[str]]:
+    """The fixed argument lists, without --out."""
+    sys.path[:0] = [ROOT, os.path.join(ROOT, "src")]
+    from perfbench.workloads import PresetSweep
+
+    calls = [argv for seed in (1, 7) for _, argv, _ in PresetSweep().build(seed)]
+    return calls + [
+        ["check", "--preset", "example_d", "--c1", "1", "--c2", "2"],
+        ["check", "--preset", "example_c", "--c", "1e-12i", "--seed", "2"],
+        ["sweep", "--preset", "example_c", "--axis", "c", "--values", "1", "i", "-i", "1+2i"],
+        ["estimates", "--quick"],
+        ["run", "--preset", "cubic", "--nonlinearity", nl_path],
+    ]
+
+
+def replay(calls_path: str, out_root: str) -> None:
+    """Run every call in this process; print [exit code, stdout] per call as JSON."""
+    from fnlslab.cli import main
+
+    with open(calls_path) as fh:
+        calls = json.load(fh)
+    results = []
+    for i, argv in enumerate(calls):
+        out = os.path.join(out_root, f"{i:02d}")
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main([*argv, "--out", out])
+        results.append([code, buf.getvalue().replace(out_root, "OUT")])
+    print(json.dumps(results))
+
+
+def _run_side(checkout: str, calls_path: str, out_root: str) -> list:
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--replay", calls_path, out_root],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def first_difference(calls, results, roots) -> str | None:
+    """A report of the first differing invocation, or None."""
+    for i, argv in enumerate(calls):
+        (code_p, out_p), (code_c, out_c) = results["parent"][i], results["change"][i]
+        what = "fnlslab " + " ".join(argv)
+        if code_p != code_c:
+            return f"{what}\nexit code: parent {code_p}, change {code_c}"
+        if out_p != out_c:
+            return f"{what}\nstdout differs:\n--- parent\n{out_p}--- change\n{out_c}"
+        trees = [os.path.join(roots[side], f"{i:02d}") for side in ("parent", "change")]
+        diff = subprocess.run(["diff", "-r", *trees], capture_output=True, text=True)
+        if diff.returncode != 0:
+            lines = (diff.stdout + diff.stderr).splitlines()
+            return f"{what}\noutput trees differ:\n" + "\n".join(lines[:40])
+    return None
+
+
+def main() -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--parent", help="checkout to compare against")
+    p.add_argument("--replay", nargs=2, help=argparse.SUPPRESS)
+    args = p.parse_args()
+    if args.replay:
+        replay(*args.replay)
+        return 0
+    if not args.parent:
+        p.error("--parent is required")
+    sides = {"parent": os.path.abspath(args.parent), "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="artifact_diff_") as tmp:
+        nl_path = os.path.join(tmp, "custom.nl")
+        with open(nl_path, "w") as fh:
+            fh.write(CUSTOM_TERMS)
+        calls = invocations(nl_path)
+        calls_path = os.path.join(tmp, "calls.json")
+        with open(calls_path, "w") as fh:
+            json.dump(calls, fh)
+        roots = {side: os.path.join(tmp, side) for side in sides}
+        results = {side: _run_side(sides[side], calls_path, roots[side]) for side in sides}
+        report = first_difference(calls, results, roots)
+    if report is not None:
+        print(report)
+        return 1
+    print(f"{len(calls)} invocations: exit codes, stdout and output trees identical")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
