@@ -500,6 +500,13 @@ def test_norm_audit_bounded_omega_dependent_run():
     assert populated == 7
 
 
+def test_weighted_l2():
+    # the audit's weighted l2 norm is sobolev_norm: sum <k>^(2s) |c_k|^2, rooted
+    f = SpectralField(np.array([0.0, 3.0, 4.0]), 1)
+    assert sobolev_norm(f, 0.0) == pytest.approx(5.0)
+    assert sobolev_norm(f, 1.0) == pytest.approx(np.sqrt(9.0 + 32.0))
+
+
 # -- directional growth --------------------------------------------------------------------
 
 

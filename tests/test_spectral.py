@@ -101,9 +101,6 @@ def test_bracket_power_inverts(s):
 
 def test_sobolev_norm_examples():
     assert abs(sobolev_norm(e(1), 1.0) - np.sqrt(2)) < 1e-14
-    f = SpectralField(np.array([0.0, 3.0, 4.0]), 1)
-    assert sobolev_norm(f, 0.0) == pytest.approx(5.0)
-    assert sobolev_norm(f, 1.0) == pytest.approx(np.sqrt(9.0 + 32.0))
     assert sobolev_norm(SpectralField.zeros(4), 2.0) == 0.0
     f = SpectralField.from_modes({0: 3.0, 2: 4.0}, 2)
     assert abs(sobolev_norm(f, 0.0) - 5.0) < 1e-14
