@@ -52,7 +52,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Parameters of one run.  2 < alpha < inf; 0 <= eps < inf (eps = 0 is the Galerkin flow)."""
+    """Parameters of one run.  2 < alpha < inf; 0 <= eps < inf (eps = 0 is the Galerkin flow).
+
+    cutoff >= 1; 0 < blowup_ceiling, and inf means no ceiling.
+    """
 
     alpha: float
     eps: float = 0.0
@@ -67,6 +70,8 @@ class EvolutionConfig:
             raise ValueError(f"alpha must be finite and exceed 2, not {self.alpha}")
         if not 0 <= self.eps < math.inf:
             raise ValueError(f"eps must be finite and >= 0, not {self.eps}")
+        if self.cutoff < 1:
+            raise ValueError(f"cutoff must be >= 1, not {self.cutoff}")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         steps = self.horizon / self.dt
@@ -77,6 +82,8 @@ class EvolutionConfig:
             )
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
+        if not 0 < self.blowup_ceiling:
+            raise ValueError(f"blowup_ceiling must be > 0, not {self.blowup_ceiling}")
 
 
 @dataclass
@@ -159,19 +166,37 @@ def _rk4_step(u, rhs, e_half, e_full, dt):
     return e_full * u + (dt / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
 
 
-def _blown_up(u: np.ndarray, sob_w: np.ndarray, ceiling: float) -> bool:
-    """Whether one row is nonfinite or its H^1 norm exceeds the ceiling.
+def _linear_step(e_half, e_full, dt):
+    """`_rk4_step` for rows whose RHS is identically zero, as two operations.
 
-    The H^1 norm is at least the largest |Re uhat|, |Im uhat| (weights >= 1),
-    so a nan, inf or above-ceiling part stops the run before the norm squares
-    it, which could overflow.
+    Every stage of such rows feeds exact zeros, so the step adds the same
+    constant each time; it is computed once here from zero arrays by the
+    last line of `_rk4_step`, signed zeros included, so each step is bitwise
+    the full one.
     """
-    peak = np.abs(u.view(np.float64)).max()
-    return not peak <= ceiling or np.linalg.norm(sob_w * u) > ceiling
+    z = np.zeros_like(e_full)
+    shift = (dt / 6.0) * (e_full * z + 2.0 * e_half * (z + z) + z)
+    return lambda u: e_full * u + shift
 
 
-def _h1_weights(cutoff: int) -> np.ndarray:
-    return np.sqrt(1.0 + np.arange(-cutoff, cutoff + 1).astype(float) ** 2)
+def _leaving(u: np.ndarray, w2: np.ndarray, ceiling: np.ndarray, reach: float) -> list[int]:
+    """Positions of the rows of the block u that are nonfinite or above their H^1 ceiling.
+
+    ``w2`` holds the squared H^1 weights, repeated for the real and imaginary
+    parts, and ``reach`` is the smallest ceiling over twice sqrt(sum(w2)).
+    The H^1 norm lies between the largest |Re uhat|, |Im uhat| (weights >= 1)
+    and sqrt(sum(w2)) times it, so a block whose largest part is within
+    ``reach`` stays whole on one reduction.  Otherwise a row with a nan, inf
+    or above-ceiling part leaves before any norm squares it, which could
+    overflow, and the norms of the other rows are one reduction.
+    """
+    parts = u.view(np.float64)
+    if np.abs(parts).max() <= reach:
+        return []
+    stay = np.abs(parts).max(axis=1) <= ceiling
+    if stay.any():
+        stay[stay] = np.sqrt(np.square(parts[stay]) @ w2) <= ceiling[stay]
+    return np.flatnonzero(~stay).tolist()
 
 
 def integrate(
@@ -192,63 +217,85 @@ def integrate_rows(
 ) -> list[TrajectoryRecord]:
     """Advance several (phi, F, cfg) rows of the flow at once, one record per row.
 
-    The rows must share cutoff, dt, horizon and record_every (anything else
-    is a ValueError); alpha, eps, F and the blowup ceiling are per row.  The
-    rows advance together as one (B, 2K+1) block, so each RHS evaluation
-    costs one pair of transforms per padded grid instead of one per row,
-    and a row's record is bitwise the same whichever rows share the call.
+    The rows must share dt, horizon and record_every (anything else is a
+    ValueError); cutoff, alpha, eps, F and the blowup ceiling are per row.
+    The rows advance together as one (B, 2n+1) block, n the largest cutoff,
+    each row's modes centred in its row and the modes beyond its cutoff held
+    at zero.  Each RHS evaluation costs one pair of transforms per cutoff and
+    padded grid instead of one per row, and a row's record is bitwise the
+    same whichever rows share the call.  While every row of the block has a
+    zero nonlinear part (F is diagonal linear, absorbed into the integrating
+    factor) the block takes the exact two-operation step of `_linear_step`.
     A row is recorded truncated as in `integrate` and leaves the block while
     the others go on.  No rows give no records.
     """
     rows = list(rows)
-    if len({(c.cutoff, c.dt, c.horizon, c.record_every) for _, _, c in rows}) > 1:
-        raise ValueError("rows must share cutoff, dt, horizon and record_every")
+    if len({(c.dt, c.horizon, c.record_every) for _, _, c in rows}) > 1:
+        raise ValueError("rows must share dt, horizon and record_every")
     if not rows:
         return []
     cfg = rows[0][2]
-    k, dt = cfg.cutoff, cfg.dt
+    dt = cfg.dt
     nsteps = int(round(cfg.horizon / dt))
-    sob_w = _h1_weights(k)
+    cuts = [c.cutoff for _, _, c in rows]
+    n = max(cuts)
+    window = [slice(n - k, n + k + 1) for k in cuts]
+    w2 = np.repeat(1.0 + np.arange(-n, n + 1).astype(float) ** 2, 2)
     u0, polys, e_half0, e_full0 = zip(*(_prepare(*row) for row in rows))
 
+    def stack(arrays, js, fill):
+        out = np.full((len(js), 2 * n + 1), fill, dtype=np.complex128)
+        for i, j in enumerate(js):
+            out[i, window[j]] = arrays[j]
+        return out
+
     def block(js):
-        """The RHS map and the step factors of rows js, stacked in that order."""
+        """The step map of rows js, stacked in that order, and their `_leaving` ceilings."""
+        # Beyond a row's cutoff the factors are 1 and the RHS is 0, so its zeros stay.
+        e_half, e_full = stack(e_half0, js, 1.0), stack(e_full0, js, 1.0)
+        ceiling = np.array([rows[j][2].blowup_ceiling for j in js])
+        limits = ceiling, float(ceiling.min()) / (2.0 * math.sqrt(w2.sum()))
+        if all(polys[j].is_zero() for j in js):
+            return _linear_step(e_half, e_full, dt), limits
         if len(rows) == 1:
             # A one-row call keeps the one-row map: its two (m,) inverse
             # transforms beat one (2, m) transform on large grids (8640 points).
-            one = polys[0].coefficient_map(k, k)
+            one = polys[0].coefficient_map(n, n)
             rhs = lambda u: one(u[0])[None]
         else:
-            rhs = _rows_coefficient_map([polys[j] for j in js], k)
-        return rhs, np.stack([e_half0[j] for j in js]), np.stack([e_full0[j] for j in js])
+            rhs = _rows_coefficient_map([polys[j] for j in js], [cuts[j] for j in js])
+        return (lambda u: _rk4_step(u, rhs, e_half, e_full, dt)), limits
 
-    # Rows of one degree (so of one padded grid), and within it rows of one
-    # polynomial, are made adjacent so that they share transforms and calls.
-    active = sorted(range(len(rows)), key=lambda j: (polys[j].total_degree, polys.index(polys[j])))
-    u = np.stack([u0[j] for j in active])
-    rhs, e_half, e_full = block(active)
+    # Rows of one cutoff and degree (so of one padded grid), and within them
+    # rows of the same monomials, are made adjacent so that they share
+    # transforms and evaluations.
+    def order(j):
+        P = polys[j]
+        return cuts[j], P.total_degree, [idx for idx, _ in P.terms], polys.index(P)
+
+    active = sorted(range(len(rows)), key=order)
+    u = stack(u0, active, 0.0)
+    step_map, limits = block(active)
     times = [[0.0] for _ in rows]
-    snaps = [[SpectralField(c, k)] for c in u0]
+    snaps = [[SpectralField(c, k)] for c, k in zip(u0, cuts)]
     truncated = [False] * len(rows)
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, nsteps + 1):
-            u = _rk4_step(u, rhs, e_half, e_full, dt)
-            keep = []
-            for i, j in enumerate(active):
-                if _blown_up(u[i], sob_w, rows[j][2].blowup_ceiling):
-                    truncated[j] = True
-                else:
-                    keep.append(i)
-            if len(keep) < len(active):
-                if not keep:
+            u = step_map(u)
+            gone = _leaving(u, w2, *limits)
+            if gone:
+                for i in gone:
+                    truncated[active[i]] = True
+                if len(gone) == len(active):
                     break
+                keep = [i for i in range(len(active)) if i not in gone]
                 u = u[keep]
                 active = [active[i] for i in keep]
-                rhs, e_half, e_full = block(active)
+                step_map, limits = block(active)
             if step % cfg.record_every == 0 or step == nsteps:
                 for i, j in enumerate(active):
                     times[j].append(step * dt)
-                    snaps[j].append(SpectralField(u[i], k))
+                    snaps[j].append(SpectralField(u[i, window[j]], cuts[j]))
 
     return [
         TrajectoryRecord(np.asarray(times[j]), snaps[j], rows[j][2], truncated[j])
@@ -315,9 +362,15 @@ def write_trajectory(
     """Long-format CSV ``t,k,re,im`` plus a JSON sidecar with config and flags."""
     with open(csv_path, "w") as fh:
         fh.write("t,k,re,im\n")
-        for t, snap in zip(traj.times, traj.snapshots):
-            for k, c in zip(snap.wavenumbers(), snap.coeffs):
-                fh.write(f"{t:.17g},{k},{c.real:.17g},{c.imag:.17g}\n")
+        for t, snap in zip(traj.times.tolist(), traj.snapshots):
+            # One % per snapshot; '%.17g' % x is f'{x:.17g}' for every float.
+            n = len(snap.coeffs)
+            fields = [None] * (4 * n)
+            fields[0::4] = ["%.17g" % t] * n
+            fields[1::4] = snap.wavenumbers().tolist()
+            fields[2::4] = snap.coeffs.real.tolist()
+            fields[3::4] = snap.coeffs.imag.tolist()
+            fh.write("%s,%d,%.17g,%.17g\n" * n % tuple(fields))
     if json_path is not None:
         meta = dict(asdict(traj.config), truncated=traj.truncated)
         if extra:

@@ -347,14 +347,15 @@ def paired_growth_probe(
 
     control_div = None
     if control is None:
-        run_k = integrate(phi_k, F, cfg)
-        run_2k = integrate(phi_2k, F, cfg_2k)
+        run_k, run_2k = integrate_rows([(phi_k, F, cfg), (phi_2k, F, cfg_2k)])
     else:
-        # Each run advances beside the control run at its cutoff.
+        # The runs and the control runs at both cutoffs advance as one block.
         smooth_k = _control_data(witness, k, s, side, seed)
         smooth_2k = smooth_k.with_cutoff(2 * k)
-        run_k, c_k = integrate_rows([(phi_k, F, cfg), (smooth_k, control, cfg)])
-        run_2k, c_2k = integrate_rows([(phi_2k, F, cfg_2k), (smooth_2k, control, cfg_2k)])
+        run_k, c_k, run_2k, c_2k = integrate_rows([
+            (phi_k, F, cfg), (smooth_k, control, cfg),
+            (phi_2k, F, cfg_2k), (smooth_2k, control, cfg_2k),
+        ])
         control_div = sup_l2_gap(c_k, c_2k)
 
     report = growth_mod.directional_growth(

@@ -211,48 +211,54 @@ class PolynomialNonlinearity:
         return SpectralField(coeffs, len(coeffs) // 2)
 
 
-def _rows_coefficient_map(polys: list[PolynomialNonlinearity], cutoff: int):
-    """`coefficient_map(cutoff, cutoff)` for a block of rows, row j under polys[j].
+def _rows_coefficient_map(polys: list[PolynomialNonlinearity], cutoffs: list[int]):
+    """`coefficient_map(k, k)` for a block of rows, row j under polys[j] at k = cutoffs[j].
 
-    The returned function takes a (B, 2*cutoff+1) array of coefficients and
-    returns the (B, 2*cutoff+1) coefficients of each row's polynomial along
-    that row, each row bitwise equal to the one-row map.  Adjacent rows whose
-    polynomials need the same padded grid share the transforms: one inverse
-    transform of a (2b, m) buffer holding the u rows and then the u_x rows,
-    and one forward transform of (b, m).  Adjacent rows with an identical
-    polynomial also share one `evaluate_values` call.  Callers order the rows
-    so that such rows are adjacent; any order is correct.  Rows move in and
-    out of the grid through the two contiguous runs k >= 0 and k < 0 that
-    wrap to the two ends of the grid, which is cheaper than a 2-D scatter.
-    Not for concurrent use, like coefficient_map.
+    The returned function takes a (B, 2*n+1) array of coefficients, n at
+    least every cutoff, with each row's 2k+1 modes centred in its row, and
+    returns the coefficients of each row's polynomial along that row in the
+    same layout, each row's window bitwise equal to the one-row map and the
+    columns outside it zero.  Adjacent rows of one cutoff whose polynomials
+    need the same padded grid share the transforms: one inverse transform of
+    a (2b, m) buffer holding the u rows and then the u_x rows, and one
+    forward transform of (b, m).  Adjacent rows of such a group whose
+    polynomials have the same monomials also share one `evaluate_values`
+    call, through one polynomial whose differing coefficients are (b, 1)
+    columns of the rows' values (the coefficient stays the left operand of
+    each product, which keeps every row bitwise equal to its own call).
+    Callers order the rows so that such rows are adjacent; any order is
+    correct.  Rows move in and out of the grid through the two contiguous
+    runs k >= 0 and k < 0 that wrap to the two ends of the grid, which is
+    cheaper than a 2-D scatter.  Not for concurrent use, like coefficient_map.
     """
-    k = cutoff
-    grids = [None if P.is_zero() else padded_size(k, max(P.total_degree, 1) * k, k) for P in polys]
-    groups = []  # (first row, end row, m, buffer, [(first, end, polynomial) within the group])
-    for m, rows in groupby(range(len(polys)), key=grids.__getitem__):
+    def grid(j):
+        P, k = polys[j], cutoffs[j]
+        return None if P.is_zero() else (k, padded_size(k, max(P.total_degree, 1) * k, k))
+
+    groups = []  # (first row, end row, k, m, i*k, buffer, [(first, end, polynomial) in the group])
+    for key, rows in groupby(range(len(polys)), key=grid):
+        if key is None:
+            continue
         rows = list(rows)
         r0, r1 = rows[0], rows[-1] + 1
-        if m is None:
-            continue
         runs = []
-        for P, same in groupby(range(r1 - r0), key=lambda i: polys[r0 + i]):
+        for _, same in groupby(rows, key=lambda j: [idx for idx, _ in polys[j].terms]):
             same = list(same)
-            runs.append((same[0], same[-1] + 1, P))
+            runs.append((same[0] - r0, same[-1] + 1 - r0, _stacked([polys[j] for j in same])))
+        k, m = key
+        ik = 1j * np.arange(-k, k + 1).astype(float)
         # Only the two runs of modes are ever written, so the rest stays zero.
-        groups.append((r0, r1, m, np.zeros((2 * (r1 - r0), m), dtype=np.complex128), runs))
-    alloc = np.zeros if None in grids else np.empty
-    ik = 1j * np.arange(-k, k + 1).astype(float)
+        groups.append((r0, r1, k, m, ik, np.zeros((2 * (r1 - r0), m), dtype=np.complex128), runs))
 
     def apply(coeffs: np.ndarray) -> np.ndarray:
-        out = alloc(coeffs.shape, dtype=np.complex128)
-        for r0, r1, m, buf, runs in groups:
+        out = np.zeros(coeffs.shape, dtype=np.complex128)
+        n = coeffs.shape[1] // 2
+        for r0, r1, k, m, ik, buf, runs in groups:
             b = r1 - r0
-            u = coeffs[r0:r1]
-            du = u * ik
-            buf[:b, : k + 1] = u[:, k:]
-            buf[:b, m - k :] = u[:, :k]
-            buf[b:, : k + 1] = du[:, k:]
-            buf[b:, m - k :] = du[:, :k]
+            buf[:b, : k + 1] = coeffs[r0:r1, n : n + k + 1]
+            buf[:b, m - k :] = coeffs[r0:r1, n - k : n]
+            np.multiply(buf[:b, : k + 1], ik[k:], out=buf[b:, : k + 1])
+            np.multiply(buf[:b, m - k :], ik[:k], out=buf[b:, m - k :])
             vals = np.fft.ifft(buf, norm="forward")
             if len(runs) == 1:
                 f = runs[0][2].evaluate_values(vals[:b], vals[b:])
@@ -261,11 +267,28 @@ def _rows_coefficient_map(polys: list[PolynomialNonlinearity], cutoff: int):
                     [P.evaluate_values(vals[p0:p1], vals[b + p0 : b + p1]) for p0, p1, P in runs]
                 )
             h = np.fft.fft(f, norm="forward")
-            out[r0:r1, :k] = h[:, m - k :]
-            out[r0:r1, k:] = h[:, : k + 1]
+            out[r0:r1, n - k : n] = h[:, m - k :]
+            out[r0:r1, n : n + k + 1] = h[:, : k + 1]
         return out
 
     return apply
+
+
+def _stacked(polys: list[PolynomialNonlinearity]) -> PolynomialNonlinearity:
+    """One polynomial for rows whose polynomials have the same monomials.
+
+    Unless the rows share one polynomial, each coefficient becomes the (b, 1)
+    column of the rows' values, so that `evaluate_values` on (b, m) samples
+    evaluates row i under polys[i].  The result is only for that call: its
+    coefficients are not numbers.
+    """
+    first = polys[0]
+    if all(P == first for P in polys):
+        return first
+    values = np.array([[c for _, c in P.terms] for P in polys])
+    return PolynomialNonlinearity(
+        tuple((idx, values[:, t, None]) for t, (idx, _) in enumerate(first.terms))
+    )
 
 
 def theta_omega_mean(F: PolynomialNonlinearity, u: SpectralField) -> complex:

@@ -10,10 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 from fnlslab.evolution import (
     EvolutionConfig,
     TrajectoryRecord,
-    _blown_up,
-    _h1_weights,
     _prepare,
     _rk4_step,
+    _leaving,
     eps_convergence_study,
     integrate,
     integrate_rows,
@@ -208,20 +207,47 @@ ROW_CFG = EvolutionConfig(alpha=3.0, cutoff=64, dt=2.5e-4, horizon=0.05, record_
 
 
 def _row_pool():
-    """(phi, F, cfg) rows sharing ROW_CFG's cutoff, dt, horizon and record_every."""
+    """(phi, F, cfg) rows sharing ROW_CFG's dt, horizon and record_every.
+
+    Most rows have ROW_CFG's cutoff 64; the last ones have cutoff 32, so a
+    block can hold rows of two cutoffs.
+    """
     smooth = decaying_data(64, seed=3, rate=0.5) * 0.3
     rough = probe_initial_data(SpectralField.from_modes({1: 1.0}, 2), 64, 3.1, side="minus", seed=1)
+    small = decaying_data(32, seed=4, rate=0.5) * 0.3
+    cfg_32 = replace(ROW_CFG, cutoff=32)
     return [
         # example_d(1, i) at alpha = 4 leaves the float range mid-run (t ~ 0.04)
         (rough * 2.0, example_d(1.0, 1j), replace(ROW_CFG, alpha=4.0)),
-        (smooth, example_d(1.0, 2.0), ROW_CFG),  # degree 3, like the row above
+        (smooth, example_d(1.0, 2.0), ROW_CFG),  # degree 3, the same monomials as the row above
         (smooth, cubic(1j), replace(ROW_CFG, alpha=2.5, eps=1e-2)),
         (smooth, cubic(1j), replace(ROW_CFG, alpha=2.5, eps=1e-1)),  # the same polynomial
         (smooth, example_b(1.0, 1), ROW_CFG),  # degree 2: another padded grid
         (smooth, linear_transport(1j), ROW_CFG),  # absorbed whole into the linear part
         (smooth, PolynomialNonlinearity.from_terms({(0, 0, 1, 0): 0.5j}), ROW_CFG),  # linear, not diagonal
         (smooth, example_c(1.0) + linear_transport(0.5), replace(ROW_CFG, eps=1e-3)),
+        (small, example_d(1.0, 2.0), cfg_32),  # the polynomial of row 1 at the other cutoff
+        (small, example_d(0.5j, 2.0), replace(cfg_32, alpha=4.0)),  # a different c1 only
+        (small, example_b(1.0, 1), cfg_32),  # degree 2
+        (small, linear_transport(0.5j), cfg_32),  # linear
+        (small, cubic(1j) + PolynomialNonlinearity.from_terms({(0, 0, 0, 0): 0.1j}), cfg_32),
+        (small, cubic(1j) + PolynomialNonlinearity.from_terms({(0, 0, 0, 0): 0.2}), cfg_32),
     ]
+
+
+def _blown_up(u: np.ndarray, sob_w: np.ndarray, ceiling: float) -> bool:
+    """Whether one row is nonfinite or its H^1 norm exceeds the ceiling.
+
+    The H^1 norm is at least the largest |Re uhat|, |Im uhat| (weights >= 1),
+    so a nan, inf or above-ceiling part stops the run before the norm squares
+    it, which could overflow.
+    """
+    peak = np.abs(u.view(np.float64)).max()
+    return not peak <= ceiling or np.linalg.norm(sob_w * u) > ceiling
+
+
+def _h1_weights(cutoff: int) -> np.ndarray:
+    return np.sqrt(1.0 + np.arange(-cutoff, cutoff + 1).astype(float) ** 2)
 
 
 def sequential_integrate(
@@ -260,7 +286,8 @@ def assert_same_record(a, b):
     assert np.array_equal(a.times, b.times)
     assert len(a.snapshots) == len(b.snapshots)
     for x, y in zip(a.snapshots, b.snapshots):
-        assert x.cutoff == y.cutoff and np.array_equal(x.coeffs, y.coeffs)
+        # Bytes, not values: signed zeros and nan payloads must match too.
+        assert x.cutoff == y.cutoff and x.coeffs.tobytes() == y.coeffs.tobytes()
 
 
 def test_row_pool_truncates_one_row_mid_run():
@@ -273,10 +300,14 @@ def test_integrate_equals_sequential_loop(i):
     assert_same_record(integrate(*ROW_POOL[i]), ROW_ALONE[i])
 
 
-@given(st.lists(st.integers(0, len(ROW_POOL) - 1), min_size=0, max_size=5))
+@given(st.lists(st.integers(0, len(ROW_POOL) - 1), min_size=0, max_size=6))
 @example([0, 1, 2, 3, 4, 5, 6])
 @example([])
 @example([2, 3, 2])
+@example([0, 1, 8, 9])  # the growth probe's block: two pairs of rows at K and 2K
+@example([8, 10, 11, 12, 13, 9, 1])
+@example([5, 11, 5])  # all linear: the two-operation step
+@example([10, 0])  # the widest row leaves, a narrower one goes on
 @settings(max_examples=15, deadline=None)
 def test_integrate_rows_equals_one_row_runs(picks):
     records = integrate_rows([ROW_POOL[i] for i in picks])
@@ -286,12 +317,48 @@ def test_integrate_rows_equals_one_row_runs(picks):
 
 
 @pytest.mark.parametrize(
-    "field, value", [("dt", 5e-4), ("horizon", 0.1), ("cutoff", 96), ("record_every", 5)]
+    "field, value", [("dt", 5e-4), ("horizon", 0.1), ("record_every", 5)]
 )
 def test_integrate_rows_rejects_unshared_settings(field, value):
     phi, F, cfg = ROW_POOL[1]
     with pytest.raises(ValueError):
         integrate_rows([(phi, F, cfg), (phi, F, replace(cfg, **{field: value}))])
+
+
+SPECIAL_PARTS = [np.nan, np.inf, -np.inf, 1e200, -1e300, 5e-324, -0.0, 1e6]
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(
+                st.one_of(st.floats(-10.0, 10.0), st.sampled_from(SPECIAL_PARTS)),
+                min_size=18,
+                max_size=18,
+            ),
+            st.one_of(st.floats(1e-3, 1e8), st.sampled_from([1.0, 1e6, np.inf])),
+        ),
+        min_size=1,
+        max_size=5,
+    )
+)
+@example([([0.0] * 18, 1e6), ([np.nan] + [0.0] * 17, np.inf), ([1e200] * 18, np.inf)])
+@example([([1.0] * 18, 10.0)])  # H^1 norm sqrt(138) above the ceiling, every part below it
+@settings(max_examples=100, deadline=None)
+def test_block_blowup_check_matches_one_row_rule(rows):
+    """The block decision is `_blown_up` row by row, but within rounding of the ceiling."""
+    u = np.array([parts for parts, _ in rows]).view(np.complex128)
+    ceiling = np.array([c for _, c in rows])
+    w2 = np.repeat(1.0 + np.arange(-4, 5).astype(float) ** 2, 2)
+    reach = float(ceiling.min()) / (2.0 * np.sqrt(w2.sum()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in (reach, 0.0):  # as integrate_rows calls it, and always past the shortcut
+            gone = _leaving(u, w2, ceiling, r)
+            for i, (row, c) in enumerate(zip(u, ceiling)):
+                norm = np.linalg.norm(_h1_weights(4) * row)
+                if np.isfinite(norm) and abs(norm - c) <= 1e-12 * c:
+                    continue
+                assert (i in gone) == _blown_up(row, _h1_weights(4), c)
 
 
 def test_config_validation():
@@ -301,9 +368,19 @@ def test_config_validation():
         EvolutionConfig(alpha=3.0, dt=-1e-3)
     with pytest.raises(ValueError):
         EvolutionConfig(alpha=3.0, eps=-0.1)
-    for bad in (dict(alpha=float("inf")), dict(eps=float("nan")), dict(eps=float("inf"))):
+    for bad in (
+        dict(alpha=float("inf")),
+        dict(eps=float("nan")),
+        dict(eps=float("inf")),
+        dict(cutoff=0),
+        dict(cutoff=-3),
+        dict(blowup_ceiling=0.0),
+        dict(blowup_ceiling=-1.0),
+        dict(blowup_ceiling=float("nan")),
+    ):
         with pytest.raises(ValueError):
             EvolutionConfig(**{"alpha": 3.0, **bad})
+    EvolutionConfig(alpha=3.0, cutoff=1, blowup_ceiling=float("inf"))  # no ceiling
 
 
 def test_horizon_must_be_whole_number_of_steps():
@@ -395,6 +472,44 @@ def test_trajectory_round_trip(tmp_path):
     assert back.truncated == traj.truncated
     for a, b in zip(traj.snapshots, back.snapshots):
         assert sobolev_norm(a - b) < 1e-15
+
+
+def _write_trajectory_per_line(traj, csv_path):
+    """Reference: the CSV of `write_trajectory`, formatted one line at a time."""
+    with open(csv_path, "w") as fh:
+        fh.write("t,k,re,im\n")
+        for t, snap in zip(traj.times, traj.snapshots):
+            for k, c in zip(snap.wavenumbers(), snap.coeffs):
+                fh.write(f"{t:.17g},{k},{c.real:.17g},{c.imag:.17g}\n")
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, -1e300,
+               np.nan, np.inf, -np.inf, 0.1, 1 / 3]
+
+
+@given(
+    st.lists(st.floats(0.0, 1e6), min_size=1, max_size=4, unique=True),
+    st.integers(1, 3),
+    st.data(),
+)
+@example([0.0, 1e-9], 1, None)
+@settings(max_examples=40, deadline=None)
+def test_write_trajectory_matches_per_line_writer(tmp_path_factory, times, cutoff, data):
+    times = sorted(times)
+    parts = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(EDGE_FLOATS))
+    n = 2 * (2 * cutoff + 1)
+    snaps = []
+    for i in range(len(times)):
+        vals = EDGE_FLOATS[i:] + EDGE_FLOATS[:i] if data is None else data.draw(
+            st.lists(parts, min_size=n, max_size=n)
+        )
+        snaps.append(SpectralField(np.resize(np.array(vals, dtype=float), n).view(np.complex128), cutoff))
+    cfg = EvolutionConfig(alpha=3.0, cutoff=cutoff, dt=1e-3, horizon=1e-3)
+    traj = TrajectoryRecord(np.array(times), snaps, cfg)
+    out = tmp_path_factory.mktemp("traj")
+    write_trajectory(traj, out / "fast.csv")
+    _write_trajectory_per_line(traj, out / "slow.csv")
+    assert (out / "fast.csv").read_bytes() == (out / "slow.csv").read_bytes()
 
 
 def test_record_validation():

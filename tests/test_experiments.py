@@ -272,6 +272,8 @@ def test_cli_invalid_config_is_exit_two(tmp_path, capsys):
         ["check", "--out", out],
         ["check", "--nonlinearity", str(tmp_path)],  # a directory: IsADirectoryError
         ["run", "--preset", "cubic", "--horizon", "1.0", "--dt", "0.3", "--out", out],
+        ["run", "--preset", "example_b", "--c", "1", "--modes=0", "--out", out],
+        ["run", "--preset", "example_b", "--c", "1", "--modes=-3", "--out", out],
         ["check", "--preset", "cubic", "--c1", "2"],  # a parameter of another family
         ["check", "--preset", "example_d", "--m", "2"],
         ["sweep", "--preset", "cubic", "--axis", "bogus", "--values", "1", "2", "--out", out],

@@ -13,6 +13,12 @@ fresh single-BLAS-thread processes that alternate which side goes first:
                  control example_d(1, 2), the growth probe's pair
   step_2rows     one `integrate_rows` step of the same two rows (absent on
                  a checkout without `integrate_rows`)
+  probe_step     one step of the growth probe's four rows: example_d(1, i)
+                 and its control at K and at 2K; one `integrate_rows` call
+                 where rows may differ in cutoff, else one call per cutoff
+                 (absent on a checkout without `integrate_rows`)
+  linear_step    one IF-RK4 step of `integrate`, linear_transport(i), whose
+                 nonlinear part is zero
   energy         `modified_energy` of one snapshot, example_d(i, 2i),
                  alpha = 2.5 (ladder depth 2)
   criterion      one `check_wellposedness_condition` of example_d(1, 2),
@@ -28,6 +34,7 @@ median and the minimum over the rounds.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -74,9 +81,19 @@ def measure() -> dict:
             ) / steps,
             "energy": _best_us(lambda: energy.modified_energy(phi, balanced, ladder), 3),
         }
+        linear = nonlinearity.linear_transport(1j)
+        row["linear_step"] = _best_us(lambda: evolution.integrate(phi, linear, cfg), 1) / steps
         if hasattr(evolution, "integrate_rows"):
             pair = [(phi, G, cfg), (phi, F, cfg)]
             row["step_2rows"] = _best_us(lambda: evolution.integrate_rows(pair), 1) / steps
+            cfg_2k = dataclasses.replace(cfg, cutoff=2 * k)
+            pair_2k = [(phi.with_cutoff(2 * k), G, cfg_2k), (phi.with_cutoff(2 * k), F, cfg_2k)]
+            try:
+                evolution.integrate_rows([pair[0], pair_2k[0]])
+                probe = lambda: evolution.integrate_rows(pair + pair_2k)
+            except ValueError:  # rows must share their cutoff
+                probe = lambda: (evolution.integrate_rows(pair), evolution.integrate_rows(pair_2k))
+            row["probe_step"] = _best_us(probe, 1) / steps
         for name, value in row.items():
             out.setdefault(name, {})[str(k)] = value
     for name, P in (("criterion", F), ("criterion_violated", nonlinearity.example_c(1j))):
