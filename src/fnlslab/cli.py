@@ -30,7 +30,6 @@ from .nonlinearity import (
     check_wellposedness_condition,
     format_nonlinearity,
     parse_nonlinearity,
-    preset as nonlinearity_preset,
 )
 
 
@@ -81,7 +80,7 @@ def cmd_check(args) -> int:
     if nl_path:
         F = _read_nonlinearity(nl_path)
     elif preset:
-        F = nonlinearity_preset(preset, **exp.family_params(preset, settings))
+        F = exp.PRESETS[preset].family(**exp.family_params(preset, settings))
     else:
         raise ValueError("need --preset or --nonlinearity")
     verdict = check_wellposedness_condition(F, seed=seed)

@@ -310,18 +310,16 @@ def energy_audit(
     )
 
 
-def lipschitz_constants_uniform(
-    constants: list[float], factor: float = 2.0, floor: float = 1e-2
-) -> bool:
+def lipschitz_constants_uniform(constants: list[float], factor: float = 2.0) -> bool:
     """Whether a family of growth constants agrees within `factor` (floored).
 
     The energy inequality is one-sided: dissipation-dominated runs report a
     constant of exactly zero while weakly damped ones keep an O(data^4)
     oscillatory residue, so agreement is only meaningful above a floor.  The
-    default declares growth below 1% of log(1+E) per unit time unmeasured;
+    floor declares growth below 1% of log(1+E) per unit time unmeasured;
     ill-posed contrasts sit orders of magnitude above it.
     """
-    vals = [max(c, floor) for c in constants]
+    vals = [max(c, 1e-2) for c in constants]
     return max(vals) <= factor * min(vals)
 
 

@@ -252,16 +252,14 @@ def bounded_constant_check(
     return (worst < max_growth and slope < max_slope), worst, slope
 
 
-def cancellation_exponent(
-    s: float, cutoffs: tuple[int, ...] = (16, 32, 64, 128, 256), low_mode: int = 1
-) -> float:
-    """Fitted exponent of ||R_f^s(e^{iKx})|| vs K for f = 1 + e^{i low_mode x}.
+def cancellation_exponent(s: float, cutoffs: tuple[int, ...] = (16, 32, 64, 128, 256)) -> float:
+    """Fitted exponent of ||R_f^s(e^{iKx})|| vs K for f = 1 + e^{ix}.
 
     Second-order cancellation makes this s-2 rather than s-1.
     """
     norms = []
     for k in cutoffs:
-        f = SpectralField.from_modes({0: 1.0, low_mode: 1.0}, low_mode)
+        f = SpectralField.from_modes({0: 1.0, 1: 1.0}, 1)
         g = SpectralField.from_modes({k: 1.0}, k)
         norms.append(sobolev_norm(refined_commutator(s, f, g), 0.0))
     return float(np.polyfit(np.log(cutoffs), np.log(norms), 1)[0])

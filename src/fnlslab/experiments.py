@@ -1,15 +1,9 @@
 """Named experiment presets, artifact emission, and the machine-readable summary.
 
-Each preset bundles a nonlinearity family, an initial-data recipe, evolution
-defaults and the analyses that make sense for it:
-
-  cubic             criterion check (holds for every coefficient), energy
-                    audit, viscosity convergence rate;
-  example_b         c u^m u_x: criterion fails for c != 0; growth probe;
-  example_c         c (|u|^2 u)_x: criterion iff c real; audit or probe;
-  example_d         c1 u_x^2 conj u + c2 |u_x|^2 u: criterion iff
-                    Re(2 c1 - c2) = 0; audit or probe;
-  linear_transport  c u_x: exact-solution regression, growth probe for c = i.
+Each PRESETS record holds everything known about one nonlinearity family: its
+constructor, evolution defaults, the analyses that make sense for it, its
+closed-form criterion verdict, a readable witness and a well-posed sibling
+that the growth probe runs as its control.
 
 Paired-resolution probes evaluate the data recipe at each run's own cutoff:
 the two runs approximate the same rough continuum datum, and the coarse run
@@ -30,6 +24,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -47,8 +42,13 @@ from .evolution import (
 from .nonlinearity import (
     PolynomialNonlinearity,
     check_wellposedness_condition,
+    cubic,
+    example_b,
+    example_c,
+    example_d,
     format_nonlinearity,
-    preset as nonlinearity_preset,
+    linear_transport,
+    theta_omega_mean,
 )
 from .spectral import SpectralField, random_field, sobolev_norm, truncate_modes
 
@@ -116,9 +116,19 @@ def parse_settings(raw: dict, sources: dict | None = None) -> dict:
 
 @dataclass(frozen=True)
 class ExperimentPreset:
-    name: str
+    """One nonlinearity family: constructor, run defaults and what is known of it.
+
+    ``wellposed(params)`` is the closed-form criterion verdict, ``witness(params)``
+    the modes (at cutoff 2) of a readable field on which a violating member fails
+    the criterion, and ``sibling(params)`` a well-posed control for the probe.
+    """
+
+    family: Callable[..., PolynomialNonlinearity]
     default_params: dict
     analyses: tuple[str, ...]
+    wellposed: Callable[[dict], bool]
+    witness: Callable[[dict], dict]
+    sibling: Callable[[dict], PolynomialNonlinearity]
     alpha: float = 3.0
     eps: float = 0.0
     cutoff: int = 32
@@ -127,37 +137,58 @@ class ExperimentPreset:
     record_every: int = 10
 
 
+def _example_b_witness(p: dict) -> dict:
+    # the constant on which c u^m has argument pi/2 (any constant when c = 0)
+    c, m = complex(p["c"]), p["m"]
+    return {0: c ** (-1.0 / m) * np.exp(1j * np.pi / (2 * m)) if c != 0 else 1.0}
+
+
 PRESETS: dict[str, ExperimentPreset] = {
     "cubic": ExperimentPreset(
-        name="cubic",
+        family=cubic,
         default_params={"c": 1j},
         analyses=("criterion", "energy_audit", "eps_rate"),
+        wellposed=lambda p: True,
+        witness=lambda p: {0: 1.0},
+        sibling=lambda p: cubic(1j),
         eps=1e-2,
         dt=1e-3,
         horizon=0.25,
         record_every=25,
     ),
     "example_b": ExperimentPreset(
-        name="example_b",
+        family=example_b,
         default_params={"c": 1.0, "m": 1},
         analyses=("criterion", "dynamics"),
+        wellposed=lambda p: p["c"] == 0,
+        witness=_example_b_witness,
+        sibling=lambda p: cubic(1j),
         horizon=0.18,
     ),
     "example_c": ExperimentPreset(
-        name="example_c",
+        family=example_c,
         default_params={"c": 1j},
         analyses=("criterion", "dynamics"),
+        wellposed=lambda p: p["c"].imag == 0.0,
+        witness=lambda p: {0: 1.0},
+        sibling=lambda p: example_c(c=abs(p["c"])),
     ),
     "example_d": ExperimentPreset(
-        name="example_d",
+        family=example_d,
         default_params={"c1": 1.0, "c2": 2.0},
         analyses=("criterion", "dynamics"),
+        wellposed=lambda p: (2 * p["c1"] - p["c2"]).real == 0.0,
+        witness=lambda p: {1: 1.0},
+        sibling=lambda p: example_d(c1=p["c1"], c2=2 * p["c1"]),
         horizon=0.18,
     ),
     "linear_transport": ExperimentPreset(
-        name="linear_transport",
+        family=linear_transport,
         default_params={"c": 1j},
         analyses=("criterion", "linear_regression", "dynamics"),
+        wellposed=lambda p: p["c"].imag == 0.0,
+        witness=lambda p: {0: 1.0},
+        sibling=lambda p: linear_transport(c=p["c"].real),
         cutoff=64,
         dt=1e-3,
         horizon=1.0,
@@ -178,63 +209,12 @@ def family_params(preset_name: str, settings: dict) -> dict:
     return {k: settings.get(k, v) for k, v in defaults.items()}
 
 
-def _criterion_expected(name: str, params: dict, custom: bool) -> bool | None:
-    """Known classification of a preset family; None for custom nonlinearities."""
-    if custom:
-        return None
-    if name == "cubic":
-        return True
-    if name == "example_b":
-        return params["c"] == 0
-    if name == "example_c":
-        return params["c"].imag == 0.0
-    if name == "example_d":
-        return (2 * params["c1"] - params["c2"]).real == 0.0
-    if name == "linear_transport":
-        return params["c"].imag == 0.0
-    raise KeyError(name)
-
-
-def _known_witness(name: str, params: dict, custom: bool, cutoff: int, criterion) -> SpectralField:
-    """The readable witness each family is known to violate the criterion on.
-
-    Custom nonlinearities fall back to the checker's own witness, from the
-    run's `criterion` (a function returning its CriterionVerdict).
-    """
-    if custom:
-        witness = criterion().witness
-        if witness is not None:
-            return witness
-        return SpectralField.constant(1.0, cutoff)
-    if name == "example_b":
-        c, m = complex(params["c"]), params["m"]
-        val = c ** (-1.0 / m) * np.exp(1j * np.pi / (2 * m)) if c != 0 else 1.0
-        return SpectralField.constant(val, cutoff)
-    if name == "example_d":
-        return SpectralField.from_modes({1: 1.0}, cutoff)
-    # example_c and the linear flow are violated already on constants
-    return SpectralField.constant(1.0, cutoff)
-
-
-def _wellposed_sibling(name: str, params: dict, custom: bool) -> PolynomialNonlinearity:
-    """A criterion-satisfying member of the same family, for control pairs."""
-    if custom:
-        return nonlinearity_preset("cubic", c=1j)
-    if name == "example_c":
-        return nonlinearity_preset(name, c=abs(params["c"]))
-    if name == "example_d":
-        return nonlinearity_preset(name, c1=params["c1"], c2=2 * params["c1"])
-    if name == "linear_transport":
-        return nonlinearity_preset(name, c=params["c"].real)
-    return nonlinearity_preset("cubic", c=1j)
-
-
 # -- analyses -------------------------------------------------------------------
 
 
-def _analysis_criterion(name, F, params, custom, cfg, seed, out_dir, criterion):
+def _analysis_criterion(spec, F, params, custom, cfg, seed, out_dir, criterion):
     verdict = criterion()
-    expected = _criterion_expected(name, params, custom)
+    expected = None if custom else spec.wellposed(params)
     ok = True if expected is None else verdict.satisfied == expected
     metrics = {
         "satisfied": verdict.satisfied,
@@ -252,7 +232,7 @@ def _analysis_criterion(name, F, params, custom, cfg, seed, out_dir, criterion):
     return ok, metrics
 
 
-def _analysis_linear_regression(name, F, params, custom, cfg, seed, out_dir, criterion):
+def _analysis_linear_regression(spec, F, params, custom, cfg, seed, out_dir, criterion):
     if custom:
         return True, {"skipped": "exact-solution regression applies to the preset formula only"}
     rng = np.random.default_rng(seed)
@@ -286,7 +266,7 @@ def _smooth_small_data(cutoff: int, seed: int, amplitude: float = 0.2) -> Spectr
     return truncate_modes(f.with_cutoff(cutoff), max(cutoff // 2, 2))
 
 
-def _analysis_energy_audit(name, F, params, custom, cfg, seed, out_dir, criterion):
+def _analysis_energy_audit(spec, F, params, custom, cfg, seed, out_dir, criterion):
     r = regularity_threshold(cfg.alpha) + 0.1
     phi = _smooth_small_data(cfg.cutoff, seed)
     traj = integrate(phi, F, cfg)
@@ -303,7 +283,7 @@ def _analysis_energy_audit(name, F, params, custom, cfg, seed, out_dir, criterio
     }
 
 
-def _analysis_eps_rate(name, F, params, custom, cfg, seed, out_dir, criterion):
+def _analysis_eps_rate(spec, F, params, custom, cfg, seed, out_dir, criterion):
     phi = _smooth_small_data(cfg.cutoff, seed)
     eps_list = [1e-1, 1e-2, 1e-3]
     table = eps_convergence_study(phi, F, cfg, eps_list)
@@ -331,7 +311,6 @@ def paired_growth_probe(
     side: str = "minus",
     seed: int = 0,
     control: PolynomialNonlinearity | None = None,
-    fit_window: tuple[float, float] | None = None,
 ):
     """Paired K / 2K runs from the same rough continuum datum, plus a verdict.
 
@@ -358,9 +337,7 @@ def paired_growth_probe(
         ])
         control_div = sup_l2_gap(c_k, c_2k)
 
-    report = growth_mod.directional_growth(
-        run_k, F, side=side, paired=run_2k, fit_window=fit_window
-    )
+    report = growth_mod.directional_growth(run_k, F, side=side, paired=run_2k)
     verdict = growth_mod.nonexistence_verdict(report, control_divergence=control_div)
     return report, verdict, run_k, run_2k
 
@@ -375,14 +352,16 @@ def _control_data(witness, cutoff, s, side, seed):
     return witness.with_cutoff(cutoff) + tail
 
 
-def _analysis_growth_probe(name, F, params, custom, cfg, seed, out_dir, criterion):
+def _analysis_growth_probe(spec, F, params, custom, cfg, seed, out_dir, criterion):
     s = regularity_threshold(cfg.alpha) + 0.1
-    witness = _known_witness(name, params, custom, 2, criterion)
-    from .nonlinearity import theta_omega_mean
-
+    # A custom nonlinearity is probed on the checker's witness against cubic(i).
+    if custom:
+        witness, control = criterion().witness, cubic(1j)
+    else:
+        witness = SpectralField.from_modes(spec.witness(params), 2)
+        control = spec.sibling(params)
     mean0 = theta_omega_mean(F, witness).imag
     side = "minus" if mean0 >= 0 else "plus"
-    control = _wellposed_sibling(name, params, custom)
     report, verdict, run_k, run_2k = paired_growth_probe(
         F, witness, cfg, s, side=side, seed=seed, control=control
     )
@@ -441,7 +420,6 @@ def run(
     overrides: dict | None = None,
     nonlinearity: PolynomialNonlinearity | None = None,
     seed: int = 0,
-    analyses: tuple[str, ...] | None = None,
 ) -> dict:
     """Execute a preset (or an explicit nonlinearity) and write its artifacts.
 
@@ -463,21 +441,21 @@ def run(
     if rest:
         raise ValueError(f"unknown overrides: {sorted(rest)}")
     custom = nonlinearity is not None
-    F = nonlinearity if custom else nonlinearity_preset(preset_name, **params)
+    F = nonlinearity if custom else spec.family(**params)
     os.makedirs(out_dir, exist_ok=True)
     # The criterion verdict, computed on first use and then shared by every
     # analysis of the run.
     criterion = functools.cache(functools.partial(check_wellposedness_condition, F, seed=seed))
 
     results = []
-    for analysis in analyses or spec.analyses:
+    for analysis in spec.analyses:
         if analysis == "dynamics":
             # auto-dispatch: well-posed families get the energy audit, the
             # others the paired-resolution growth probe
             analysis = "energy_audit" if criterion().satisfied else "growth_probe"
         fn = _ANALYSES[analysis]
         try:
-            ok, metrics = fn(preset_name, F, params, custom, cfg, seed, out_dir, criterion)
+            ok, metrics = fn(spec, F, params, custom, cfg, seed, out_dir, criterion)
         except Exception as exc:  # analysis failures are data, not crashes
             ok, metrics = False, {"error": f"{type(exc).__name__}: {exc}"}
         results.append({"name": analysis, "pass": bool(ok), "metrics": _jsonable(metrics)})
@@ -518,14 +496,16 @@ def sweep(
     """Run a preset across values of one setting (not seed); runs fail in isolation."""
     if axis not in SETTINGS or axis == "seed":
         raise ValueError(f"sweep axis must be a run setting other than seed, not {axis!r}")
+    overrides = overrides or {}
+    # An unknown preset, or a parameter of another family as an override or
+    # as the axis of a sweep with values, fails before any output is written.
+    family_params(preset_name, {**overrides, axis: None} if values else overrides)
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     for i, value in enumerate(values):
         sub = os.path.join(out_dir, f"{axis}_{i:03d}")
-        ov = dict(overrides or {})
-        ov[axis] = value
         try:
-            summary = run(preset_name, sub, overrides=ov, seed=seed)
+            summary = run(preset_name, sub, overrides={**overrides, axis: value}, seed=seed)
             rows.append({"value": value, "summary": summary, "error": None})
         except Exception as exc:
             rows.append(

@@ -318,11 +318,8 @@ def resonant_decomposition(
     )
 
 
-def decomposition_series(
-    traj: TrajectoryRecord, F: PolynomialNonlinearity, times=None
-) -> list[ResonantParts]:
-    ts = traj.times if times is None else times
-    return [resonant_decomposition(traj, F, t) for t in ts]
+def decomposition_series(traj: TrajectoryRecord, F: PolynomialNonlinearity) -> list[ResonantParts]:
+    return [resonant_decomposition(traj, F, t) for t in traj.times]
 
 
 @dataclass
@@ -340,14 +337,13 @@ def resonant_norm_audit(
     s: float,
     alpha: float,
     growth_multiple: float = 10.0,
-    floor: float = 1e-10,
 ) -> dict[str, PartNorms]:
     """Weighted sup-in-time norms of the seven parts against their proved weights.
 
     n11, n21, n3 are measured in l2_{s-1}; m1, m2 in l2_{s+alpha-3};
     k1, k2 in l2_{s+min(-1, alpha-4)}.  A part is flagged when its sup
-    exceeds growth_multiple times its initial size (identically small parts
-    never flag).
+    exceeds growth_multiple times its initial size; a part whose sup stays
+    below 1e-10 never flags, and one that starts below it flags on leaving it.
     """
     weights = {
         "n11": s - 1.0,
@@ -364,9 +360,9 @@ def resonant_norm_audit(
             [sobolev_norm(SpectralField(p.by_name()[name], len(p.k) // 2), sig) for p in parts]
         )
         initial, sup = float(norms[0]), float(np.max(norms))
-        if sup <= floor:
+        if sup <= 1e-10:
             flagged = False
-        elif initial <= floor:
+        elif initial <= 1e-10:
             flagged = True
         else:
             flagged = sup > growth_multiple * initial
@@ -375,6 +371,12 @@ def resonant_norm_audit(
 
 
 # -- growth fitting and the verdict ----------------------------------------------
+
+# The thresholds of the verdict, echoed in every GrowthReport and Verdict.
+_RATE_TOL = 0.25
+_MIN_CONSECUTIVE = 5
+_DIVERGE_THRESHOLD = 1e-3
+_AGREE_THRESHOLD = 1e-6
 
 
 @dataclass
@@ -396,14 +398,12 @@ def directional_growth(
     side: str = "minus",
     fit_window: tuple[float, float] | None = None,
     paired: TrajectoryRecord | None = None,
-    rate_tol: float = 0.25,
-    min_amplitude: float = 1e-13,
 ) -> GrowthReport:
     """Least-squares exponential rates of |uhat(t,k)| on one frequency half.
 
     The fitted rate of mode k divided by -k is compared against the window
-    mean of Im P0 T_w; under the one-sided mechanism they agree on the
-    growing half.  Modes dipping below min_amplitude are excluded.
+    mean of Im P0 T_w to a relative 0.25; under the one-sided mechanism they
+    agree on the growing half.  Modes dipping below 1e-13 are excluded.
     """
     if side not in ("plus", "minus"):
         raise ValueError("side must be 'plus' or 'minus'")
@@ -428,7 +428,7 @@ def directional_growth(
     ratios: dict[int, float] = {}
     for k in side_modes:
         col = amps[:, k + traj.config.cutoff]
-        if np.min(col) < min_amplitude:
+        if np.min(col) < 1e-13:
             continue
         slope = float(np.polyfit(ts, np.log(col), 1)[0])
         rates[k] = slope
@@ -438,7 +438,7 @@ def directional_growth(
     best = 0
     scale = max(abs(predicted), 1e-30)
     for k in side_modes:
-        if k in ratios and abs(ratios[k] - predicted) <= rate_tol * scale:
+        if k in ratios and abs(ratios[k] - predicted) <= _RATE_TOL * scale:
             run += 1
             best = max(best, run)
         else:
@@ -452,7 +452,7 @@ def directional_growth(
         ratios=ratios,
         predicted_slope=predicted,
         matching_run=best,
-        rate_tol=rate_tol,
+        rate_tol=_RATE_TOL,
         divergence=divergence,
         cutoff=traj.config.cutoff,
     )
@@ -474,27 +474,24 @@ class Verdict:
 def nonexistence_verdict(
     report: GrowthReport,
     control_divergence: float | None = None,
-    min_consecutive: int = 5,
-    diverge_threshold: float = 1e-3,
-    agree_threshold: float = 1e-6,
 ) -> Verdict:
     """Two-sided classification from a growth report carrying a paired divergence.
 
-    directional_growth_detected needs the rate match on >= min_consecutive
-    consecutive modes AND paired-resolution divergence, with the optional
-    control run still converging; agreement of the pair to agree_threshold
-    yields consistent_wellposed; anything else is inconclusive.
+    directional_growth_detected needs the rate match on >= 5 consecutive
+    modes AND paired-resolution divergence above 1e-3, with the optional
+    control pair still agreeing; agreement of the pair to 1e-6 yields
+    consistent_wellposed; anything else is inconclusive.
     """
     if report.divergence is None:
         raise ValueError("report carries no paired-resolution divergence")
     detected = (
-        report.matching_run >= min_consecutive
-        and report.divergence > diverge_threshold
-        and (control_divergence is None or control_divergence < agree_threshold)
+        report.matching_run >= _MIN_CONSECUTIVE
+        and report.divergence > _DIVERGE_THRESHOLD
+        and (control_divergence is None or control_divergence < _AGREE_THRESHOLD)
     )
     if detected:
         cls = "directional_growth_detected"
-    elif report.divergence < agree_threshold:
+    elif report.divergence < _AGREE_THRESHOLD:
         cls = "consistent_wellposed"
     else:
         cls = "inconclusive"
@@ -502,11 +499,11 @@ def nonexistence_verdict(
         classification=cls,
         side=report.side,
         matching_run=report.matching_run,
-        min_consecutive=min_consecutive,
+        min_consecutive=_MIN_CONSECUTIVE,
         rate_tol=report.rate_tol,
         divergence=report.divergence,
-        diverge_threshold=diverge_threshold,
-        agree_threshold=agree_threshold,
+        diverge_threshold=_DIVERGE_THRESHOLD,
+        agree_threshold=_AGREE_THRESHOLD,
         control_divergence=control_divergence,
     )
 

@@ -43,7 +43,6 @@ __all__ = [
     "example_c",
     "example_d",
     "linear_transport",
-    "preset",
     "parse_nonlinearity",
     "format_nonlinearity",
 ]
@@ -337,24 +336,25 @@ class CriterionVerdict:
     tolerance: float
 
 
-def structured_witnesses(max_mode: int = 2) -> list[SpectralField]:
-    """Human-readable candidate fields: constants, single modes, two-mode combos."""
+def structured_witnesses() -> list[SpectralField]:
+    """Human-readable candidate fields: constants, then single modes and two-mode
+    combinations up to |k| = 2."""
     out: list[SpectralField] = []
     thetas = [j * np.pi / 8 for j in range(16)]
     for r in (0.5, 1.0, 2.0):
         for th in thetas:
             out.append(SpectralField.constant(r * np.exp(1j * th), cutoff=1))
     amps = [1.0, np.exp(1j * np.pi / 4), 1j, 2.0]
-    for k in range(1, max_mode + 1):
+    for k in (1, 2):
         for a in amps:
-            out.append(SpectralField.from_modes({k: a}, max_mode))
-            out.append(SpectralField.from_modes({-k: a}, max_mode))
+            out.append(SpectralField.from_modes({k: a}, 2))
+            out.append(SpectralField.from_modes({-k: a}, 2))
     for c0 in (1.0, 1j):
         for c1 in (1.0, 1j, 0.5):
             for k in (1, 2):
-                out.append(SpectralField.from_modes({0: c0, k: c1}, max_mode))
-    out.append(SpectralField.from_modes({1: 1.0, -1: 1.0}, max_mode))
-    out.append(SpectralField.from_modes({1: 1.0, -1: -1.0}, max_mode))
+                out.append(SpectralField.from_modes({0: c0, k: c1}, 2))
+    out.append(SpectralField.from_modes({1: 1.0, -1: 1.0}, 2))
+    out.append(SpectralField.from_modes({1: 1.0, -1: -1.0}, 2))
     return out
 
 
@@ -434,21 +434,6 @@ def example_d(c1: complex = 1.0, c2: complex = 2.0) -> PolynomialNonlinearity:
 def linear_transport(c: complex = 1j) -> PolynomialNonlinearity:
     """c * u_x; the c = i case has the exact solution with one-sided mode growth."""
     return PolynomialNonlinearity.from_terms({(0, 1, 0, 0): c})
-
-
-_PRESETS = {
-    "cubic": cubic,
-    "example_b": example_b,
-    "example_c": example_c,
-    "example_d": example_d,
-    "linear_transport": linear_transport,
-}
-
-
-def preset(name: str, **params) -> PolynomialNonlinearity:
-    if name not in _PRESETS:
-        raise KeyError(f"unknown preset {name!r}; have {sorted(_PRESETS)}")
-    return _PRESETS[name](**params)
 
 
 def parse_nonlinearity(text: str) -> PolynomialNonlinearity:

@@ -214,8 +214,8 @@ class SpectralField:
     def __neg__(self) -> "SpectralField":
         return SpectralField(-self.coeffs, self.cutoff)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return bool(np.max(np.abs(self.coeffs)) <= tol)
+    def is_zero(self) -> bool:
+        return bool(np.max(np.abs(self.coeffs)) <= 0.0)
 
 
 # -- Fourier multipliers -----------------------------------------------------

@@ -7,13 +7,16 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fnlslab import experiments
 
 from fnlslab.cli import _collect, build_parser
 from fnlslab.cli import main as cli_main
 from fnlslab.experiments import (
+    PRESETS,
     SETTINGS,
+    family_params,
     parse_complex,
     parse_config_file,
     parse_settings,
@@ -42,6 +45,36 @@ def test_parse_complex():
     assert parse_complex("2i") == 2j
     assert parse_complex("1+2i") == 1 + 2j
     assert parse_complex("-0.5") == -0.5
+
+
+def test_presets_by_name():
+    def build(name, **params):
+        return PRESETS[name].family(**family_params(name, params))
+
+    assert build("cubic", c=2.0).as_dict() == {(2, 0, 1, 0): 2.0}
+    assert build("linear_transport").as_dict() == {(0, 1, 0, 0): 1j}
+    with pytest.raises(KeyError):
+        family_params("septic", {})
+
+
+PART = st.just(0.0) | st.floats(0.5, 2.0) | st.floats(-2.0, -0.5)
+
+
+@given(
+    st.sampled_from(sorted(PRESETS)),
+    st.integers(0, 2**32 - 1),
+    st.builds(complex, PART, PART),
+    st.builds(complex, PART, PART),
+    st.integers(1, 3),
+)
+@settings(max_examples=300, deadline=None)
+def test_family_formulas_agree_with_checker(name, seed, a, b, m):
+    # example_d's c2 is 2 Re c1 + b, so Re(2 c1 - c2) = 0 exactly when Re b = 0
+    spec = PRESETS[name]
+    drawn = {"c": a, "m": m, "c1": a, "c2": 2 * a.real + b}
+    p = {key: drawn[key] for key in spec.default_params}
+    verdict = experiments.check_wellposedness_condition(spec.family(**p), seed=seed)
+    assert verdict.satisfied == spec.wellposed(p)
 
 
 def test_run_wellposed_and_illposed_branches(tmp_path):
@@ -280,6 +313,10 @@ def test_cli_invalid_config_is_exit_two(tmp_path, capsys):
         ["sweep", "--preset", "cubic", "--axis", "seed", "--values", "1", "--out", out],
         ["sweep", "--preset", "cubic", "--axis", "eps", "--out", out],  # no values
         ["sweep", "--preset", "cubic", "--axis", "eps", "--values", "--out", out],
+        ["sweep", "--preset", "example_d", "--axis", "c", "--values", "1", "2", "--out", out],
+        ["sweep", "--preset", "example_d", "--c", "1", "--axis", "alpha", "--values", "3",
+         "--out", out],
+        ["sweep", "--preset", "septic", "--axis", "alpha", "--values", "3", "--out", out],
     ):
         assert cli_main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error: ")

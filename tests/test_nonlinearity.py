@@ -18,7 +18,6 @@ from fnlslab.nonlinearity import (
     format_nonlinearity,
     linear_transport,
     parse_nonlinearity,
-    preset,
     structured_witnesses,
     theta_omega_mean,
 )
@@ -375,13 +374,6 @@ def test_parse_accumulates_and_skips_comments():
     assert F.as_dict() == {(1, 1, 1, 0): 2j, (2, 0, 0, 1): 1j}
     with pytest.raises(ValueError):
         parse_nonlinearity("1 2 3\n")
-
-
-def test_presets_by_name():
-    assert preset("cubic", c=2.0).as_dict() == {(2, 0, 1, 0): 2.0}
-    assert preset("linear_transport").as_dict() == {(0, 1, 0, 0): 1j}
-    with pytest.raises(KeyError):
-        preset("septic")
 
 
 @given(

@@ -12,7 +12,12 @@ process with its own ``src`` on PYTHONPATH:
   - ``check`` of example_d(1, 2), and of example_c(1e-12i) with ``--seed 2``;
   - ``sweep --preset example_c --axis c --values 1 i -i 1+2i``;
   - ``estimates --quick``;
-  - one ``run --nonlinearity FILE`` (a custom polynomial).
+  - ``run --preset example_b --c 2i --m 2`` (the example_b witness at m = 2);
+  - ``run --nonlinearity FILE`` (a custom polynomial) with preset cubic, and
+    with preset example_c, whose dynamics take the growth probe on the
+    checker's witness against the cubic control.
+
+49 invocations in all.
 
 Each invocation writes into its own directory.  The exit codes, the printed
 lines (with the output directory normalised) and ``diff -r`` of the output
@@ -49,7 +54,9 @@ def invocations(nl_path: str) -> list[list[str]]:
         ["check", "--preset", "example_c", "--c", "1e-12i", "--seed", "2"],
         ["sweep", "--preset", "example_c", "--axis", "c", "--values", "1", "i", "-i", "1+2i"],
         ["estimates", "--quick"],
+        ["run", "--preset", "example_b", "--c", "2i", "--m", "2"],
         ["run", "--preset", "cubic", "--nonlinearity", nl_path],
+        ["run", "--preset", "example_c", "--nonlinearity", nl_path],
     ]
 
 
