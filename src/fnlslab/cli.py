@@ -57,11 +57,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _collect(args: argparse.Namespace) -> tuple[str | None, str | None, dict, int]:
-    """Preset, nonlinearity path, typed run settings and seed; flags override the file."""
+    """Preset, nonlinearity path, typed run settings and seed; flags override the
+    file, and a flag the verb does not take reads as not given."""
     sources: dict = {}
-    conf = exp.parse_config_file(args.config, sources) if args.config else {}
+    config = getattr(args, "config", None)
+    conf = exp.parse_config_file(config, sources) if config else {}
     for key in ("preset", "nonlinearity", *exp.SETTINGS):
-        if getattr(args, key) is not None:
+        if getattr(args, key, None) is not None:
             conf[key], sources[key] = getattr(args, key), f"--{key}"
     preset = conf.pop("preset", None)
     nl_path = conf.pop("nonlinearity", None)
@@ -193,12 +195,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("estimates", help="inequality stress lab")
-    _add_common(p)
+    p.add_argument("--seed", help="run setting, parsed by int")
+    p.add_argument("--out", default="artifacts", help="artifact directory")
     p.add_argument("--quick", action="store_true", help="smaller cutoff ladder")
     p.set_defaults(fn=cmd_estimates)
 
     p = sub.add_parser("audit", help="energy audit of a stored trajectory")
-    _add_common(p)
+    p.add_argument("--nonlinearity", help="nonlinearity terms file (a b c d re im)")
+    p.add_argument("--out", default="artifacts", help="artifact directory")
     p.add_argument("--trajectory", required=True, help="trajectory CSV")
     p.add_argument("--sidecar", required=True, help="trajectory JSON sidecar")
     p.add_argument("--r", type=float, help="energy regularity index (default s0(alpha)+0.1)")

@@ -221,13 +221,16 @@ def integrate_rows(
     ValueError); cutoff, alpha, eps, F and the blowup ceiling are per row.
     The rows advance together as one (B, 2n+1) block, n the largest cutoff,
     each row's modes centred in its row and the modes beyond its cutoff held
-    at zero.  Each RHS evaluation costs one pair of transforms per cutoff and
-    padded grid instead of one per row, and a row's record is bitwise the
-    same whichever rows share the call.  While every row of the block has a
-    zero nonlinear part (F is diagonal linear, absorbed into the integrating
-    factor) the block takes the exact two-operation step of `_linear_step`.
-    A row is recorded truncated as in `integrate` and leaves the block while
-    the others go on.  No rows give no records.
+    at zero.  The RHS is a plan built for the block (`_rows_coefficient_map`,
+    again whenever a row leaves): an evaluation moves every row's modes in
+    and out with a few indexed moves of the whole block and takes one pair of
+    transforms per cutoff and padded grid instead of one per row.  A row's
+    record is bitwise the same whichever rows share the call.  While every
+    row of the block has a zero nonlinear part (F is diagonal linear,
+    absorbed into the integrating factor) the block takes the exact
+    two-operation step of `_linear_step`.  A row is recorded truncated as in
+    `integrate` and leaves the block while the others go on.  No rows give
+    no records.
     """
     rows = list(rows)
     if len({(c.dt, c.horizon, c.record_every) for _, _, c in rows}) > 1:
@@ -263,7 +266,7 @@ def integrate_rows(
             one = polys[0].coefficient_map(n, n)
             rhs = lambda u: one(u[0])[None]
         else:
-            rhs = _rows_coefficient_map([polys[j] for j in js], [cuts[j] for j in js])
+            rhs = _rows_coefficient_map([polys[j] for j in js], [cuts[j] for j in js], n)
         return (lambda u: _rk4_step(u, rhs, e_half, e_full, dt)), limits
 
     # Rows of one cutoff and degree (so of one padded grid), and within them

@@ -428,6 +428,8 @@ def run(
     """
     settings = parse_settings(overrides or {})
     params = family_params(preset_name, settings)
+    if nonlinearity is not None and (given := sorted(set(settings) & set(params))):
+        raise ValueError(f"a run with an explicit nonlinearity takes no family parameters: {given}")
     spec = PRESETS[preset_name]
     rest = {k: v for k, v in settings.items() if k not in params}
     cfg = EvolutionConfig(

@@ -210,7 +210,7 @@ class PolynomialNonlinearity:
         return SpectralField(coeffs, len(coeffs) // 2)
 
 
-def _rows_coefficient_map(polys: list[PolynomialNonlinearity], cutoffs: list[int]):
+def _rows_coefficient_map(polys: list[PolynomialNonlinearity], cutoffs: list[int], n: int):
     """`coefficient_map(k, k)` for a block of rows, row j under polys[j] at k = cutoffs[j].
 
     The returned function takes a (B, 2*n+1) array of coefficients, n at
@@ -218,46 +218,57 @@ def _rows_coefficient_map(polys: list[PolynomialNonlinearity], cutoffs: list[int
     returns the coefficients of each row's polynomial along that row in the
     same layout, each row's window bitwise equal to the one-row map and the
     columns outside it zero.  Adjacent rows of one cutoff whose polynomials
-    need the same padded grid share the transforms: one inverse transform of
-    a (2b, m) buffer holding the u rows and then the u_x rows, and one
-    forward transform of (b, m).  Adjacent rows of such a group whose
-    polynomials have the same monomials also share one `evaluate_values`
-    call, through one polynomial whose differing coefficients are (b, 1)
-    columns of the rows' values (the coefficient stays the left operand of
-    each product, which keeps every row bitwise equal to its own call).
-    Callers order the rows so that such rows are adjacent; any order is
-    correct.  Rows move in and out of the grid through the two contiguous
-    runs k >= 0 and k < 0 that wrap to the two ends of the grid, which is
-    cheaper than a 2-D scatter.  Not for concurrent use, like coefficient_map.
+    need the same padded grid form a group that shares the transforms: one
+    inverse transform of a (2b, m) buffer holding the u rows and then the u_x
+    rows, and one forward transform of (b, m).  Adjacent rows of a group
+    whose polynomials have the same monomials also share one
+    `evaluate_values` call, through one polynomial whose differing
+    coefficients are (b, 1) columns of the rows' values (the coefficient
+    stays the left operand of each product, which keeps every row bitwise
+    equal to its own call).  Callers order the rows so that such rows are
+    adjacent; any order is correct.  The map is a plan built once: the group
+    buffers are views into one flat array (only the mode entries are ever
+    written, so the rest stay zero) and flat index arrays place every mode,
+    so a call moves the modes in with one `take` and two indexed writes and
+    out with one `take`, whatever the number of groups.  Not for concurrent
+    use, like coefficient_map.
     """
     def grid(j):
         P, k = polys[j], cutoffs[j]
         return None if P.is_zero() else (k, padded_size(k, max(P.total_degree, 1) * k, k))
 
-    groups = []  # (first row, end row, k, m, i*k, buffer, [(first, end, polynomial) in the group])
+    width = 2 * n + 1
+    groups, at = [], []  # at: the (input, u, u_x, forward-transform) entry of each mode
+    size = hsize = 0  # entries of the buffers and of the forward transforms so far
     for key, rows in groupby(range(len(polys)), key=grid):
         if key is None:
             continue
         rows = list(rows)
-        r0, r1 = rows[0], rows[-1] + 1
-        runs = []
+        r0, runs = rows[0], []
         for _, same in groupby(rows, key=lambda j: [idx for idx, _ in polys[j].terms]):
             same = list(same)
             runs.append((same[0] - r0, same[-1] + 1 - r0, _stacked([polys[j] for j in same])))
-        k, m = key
-        ik = 1j * np.arange(-k, k + 1).astype(float)
-        # Only the two runs of modes are ever written, so the rest stays zero.
-        groups.append((r0, r1, k, m, ik, np.zeros((2 * (r1 - r0), m), dtype=np.complex128), runs))
+        (k, m), b = key, len(rows)
+        ks = np.arange(-k, k + 1)
+        cells = (np.arange(b)[:, None] * m + np.mod(ks, m)).ravel()
+        entries = (np.array(rows)[:, None] * width + n + ks).ravel()
+        at.append([entries, size + cells, size + b * m + cells, hsize + cells])
+        groups.append((size, b, m, runs))
+        size, hsize = size + 2 * b * m, hsize + b * m
+    src, u_at, du_at, h_at = np.concatenate([np.zeros((4, 0), np.intp), *at], axis=1)
+    ik = 1j * (src % width - n).astype(float)
+    flat = np.zeros(size, dtype=np.complex128)
+    bufs = [(flat[i : i + 2 * b * m].reshape(2 * b, m), b, runs) for i, b, m, runs in groups]
+    # Output entry -> its forward-transform entry, or the zero after them all.
+    gather = np.full(len(polys) * width, hsize)
+    gather[src] = h_at
 
     def apply(coeffs: np.ndarray) -> np.ndarray:
-        out = np.zeros(coeffs.shape, dtype=np.complex128)
-        n = coeffs.shape[1] // 2
-        for r0, r1, k, m, ik, buf, runs in groups:
-            b = r1 - r0
-            buf[:b, : k + 1] = coeffs[r0:r1, n : n + k + 1]
-            buf[:b, m - k :] = coeffs[r0:r1, n - k : n]
-            np.multiply(buf[:b, : k + 1], ik[k:], out=buf[b:, : k + 1])
-            np.multiply(buf[:b, m - k :], ik[:k], out=buf[b:, m - k :])
+        modes = coeffs.take(src)
+        flat[u_at] = modes
+        flat[du_at] = modes * ik
+        hs = []
+        for buf, b, runs in bufs:
             vals = np.fft.ifft(buf, norm="forward")
             if len(runs) == 1:
                 f = runs[0][2].evaluate_values(vals[:b], vals[b:])
@@ -265,10 +276,8 @@ def _rows_coefficient_map(polys: list[PolynomialNonlinearity], cutoffs: list[int
                 f = np.concatenate(
                     [P.evaluate_values(vals[p0:p1], vals[b + p0 : b + p1]) for p0, p1, P in runs]
                 )
-            h = np.fft.fft(f, norm="forward")
-            out[r0:r1, n - k : n] = h[:, m - k :]
-            out[r0:r1, n : n + k + 1] = h[:, : k + 1]
-        return out
+            hs.append(np.fft.fft(f, norm="forward"))
+        return np.concatenate([*hs, [0j]], axis=None).take(gather).reshape(-1, width)
 
     return apply
 

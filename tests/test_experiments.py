@@ -323,6 +323,32 @@ def test_cli_invalid_config_is_exit_two(tmp_path, capsys):
     assert not os.path.exists(out)  # rejected before any run started
 
 
+def test_cli_verbs_reject_flags_they_do_not_read(tmp_path, capsys):
+    nl = tmp_path / "custom.nl"
+    nl.write_text("0 1 0 0 0 1\n")  # i u_x
+    out = str(tmp_path / "art")
+    for argv in (
+        # a run with an explicit nonlinearity takes no family parameters
+        ["run", "--preset", "cubic", "--nonlinearity", str(nl), "--c", "5", "--out", out],
+        ["run", "--preset", "example_d", "--nonlinearity", str(nl), "--c2", "1", "--out", out],
+        ["estimates", "--modes", "5", "--alpha", "7", "--out", out],
+        ["estimates", "--preset", "cubic", "--out", out],
+        ["audit", "--trajectory", "t.csv", "--sidecar", "t.json", "--alpha", "3", "--out", out],
+        ["audit", "--trajectory", "t.csv", "--sidecar", "t.json", "--config", "c", "--out", out],
+    ):
+        assert cli_main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not os.path.exists(out)
+    with pytest.raises(ValueError, match="family parameters"):
+        run("cubic", out, overrides={"c": "2"}, nonlinearity=PRESETS["cubic"].family(1j))
+    # the flags each of them reads
+    args = build_parser().parse_args(["estimates", "--seed", "3", "--quick"])
+    assert _collect(args) == (None, None, {}, 3) and args.quick
+    args = build_parser().parse_args(["audit", "--trajectory", "t.csv", "--sidecar", "t.json",
+                                      "--nonlinearity", str(nl), "--r", "2.5"])
+    assert _collect(args) == (None, str(nl), {}, 0) and args.r == 2.5
+
+
 @pytest.mark.parametrize(
     "argv",
     [

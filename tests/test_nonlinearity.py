@@ -1,6 +1,6 @@
 """Polynomial nonlinearities: Wirtinger algebra, evaluation, the criterion checker."""
 
-from itertools import chain
+from itertools import chain, groupby
 
 import numpy as np
 import pytest
@@ -9,6 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from fnlslab.nonlinearity import (
     CriterionVerdict,
     PolynomialNonlinearity,
+    _rows_coefficient_map,
+    _stacked,
     check_wellposedness_condition,
     criterion_functional,
     cubic,
@@ -339,6 +341,119 @@ def test_block_checker_exits_in_every_block():
 def test_block_checker_satisfied_matches_oracle(F):
     for kwargs in ({}, {"trials": 1, "cutoffs": (5,)}, {"cutoffs": ()}):
         assert_same_verdict(check_wellposedness_condition(F, **kwargs), sequential_checker(F, **kwargs))
+
+
+# -- the block RHS plan against the per-group loop it replaced -----------------------
+
+
+def oracle_rows_coefficient_map(polys: list[PolynomialNonlinearity], cutoffs: list[int]):
+    """`coefficient_map(k, k)` for a block of rows, row j under polys[j] at k = cutoffs[j].
+
+    The returned function takes a (B, 2*n+1) array of coefficients, n at
+    least every cutoff, with each row's 2k+1 modes centred in its row, and
+    returns the coefficients of each row's polynomial along that row in the
+    same layout, each row's window bitwise equal to the one-row map and the
+    columns outside it zero.  Adjacent rows of one cutoff whose polynomials
+    need the same padded grid share the transforms: one inverse transform of
+    a (2b, m) buffer holding the u rows and then the u_x rows, and one
+    forward transform of (b, m).  Adjacent rows of such a group whose
+    polynomials have the same monomials also share one `evaluate_values`
+    call, through one polynomial whose differing coefficients are (b, 1)
+    columns of the rows' values (the coefficient stays the left operand of
+    each product, which keeps every row bitwise equal to its own call).
+    Callers order the rows so that such rows are adjacent; any order is
+    correct.  Rows move in and out of the grid through the two contiguous
+    runs k >= 0 and k < 0 that wrap to the two ends of the grid, which is
+    cheaper than a 2-D scatter.  Not for concurrent use, like coefficient_map.
+    """
+    def grid(j):
+        P, k = polys[j], cutoffs[j]
+        return None if P.is_zero() else (k, padded_size(k, max(P.total_degree, 1) * k, k))
+
+    groups = []  # (first row, end row, k, m, i*k, buffer, [(first, end, polynomial) in the group])
+    for key, rows in groupby(range(len(polys)), key=grid):
+        if key is None:
+            continue
+        rows = list(rows)
+        r0, r1 = rows[0], rows[-1] + 1
+        runs = []
+        for _, same in groupby(rows, key=lambda j: [idx for idx, _ in polys[j].terms]):
+            same = list(same)
+            runs.append((same[0] - r0, same[-1] + 1 - r0, _stacked([polys[j] for j in same])))
+        k, m = key
+        ik = 1j * np.arange(-k, k + 1).astype(float)
+        # Only the two runs of modes are ever written, so the rest stays zero.
+        groups.append((r0, r1, k, m, ik, np.zeros((2 * (r1 - r0), m), dtype=np.complex128), runs))
+
+    def apply(coeffs: np.ndarray) -> np.ndarray:
+        out = np.zeros(coeffs.shape, dtype=np.complex128)
+        n = coeffs.shape[1] // 2
+        for r0, r1, k, m, ik, buf, runs in groups:
+            b = r1 - r0
+            buf[:b, : k + 1] = coeffs[r0:r1, n : n + k + 1]
+            buf[:b, m - k :] = coeffs[r0:r1, n - k : n]
+            np.multiply(buf[:b, : k + 1], ik[k:], out=buf[b:, : k + 1])
+            np.multiply(buf[:b, m - k :], ik[:k], out=buf[b:, m - k :])
+            vals = np.fft.ifft(buf, norm="forward")
+            if len(runs) == 1:
+                f = runs[0][2].evaluate_values(vals[:b], vals[b:])
+            else:
+                f = np.concatenate(
+                    [P.evaluate_values(vals[p0:p1], vals[b + p0 : b + p1]) for p0, p1, P in runs]
+                )
+            h = np.fft.fft(f, norm="forward")
+            out[r0:r1, n - k : n] = h[:, m - k :]
+            out[r0:r1, n : n + k + 1] = h[:, : k + 1]
+        return out
+
+    return apply
+
+
+_ROW_MONOMIALS = [
+    (),  # zero
+    ((1, 0, 0, 0),),  # diagonal linear
+    ((1, 0, 0, 0), (0, 1, 0, 0)),
+    ((1, 1, 0, 0),),  # degree 2
+    ((0, 0, 0, 0), (2, 0, 0, 0), (0, 0, 1, 1)),
+    ((2, 0, 1, 0),),  # degree 3
+    ((0, 2, 1, 0), (1, 1, 0, 1)),
+    ((0, 0, 0, 1), (1, 1, 1, 0), (2, 0, 0, 1)),
+]
+
+
+@st.composite
+def _map_row(draw):
+    """(F, cutoff): F from a few monomial sets with coefficients from a few values,
+    so that rows often share a cutoff, a grid, monomials or the whole polynomial."""
+    coeff = st.sampled_from([1.0, -0.5, 1j, 2.0 - 1j])
+    monomials = draw(st.sampled_from(_ROW_MONOMIALS))
+    F = PolynomialNonlinearity.from_terms({idx: draw(coeff) for idx in monomials})
+    return F, draw(st.one_of(st.sampled_from([1, 7, 40]), st.integers(1, 40)))
+
+
+@given(
+    rows=st.lists(_map_row(), min_size=1, max_size=8),
+    ordered=st.booleans(),
+    extra=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example([(example_d(1.0, 2.0), 9), (example_d(1j, 2.0), 9), (cubic(1j), 4)], False, 3, 0)
+@example([(PolynomialNonlinearity.zero(), 5)], False, 0, 0)
+@settings(max_examples=120, deadline=None)
+def test_rows_map_matches_per_group_oracle(rows, ordered, extra, seed):
+    # ordered: as integrate_rows orders its rows, so that groups and runs form
+    if ordered:
+        rows.sort(key=lambda r: (r[1], r[0].total_degree, [idx for idx, _ in r[0].terms]))
+    polys, cutoffs = (list(v) for v in zip(*rows))
+    n = max(cutoffs) + extra  # wider than every row, as after the widest row left the block
+    plan = _rows_coefficient_map(polys, cutoffs, n)
+    oracle = oracle_rows_coefficient_map(polys, cutoffs)
+    rng = np.random.default_rng(seed)
+    for _ in range(2):  # the plan's buffers carry over from one call to the next
+        shape = (len(rows), 2 * n + 1)
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got, want = plan(coeffs), oracle(coeffs)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_linear_evaluate_to_narrow_output_regression():

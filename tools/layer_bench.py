@@ -8,6 +8,10 @@ fresh single-BLAS-thread processes that alternate which side goes first:
 
   rhs            one nonlinear RHS evaluation (the coefficient map of the
                  degree-3 example_d(1, 2)), out_cutoff = K
+  rhs_rows       one RHS evaluation of the block map of `integrate_rows` for
+                 the example_b(1) growth probe: example_b(1) and its control
+                 cubic(i) at K and at 2K, four padded grids (absent on a
+                 checkout without that map)
   step_1row      one IF-RK4 step of `integrate`, example_d(1, 2), alpha = 3
   step_2x1row    two one-row `integrate` steps: example_d(1, i) and its
                  control example_d(1, 2), the growth probe's pair
@@ -83,6 +87,18 @@ def measure() -> dict:
         }
         linear = nonlinearity.linear_transport(1j)
         row["linear_step"] = _best_us(lambda: evolution.integrate(phi, linear, cfg), 1) / steps
+        if hasattr(nonlinearity, "_rows_coefficient_map"):
+            # The rows in the order integrate_rows gives them: by cutoff, then degree.
+            polys = [nonlinearity.example_b(1.0), nonlinearity.cubic(1j)] * 2
+            cuts = [k, k, 2 * k, 2 * k]
+            block = np.zeros((4, 4 * k + 1), dtype=np.complex128)
+            for i, c in enumerate(cuts):
+                block[i, 2 * k - c : 2 * k + c + 1] = phi.with_cutoff(c).coeffs
+            try:
+                rows_rhs = nonlinearity._rows_coefficient_map(polys, cuts, 2 * k)
+            except TypeError:  # a checkout whose map takes no block width
+                rows_rhs = nonlinearity._rows_coefficient_map(polys, cuts)
+            row["rhs_rows"] = _best_us(lambda: rows_rhs(block), steps)
         if hasattr(evolution, "integrate_rows"):
             pair = [(phi, G, cfg), (phi, F, cfg)]
             row["step_2rows"] = _best_us(lambda: evolution.integrate_rows(pair), 1) / steps
