@@ -173,8 +173,11 @@ class PolynomialNonlinearity:
         alias-free, where kout is ``out_cutoff`` capped at the full product
         bandwidth total_degree * cutoff (the default).  The padded grid and
         its buffer, the scatter/gather indices and the derivative multiplier
-        are built once per map, so repeated calls (one per Runge-Kutta stage)
-        only transform; a map is therefore not for concurrent use.
+        are built once per map, and so are the arrays the transforms write
+        (the u and u_x samples and F's spectrum, passed as ``out=``), so a
+        call allocates only the evaluation of F and the returned coefficients,
+        a fresh copy.  Repeated calls (one per Runge-Kutta stage) reuse the
+        plan, so a map is not for concurrent use.
         """
         band = max(self.total_degree, 1) * cutoff
         kout = band if out_cutoff is None else min(out_cutoff, band)
@@ -187,14 +190,15 @@ class PolynomialNonlinearity:
         ik = 1j * ks.astype(float)
         # Only the scatter entries are ever written, so the rest stay zero.
         buf = np.zeros(m, dtype=np.complex128)
+        u_vals, du_vals, h = (np.empty(m, dtype=np.complex128) for _ in range(3))
 
         def apply(coeffs: np.ndarray) -> np.ndarray:
             buf[scatter] = coeffs
-            u_vals = np.fft.ifft(buf, norm="forward")
+            np.fft.ifft(buf, norm="forward", out=u_vals)
             buf[scatter] = coeffs * ik
-            du_vals = np.fft.ifft(buf, norm="forward")
-            vals = self.evaluate_values(u_vals, du_vals)
-            return np.fft.fft(vals, norm="forward")[gather]
+            np.fft.ifft(buf, norm="forward", out=du_vals)
+            np.fft.fft(self.evaluate_values(u_vals, du_vals), norm="forward", out=h)
+            return h[gather]
 
         return apply
 
@@ -228,10 +232,13 @@ def _rows_coefficient_map(polys: list[PolynomialNonlinearity], cutoffs: list[int
     equal to its own call).  Callers order the rows so that such rows are
     adjacent; any order is correct.  The map is a plan built once: the group
     buffers are views into one flat array (only the mode entries are ever
-    written, so the rest stay zero) and flat index arrays place every mode,
-    so a call moves the modes in with one `take` and two indexed writes and
-    out with one `take`, whatever the number of groups.  Not for concurrent
-    use, like coefficient_map.
+    written, so the rest stay zero), each group's forward transform writes
+    into a view of one flat spectrum array that ends in a zero, and flat
+    index arrays place every mode, so a call moves the modes in with one
+    `take` and two indexed writes and out with one `take`, whatever the
+    number of groups.  Each group's samples also have their own array, so a
+    call allocates only the evaluations of F and the returned coefficients,
+    a fresh copy.  Not for concurrent use, like coefficient_map.
     """
     def grid(j):
         P, k = polys[j], cutoffs[j]
@@ -253,12 +260,22 @@ def _rows_coefficient_map(polys: list[PolynomialNonlinearity], cutoffs: list[int
         cells = (np.arange(b)[:, None] * m + np.mod(ks, m)).ravel()
         entries = (np.array(rows)[:, None] * width + n + ks).ravel()
         at.append([entries, size + cells, size + b * m + cells, hsize + cells])
-        groups.append((size, b, m, runs))
+        groups.append((size, hsize, b, m, runs))
         size, hsize = size + 2 * b * m, hsize + b * m
     src, u_at, du_at, h_at = np.concatenate([np.zeros((4, 0), np.intp), *at], axis=1)
     ik = 1j * (src % width - n).astype(float)
     flat = np.zeros(size, dtype=np.complex128)
-    bufs = [(flat[i : i + 2 * b * m].reshape(2 * b, m), b, runs) for i, b, m, runs in groups]
+    hflat = np.zeros(hsize + 1, dtype=np.complex128)
+    plans = [
+        (
+            flat[i : i + 2 * b * m].reshape(2 * b, m),
+            np.empty((2 * b, m), dtype=np.complex128),
+            hflat[j : j + b * m].reshape(b, m),
+            b,
+            runs,
+        )
+        for i, j, b, m, runs in groups
+    ]
     # Output entry -> its forward-transform entry, or the zero after them all.
     gather = np.full(len(polys) * width, hsize)
     gather[src] = h_at
@@ -267,17 +284,16 @@ def _rows_coefficient_map(polys: list[PolynomialNonlinearity], cutoffs: list[int
         modes = coeffs.take(src)
         flat[u_at] = modes
         flat[du_at] = modes * ik
-        hs = []
-        for buf, b, runs in bufs:
-            vals = np.fft.ifft(buf, norm="forward")
+        for buf, vals, h, b, runs in plans:
+            np.fft.ifft(buf, norm="forward", out=vals)
             if len(runs) == 1:
                 f = runs[0][2].evaluate_values(vals[:b], vals[b:])
             else:
                 f = np.concatenate(
                     [P.evaluate_values(vals[p0:p1], vals[b + p0 : b + p1]) for p0, p1, P in runs]
                 )
-            hs.append(np.fft.fft(f, norm="forward"))
-        return np.concatenate([*hs, [0j]], axis=None).take(gather).reshape(-1, width)
+            np.fft.fft(f, norm="forward", out=h)
+        return hflat.take(gather).reshape(-1, width)
 
     return apply
 

@@ -343,7 +343,37 @@ def test_block_checker_satisfied_matches_oracle(F):
         assert_same_verdict(check_wellposedness_condition(F, **kwargs), sequential_checker(F, **kwargs))
 
 
-# -- the block RHS plan against the per-group loop it replaced -----------------------
+# -- the RHS maps against the fresh-allocation code they replaced ---------------------
+
+
+def oracle_coefficient_map(F: PolynomialNonlinearity, cutoff: int, out_cutoff: int | None = None):
+    """`F.coefficient_map(cutoff, out_cutoff)` with fresh transform outputs on every call.
+
+    The padded grid, its buffer, the scatter/gather indices and the
+    derivative multiplier are built once per map; each call allocates its u
+    and u_x samples and F's spectrum anew.
+    """
+    band = max(F.total_degree, 1) * cutoff
+    kout = band if out_cutoff is None else min(out_cutoff, band)
+    if F.is_zero():
+        return lambda coeffs: np.zeros(2 * kout + 1, dtype=np.complex128)
+    m = padded_size(cutoff, band, kout)
+    ks = np.arange(-cutoff, cutoff + 1)
+    scatter = np.mod(ks, m)
+    gather = np.mod(np.arange(-kout, kout + 1), m)
+    ik = 1j * ks.astype(float)
+    # Only the scatter entries are ever written, so the rest stay zero.
+    buf = np.zeros(m, dtype=np.complex128)
+
+    def apply(coeffs: np.ndarray) -> np.ndarray:
+        buf[scatter] = coeffs
+        u_vals = np.fft.ifft(buf, norm="forward")
+        buf[scatter] = coeffs * ik
+        du_vals = np.fft.ifft(buf, norm="forward")
+        vals = F.evaluate_values(u_vals, du_vals)
+        return np.fft.fft(vals, norm="forward")[gather]
+
+    return apply
 
 
 def oracle_rows_coefficient_map(polys: list[PolynomialNonlinearity], cutoffs: list[int]):
@@ -411,6 +441,7 @@ def oracle_rows_coefficient_map(polys: list[PolynomialNonlinearity], cutoffs: li
 
 _ROW_MONOMIALS = [
     (),  # zero
+    ((0, 0, 0, 0),),  # constant only
     ((1, 0, 0, 0),),  # diagonal linear
     ((1, 0, 0, 0), (0, 1, 0, 0)),
     ((1, 1, 0, 0),),  # degree 2
@@ -431,6 +462,37 @@ def _map_row(draw):
     return F, draw(st.one_of(st.sampled_from([1, 7, 40]), st.integers(1, 40)))
 
 
+@st.composite
+def _map_case(draw):
+    """(F, cutoff, out_cutoff): out_cutoff None, inside the product band or beyond it."""
+    F, cutoff = draw(_map_row())
+    band = max(F.total_degree, 1) * cutoff
+    return F, cutoff, draw(st.one_of(st.none(), st.integers(0, band - 1), st.integers(band + 1, 2 * band + 5)))
+
+
+def _random_coeffs(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@given(case=_map_case(), seed=st.integers(0, 2**32 - 1))
+@example((example_d(1.0, 2.0), 4, 4), 0)  # a power-of-two grid (32 points)
+@example((example_d(1.0, 2.0), 40, 40), 0)  # a 5-smooth grid (162 points)
+@example((PolynomialNonlinearity.zero(), 3, None), 0)
+@settings(max_examples=150, deadline=None)
+def test_coefficient_map_matches_fresh_allocation_oracle(case, seed):
+    F, cutoff, out_cutoff = case
+    fmap, oracle = F.coefficient_map(cutoff, out_cutoff), oracle_coefficient_map(F, cutoff, out_cutoff)
+    rng = np.random.default_rng(seed)
+    results = []
+    for _ in range(3):  # the map's arrays carry over from one call to the next
+        coeffs = _random_coeffs(rng, 2 * cutoff + 1)
+        got, want = fmap(coeffs), oracle(coeffs)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        results.append((got, want))
+    for got, want in results:  # a later call leaves an earlier result alone
+        assert got.tobytes() == want.tobytes()
+
+
 @given(
     rows=st.lists(_map_row(), min_size=1, max_size=8),
     ordered=st.booleans(),
@@ -449,11 +511,14 @@ def test_rows_map_matches_per_group_oracle(rows, ordered, extra, seed):
     plan = _rows_coefficient_map(polys, cutoffs, n)
     oracle = oracle_rows_coefficient_map(polys, cutoffs)
     rng = np.random.default_rng(seed)
+    results = []
     for _ in range(2):  # the plan's buffers carry over from one call to the next
-        shape = (len(rows), 2 * n + 1)
-        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        coeffs = _random_coeffs(rng, (len(rows), 2 * n + 1))
         got, want = plan(coeffs), oracle(coeffs)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        results.append((got, want))
+    first, want = results[0]  # the second call leaves the first result alone
+    assert first.tobytes() == want.tobytes()
 
 
 def test_linear_evaluate_to_narrow_output_regression():

@@ -3,8 +3,10 @@
     python tools/layer_bench.py --parent PARENT_CHECKOUT [--rounds 5] [--out BENCH.json]
 
 Times, in microseconds per call, for the checkout this file sits in
-("change") and for another checkout of the repository ("parent"), each in
-fresh single-BLAS-thread processes that alternate which side goes first:
+("change") and for another checkout of the repository ("parent").  Each side
+has one single-BLAS-thread process, kept alive for the whole run, and the
+two measure one (layer, K) at a time, alternating which side goes first, so
+that a swing in the host's speed lands on both sides alike.  The layers:
 
   rhs            one nonlinear RHS evaluation (the coefficient map of the
                  degree-3 example_d(1, 2)), out_cutoff = K
@@ -31,8 +33,8 @@ fresh single-BLAS-thread processes that alternate which side goes first:
                  the same for example_c(i), violated on the first
                  structured witness: the early exit
 
-Within a process each time is the best of five repeats; the report gives the
-median and the minimum over the rounds.
+A round measures every (layer, K) once on each side.  Each time is the best
+of five repeats; the report gives the median and the minimum over the rounds.
 """
 
 from __future__ import annotations
@@ -63,76 +65,105 @@ def _best_us(fn, n: int, repeats: int = 5) -> float:
     return 1e6 * best
 
 
-def measure() -> dict:
-    """The timings of the fnlslab on sys.path, one dict per layer keyed by K."""
+def _layers_at(k: int) -> dict:
+    """The layers measured at cutoff k: name -> a function timing it."""
     from fnlslab import energy, evolution, nonlinearity, spectral
 
-    out: dict = {}
     F, G = nonlinearity.example_d(1.0, 2.0), nonlinearity.example_d(1.0, 1j)
     balanced = nonlinearity.example_d(1j, 2j)
+    linear = nonlinearity.linear_transport(1j)
     ladder = energy.CorrectionLadder.build(2.5, 2.6)
-    for k in CUTOFFS:
-        rng = np.random.default_rng(k)
-        phi = spectral.random_field(k // 2, 4.0, rng, amplitude=0.2).with_cutoff(k)
-        steps = max(8, 6400 // k)
-        cfg = evolution.EvolutionConfig(alpha=3.0, cutoff=k, dt=2.5e-4, horizon=steps * 2.5e-4)
-        rhs = F.coefficient_map(k, k)
-        row = {
-            "rhs": _best_us(lambda: rhs(phi.coeffs), steps),
-            "step_1row": _best_us(lambda: evolution.integrate(phi, F, cfg), 1) / steps,
-            "step_2x1row": _best_us(
-                lambda: (evolution.integrate(phi, G, cfg), evolution.integrate(phi, F, cfg)), 1
-            ) / steps,
-            "energy": _best_us(lambda: energy.modified_energy(phi, balanced, ladder), 3),
-        }
-        linear = nonlinearity.linear_transport(1j)
-        row["linear_step"] = _best_us(lambda: evolution.integrate(phi, linear, cfg), 1) / steps
-        if hasattr(nonlinearity, "_rows_coefficient_map"):
-            # The rows in the order integrate_rows gives them: by cutoff, then degree.
-            polys = [nonlinearity.example_b(1.0), nonlinearity.cubic(1j)] * 2
-            cuts = [k, k, 2 * k, 2 * k]
-            block = np.zeros((4, 4 * k + 1), dtype=np.complex128)
-            for i, c in enumerate(cuts):
-                block[i, 2 * k - c : 2 * k + c + 1] = phi.with_cutoff(c).coeffs
-            try:
-                rows_rhs = nonlinearity._rows_coefficient_map(polys, cuts, 2 * k)
-            except TypeError:  # a checkout whose map takes no block width
-                rows_rhs = nonlinearity._rows_coefficient_map(polys, cuts)
-            row["rhs_rows"] = _best_us(lambda: rows_rhs(block), steps)
-        if hasattr(evolution, "integrate_rows"):
-            pair = [(phi, G, cfg), (phi, F, cfg)]
-            row["step_2rows"] = _best_us(lambda: evolution.integrate_rows(pair), 1) / steps
-            cfg_2k = dataclasses.replace(cfg, cutoff=2 * k)
-            pair_2k = [(phi.with_cutoff(2 * k), G, cfg_2k), (phi.with_cutoff(2 * k), F, cfg_2k)]
-            try:
-                evolution.integrate_rows([pair[0], pair_2k[0]])
-                probe = lambda: evolution.integrate_rows(pair + pair_2k)
-            except ValueError:  # rows must share their cutoff
-                probe = lambda: (evolution.integrate_rows(pair), evolution.integrate_rows(pair_2k))
-            row["probe_step"] = _best_us(probe, 1) / steps
-        for name, value in row.items():
-            out.setdefault(name, {})[str(k)] = value
-    for name, P in (("criterion", F), ("criterion_violated", nonlinearity.example_c(1j))):
-        out[name] = {"any": _best_us(lambda: nonlinearity.check_wellposedness_condition(P), 3)}
+    rng = np.random.default_rng(k)
+    phi = spectral.random_field(k // 2, 4.0, rng, amplitude=0.2).with_cutoff(k)
+    steps = max(8, 6400 // k)
+    cfg = evolution.EvolutionConfig(alpha=3.0, cutoff=k, dt=2.5e-4, horizon=steps * 2.5e-4)
+    rhs = F.coefficient_map(k, k)
+    row = {
+        "rhs": lambda: _best_us(lambda: rhs(phi.coeffs), steps),
+        "step_1row": lambda: _best_us(lambda: evolution.integrate(phi, F, cfg), 1) / steps,
+        "step_2x1row": lambda: _best_us(
+            lambda: (evolution.integrate(phi, G, cfg), evolution.integrate(phi, F, cfg)), 1
+        ) / steps,
+        "energy": lambda: _best_us(lambda: energy.modified_energy(phi, balanced, ladder), 3),
+        "linear_step": lambda: _best_us(lambda: evolution.integrate(phi, linear, cfg), 1) / steps,
+    }
+    if hasattr(nonlinearity, "_rows_coefficient_map"):
+        # The rows in the order integrate_rows gives them: by cutoff, then degree.
+        polys = [nonlinearity.example_b(1.0), nonlinearity.cubic(1j)] * 2
+        cuts = [k, k, 2 * k, 2 * k]
+        block = np.zeros((4, 4 * k + 1), dtype=np.complex128)
+        for i, c in enumerate(cuts):
+            block[i, 2 * k - c : 2 * k + c + 1] = phi.with_cutoff(c).coeffs
+        try:
+            rows_rhs = nonlinearity._rows_coefficient_map(polys, cuts, 2 * k)
+        except TypeError:  # a checkout whose map takes no block width
+            rows_rhs = nonlinearity._rows_coefficient_map(polys, cuts)
+        row["rhs_rows"] = lambda: _best_us(lambda: rows_rhs(block), steps)
+    if hasattr(evolution, "integrate_rows"):
+        pair = [(phi, G, cfg), (phi, F, cfg)]
+        row["step_2rows"] = lambda: _best_us(lambda: evolution.integrate_rows(pair), 1) / steps
+        cfg_2k = dataclasses.replace(cfg, cutoff=2 * k)
+        pair_2k = [(phi.with_cutoff(2 * k), G, cfg_2k), (phi.with_cutoff(2 * k), F, cfg_2k)]
+        try:
+            evolution.integrate_rows([pair[0], pair_2k[0]])
+            probe = lambda: evolution.integrate_rows(pair + pair_2k)
+        except ValueError:  # rows must share their cutoff
+            probe = lambda: (evolution.integrate_rows(pair), evolution.integrate_rows(pair_2k))
+        row["probe_step"] = lambda: _best_us(probe, 1) / steps
+    return row
+
+
+def cases() -> dict:
+    """The layers of the fnlslab on sys.path: (layer, K) -> a function timing it."""
+    from fnlslab import nonlinearity
+
+    out = {(name, str(k)): fn for k in CUTOFFS for name, fn in _layers_at(k).items()}
+    for name, P in (("criterion", nonlinearity.example_d(1.0, 2.0)),
+                    ("criterion_violated", nonlinearity.example_c(1j))):
+        out[name, "any"] = lambda P=P: _best_us(lambda: nonlinearity.check_wellposedness_condition(P), 3)
     return out
 
 
-def _run_side(checkout: str) -> dict:
-    env = dict(os.environ, **ENV, PYTHONPATH=os.path.join(checkout, "src"))
-    proc = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--measure"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    return json.loads(proc.stdout)
+def serve() -> None:
+    """Answer requests on stdin, one JSON line each, until it closes.
+
+    ``"cases"`` gets the list of [layer, K] this checkout has; a [layer, K]
+    gets its time in microseconds.
+    """
+    table = cases()
+    for line in sys.stdin:
+        request = json.loads(line)
+        reply = [list(key) for key in table] if request == "cases" else table[tuple(request)]()
+        print(json.dumps(reply), flush=True)
 
 
-def _summary(rounds: list[dict]) -> dict:
+class _Side:
+    """A measuring process kept alive for the whole run, on one checkout's src."""
+
+    def __init__(self, checkout: str):
+        env = dict(os.environ, **ENV, PYTHONPATH=os.path.join(checkout, "src"))
+        self.proc = subprocess.Popen(
+            [sys.executable, os.path.abspath(__file__), "--serve"],
+            env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+        )
+
+    def ask(self, request):
+        self.proc.stdin.write(json.dumps(request) + "\n")
+        self.proc.stdin.flush()
+        line = self.proc.stdout.readline()
+        if not line:
+            raise RuntimeError(f"measuring process exited with status {self.proc.wait()}")
+        return json.loads(line)
+
+    def close(self) -> None:
+        self.proc.stdin.close()
+        self.proc.wait()
+
+
+def _summary(times: dict) -> dict:
     out: dict = {}
-    for layer in rounds[0]:
-        out[layer] = {}
-        for k in rounds[0][layer]:
-            vals = [r[layer][k] for r in rounds]
-            out[layer][k] = {"median_us": statistics.median(vals), "min_us": min(vals)}
+    for (layer, k), vals in times.items():
+        out.setdefault(layer, {})[k] = {"median_us": statistics.median(vals), "min_us": min(vals)}
     return out
 
 
@@ -149,19 +180,27 @@ def main() -> None:
     p.add_argument("--parent", help="checkout to compare against")
     p.add_argument("--rounds", type=int, default=5)
     p.add_argument("--out", help="write the report here as JSON")
-    p.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
+    p.add_argument("--serve", action="store_true", help=argparse.SUPPRESS)
     args = p.parse_args()
-    if args.measure:
-        print(json.dumps(measure()))
+    if args.serve:
+        serve()
         return
-    sides = {"change": os.path.dirname(os.path.dirname(os.path.abspath(__file__)))}
+    checkouts = {"change": os.path.dirname(os.path.dirname(os.path.abspath(__file__)))}
     if args.parent:
-        sides["parent"] = os.path.abspath(args.parent)
-    rounds: dict = {name: [] for name in sides}
-    names = list(sides)
-    for i in range(args.rounds):
-        for name in names if i % 2 == 0 else names[::-1]:
-            rounds[name].append(_run_side(sides[name]))
+        checkouts["parent"] = os.path.abspath(args.parent)
+    sides = {name: _Side(path) for name, path in checkouts.items()}
+    try:
+        times = {name: {tuple(key): [] for key in side.ask("cases")} for name, side in sides.items()}
+        keys = list(dict.fromkeys(key for t in times.values() for key in t))
+        names = list(sides)
+        for r in range(args.rounds):
+            for j, key in enumerate(keys):
+                for name in names if (r + j) % 2 == 0 else names[::-1]:
+                    if key in times[name]:
+                        times[name][key].append(sides[name].ask(list(key)))
+    finally:
+        for side in sides.values():
+            side.close()
     report = {
         "command": "python tools/layer_bench.py --parent PARENT --rounds %d" % args.rounds,
         "unit": "us per call; best of 5 repeats in a process, then median and min over rounds",
@@ -173,7 +212,7 @@ def main() -> None:
             "numpy": np.__version__,
             "threads": ENV,
         },
-        "layers": {name: _summary(r) for name, r in rounds.items()},
+        "layers": {name: _summary(t) for name, t in times.items()},
     }
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
