@@ -34,7 +34,6 @@ from .evolution import (
     TrajectoryRecord,
     eps_convergence_study,
     integrate,
-    linear_semigroup_apply,
 )
 from .energy import CorrectionLadder, energy_audit, ladder_depth, modified_energy
 from .growth import (

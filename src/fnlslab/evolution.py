@@ -38,10 +38,10 @@ from .spectral import SpectralField, sobolev_norm, truncate_modes
 __all__ = [
     "EvolutionConfig",
     "TrajectoryRecord",
-    "linear_semigroup_apply",
     "integrate",
     "integrate_rows",
     "eps_convergence_study",
+    "eps_convergence_table",
     "EpsConvergenceTable",
     "truncate_modes",  # sharp initial-data truncation, defined in spectral
     "sup_l2_gap",
@@ -115,16 +115,6 @@ def _multipliers(k: np.ndarray, alpha: float, eps: float) -> np.ndarray:
     return -1j * np.abs(k.astype(float)) ** alpha - eps * k.astype(float) ** 2
 
 
-def linear_semigroup_apply(
-    f: SpectralField, t: float, alpha: float, eps: float = 0.0
-) -> SpectralField:
-    """exp(t(-i D^alpha + eps d_xx)) f.  Backward heat (t < 0 with eps > 0) is refused."""
-    if eps > 0 and t < 0:
-        raise ValueError("t must be >= 0 when eps > 0")
-    lam = _multipliers(f.wavenumbers(), alpha, eps)
-    return SpectralField(f.coeffs * np.exp(t * lam), f.cutoff)
-
-
 def _split_diagonal_linear(
     F: PolynomialNonlinearity,
 ) -> tuple[complex, complex, PolynomialNonlinearity]:
@@ -154,25 +144,59 @@ def _prepare(phi: SpectralField, F: PolynomialNonlinearity, cfg: EvolutionConfig
     return phi.coeffs.copy(), F_rest, np.exp(lam * cfg.dt / 2.0), np.exp(lam * cfg.dt)
 
 
-def _rk4_step(u, rhs, e_half, e_full, dt):
-    """One IF-RK4 step of one row (2K+1,) or of a block of rows (B, 2K+1)."""
-    n1 = rhs(u)
-    a2 = e_half * (u + 0.5 * dt * n1)
-    n2 = rhs(a2)
-    a3 = e_half * u + 0.5 * dt * n2
-    n3 = rhs(a3)
-    a4 = e_full * u + dt * e_half * n3
-    n4 = rhs(a4)
-    return e_full * u + (dt / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
+def _rk4_stepper(rhs, e_half, e_full, dt):
+    """One IF-RK4 step of a block of rows (B, 2K+1), built once for the block.
+
+    ``rhs(u, out=...)`` writes the nonlinear term of u into out, and
+    e_half, e_full are the (B, 2K+1) half- and full-step factors.  The
+    returned step takes the state and returns the next one, a fresh array
+    (snapshots are taken from it).  It is the classical scheme
+
+        n1 = N(u),        n2 = N(e_half (u + dt/2 n1)),
+        n3 = N(e_half u + dt/2 n2),   n4 = N(e_full u + dt e_half n3),
+        u' = e_full u + dt/6 (e_full n1 + 2 e_half (n2 + n3) + n4),
+
+    with the products and sums in this order and operands on these sides,
+    the constants 0.5*dt, dt*e_half, 2.0*e_half and dt/6 hoisted out of the
+    step, and e_full u computed once.  The stages and the nonlinear terms
+    are written with ``out=`` into arrays built here, so a step allocates
+    only its result.  Not for concurrent use.
+    """
+    half_dt, dt_e_half, two_e_half, sixth_dt = 0.5 * dt, dt * e_half, 2.0 * e_half, dt / 6.0
+    n1, n2, n3, n4, stage, tmp, eu = (np.empty_like(e_full) for _ in range(7))
+
+    def step(u: np.ndarray) -> np.ndarray:
+        rhs(u, out=n1)
+        np.multiply(half_dt, n1, out=stage)
+        np.add(u, stage, out=stage)
+        np.multiply(e_half, stage, out=stage)
+        rhs(stage, out=n2)
+        np.multiply(e_half, u, out=stage)
+        np.multiply(half_dt, n2, out=tmp)
+        np.add(stage, tmp, out=stage)
+        rhs(stage, out=n3)
+        np.multiply(e_full, u, out=eu)
+        np.multiply(dt_e_half, n3, out=tmp)
+        np.add(eu, tmp, out=stage)
+        rhs(stage, out=n4)
+        np.multiply(e_full, n1, out=n1)
+        np.add(n2, n3, out=n2)
+        np.multiply(two_e_half, n2, out=n2)
+        np.add(n1, n2, out=n1)
+        np.add(n1, n4, out=n1)
+        np.multiply(sixth_dt, n1, out=n1)
+        return np.add(eu, n1)
+
+    return step
 
 
 def _linear_step(e_half, e_full, dt):
-    """`_rk4_step` for rows whose RHS is identically zero, as two operations.
+    """The IF-RK4 step for rows whose RHS is identically zero, as two operations.
 
     Every stage of such rows feeds exact zeros, so the step adds the same
     constant each time; it is computed once here from zero arrays by the
-    last line of `_rk4_step`, signed zeros included, so each step is bitwise
-    the full one.
+    last line of the scheme in `_rk4_stepper`, in its order, signed zeros
+    included, so each step is bitwise the full one.
     """
     z = np.zeros_like(e_full)
     shift = (dt / 6.0) * (e_full * z + 2.0 * e_half * (z + z) + z)
@@ -224,8 +248,10 @@ def integrate_rows(
     at zero.  The RHS is a plan built for the block (`_rows_coefficient_map`,
     again whenever a row leaves): an evaluation moves every row's modes in
     and out with a few indexed moves of the whole block and takes one pair of
-    transforms per cutoff and padded grid instead of one per row.  A row's
-    record is bitwise the same whichever rows share the call.  While every
+    transforms per cutoff and padded grid instead of one per row.  The step
+    (`_rk4_stepper`) is built with the RHS and writes its stages into arrays
+    built with it.  A row's record is bitwise the same whichever rows share
+    the call.  While every
     row of the block has a zero nonlinear part (F is diagonal linear,
     absorbed into the integrating factor) the block takes the exact
     two-operation step of `_linear_step`.  A row is recorded truncated as in
@@ -266,10 +292,10 @@ def integrate_rows(
             # 4320 points (58 against 94 us) but loses at 8640, the grid of
             # K = 2048 (238 against 190 us).
             one = polys[0].coefficient_map(n, n)
-            rhs = lambda u: one(u[0])[None]
+            rhs = lambda u, out: one(u[0], out=out[0])
         else:
             rhs = _rows_coefficient_map([polys[j] for j in js], [cuts[j] for j in js], n)
-        return (lambda u: _rk4_step(u, rhs, e_half, e_full, dt)), limits
+        return _rk4_stepper(rhs, e_half, e_full, dt), limits
 
     # Rows of one cutoff and degree (so of one padded grid), and within them
     # rows of the same monomials, are made adjacent so that they share
@@ -340,7 +366,12 @@ def eps_convergence_study(
     """Run the flow for each eps and fit the vanishing-viscosity difference rate."""
     if len(eps_list) < 2:
         raise ValueError("need at least two eps values")
-    runs = integrate_rows([(phi, F, replace(cfg, eps=e)) for e in eps_list])
+    return eps_convergence_table(integrate_rows([(phi, F, replace(cfg, eps=e)) for e in eps_list]))
+
+
+def eps_convergence_table(runs: list[TrajectoryRecord]) -> EpsConvergenceTable:
+    """The table of `eps_convergence_study` from its runs, which differ in eps only."""
+    eps_list = [r.config.eps for r in runs]
     truncated = any(r.truncated for r in runs)
     pairs = []
     xs, ys = [], []

@@ -33,7 +33,8 @@ from . import estimates as est_mod
 from . import growth as growth_mod
 from .evolution import (
     EvolutionConfig,
-    eps_convergence_study,
+    TrajectoryRecord,
+    eps_convergence_table,
     integrate,
     integrate_rows,
     sup_l2_gap,
@@ -212,7 +213,7 @@ def family_params(preset_name: str, settings: dict) -> dict:
 # -- analyses -------------------------------------------------------------------
 
 
-def _analysis_criterion(spec, F, params, custom, cfg, seed, out_dir, criterion):
+def _analysis_criterion(spec, F, params, custom, cfg, seed, out_dir, criterion, smooth):
     verdict = criterion()
     expected = None if custom else spec.wellposed(params)
     ok = True if expected is None else verdict.satisfied == expected
@@ -232,7 +233,7 @@ def _analysis_criterion(spec, F, params, custom, cfg, seed, out_dir, criterion):
     return ok, metrics
 
 
-def _analysis_linear_regression(spec, F, params, custom, cfg, seed, out_dir, criterion):
+def _analysis_linear_regression(spec, F, params, custom, cfg, seed, out_dir, criterion, smooth):
     if custom:
         return True, {"skipped": "exact-solution regression applies to the preset formula only"}
     rng = np.random.default_rng(seed)
@@ -266,10 +267,17 @@ def _smooth_small_data(cutoff: int, seed: int, amplitude: float = 0.2) -> Spectr
     return truncate_modes(f.with_cutoff(cutoff), max(cutoff // 2, 2))
 
 
-def _analysis_energy_audit(spec, F, params, custom, cfg, seed, out_dir, criterion):
-    r = regularity_threshold(cfg.alpha) + 0.1
+def _smooth_runs(F, cfg, seed, eps_values) -> dict[float, TrajectoryRecord]:
+    """The runs from `_smooth_small_data` under cfg at each eps, as one block, by eps."""
+    eps_values = list(dict.fromkeys(eps_values))
     phi = _smooth_small_data(cfg.cutoff, seed)
-    traj = integrate(phi, F, cfg)
+    runs = integrate_rows([(phi, F, replace(cfg, eps=e)) for e in eps_values])
+    return dict(zip(eps_values, runs))
+
+
+def _analysis_energy_audit(spec, F, params, custom, cfg, seed, out_dir, criterion, smooth):
+    r = regularity_threshold(cfg.alpha) + 0.1
+    traj = smooth()[cfg.eps]
     trace = energy_mod.energy_audit(traj, F, r)
     energy_mod.write_energy_csv(trace, os.path.join(out_dir, "energy_trace.csv"))
     _gnuplot_energy(os.path.join(out_dir, "energy_trace.gp"))
@@ -283,10 +291,13 @@ def _analysis_energy_audit(spec, F, params, custom, cfg, seed, out_dir, criterio
     }
 
 
-def _analysis_eps_rate(spec, F, params, custom, cfg, seed, out_dir, criterion):
-    phi = _smooth_small_data(cfg.cutoff, seed)
-    eps_list = [1e-1, 1e-2, 1e-3]
-    table = eps_convergence_study(phi, F, cfg, eps_list)
+# The viscosities of the eps_rate analysis.
+_EPS_STUDY = (1e-1, 1e-2, 1e-3)
+
+
+def _analysis_eps_rate(spec, F, params, custom, cfg, seed, out_dir, criterion, smooth):
+    runs = smooth()
+    table = eps_convergence_table([runs[e] for e in _EPS_STUDY])
     with open(os.path.join(out_dir, "eps_rate.csv"), "w") as fh:
         fh.write("eps_1,eps_2,sup_l2_diff\n")
         for e1, e2, d in table.pairs:
@@ -300,7 +311,7 @@ def _analysis_eps_rate(spec, F, params, custom, cfg, seed, out_dir, criterion):
             "plot 'eps_rate.csv' using (abs($1-$2)):3 with points title 'sup-t L2 gap'\n"
         )
     ok = (not math.isnan(table.beta)) and table.beta >= 0.45
-    return ok, {"beta": table.beta, "eps_list": eps_list, "threshold": 0.45}
+    return ok, {"beta": table.beta, "eps_list": list(_EPS_STUDY), "threshold": 0.45}
 
 
 def paired_growth_probe(
@@ -352,7 +363,7 @@ def _control_data(witness, cutoff, s, side, seed):
     return witness.with_cutoff(cutoff) + tail
 
 
-def _analysis_growth_probe(spec, F, params, custom, cfg, seed, out_dir, criterion):
+def _analysis_growth_probe(spec, F, params, custom, cfg, seed, out_dir, criterion, smooth):
     s = regularity_threshold(cfg.alpha) + 0.1
     # A custom nonlinearity is probed on the checker's witness against cubic(i).
     if custom:
@@ -448,6 +459,12 @@ def run(
     # The criterion verdict, computed on first use and then shared by every
     # analysis of the run.
     criterion = functools.cache(functools.partial(check_wellposedness_condition, F, seed=seed))
+    # The runs from the smooth datum at the run's eps and, if the run has an
+    # eps study, at each of its eps, integrated as one block on first use and
+    # then shared: the energy audit's run is bitwise the study's row of the
+    # same eps (a row's record does not depend on the rows beside it).
+    study = _EPS_STUDY if "eps_rate" in spec.analyses else ()
+    smooth = functools.cache(functools.partial(_smooth_runs, F, cfg, seed, (cfg.eps, *study)))
 
     results = []
     for analysis in spec.analyses:
@@ -457,7 +474,7 @@ def run(
             analysis = "energy_audit" if criterion().satisfied else "growth_probe"
         fn = _ANALYSES[analysis]
         try:
-            ok, metrics = fn(spec, F, params, custom, cfg, seed, out_dir, criterion)
+            ok, metrics = fn(spec, F, params, custom, cfg, seed, out_dir, criterion, smooth)
         except Exception as exc:  # analysis failures are data, not crashes
             ok, metrics = False, {"error": f"{type(exc).__name__}: {exc}"}
         results.append({"name": analysis, "pass": bool(ok), "metrics": _jsonable(metrics)})

@@ -135,35 +135,68 @@ class PolynomialNonlinearity:
     def evaluate_values(self, u_vals, du_vals) -> np.ndarray:
         """Pointwise values of F on given sample arrays of u and u_x.
 
-        Each power of a slot is computed once and shared by every term that
-        uses it, a slot is conjugated only if some term uses it, and the terms
-        accumulate in place into the first one.
+        The one-shot call of `values_plan`: it builds the plan on the given
+        arrays and an output array, runs it once and returns the output, so
+        there is one evaluator of F on a grid.
+        """
+        out = np.empty(np.shape(u_vals), dtype=np.complex128)
+        self.values_plan(u_vals, du_vals, out)()
+        return out
+
+    def values_plan(self, u_vals, du_vals, out: np.ndarray):
+        """The evaluation of F on the samples u_vals, du_vals into out, compiled once.
+
+        The returned function reads the current contents of u_vals and
+        du_vals and writes F's values into out.  It runs a fixed list of
+        `np.conjugate`/`np.square`/`np.power`/`np.multiply`/`np.add` calls
+        whose outputs are out and arrays built here, so a call allocates
+        nothing.  Each power of a slot is computed once and shared by every
+        term that uses it, a slot is conjugated only if some term uses it,
+        and the terms accumulate in place into the first one, written in
+        out.  A term is the product ``coeff * p1 * p2 * ...`` of its
+        coefficient, the left operand, and its nonzero slot powers
+        ``p = x ** e`` in slot order, and e == 2 is `np.square` (what
+        ``x ** 2`` calls), so every value is bitwise that of the expression.
+        The arrays may be views, and a coefficient may be an array that
+        broadcasts against out (see `_stacked`).  Not for concurrent use.
         """
         bases = [u_vals, du_vals, None, None]
         powers: dict[tuple[int, int], np.ndarray] = {}
-        out = None
+        calls: list = []  # (function, arguments), in order
+        term = out
         for idx, coeff in self.terms:
-            term = None
+            left = coeff  # the term's product so far
             for slot, e in enumerate(idx):
                 if not e:
                     continue
-                if (slot, e) not in powers:
-                    if bases[slot] is None:
-                        bases[slot] = np.conj(bases[slot - 2])
-                    powers[slot, e] = bases[slot] if e == 1 else bases[slot] ** e
-                if term is None:
-                    term = coeff * powers[slot, e]
-                else:
-                    term *= powers[slot, e]
-            if term is None:  # the constant term
-                term = np.full(np.shape(u_vals), coeff)
-            if out is None:
-                out = term
-            else:
-                out += term
-        if out is None:
-            return np.zeros(np.shape(u_vals), dtype=np.complex128)
-        return out
+                p = powers.get((slot, e))
+                if p is None:
+                    base = bases[slot]
+                    if base is None:
+                        base = bases[slot] = np.empty(bases[slot - 2].shape, np.complex128)
+                        calls.append((np.conjugate, (bases[slot - 2], base)))
+                    if e == 1:
+                        p = base
+                    else:
+                        p = np.empty(base.shape, np.complex128)
+                        calls.append((np.square, (base, p)) if e == 2 else (np.power, (base, e, p)))
+                    powers[slot, e] = p
+                calls.append((np.multiply, (left, p, term)))
+                left = term
+            if left is coeff:  # the constant term
+                calls.append((np.copyto, (term, coeff)))
+            if term is not out:
+                calls.append((np.add, (out, term, out)))
+            elif len(self.terms) > 1:
+                term = np.empty(out.shape, np.complex128)  # the later terms' scratch
+        if not calls:
+            calls.append((np.copyto, (out, 0)))
+
+        def run() -> None:
+            for fn, args in calls:
+                fn(*args)
+
+        return run
 
     def coefficient_map(self, cutoff: int, out_cutoff: int | None = None):
         """Map from the coefficients of u (|k| <= cutoff) to those of F along u.
@@ -171,34 +204,46 @@ class PolynomialNonlinearity:
         The returned function takes the 2*cutoff+1 coefficients of u and
         returns the 2*kout+1 coefficients of F(u, u_x, conj u, conj u_x),
         alias-free, where kout is ``out_cutoff`` capped at the full product
-        bandwidth total_degree * cutoff (the default).  The padded grid and
-        its buffer, the scatter/gather indices and the derivative multiplier
-        are built once per map, and so are the arrays the transforms write
-        (the u and u_x samples and F's spectrum, passed as ``out=``), so a
-        call allocates only the evaluation of F and the returned coefficients,
-        a fresh copy.  Repeated calls (one per Runge-Kutta stage) reuse the
-        plan, so a map is not for concurrent use.
+        bandwidth total_degree * cutoff (the default); given ``out``, an array
+        of that length, it writes them there and returns it.  The padded grid
+        and its buffer, the scatter/gather indices, the derivative multiplier,
+        the arrays the transforms write (the u and u_x samples and F's
+        spectrum, passed as ``out=``) and F's evaluation (`values_plan`, with
+        its powers, conjugates and term scratch) are built once per map, so
+        a call allocates only the returned coefficients, a fresh copy, or
+        nothing with ``out``.  Repeated calls (one per Runge-Kutta stage)
+        reuse the plan, so a map is not for concurrent use.
         """
         band = max(self.total_degree, 1) * cutoff
         kout = band if out_cutoff is None else min(out_cutoff, band)
         if self.is_zero():
-            return lambda coeffs: np.zeros(2 * kout + 1, dtype=np.complex128)
+            def zero(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+                if out is None:
+                    return np.zeros(2 * kout + 1, dtype=np.complex128)
+                out.fill(0)
+                return out
+
+            return zero
         m = padded_size(cutoff, band, kout)
         ks = np.arange(-cutoff, cutoff + 1)
         scatter = np.mod(ks, m)
         gather = np.mod(np.arange(-kout, kout + 1), m)
         ik = 1j * ks.astype(float)
+        dmodes = np.empty(2 * cutoff + 1, dtype=np.complex128)
         # Only the scatter entries are ever written, so the rest stay zero.
         buf = np.zeros(m, dtype=np.complex128)
-        u_vals, du_vals, h = (np.empty(m, dtype=np.complex128) for _ in range(3))
+        u_vals, du_vals, f, h = (np.empty(m, dtype=np.complex128) for _ in range(4))
+        values = self.values_plan(u_vals, du_vals, f)
 
-        def apply(coeffs: np.ndarray) -> np.ndarray:
+        def apply(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
             buf[scatter] = coeffs
             np.fft.ifft(buf, norm="forward", out=u_vals)
-            buf[scatter] = coeffs * ik
+            buf[scatter] = np.multiply(coeffs, ik, out=dmodes)
             np.fft.ifft(buf, norm="forward", out=du_vals)
-            np.fft.fft(self.evaluate_values(u_vals, du_vals), norm="forward", out=h)
-            return h[gather]
+            values()
+            np.fft.fft(f, norm="forward", out=h)
+            # The gather indices are in range, so "clip" only spares take a buffer.
+            return h[gather] if out is None else h.take(gather, out=out, mode="clip")
 
         return apply
 
@@ -221,24 +266,26 @@ def _rows_coefficient_map(polys: list[PolynomialNonlinearity], cutoffs: list[int
     least every cutoff, with each row's 2k+1 modes centred in its row, and
     returns the coefficients of each row's polynomial along that row in the
     same layout, each row's window bitwise equal to the one-row map and the
-    columns outside it zero.  Adjacent rows of one cutoff whose polynomials
-    need the same padded grid form a group that shares the transforms: one
-    inverse transform of a (2b, m) buffer holding the u rows and then the u_x
-    rows, and one forward transform of (b, m).  Adjacent rows of a group
-    whose polynomials have the same monomials also share one
-    `evaluate_values` call, through one polynomial whose differing
+    columns outside it zero; given ``out``, a C-contiguous array of that
+    shape, it writes them there and returns it.  Adjacent rows of one cutoff
+    whose polynomials need the same padded grid form a group that shares the
+    transforms: one inverse transform of a (2b, m) buffer holding the u rows
+    and then the u_x rows, and one forward transform of (b, m).  Adjacent
+    rows of a group whose polynomials have the same monomials form a run
+    that shares one evaluation of F, through one polynomial whose differing
     coefficients are (b, 1) columns of the rows' values (the coefficient
     stays the left operand of each product, which keeps every row bitwise
-    equal to its own call).  Callers order the rows so that such rows are
-    adjacent; any order is correct.  The map is a plan built once: the group
-    buffers are views into one flat array (only the mode entries are ever
-    written, so the rest stay zero), each group's forward transform writes
-    into a view of one flat spectrum array that ends in a zero, and flat
-    index arrays place every mode, so a call moves the modes in with one
-    `take` and two indexed writes and out with one `take`, whatever the
-    number of groups.  Each group's samples also have their own array, so a
-    call allocates only the evaluations of F and the returned coefficients,
-    a fresh copy.  Not for concurrent use, like coefficient_map.
+    equal to its own call); each run writes its rows of the group's (b, m)
+    values.  Callers order the rows so that such rows are adjacent; any
+    order is correct.  The map is a plan built once: the group buffers are
+    views into one flat array (only the mode entries are ever written, so
+    the rest stay zero), each group's forward transform writes into a view
+    of one flat spectrum array that ends in a zero, flat index arrays place
+    every mode, and each run's evaluation is a `values_plan` on views of its
+    group's arrays.  So a call moves the modes in with one `take` and two
+    indexed writes and out with one `take`, whatever the number of groups,
+    and allocates only the returned coefficients, a fresh copy, or nothing
+    with ``out``.  Not for concurrent use, like coefficient_map.
     """
     def grid(j):
         P, k = polys[j], cutoffs[j]
@@ -264,36 +311,35 @@ def _rows_coefficient_map(polys: list[PolynomialNonlinearity], cutoffs: list[int
         size, hsize = size + 2 * b * m, hsize + b * m
     src, u_at, du_at, h_at = np.concatenate([np.zeros((4, 0), np.intp), *at], axis=1)
     ik = 1j * (src % width - n).astype(float)
+    modes, dmodes = (np.empty(len(src), dtype=np.complex128) for _ in range(2))
     flat = np.zeros(size, dtype=np.complex128)
     hflat = np.zeros(hsize + 1, dtype=np.complex128)
-    plans = [
-        (
+    plans = []
+    for i, j, b, m, runs in groups:
+        vals = np.empty((2 * b, m), dtype=np.complex128)
+        f = np.empty((b, m), dtype=np.complex128)
+        plans.append((
             flat[i : i + 2 * b * m].reshape(2 * b, m),
-            np.empty((2 * b, m), dtype=np.complex128),
+            vals,
+            [P.values_plan(vals[p0:p1], vals[b + p0 : b + p1], f[p0:p1]) for p0, p1, P in runs],
+            f,
             hflat[j : j + b * m].reshape(b, m),
-            b,
-            runs,
-        )
-        for i, j, b, m, runs in groups
-    ]
+        ))
     # Output entry -> its forward-transform entry, or the zero after them all.
     gather = np.full(len(polys) * width, hsize)
     gather[src] = h_at
+    gather = gather.reshape(len(polys), width)
 
-    def apply(coeffs: np.ndarray) -> np.ndarray:
-        modes = coeffs.take(src)
+    def apply(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        coeffs.take(src, out=modes, mode="clip")  # indices in range: "clip" spares a buffer
         flat[u_at] = modes
-        flat[du_at] = modes * ik
-        for buf, vals, h, b, runs in plans:
+        flat[du_at] = np.multiply(modes, ik, out=dmodes)
+        for buf, vals, evaluations, f, h in plans:
             np.fft.ifft(buf, norm="forward", out=vals)
-            if len(runs) == 1:
-                f = runs[0][2].evaluate_values(vals[:b], vals[b:])
-            else:
-                f = np.concatenate(
-                    [P.evaluate_values(vals[p0:p1], vals[b + p0 : b + p1]) for p0, p1, P in runs]
-                )
+            for evaluate in evaluations:
+                evaluate()
             np.fft.fft(f, norm="forward", out=h)
-        return hflat.take(gather).reshape(-1, width)
+        return hflat.take(gather) if out is None else hflat.take(gather, out=out, mode="clip")
 
     return apply
 
@@ -302,8 +348,8 @@ def _stacked(polys: list[PolynomialNonlinearity]) -> PolynomialNonlinearity:
     """One polynomial for rows whose polynomials have the same monomials.
 
     Unless the rows share one polynomial, each coefficient becomes the (b, 1)
-    column of the rows' values, so that `evaluate_values` on (b, m) samples
-    evaluates row i under polys[i].  The result is only for that call: its
+    column of the rows' values, so that its `values_plan` on (b, m) samples
+    evaluates row i under polys[i].  The result is only for that plan: its
     coefficients are not numbers.
     """
     first = polys[0]

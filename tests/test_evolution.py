@@ -11,12 +11,11 @@ from fnlslab.evolution import (
     EvolutionConfig,
     TrajectoryRecord,
     _prepare,
-    _rk4_step,
     _leaving,
+    _rk4_stepper,
     eps_convergence_study,
     integrate,
     integrate_rows,
-    linear_semigroup_apply,
     read_trajectory,
     sup_l2_gap,
     write_trajectory,
@@ -24,6 +23,7 @@ from fnlslab.evolution import (
 from fnlslab.growth import probe_initial_data
 from fnlslab.nonlinearity import (
     PolynomialNonlinearity,
+    _rows_coefficient_map,
     cubic,
     example_b,
     example_c,
@@ -36,6 +36,7 @@ from fnlslab.spectral import (
     sobolev_norm,
     truncate_modes,
 )
+from test_spectral import linear_semigroup_apply
 
 ZERO = PolynomialNonlinearity.zero()
 
@@ -250,6 +251,19 @@ def _h1_weights(cutoff: int) -> np.ndarray:
     return np.sqrt(1.0 + np.arange(-cutoff, cutoff + 1).astype(float) ** 2)
 
 
+def _rk4_step(u, rhs, e_half, e_full, dt):
+    """Reference: one IF-RK4 step of one row (2K+1,) or of a block of rows (B, 2K+1),
+    every stage a fresh array."""
+    n1 = rhs(u)
+    a2 = e_half * (u + 0.5 * dt * n1)
+    n2 = rhs(a2)
+    a3 = e_half * u + 0.5 * dt * n2
+    n3 = rhs(a3)
+    a4 = e_full * u + dt * e_half * n3
+    n4 = rhs(a4)
+    return e_full * u + (dt / 6.0) * (e_full * n1 + 2.0 * e_half * (n2 + n3) + n4)
+
+
 def sequential_integrate(
     phi: SpectralField, F: PolynomialNonlinearity, cfg: EvolutionConfig
 ) -> TrajectoryRecord:
@@ -359,6 +373,48 @@ def test_block_blowup_check_matches_one_row_rule(rows):
                 if np.isfinite(norm) and abs(norm - c) <= 1e-12 * c:
                     continue
                 assert (i in gone) == _blown_up(row, _h1_weights(4), c)
+
+
+@given(
+    picks=st.lists(st.integers(0, len(ROW_POOL) - 1), min_size=1, max_size=5),
+    special=st.lists(
+        st.tuples(st.integers(0, 4), st.integers(0, 2 * 129 - 1), st.sampled_from(SPECIAL_PARTS)),
+        max_size=4,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example([0, 1, 8, 9], [(1, 3, np.nan), (2, 100, np.inf), (3, 7, 1e200)], 0)
+@example([4], [(0, 64, -np.inf)], 1)
+@settings(max_examples=40, deadline=None)
+def test_rk4_stepper_matches_fresh_step(picks, special, seed):
+    """The built step is bitwise `_rk4_step` on the block map, nonfinite rows included."""
+    n = max(ROW_POOL[j][2].cutoff for j in picks)
+    _, polys, e_half, e_full = zip(*(_prepare(*ROW_POOL[j]) for j in picks))
+    cuts = [ROW_POOL[j][2].cutoff for j in picks]
+
+    def stack(arrays, fill):
+        out = np.full((len(picks), 2 * n + 1), fill, dtype=np.complex128)
+        for i, (a, k) in enumerate(zip(arrays, cuts)):
+            out[i, n - k : n + k + 1] = a
+        return out
+
+    e_half, e_full = stack(e_half, 1.0), stack(e_full, 1.0)
+    rng = np.random.default_rng(seed)
+    u = 0.3 * stack([rng.standard_normal((2 * k + 1, 2)) @ [1.0, 1j] for k in cuts], 0.0)
+    for i, col, value in special:
+        if i < len(picks) and col < 2 * (2 * n + 1):
+            u.view(np.float64)[i, col] = value
+    step = _rk4_stepper(_rows_coefficient_map(list(polys), cuts, n), e_half, e_full, ROW_CFG.dt)
+    fresh = _rows_coefficient_map(list(polys), cuts, n)
+    states = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(3):  # the step's arrays carry over from one call to the next
+            got, want = step(u), _rk4_step(u, fresh, e_half, e_full, ROW_CFG.dt)
+            assert got.tobytes() == want.tobytes()
+            states.append((got, want))
+            u = want
+    for got, want in states:  # a later step leaves an earlier state alone
+        assert got.tobytes() == want.tobytes()
 
 
 def test_config_validation():

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fnlslab import experiments
+from fnlslab.energy import energy_audit, write_energy_csv
+from fnlslab.evolution import EvolutionConfig, eps_convergence_study, integrate
 
 from fnlslab.cli import _collect, build_parser
 from fnlslab.cli import main as cli_main
@@ -110,6 +112,35 @@ def test_rerun_is_byte_identical(tmp_path):
     run("example_c", tmp_path / "b", overrides={"c": 1j}, seed=5)
     for name in ("summary.json", "growth_rates.csv", "verdict.json", "probe_trajectory.csv"):
         assert read(tmp_path / "a" / name) == read(tmp_path / "b" / name), name
+
+
+@pytest.mark.parametrize("eps", [None, 0.05])  # the default 1e-2 is a row of the eps study; 0.05 is none
+def test_cubic_audit_and_eps_study_match_separate_runs(tmp_path, monkeypatch, eps):
+    blocks = []
+    integrate_rows = experiments.integrate_rows
+    monkeypatch.setattr(
+        experiments, "integrate_rows", lambda rows: blocks.append(len(rows)) or integrate_rows(rows)
+    )
+    overrides = {} if eps is None else {"eps": eps}
+    s = run("cubic", tmp_path, overrides=overrides, seed=2)
+    assert blocks == [3 if eps is None else 4]  # one block of the smooth datum's runs
+    monkeypatch.undo()
+    spec = PRESETS["cubic"]
+    cfg = EvolutionConfig(
+        alpha=spec.alpha, eps=spec.eps if eps is None else eps, cutoff=spec.cutoff,
+        dt=spec.dt, horizon=spec.horizon, record_every=spec.record_every,
+    )
+    phi = experiments._smooth_small_data(cfg.cutoff, 2)
+    F = spec.family(**spec.default_params)
+    r = regularity_threshold(cfg.alpha) + 0.1
+    trace = energy_audit(integrate(phi, F, cfg), F, r)
+    write_energy_csv(trace, tmp_path / "separate_energy_trace.csv")
+    assert read(tmp_path / "energy_trace.csv") == read(tmp_path / "separate_energy_trace.csv")
+    table = eps_convergence_study(phi, F, cfg, [1e-1, 1e-2, 1e-3])
+    want = "eps_1,eps_2,sup_l2_diff\n" + "".join(f"{a:.17g},{b:.17g},{d:.17g}\n" for a, b, d in table.pairs)
+    assert read(tmp_path / "eps_rate.csv") == want
+    assert [a["name"] for a in s["analyses"]] == ["criterion", "energy_audit", "eps_rate"]
+    assert s["analyses"][2]["metrics"]["beta"] == table.beta
 
 
 def test_run_computes_the_criterion_verdict_once(tmp_path, monkeypatch):

@@ -343,7 +343,86 @@ def test_block_checker_satisfied_matches_oracle(F):
         assert_same_verdict(check_wellposedness_condition(F, **kwargs), sequential_checker(F, **kwargs))
 
 
-# -- the RHS maps against the fresh-allocation code they replaced ---------------------
+# -- the evaluation plan and the RHS maps against fresh-allocation references ---------
+
+
+def oracle_evaluate_values(F: PolynomialNonlinearity, u_vals, du_vals) -> np.ndarray:
+    """Reference: F's values on the samples, every power and term a fresh array.
+
+    Each power of a slot is computed once and shared by every term that
+    uses it, a slot is conjugated only if some term uses it, and the terms
+    accumulate in place into the first one.
+    """
+    bases = [u_vals, du_vals, None, None]
+    powers: dict[tuple[int, int], np.ndarray] = {}
+    out = None
+    for idx, coeff in F.terms:
+        term = None
+        for slot, e in enumerate(idx):
+            if not e:
+                continue
+            if (slot, e) not in powers:
+                if bases[slot] is None:
+                    bases[slot] = np.conj(bases[slot - 2])
+                powers[slot, e] = bases[slot] if e == 1 else bases[slot] ** e
+            if term is None:
+                term = coeff * powers[slot, e]
+            else:
+                term *= powers[slot, e]
+        if term is None:  # the constant term
+            term = np.full(np.shape(u_vals), coeff)
+        if out is None:
+            out = term
+        else:
+            out += term
+    if out is None:
+        return np.zeros(np.shape(u_vals), dtype=np.complex128)
+    return out
+
+
+_PLAN_MONOMIALS = st.lists(st.tuples(*(st.integers(0, 3),) * 4), max_size=5, unique=True)
+_PLAN_COEFF = st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _plan_case(draw):
+    """(P, b, extra): P over b rows, a stacked polynomial of b rows' coefficients or one
+    polynomial; ``extra`` more rows in the buffers the samples and values are views of."""
+    monomials = draw(st.one_of(st.just([(0, 0, 0, 0)]), _PLAN_MONOMIALS))  # constant only, or any
+    b = draw(st.integers(1, 4))
+    if draw(st.booleans()):  # stacked (b, 1) coefficient columns
+        P = _stacked([
+            PolynomialNonlinearity.from_terms({idx: draw(_PLAN_COEFF) for idx in monomials})
+            for _ in range(b)
+        ])
+    else:
+        P = PolynomialNonlinearity.from_terms({idx: draw(_PLAN_COEFF) for idx in monomials})
+    return P, b, draw(st.integers(0, 3))
+
+
+@given(case=_plan_case(), m=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+@example((PolynomialNonlinearity.zero(), 2, 1), 5, 0)  # the zero polynomial
+@example((cubic(1j) + PolynomialNonlinearity.from_terms({(0, 0, 0, 0): 0.5}), 1, 0), 3, 0)
+@example((_stacked([example_d(1.0, 2.0), example_d(1j, -0.5)]), 2, 2), 16, 0)
+@settings(max_examples=150, deadline=None)
+def test_values_plan_matches_fresh_allocation_oracle(case, m, seed):
+    P, b, extra = case
+    rows = b + extra
+    p0 = extra // 2  # the view's first row
+    buf = np.zeros((2 * rows, m), dtype=np.complex128)  # u rows, then u_x rows
+    u_vals, du_vals = buf[p0 : p0 + b], buf[rows + p0 : rows + p0 + b]
+    values = np.full((rows, m), 7.0 + 7.0j)
+    plan = P.values_plan(u_vals, du_vals, values[p0 : p0 + b])
+    rng = np.random.default_rng(seed)
+    for _ in range(3):  # the plan's arrays carry over from one call to the next
+        buf[...] = _random_coeffs(rng, buf.shape)
+        plan()
+        want = oracle_evaluate_values(P, u_vals, du_vals)
+        assert want.shape == (b, m)
+        assert values[p0 : p0 + b].tobytes() == want.tobytes()
+        assert P.evaluate_values(u_vals, du_vals).tobytes() == want.tobytes()
+        # rows outside the view are not written
+        assert np.all(values[:p0] == 7.0 + 7.0j) and np.all(values[p0 + b :] == 7.0 + 7.0j)
 
 
 def oracle_coefficient_map(F: PolynomialNonlinearity, cutoff: int, out_cutoff: int | None = None):
@@ -370,7 +449,7 @@ def oracle_coefficient_map(F: PolynomialNonlinearity, cutoff: int, out_cutoff: i
         u_vals = np.fft.ifft(buf, norm="forward")
         buf[scatter] = coeffs * ik
         du_vals = np.fft.ifft(buf, norm="forward")
-        vals = F.evaluate_values(u_vals, du_vals)
+        vals = oracle_evaluate_values(F, u_vals, du_vals)
         return np.fft.fft(vals, norm="forward")[gather]
 
     return apply
@@ -387,8 +466,8 @@ def oracle_rows_coefficient_map(polys: list[PolynomialNonlinearity], cutoffs: li
     need the same padded grid share the transforms: one inverse transform of
     a (2b, m) buffer holding the u rows and then the u_x rows, and one
     forward transform of (b, m).  Adjacent rows of such a group whose
-    polynomials have the same monomials also share one `evaluate_values`
-    call, through one polynomial whose differing coefficients are (b, 1)
+    polynomials have the same monomials also share one evaluation of F
+    (`oracle_evaluate_values`), through one polynomial whose differing coefficients are (b, 1)
     columns of the rows' values (the coefficient stays the left operand of
     each product, which keeps every row bitwise equal to its own call).
     Callers order the rows so that such rows are adjacent; any order is
@@ -426,11 +505,12 @@ def oracle_rows_coefficient_map(polys: list[PolynomialNonlinearity], cutoffs: li
             np.multiply(buf[:b, m - k :], ik[:k], out=buf[b:, m - k :])
             vals = np.fft.ifft(buf, norm="forward")
             if len(runs) == 1:
-                f = runs[0][2].evaluate_values(vals[:b], vals[b:])
+                f = oracle_evaluate_values(runs[0][2], vals[:b], vals[b:])
             else:
-                f = np.concatenate(
-                    [P.evaluate_values(vals[p0:p1], vals[b + p0 : b + p1]) for p0, p1, P in runs]
-                )
+                f = np.concatenate([
+                    oracle_evaluate_values(P, vals[p0:p1], vals[b + p0 : b + p1])
+                    for p0, p1, P in runs
+                ])
             h = np.fft.fft(f, norm="forward")
             out[r0:r1, n - k : n] = h[:, m - k :]
             out[r0:r1, n : n + k + 1] = h[:, : k + 1]
@@ -488,6 +568,8 @@ def test_coefficient_map_matches_fresh_allocation_oracle(case, seed):
         coeffs = _random_coeffs(rng, 2 * cutoff + 1)
         got, want = fmap(coeffs), oracle(coeffs)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        out = np.full_like(want, np.nan)
+        assert fmap(coeffs, out=out) is out and out.tobytes() == want.tobytes()
         results.append((got, want))
     for got, want in results:  # a later call leaves an earlier result alone
         assert got.tobytes() == want.tobytes()
@@ -516,6 +598,8 @@ def test_rows_map_matches_per_group_oracle(rows, ordered, extra, seed):
         coeffs = _random_coeffs(rng, (len(rows), 2 * n + 1))
         got, want = plan(coeffs), oracle(coeffs)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        out = np.full_like(want, np.nan)
+        assert plan(coeffs, out=out) is out and out.tobytes() == want.tobytes()
         results.append((got, want))
     first, want = results[0]  # the second call leaves the first result alone
     assert first.tobytes() == want.tobytes()

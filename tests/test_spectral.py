@@ -21,7 +21,6 @@ from fnlslab.spectral import (
     translate,
     truncate_modes,
 )
-from fnlslab.evolution import linear_semigroup_apply
 from fnlslab.nonlinearity import PolynomialNonlinearity
 
 RNG = np.random.default_rng(1234)
@@ -31,6 +30,18 @@ def convolve_coefficients(f: SpectralField, g: SpectralField) -> SpectralField:
     """Reference: direct convolution of the coefficient sequences (no FFT)."""
     c = np.convolve(f.coeffs, g.coeffs)
     return SpectralField(c, f.cutoff + g.cutoff)
+
+
+def linear_semigroup_apply(
+    f: SpectralField, t: float, alpha: float, eps: float = 0.0
+) -> SpectralField:
+    """Reference: exp(t(-i D^alpha + eps d_xx)) f, mode by mode.  Backward heat
+    (t < 0 with eps > 0) is refused."""
+    if eps > 0 and t < 0:
+        raise ValueError("t must be >= 0 when eps > 0")
+    k = f.wavenumbers().astype(float)
+    lam = -1j * np.abs(k) ** alpha - eps * k**2
+    return SpectralField(f.coeffs * np.exp(t * lam), f.cutoff)
 
 
 def e(k, amp=1.0, cutoff=None):
