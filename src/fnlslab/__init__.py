@@ -19,7 +19,6 @@ from .spectral import (
     conjugate,
     derivative,
     pointwise_product,
-    project,
     sobolev_norm,
     truncate_modes,
 )

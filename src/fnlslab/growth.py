@@ -29,8 +29,11 @@ The machinery implemented here:
                           grid is built: the phases separate per mode, the
                           coefficients at k1 = k - k2 are Toeplitz views of
                           one padded array, and each pair sum is a masked
-                          matrix-vector product over blocks of output rows,
-                          so memory is O(block * K);
+                          matrix-vector product over blocks of output rows.
+                          decomposition_series takes every snapshot through
+                          one pass over the blocks, building each block's
+                          pair geometry once for all of them, so memory is
+                          O(block * K + S * K) for S snapshots;
   resonant_norm_audit     the weighted l2 bounds each part must satisfy on a
                           bounded run;
   directional_growth      per-mode log-linear rate fits and the paired
@@ -41,6 +44,7 @@ The machinery implemented here:
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -140,7 +144,7 @@ class ResonantParts:
         }
 
 
-# Entries per block array in resonant_decomposition: memory is O(block * K).
+# Entries per block array in decomposition_series.
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -190,136 +194,195 @@ def resonant_decomposition(
 ) -> ResonantParts:
     """All seven arrays at recorded time t, output modes |k| <= cutoff.
 
-    Expects a gauge-shifted trajectory (or one whose Re P0 T_w vanishes);
-    the residual real mean is folded into the substituted time derivatives
-    either way.  Sums run over the literal near-diagonal / separated index
-    sets; zero denominators cannot occur on the separated set (asserted).
-    They are taken over blocks of about 2^16 pairs, so memory is O(block * K).
+    The one-snapshot call of `decomposition_series`, which shares each
+    block's pair geometry across its snapshots: for several times, call that.
     """
-    u = traj.snapshot_at(t)
-    alpha = traj.config.alpha
-    eps = traj.config.eps
+    return decomposition_series(traj, F, (t,))[0]
+
+
+@dataclass
+class _SnapshotSums:
+    """One snapshot's inputs to the pair sums, and the sums over the blocks so far."""
+
+    time: float
+    mean_im: float
+    phase: np.ndarray
+    n3: np.ndarray
+    x_o: np.ndarray  # column vectors of the omega family
+    x_ob: np.ndarray  # and of the omega_bar family
+    win_o: np.ndarray  # Toeplitz views of (theta, dt theta) at k1 = k - k2
+    win_ob: np.ndarray
+    th_used: np.ndarray  # pairs whose P_nonmean theta_omega is nonzero
+    live: bool  # some window is nonzero
+    sums: np.ndarray  # rows n11, n21, m1, k1, m2, k2 before the phase
+    min_ratio: float = float("inf")
+
+
+def _snapshot_sums(
+    u: SpectralField,
+    t: float,
+    F: PolynomialNonlinearity,
+    polys: tuple,
+    p: np.ndarray,
+    alpha: float,
+    eps: float,
+) -> _SnapshotSums:
+    """The snapshot-dependent half of `decomposition_series` at time t."""
+    theta_o_poly, theta_ob_poly, chain_o, chain_ob, remainder = polys
     K = u.cutoff
     ks = u.wavenumbers()
 
-    theta_o = F.wirtinger("omega").evaluate(u)
-    theta_ob = F.wirtinger("omega_bar").evaluate(u)
+    theta_o = theta_o_poly.evaluate(u)
+    theta_ob = theta_ob_poly.evaluate(u)
     mean_theta = theta_o.coefficient(0)
-    mean_im = float(mean_theta.imag)
     mean_re = float(mean_theta.real)
 
     dtu = _galerkin_time_derivative(u, F, alpha, eps, mean_re)
     dtv = derivative(dtu)
 
-    # Chain rule through the equation for the inner time derivatives.
-    def chain(theta_var: PolynomialNonlinearity) -> SpectralField:
-        tz = theta_var.wirtinger("zeta").evaluate(u)
-        tw = theta_var.wirtinger("omega").evaluate(u)
-        tzb = theta_var.wirtinger("zeta_bar").evaluate(u)
-        twb = theta_var.wirtinger("omega_bar").evaluate(u)
+    # Chain rule through the equation for the inner time derivatives; the
+    # polynomials are the zeta, omega, zeta_bar and omega_bar derivatives.
+    def chain(wirtingers: list[PolynomialNonlinearity]) -> SpectralField:
         out = SpectralField.zeros(0)
-        for coef_field, darg in (
-            (tz, dtu),
-            (tw, dtv),
-            (tzb, conjugate(dtu)),
-            (twb, conjugate(dtv)),
-        ):
+        for poly, darg in zip(wirtingers, (dtu, dtv, conjugate(dtu), conjugate(dtv))):
+            coef_field = poly.evaluate(u)
             if coef_field.is_zero():
                 continue
             full = coef_field.cutoff + darg.cutoff
             out = out + pointwise_product(coef_field, darg, out_cutoff=full)
         return out
 
-    dtheta_o = chain(F.wirtinger("omega"))
-    dtheta_ob = chain(F.wirtinger("omega_bar"))
+    phase = np.exp(1j * p * t)
+    vhat = (1j * ks) * u.coeffs
+    dv = 1j * p * vhat + dtv.coeffs  # conj(phase) * dt Vhat
+    cols = ks[::-1]
+    # Column vectors: k2 vhat(k2), k2 dv(k2) for the omega family and
+    # k2 conj(vhat(-k2)), k2 conj(dv(-k2)) for the omega_bar family.
+    x_o = np.stack([cols * vhat[::-1], cols * dv[::-1]], axis=1)
+    x_ob = np.stack([cols * np.conj(vhat), cols * np.conj(dv)], axis=1)
 
-    # Remainder R = T_z v + T_zb conj v, one polynomial in the four slots.
-    remainder = _times(F.wirtinger("zeta"), 1) + _times(F.wirtinger("zeta_bar"), 3)
+    win_o, pad_o = _pair_window((theta_o, chain(chain_o)), K)
+    pad_o[:, 2 * K] = 0.0  # P_nonmean for the omega family
+    win_ob, pad_ob = _pair_window((theta_ob, chain(chain_ob)), K)
+    return _SnapshotSums(
+        time=float(t),
+        mean_im=float(mean_theta.imag),
+        phase=phase,
+        n3=phase * remainder.evaluate(u, out_cutoff=K).coeffs,
+        x_o=x_o,
+        x_ob=x_ob,
+        win_o=win_o,
+        win_ob=win_ob,
+        th_used=sliding_window_view(pad_o[0] != 0, 2 * K + 1),
+        # With both windows zero (F free of omega and omega_bar up to a mean
+        # theta_omega) every pair sum is an exact zero and no pair is used.
+        live=bool(pad_o.any() or pad_ob.any()),
+        sums=np.zeros((6, 2 * K + 1), complex),
+    )
+
+
+def decomposition_series(
+    traj: TrajectoryRecord, F: PolynomialNonlinearity, times: Iterable[float] | None = None
+) -> list[ResonantParts]:
+    """The seven arrays at each recorded time in `times` (default: all of them).
+
+    Expects a gauge-shifted trajectory (or one whose Re P0 T_w vanishes);
+    the residual real mean is folded into the substituted time derivatives
+    either way.  Sums run over the literal near-diagonal / separated index
+    sets; zero denominators cannot occur on the separated set (asserted).
+    They are taken over blocks of about 2^16 pairs.  Each block's pair
+    geometry (the D1/D2 masks, the weights 1/delta and 1/sigma and the
+    denominator ratios) is built once and shared by every snapshot, so
+    memory is O(block * K + S * K) for S snapshots.
+    """
+    alpha = traj.config.alpha
+    eps = traj.config.eps
+    K = traj.config.cutoff
+    theta_o, theta_ob = F.wirtinger("omega"), F.wirtinger("omega_bar")
+    slots = ("zeta", "omega", "zeta_bar", "omega_bar")
+    polys = (
+        theta_o,
+        theta_ob,
+        [theta_o.wirtinger(v) for v in slots],
+        [theta_ob.wirtinger(v) for v in slots],
+        # Remainder R = T_z v + T_zb conj v, one polynomial in the four slots.
+        _times(F.wirtinger("zeta"), 1) + _times(F.wirtinger("zeta_bar"), 3),
+    )
 
     # Pair sums over rows k (ascending) and columns k2 (descending).  The
     # phases separate: e^{i delta t} Vhat(k2) = phase(k) vhat(k2) and
     # e^{i sigma t} conj(Vhat(-k2)) = phase(k) conj(vhat(-k2)), so each sum is
     # phase(k) times a masked matrix-vector product over k2.
     n = 2 * K + 1
+    ks = np.arange(-K, K + 1)
     p = np.abs(ks.astype(float)) ** alpha
-    phase = np.exp(1j * p * t)
-    vhat = (1j * ks) * u.coeffs
-    dv = 1j * p * vhat + dtv.coeffs  # conj(phase) * dt Vhat
     cols = ks[::-1]
     abs_cols = np.abs(cols)
     p_cols = p[::-1]
     q_cols = np.maximum(abs_cols.astype(float), 1.0) ** (alpha - 1.0)
-    # Column vectors: k2 vhat(k2), k2 dv(k2) for the omega family and
-    # k2 conj(vhat(-k2)), k2 conj(dv(-k2)) for the omega_bar family.
-    x_o = np.stack([cols * vhat[::-1], cols * dv[::-1]], axis=1)
-    x_ob = np.stack([cols * np.conj(vhat), cols * np.conj(dv)], axis=1)
+    snaps = [
+        _snapshot_sums(traj.snapshot_at(t), t, F, polys, p, alpha, eps)
+        for t in (traj.times if times is None else times)
+    ]
+    live = [s for s in snaps if s.live]
 
-    win_o, pad_o = _pair_window((theta_o, dtheta_o), K)
-    pad_o[:, 2 * K] = 0.0  # P_nonmean for the omega family
-    win_ob, pad_ob = _pair_window((theta_ob, dtheta_ob), K)
-    th_used = sliding_window_view(pad_o[0] != 0, n)
-
-    n11, n21 = np.zeros(n, complex), np.zeros(n, complex)
-    m1, k1_arr = np.zeros(n, complex), np.zeros(n, complex)
-    m2, k2_arr = np.zeros(n, complex), np.zeros(n, complex)
-    min_ratio = float("inf")
-    # With both windows zero (F free of omega and omega_bar up to a mean
-    # theta_omega) every pair sum is an exact zero and no pair is used.
     rows = max(1, _BLOCK_ENTRIES // n)
-    blocks = range(0, n, rows) if pad_o.any() or pad_ob.any() else ()
-    for i0 in blocks:
+    for i0 in range(0, n, rows) if live else ():
         r = slice(i0, i0 + rows)
-        k1 = ks[r, None] - cols
-        abs_k1 = np.abs(k1)
+        abs_k1 = np.abs(ks[r, None] - cols)
         d2 = 2 * abs_k1 < abs_cols
         delta = p[r, None] - p_cols
-        sigma = p[r, None] + p_cols
-
-        # Separated pairs with k1 != 0 never have |k2| == |k|; assert before dividing.
-        used = d2 & th_used[r]
-        if np.any(delta[used] == 0.0):
-            raise AssertionError("zero denominator on the separated index set")
-        if np.any(used):
-            q = np.broadcast_to(q_cols, used.shape)[used]
-            ratio = np.abs(delta[used]) / (abs_k1[used] * q)
-            min_ratio = min(min_ratio, float(np.min(ratio)))
-
+        # Separated pairs with k1 != 0 never have |k2| == |k|; asserted
+        # below.  A used pair has k1 != 0, so its ratio is finite.
+        zero_delta = d2 & (delta == 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.abs(delta) / (abs_k1 * q_cols)
+        del abs_k1
         # delta = 0 on D2 only at k1 = 0, where P_nonmean theta vanishes.
         w1 = np.zeros(delta.shape)
         np.divide(1.0, delta, out=w1, where=d2 & (delta != 0.0))
+        del delta
+        sigma = p[r, None] + p_cols
         w2 = np.zeros(sigma.shape)
         np.divide(1.0, sigma, out=w2, where=d2 & (sigma != 0.0))
-
+        del sigma
         d1 = (~d2).astype(float)
-        n11[r] = (win_o[0, r] * d1) @ x_o[:, 0]
-        n21[r] = (win_ob[0, r] * d1) @ x_ob[:, 0]
-        # sep[c, :, d] = (field c * weight) @ column vector d
-        sep_o = (win_o[:, r] * w1) @ x_o
-        sep_ob = (win_ob[:, r] * w2) @ x_ob
-        m1[r] = sep_o[0, :, 0]
-        k1_arr[r] = sep_o[1, :, 0] + sep_o[0, :, 1]
-        m2[r] = sep_ob[0, :, 0]
-        k2_arr[r] = sep_ob[1, :, 0] + sep_ob[0, :, 1]
 
-    n3 = phase * remainder.evaluate(u, out_cutoff=K).coeffs
+        for s in live:
+            used = d2 & s.th_used[r]
+            if np.any(zero_delta & used):
+                raise AssertionError("zero denominator on the separated index set")
+            s.min_ratio = min(s.min_ratio, float(np.min(ratio, where=used, initial=np.inf)))
+            n11, n21, m1, k1_arr, m2, k2_arr = s.sums
+            n11[r] = (s.win_o[0, r] * d1) @ s.x_o[:, 0]
+            n21[r] = (s.win_ob[0, r] * d1) @ s.x_ob[:, 0]
+            # sep[c, :, d] = (field c * weight) @ column vector d
+            sep_o = (s.win_o[:, r] * w1) @ s.x_o
+            sep_ob = (s.win_ob[:, r] * w2) @ s.x_ob
+            m1[r] = sep_o[0, :, 0]
+            k1_arr[r] = sep_o[1, :, 0] + sep_o[0, :, 1]
+            m2[r] = sep_ob[0, :, 0]
+            k2_arr[r] = sep_ob[1, :, 0] + sep_ob[0, :, 1]
 
-    return ResonantParts(
-        time=float(t),
-        k=ks.copy(),
-        n11=1j * phase * n11,
-        n21=1j * phase * n21,
-        n3=n3,
-        m1=phase * m1,
-        m2=phase * m2,
-        k1=-phase * k1_arr,
-        k2=-phase * k2_arr,
-        mean_im=mean_im,
-        min_denominator_ratio=min_ratio,
-    )
-
-
-def decomposition_series(traj: TrajectoryRecord, F: PolynomialNonlinearity) -> list[ResonantParts]:
-    return [resonant_decomposition(traj, F, t) for t in traj.times]
+    out = []
+    for s in snaps:
+        n11, n21, m1, k1_arr, m2, k2_arr = s.sums
+        out.append(
+            ResonantParts(
+                time=s.time,
+                k=ks.copy(),
+                n11=1j * s.phase * n11,
+                n21=1j * s.phase * n21,
+                n3=s.n3,
+                m1=s.phase * m1,
+                m2=s.phase * m2,
+                k1=-s.phase * k1_arr,
+                k2=-s.phase * k2_arr,
+                mean_im=s.mean_im,
+                min_denominator_ratio=s.min_ratio,
+            )
+        )
+    return out
 
 
 @dataclass

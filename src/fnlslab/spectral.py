@@ -10,11 +10,10 @@ so Parseval reads ||f||_{L2}^2 = sum_k |c(k)|^2 with no 2*pi factors and
 ||e^{ikx}||_{L2} = 1.
 
 Operators provided as free functions: the Japanese bracket <D>^s (multiplier
-(1+k^2)^{s/2}), mean/nonmean/positive/negative mode projections, the
-mean-free antiderivative (multiplier 1/(ik) off k=0), and alias-free
-pointwise products via zero-padded FFT grids.  Every padded grid in the
-package is sized by `padded_size`: the next power of two up to 64 points,
-the smallest 5-smooth length (2^a 3^b 5^c) above that.
+(1+k^2)^{s/2}), the mean-free antiderivative (multiplier 1/(ik) off k=0),
+and alias-free pointwise products via zero-padded FFT grids.  Every padded
+grid in the package is sized by `padded_size`: the next power of two up to
+64 points, the smallest 5-smooth length (2^a 3^b 5^c) above that.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ __all__ = [
     "padded_size",
     "bracket_power",
     "sobolev_norm",
-    "project",
     "antiderivative",
     "derivative",
     "pointwise_product",
@@ -232,22 +230,6 @@ def sobolev_norm(f: SpectralField, s: float = 0.0) -> float:
     k = f.wavenumbers().astype(float)
     w = (1.0 + k * k) ** s
     return float(np.sqrt(np.sum(w * np.abs(f.coeffs) ** 2)))
-
-
-def project(f: SpectralField, which: str) -> SpectralField:
-    """Restrict support: 'mean' (k=0), 'nonmean' (k!=0), 'plus' (k>0), 'minus' (k<0)."""
-    k = f.wavenumbers()
-    if which == "mean":
-        mask = k == 0
-    elif which == "nonmean":
-        mask = k != 0
-    elif which == "plus":
-        mask = k > 0
-    elif which == "minus":
-        mask = k < 0
-    else:
-        raise ValueError(f"unknown projection {which!r}")
-    return SpectralField(np.where(mask, f.coeffs, 0.0), f.cutoff)
 
 
 def derivative(f: SpectralField) -> SpectralField:

@@ -213,7 +213,8 @@ def test_flux_first_order_matches_projection_route():
     # d/dx of the weight antiderivative is the nonmean projection of Im T_w:
     # K_1 = -2 Im int (P_nonmean Im T_w) (<D>^{s'} v_x) <D>^{s'} conj(v) dx
     # (alpha c_1 = 2), computed here without differentiating on the grid.
-    from fnlslab.spectral import bracket_power, imag_part, project
+    from fnlslab.spectral import bracket_power, imag_part
+    from test_spectral import project
 
     rng = np.random.default_rng(21)
     for alpha, r in ((2.5, 2.6), (3.0, 2.9)):

@@ -6,13 +6,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings, strategies as st
 
 from fnlslab.evolution import EvolutionConfig, TrajectoryRecord, integrate
 from fnlslab.growth import (
+    _BLOCK_ENTRIES,
     GrowthReport,
     ResonantParts,
     _galerkin_time_derivative,
+    _pair_window,
     _times,
     directional_growth,
     decomposition_series,
@@ -40,7 +43,7 @@ from fnlslab.spectral import (
     random_field,
     sobolev_norm,
 )
-from test_spectral import convolve_coefficients
+from test_spectral import convolve_coefficients, project
 
 ZERO = PolynomialNonlinearity.zero()
 
@@ -285,6 +288,168 @@ def test_decomposition_matches_dense_oracle_at_128(F):
     assert_matches_oracle(_single_snapshot_record(u, 3.0, 0.05), F, 0.05)
 
 
+def oracle_resonant_decomposition(
+    traj: TrajectoryRecord, F: PolynomialNonlinearity, t: float
+) -> ResonantParts:
+    """Reference: one snapshot at a time, its pair geometry built per block.
+
+    The body of the per-snapshot routine that `decomposition_series`
+    replaced, kept verbatim so that the series can be held to it bitwise.
+    """
+    u = traj.snapshot_at(t)
+    alpha = traj.config.alpha
+    eps = traj.config.eps
+    K = u.cutoff
+    ks = u.wavenumbers()
+
+    theta_o = F.wirtinger("omega").evaluate(u)
+    theta_ob = F.wirtinger("omega_bar").evaluate(u)
+    mean_theta = theta_o.coefficient(0)
+    mean_im = float(mean_theta.imag)
+    mean_re = float(mean_theta.real)
+
+    dtu = _galerkin_time_derivative(u, F, alpha, eps, mean_re)
+    dtv = derivative(dtu)
+
+    # Chain rule through the equation for the inner time derivatives.
+    def chain(theta_var: PolynomialNonlinearity) -> SpectralField:
+        tz = theta_var.wirtinger("zeta").evaluate(u)
+        tw = theta_var.wirtinger("omega").evaluate(u)
+        tzb = theta_var.wirtinger("zeta_bar").evaluate(u)
+        twb = theta_var.wirtinger("omega_bar").evaluate(u)
+        out = SpectralField.zeros(0)
+        for coef_field, darg in (
+            (tz, dtu),
+            (tw, dtv),
+            (tzb, conjugate(dtu)),
+            (twb, conjugate(dtv)),
+        ):
+            if coef_field.is_zero():
+                continue
+            full = coef_field.cutoff + darg.cutoff
+            out = out + pointwise_product(coef_field, darg, out_cutoff=full)
+        return out
+
+    dtheta_o = chain(F.wirtinger("omega"))
+    dtheta_ob = chain(F.wirtinger("omega_bar"))
+
+    # Remainder R = T_z v + T_zb conj v, one polynomial in the four slots.
+    remainder = _times(F.wirtinger("zeta"), 1) + _times(F.wirtinger("zeta_bar"), 3)
+
+    # Pair sums over rows k (ascending) and columns k2 (descending).  The
+    # phases separate: e^{i delta t} Vhat(k2) = phase(k) vhat(k2) and
+    # e^{i sigma t} conj(Vhat(-k2)) = phase(k) conj(vhat(-k2)), so each sum is
+    # phase(k) times a masked matrix-vector product over k2.
+    n = 2 * K + 1
+    p = np.abs(ks.astype(float)) ** alpha
+    phase = np.exp(1j * p * t)
+    vhat = (1j * ks) * u.coeffs
+    dv = 1j * p * vhat + dtv.coeffs  # conj(phase) * dt Vhat
+    cols = ks[::-1]
+    abs_cols = np.abs(cols)
+    p_cols = p[::-1]
+    q_cols = np.maximum(abs_cols.astype(float), 1.0) ** (alpha - 1.0)
+    # Column vectors: k2 vhat(k2), k2 dv(k2) for the omega family and
+    # k2 conj(vhat(-k2)), k2 conj(dv(-k2)) for the omega_bar family.
+    x_o = np.stack([cols * vhat[::-1], cols * dv[::-1]], axis=1)
+    x_ob = np.stack([cols * np.conj(vhat), cols * np.conj(dv)], axis=1)
+
+    win_o, pad_o = _pair_window((theta_o, dtheta_o), K)
+    pad_o[:, 2 * K] = 0.0  # P_nonmean for the omega family
+    win_ob, pad_ob = _pair_window((theta_ob, dtheta_ob), K)
+    th_used = sliding_window_view(pad_o[0] != 0, n)
+
+    n11, n21 = np.zeros(n, complex), np.zeros(n, complex)
+    m1, k1_arr = np.zeros(n, complex), np.zeros(n, complex)
+    m2, k2_arr = np.zeros(n, complex), np.zeros(n, complex)
+    min_ratio = float("inf")
+    # With both windows zero (F free of omega and omega_bar up to a mean
+    # theta_omega) every pair sum is an exact zero and no pair is used.
+    rows = max(1, _BLOCK_ENTRIES // n)
+    blocks = range(0, n, rows) if pad_o.any() or pad_ob.any() else ()
+    for i0 in blocks:
+        r = slice(i0, i0 + rows)
+        k1 = ks[r, None] - cols
+        abs_k1 = np.abs(k1)
+        d2 = 2 * abs_k1 < abs_cols
+        delta = p[r, None] - p_cols
+        sigma = p[r, None] + p_cols
+
+        # Separated pairs with k1 != 0 never have |k2| == |k|; assert before dividing.
+        used = d2 & th_used[r]
+        if np.any(delta[used] == 0.0):
+            raise AssertionError("zero denominator on the separated index set")
+        if np.any(used):
+            q = np.broadcast_to(q_cols, used.shape)[used]
+            ratio = np.abs(delta[used]) / (abs_k1[used] * q)
+            min_ratio = min(min_ratio, float(np.min(ratio)))
+
+        # delta = 0 on D2 only at k1 = 0, where P_nonmean theta vanishes.
+        w1 = np.zeros(delta.shape)
+        np.divide(1.0, delta, out=w1, where=d2 & (delta != 0.0))
+        w2 = np.zeros(sigma.shape)
+        np.divide(1.0, sigma, out=w2, where=d2 & (sigma != 0.0))
+
+        d1 = (~d2).astype(float)
+        n11[r] = (win_o[0, r] * d1) @ x_o[:, 0]
+        n21[r] = (win_ob[0, r] * d1) @ x_ob[:, 0]
+        # sep[c, :, d] = (field c * weight) @ column vector d
+        sep_o = (win_o[:, r] * w1) @ x_o
+        sep_ob = (win_ob[:, r] * w2) @ x_ob
+        m1[r] = sep_o[0, :, 0]
+        k1_arr[r] = sep_o[1, :, 0] + sep_o[0, :, 1]
+        m2[r] = sep_ob[0, :, 0]
+        k2_arr[r] = sep_ob[1, :, 0] + sep_ob[0, :, 1]
+
+    n3 = phase * remainder.evaluate(u, out_cutoff=K).coeffs
+
+    return ResonantParts(
+        time=float(t),
+        k=ks.copy(),
+        n11=1j * phase * n11,
+        n21=1j * phase * n21,
+        n3=n3,
+        m1=phase * m1,
+        m2=phase * m2,
+        k1=-phase * k1_arr,
+        k2=-phase * k2_arr,
+        mean_im=mean_im,
+        min_denominator_ratio=min_ratio,
+    )
+
+
+@given(
+    four_slot_polynomials(),
+    st.integers(min_value=1, max_value=24),
+    st.floats(min_value=2.0, max_value=4.0, exclude_min=True),
+    # one seed per snapshot; None is the zero snapshot, whose windows are all
+    # zero unless F has a linear omega_bar term
+    st.lists(st.one_of(st.none(), st.integers(min_value=0, max_value=2**16)), min_size=1, max_size=4),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=1e-3, max_value=0.5),
+)
+@settings(max_examples=40, deadline=None)
+def test_series_is_bitwise_the_per_snapshot_oracle(F, cutoff, alpha, seeds, t0, dt):
+    snaps = [
+        SpectralField.zeros(cutoff) if seed is None else decaying_data(cutoff, seed=seed)
+        for seed in seeds
+    ]
+    times = t0 + dt * np.arange(len(snaps))
+    cfg = EvolutionConfig(alpha=alpha, eps=0.0, cutoff=cutoff, dt=1e-3, horizon=1e-3)
+    traj = TrajectoryRecord(times, snaps, cfg)
+    series = decomposition_series(traj, F)
+    assert len(series) == len(snaps)
+    for got, t in zip(series, traj.times):
+        want = oracle_resonant_decomposition(traj, F, t)
+        assert got.time == want.time
+        assert np.array_equal(got.k, want.k)
+        for name, ref in want.by_name().items():
+            # compared as float64s, so that signed zeros count
+            assert np.array_equal(got.by_name()[name].view(np.float64), ref.view(np.float64)), name
+        assert got.min_denominator_ratio == want.min_denominator_ratio
+        assert got.mean_im == want.mean_im
+
+
 def test_decomposition_at_2048_fits_256_mb():
     u = decaying_data(2048, seed=14, rate=0.05)
     traj = _single_snapshot_record(u, 3.0, 0.05)
@@ -298,6 +463,28 @@ def test_decomposition_at_2048_fits_256_mb():
     for name, arr in parts.by_name().items():
         assert arr.shape == (4097,) and np.all(np.isfinite(arr)), name
     assert np.isfinite(parts.min_denominator_ratio)
+
+
+def test_series_memory_has_no_pair_grid_term():
+    # A series keeps O(K) arrays per snapshot (two (2, 4K+1) pads, two
+    # (2K+1, 2) column pairs, six sums, the phase, n3 and its seven output
+    # arrays: under 32 complex entries per mode) beside one block's pair
+    # geometry, so S snapshots peak within S * 32 * (2K+1) complex entries of
+    # one; a single (2K+1)^2 pair grid would be 64 times that allowance here.
+    K, S = 1024, 4
+    cfg = EvolutionConfig(alpha=3.0, eps=0.0, cutoff=K, dt=1e-3, horizon=1e-3)
+    snaps = [decaying_data(K, seed=20 + i, rate=0.05) for i in range(S)]
+    times = 0.01 * (1 + np.arange(S))
+    peaks = []
+    for traj in (TrajectoryRecord(times[:1], snaps[:1], cfg), TrajectoryRecord(times, snaps, cfg)):
+        tracemalloc.start()
+        try:
+            decomposition_series(traj, example_d(1.0, 1j))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    one, many = peaks
+    assert many <= one + S * 32 * (2 * K + 1) * 16, (one, many)
 
 
 def test_decomposition_collapses_for_linear_flow():
@@ -412,7 +599,7 @@ def test_separated_denominator_bound():
 def _splitting_residual(dt):
     # The separated sum N_{j,2} splits as dM_j/dt + K_j; differencing M along a
     # densely recorded trajectory must reproduce it up to O(dt^2).
-    from fnlslab.spectral import pointwise_product, project, derivative as ddx
+    from fnlslab.spectral import pointwise_product, derivative as ddx
 
     F = example_c(1j)
     rng = np.random.default_rng(0)

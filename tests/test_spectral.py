@@ -15,7 +15,6 @@ from fnlslab.spectral import (
     imag_part,
     padded_size,
     pointwise_product,
-    project,
     random_field,
     sobolev_norm,
     translate,
@@ -30,6 +29,23 @@ def convolve_coefficients(f: SpectralField, g: SpectralField) -> SpectralField:
     """Reference: direct convolution of the coefficient sequences (no FFT)."""
     c = np.convolve(f.coeffs, g.coeffs)
     return SpectralField(c, f.cutoff + g.cutoff)
+
+
+def project(f: SpectralField, which: str) -> SpectralField:
+    """Reference: restrict support to 'mean' (k=0), 'nonmean' (k!=0),
+    'plus' (k>0) or 'minus' (k<0)."""
+    k = f.wavenumbers()
+    if which == "mean":
+        mask = k == 0
+    elif which == "nonmean":
+        mask = k != 0
+    elif which == "plus":
+        mask = k > 0
+    elif which == "minus":
+        mask = k < 0
+    else:
+        raise ValueError(f"unknown projection {which!r}")
+    return SpectralField(np.where(mask, f.coeffs, 0.0), f.cutoff)
 
 
 def linear_semigroup_apply(

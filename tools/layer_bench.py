@@ -27,6 +27,9 @@ that a swing in the host's speed lands on both sides alike.  The layers:
                  nonlinear part is zero
   energy         `modified_energy` of one snapshot, example_d(i, 2i),
                  alpha = 2.5 (ladder depth 2)
+  decomposition  `decomposition_series` of a three-snapshot example_c(i) run,
+                 alpha = 3, per snapshot (on a checkout whose series calls
+                 `resonant_decomposition` per snapshot, that loop)
   criterion      one `check_wellposedness_condition` of example_d(1, 2),
                  which does not depend on K: satisfied, so every witness runs
   criterion_violated
@@ -67,9 +70,10 @@ def _best_us(fn, n: int, repeats: int = 5) -> float:
 
 def _layers_at(k: int) -> dict:
     """The layers measured at cutoff k: name -> a function timing it."""
-    from fnlslab import energy, evolution, nonlinearity, spectral
+    from fnlslab import energy, evolution, growth, nonlinearity, spectral
 
     F, G = nonlinearity.example_d(1.0, 2.0), nonlinearity.example_d(1.0, 1j)
+    C = nonlinearity.example_c(1j)
     balanced = nonlinearity.example_d(1j, 2j)
     linear = nonlinearity.linear_transport(1j)
     ladder = energy.CorrectionLadder.build(2.5, 2.6)
@@ -78,6 +82,7 @@ def _layers_at(k: int) -> dict:
     steps = max(8, 6400 // k)
     cfg = evolution.EvolutionConfig(alpha=3.0, cutoff=k, dt=2.5e-4, horizon=steps * 2.5e-4)
     rhs = F.coefficient_map(k, k)
+    series = evolution.integrate(phi, C, dataclasses.replace(cfg, horizon=2 * cfg.dt, record_every=1))
     row = {
         "rhs": lambda: _best_us(lambda: rhs(phi.coeffs), steps),
         "step_1row": lambda: _best_us(lambda: evolution.integrate(phi, F, cfg), 1) / steps,
@@ -86,6 +91,9 @@ def _layers_at(k: int) -> dict:
         ) / steps,
         "energy": lambda: _best_us(lambda: energy.modified_energy(phi, balanced, ladder), 3),
         "linear_step": lambda: _best_us(lambda: evolution.integrate(phi, linear, cfg), 1) / steps,
+        "decomposition": lambda: _best_us(
+            lambda: growth.decomposition_series(series, C), 1
+        ) / len(series.times),
     }
     if hasattr(nonlinearity, "_rows_coefficient_map"):
         # The rows in the order integrate_rows gives them: by cutoff, then degree.
