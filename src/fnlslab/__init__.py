@@ -38,7 +38,6 @@ from .energy import CorrectionLadder, energy_audit, ladder_depth, modified_energ
 from .growth import (
     directional_growth,
     gauge_shift,
-    interaction_picture,
     nonexistence_verdict,
     resonant_decomposition,
 )

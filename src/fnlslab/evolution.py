@@ -246,17 +246,16 @@ def integrate_rows(
     The rows advance together as one (B, 2n+1) block, n the largest cutoff,
     each row's modes centred in its row and the modes beyond its cutoff held
     at zero.  The RHS is a plan built for the block (`_rows_coefficient_map`,
-    again whenever a row leaves): an evaluation moves every row's modes in
-    and out with a few indexed moves of the whole block and takes one pair of
-    transforms per cutoff and padded grid instead of one per row.  The step
-    (`_rk4_stepper`) is built with the RHS and writes its stages into arrays
-    built with it.  A row's record is bitwise the same whichever rows share
-    the call.  While every
-    row of the block has a zero nonlinear part (F is diagonal linear,
-    absorbed into the integrating factor) the block takes the exact
-    two-operation step of `_linear_step`.  A row is recorded truncated as in
-    `integrate` and leaves the block while the others go on.  No rows give
-    no records.
+    again whenever a row leaves), one row or many: an evaluation moves every
+    row's modes in and out with a few indexed moves of the whole block and
+    takes one pair of transforms per cutoff and padded grid instead of one
+    per row.  The step (`_rk4_stepper`) is built with the RHS and writes its
+    stages into arrays built with it.  A row's record is bitwise the same
+    whichever rows share the call.  While every row of the block has a zero
+    nonlinear part (F is diagonal linear, absorbed into the integrating
+    factor) the block takes the exact two-operation step of `_linear_step`.
+    A row is recorded truncated as in `integrate` and leaves the block while
+    the others go on.  No rows give no records.
     """
     rows = list(rows)
     if len({(c.dt, c.horizon, c.record_every) for _, _, c in rows}) > 1:
@@ -286,15 +285,7 @@ def integrate_rows(
         limits = ceiling, float(ceiling.min()) / (2.0 * math.sqrt(w2.sum()))
         if all(polys[j].is_zero() for j in js):
             return _linear_step(e_half, e_full, dt), limits
-        if len(rows) == 1:
-            # A one-row call keeps the one-row map.  With preallocated outputs
-            # one (2, m) inverse transform beats its two (m,) transforms up to
-            # 4320 points (58 against 94 us) but loses at 8640, the grid of
-            # K = 2048 (238 against 190 us).
-            one = polys[0].coefficient_map(n, n)
-            rhs = lambda u, out: one(u[0], out=out[0])
-        else:
-            rhs = _rows_coefficient_map([polys[j] for j in js], [cuts[j] for j in js], n)
+        rhs = _rows_coefficient_map([polys[j] for j in js], [cuts[j] for j in js], n)
         return _rk4_stepper(rhs, e_half, e_full, dt), limits
 
     # Rows of one cutoff and degree (so of one padded grid), and within them

@@ -43,13 +43,13 @@ from .evolution import (
 from .nonlinearity import (
     PolynomialNonlinearity,
     check_wellposedness_condition,
+    criterion_functional,
     cubic,
     example_b,
     example_c,
     example_d,
     format_nonlinearity,
     linear_transport,
-    theta_omega_mean,
 )
 from .spectral import SpectralField, random_field, sobolev_norm, truncate_modes
 
@@ -371,7 +371,7 @@ def _analysis_growth_probe(spec, F, params, custom, cfg, seed, out_dir, criterio
     else:
         witness = SpectralField.from_modes(spec.witness(params), 2)
         control = spec.sibling(params)
-    mean0 = theta_omega_mean(F, witness).imag
+    mean0 = criterion_functional(F, witness)
     side = "minus" if mean0 >= 0 else "plus"
     report, verdict, run_k, run_2k = paired_growth_probe(
         F, witness, cfg, s, side=side, seed=seed, control=control

@@ -18,7 +18,6 @@ The machinery implemented here:
   gauge_shift             removes the real mean transport by translating each
                           snapshot by the time integral of Re P0 T_w (a pure
                           phase in Fourier; amplitudes untouched);
-  interaction_picture     conjugates v by the free flow;
   resonant_decomposition  splits the Vhat equation into directly bounded
                           convolution parts (near-diagonal pairs |k1| >=
                           |k2|/2), normal-form parts M_j with denominators
@@ -51,7 +50,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .evolution import TrajectoryRecord, _multipliers, sup_l2_gap
-from .nonlinearity import PolynomialNonlinearity, theta_omega_mean
+from .nonlinearity import PolynomialNonlinearity, criterion_functional, theta_omega_mean
 from .spectral import (
     SpectralField,
     conjugate,
@@ -63,7 +62,6 @@ from .spectral import (
 
 __all__ = [
     "gauge_shift",
-    "interaction_picture",
     "ResonantParts",
     "resonant_decomposition",
     "decomposition_series",
@@ -98,19 +96,6 @@ def gauge_shift(traj: TrajectoryRecord, F: PolynomialNonlinearity) -> Trajectory
         shift = np.zeros(1)
     snaps = [translate(u, a) for u, a in zip(traj.snapshots, shift)]
     return TrajectoryRecord(t.copy(), snaps, traj.config, traj.truncated)
-
-
-def interaction_picture(
-    traj: TrajectoryRecord,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(times, wavenumbers, Vhat) with Vhat[i, j] = e^{i|k_j|^alpha t_i} ik_j uhat."""
-    alpha = traj.config.alpha
-    ks = traj.snapshots[0].wavenumbers()
-    phase_rate = np.abs(ks.astype(float)) ** alpha
-    rows = []
-    for t, u in zip(traj.times, traj.snapshots):
-        rows.append(np.exp(1j * phase_rate * t) * (1j * ks) * u.coeffs)
-    return traj.times.copy(), ks, np.asarray(rows)
 
 
 # -- resonant decomposition ------------------------------------------------------
@@ -176,17 +161,16 @@ def _times(F: PolynomialNonlinearity, slot: int) -> PolynomialNonlinearity:
 
 def _galerkin_time_derivative(
     u: SpectralField,
-    F: PolynomialNonlinearity,
+    f: np.ndarray,
     alpha: float,
     eps: float,
     mean_re: float,
 ) -> SpectralField:
-    """du/dt from the (gauge-shifted) evolution equation, truncated to the cutoff."""
+    """du/dt from the (gauge-shifted) evolution equation, f = F along u, at |k| <= cutoff."""
     k = u.wavenumbers()
     lin = _multipliers(k, alpha, eps) * u.coeffs
-    theta = F.evaluate(u, out_cutoff=u.cutoff)
     transport = -mean_re * (1j * k) * u.coeffs
-    return SpectralField(lin + theta.coeffs + transport, u.cutoff)
+    return SpectralField(lin + f + transport, u.cutoff)
 
 
 def resonant_decomposition(
@@ -221,31 +205,34 @@ class _SnapshotSums:
 def _snapshot_sums(
     u: SpectralField,
     t: float,
-    F: PolynomialNonlinearity,
-    polys: tuple,
+    maps: tuple,
     p: np.ndarray,
     alpha: float,
     eps: float,
 ) -> _SnapshotSums:
-    """The snapshot-dependent half of `decomposition_series` at time t."""
-    theta_o_poly, theta_ob_poly, chain_o, chain_ob, remainder = polys
+    """The snapshot-dependent half of `decomposition_series` at time t, on its maps."""
+    theta_o_map, theta_ob_map, chain_o, chain_ob, remainder, f_map = maps
     K = u.cutoff
     ks = u.wavenumbers()
 
-    theta_o = theta_o_poly.evaluate(u)
-    theta_ob = theta_ob_poly.evaluate(u)
+    def along_u(fmap) -> SpectralField:
+        coeffs = fmap(u.coeffs)
+        return SpectralField(coeffs, len(coeffs) // 2)
+
+    theta_o = along_u(theta_o_map)
+    theta_ob = along_u(theta_ob_map)
     mean_theta = theta_o.coefficient(0)
     mean_re = float(mean_theta.real)
 
-    dtu = _galerkin_time_derivative(u, F, alpha, eps, mean_re)
+    dtu = _galerkin_time_derivative(u, f_map(u.coeffs), alpha, eps, mean_re)
     dtv = derivative(dtu)
 
     # Chain rule through the equation for the inner time derivatives; the
-    # polynomials are the zeta, omega, zeta_bar and omega_bar derivatives.
-    def chain(wirtingers: list[PolynomialNonlinearity]) -> SpectralField:
+    # maps are those of the zeta, omega, zeta_bar and omega_bar derivatives.
+    def chain(wirtingers: list) -> SpectralField:
         out = SpectralField.zeros(0)
-        for poly, darg in zip(wirtingers, (dtu, dtv, conjugate(dtu), conjugate(dtv))):
-            coef_field = poly.evaluate(u)
+        for fmap, darg in zip(wirtingers, (dtu, dtv, conjugate(dtu), conjugate(dtv))):
+            coef_field = along_u(fmap)
             if coef_field.is_zero():
                 continue
             full = coef_field.cutoff + darg.cutoff
@@ -268,7 +255,7 @@ def _snapshot_sums(
         time=float(t),
         mean_im=float(mean_theta.imag),
         phase=phase,
-        n3=phase * remainder.evaluate(u, out_cutoff=K).coeffs,
+        n3=phase * remainder(u.coeffs),
         x_o=x_o,
         x_ob=x_ob,
         win_o=win_o,
@@ -293,20 +280,22 @@ def decomposition_series(
     They are taken over blocks of about 2^16 pairs.  Each block's pair
     geometry (the D1/D2 masks, the weights 1/delta and 1/sigma and the
     denominator ratios) is built once and shared by every snapshot, so
-    memory is O(block * K + S * K) for S snapshots.
+    memory is O(block * K + S * K) for S snapshots.  The coefficient maps of
+    F and of its Wirtinger polynomials are built once per series too.
     """
     alpha = traj.config.alpha
     eps = traj.config.eps
     K = traj.config.cutoff
     theta_o, theta_ob = F.wirtinger("omega"), F.wirtinger("omega_bar")
     slots = ("zeta", "omega", "zeta_bar", "omega_bar")
-    polys = (
-        theta_o,
-        theta_ob,
-        [theta_o.wirtinger(v) for v in slots],
-        [theta_ob.wirtinger(v) for v in slots],
+    maps = (
+        theta_o.coefficient_map(K),
+        theta_ob.coefficient_map(K),
+        [theta_o.wirtinger(v).coefficient_map(K) for v in slots],
+        [theta_ob.wirtinger(v).coefficient_map(K) for v in slots],
         # Remainder R = T_z v + T_zb conj v, one polynomial in the four slots.
-        _times(F.wirtinger("zeta"), 1) + _times(F.wirtinger("zeta_bar"), 3),
+        (_times(F.wirtinger("zeta"), 1) + _times(F.wirtinger("zeta_bar"), 3)).coefficient_map(K, K),
+        F.coefficient_map(K, K),
     )
 
     # Pair sums over rows k (ascending) and columns k2 (descending).  The
@@ -321,9 +310,10 @@ def decomposition_series(
     p_cols = p[::-1]
     q_cols = np.maximum(abs_cols.astype(float), 1.0) ** (alpha - 1.0)
     snaps = [
-        _snapshot_sums(traj.snapshot_at(t), t, F, polys, p, alpha, eps)
+        _snapshot_sums(traj.snapshot_at(t), t, maps, p, alpha, eps)
         for t in (traj.times if times is None else times)
     ]
+    del maps  # their buffers are not needed in the block loop
     live = [s for s in snaps if s.live]
 
     rows = max(1, _BLOCK_ENTRIES // n)
@@ -481,9 +471,7 @@ def directional_growth(
     ks = traj.snapshots[0].wavenumbers()
     amps = np.array([np.abs(traj.snapshots[i].coeffs) for i in sel])
 
-    predicted = float(
-        np.mean([theta_omega_mean(F, traj.snapshots[i]).imag for i in sel])
-    )
+    predicted = float(np.mean([criterion_functional(F, traj.snapshots[i]) for i in sel]))
 
     side_modes = [k for k in ks if (k < 0 if side == "minus" else k > 0)]
     side_modes.sort(key=abs)

@@ -205,45 +205,19 @@ class PolynomialNonlinearity:
         returns the 2*kout+1 coefficients of F(u, u_x, conj u, conj u_x),
         alias-free, where kout is ``out_cutoff`` capped at the full product
         bandwidth total_degree * cutoff (the default); given ``out``, an array
-        of that length, it writes them there and returns it.  The padded grid
-        and its buffer, the scatter/gather indices, the derivative multiplier,
-        the arrays the transforms write (the u and u_x samples and F's
-        spectrum, passed as ``out=``) and F's evaluation (`values_plan`, with
-        its powers, conjugates and term scratch) are built once per map, so
-        a call allocates only the returned coefficients, a fresh copy, or
+        of that length, it writes them there and returns it.  This is the
+        one-row call of `_rows_coefficient_map`, a plan built once per map,
+        so a call allocates only the returned coefficients, a fresh copy, or
         nothing with ``out``.  Repeated calls (one per Runge-Kutta stage)
         reuse the plan, so a map is not for concurrent use.
         """
         band = max(self.total_degree, 1) * cutoff
         kout = band if out_cutoff is None else min(out_cutoff, band)
-        if self.is_zero():
-            def zero(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-                if out is None:
-                    return np.zeros(2 * kout + 1, dtype=np.complex128)
-                out.fill(0)
-                return out
-
-            return zero
-        m = padded_size(cutoff, band, kout)
-        ks = np.arange(-cutoff, cutoff + 1)
-        scatter = np.mod(ks, m)
-        gather = np.mod(np.arange(-kout, kout + 1), m)
-        ik = 1j * ks.astype(float)
-        dmodes = np.empty(2 * cutoff + 1, dtype=np.complex128)
-        # Only the scatter entries are ever written, so the rest stay zero.
-        buf = np.zeros(m, dtype=np.complex128)
-        u_vals, du_vals, f, h = (np.empty(m, dtype=np.complex128) for _ in range(4))
-        values = self.values_plan(u_vals, du_vals, f)
+        plan = _rows_coefficient_map([self], [cutoff], cutoff, [kout], kout)
 
         def apply(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-            buf[scatter] = coeffs
-            np.fft.ifft(buf, norm="forward", out=u_vals)
-            buf[scatter] = np.multiply(coeffs, ik, out=dmodes)
-            np.fft.ifft(buf, norm="forward", out=du_vals)
-            values()
-            np.fft.fft(f, norm="forward", out=h)
-            # The gather indices are in range, so "clip" only spares take a buffer.
-            return h[gather] if out is None else h.take(gather, out=out, mode="clip")
+            block = plan(coeffs[None], out=None if out is None else out[None])
+            return block[0] if out is None else out
 
         return apply
 
@@ -259,40 +233,57 @@ class PolynomialNonlinearity:
         return SpectralField(coeffs, len(coeffs) // 2)
 
 
-def _rows_coefficient_map(polys: list[PolynomialNonlinearity], cutoffs: list[int], n: int):
-    """`coefficient_map(k, k)` for a block of rows, row j under polys[j] at k = cutoffs[j].
+# One row on more grid points than this transforms its u and u_x samples
+# separately: one (2, m) inverse transform beats two (m,) ones up to 4320
+# points but not at 8640 (334-485 against 236-371 us on a 2-vCPU VM), while
+# (4, 8640) and (8, 8640) batched still win.  Both give the same bits.
+_SPLIT_ABOVE = 4320
 
-    The returned function takes a (B, 2*n+1) array of coefficients, n at
-    least every cutoff, with each row's 2k+1 modes centred in its row, and
-    returns the coefficients of each row's polynomial along that row in the
-    same layout, each row's window bitwise equal to the one-row map and the
-    columns outside it zero; given ``out``, a C-contiguous array of that
-    shape, it writes them there and returns it.  Adjacent rows of one cutoff
-    whose polynomials need the same padded grid form a group that shares the
-    transforms: one inverse transform of a (2b, m) buffer holding the u rows
-    and then the u_x rows, and one forward transform of (b, m).  Adjacent
-    rows of a group whose polynomials have the same monomials form a run
-    that shares one evaluation of F, through one polynomial whose differing
+
+def _rows_coefficient_map(
+    polys: list[PolynomialNonlinearity],
+    cutoffs: list[int],
+    n: int,
+    out_cutoffs: list[int] | None = None,
+    nout: int | None = None,
+):
+    """`coefficient_map(k, kout)` for a block of rows, row j under polys[j] at
+    k = cutoffs[j] and kout = out_cutoffs[j] (default: k).
+
+    The returned function takes a (B, 2*n+1) array of coefficients, each
+    row's 2k+1 modes centred, and returns the (B, 2*nout+1) coefficients of
+    each row's polynomial along that row (nout default n), each row's
+    2*kout+1 modes centred and the other columns zero; given ``out``, a
+    C-contiguous array of that shape, it writes them there and returns it.
+    A row's grid is padded_size(k, max(deg, 1) * k, kout).  Adjacent rows of
+    one k, kout and grid form a group that shares the transforms: one inverse
+    transform of a (2b, m) buffer of the u rows, then the u_x rows (one per
+    buffer row for one row on more than _SPLIT_ABOVE points), and one forward
+    transform of (b, m).  Adjacent rows of a group with the same monomials
+    share one evaluation of F, through one polynomial whose differing
     coefficients are (b, 1) columns of the rows' values (the coefficient
-    stays the left operand of each product, which keeps every row bitwise
-    equal to its own call); each run writes its rows of the group's (b, m)
-    values.  Callers order the rows so that such rows are adjacent; any
-    order is correct.  The map is a plan built once: the group buffers are
-    views into one flat array (only the mode entries are ever written, so
-    the rest stay zero), each group's forward transform writes into a view
-    of one flat spectrum array that ends in a zero, flat index arrays place
-    every mode, and each run's evaluation is a `values_plan` on views of its
-    group's arrays.  So a call moves the modes in with one `take` and two
-    indexed writes and out with one `take`, whatever the number of groups,
-    and allocates only the returned coefficients, a fresh copy, or nothing
-    with ``out``.  Not for concurrent use, like coefficient_map.
+    stays the left operand of each product, so every row is bitwise its own
+    call).  Callers order the rows so that such rows are adjacent; any order
+    is correct.  The plan is built once: the group buffers are views into one
+    flat array whose entries off the modes stay zero, the forward transforms
+    write into views of one flat spectrum array that ends in a zero, flat
+    index arrays place every mode, and each run of rows evaluates F by a
+    `values_plan` on views of its group's arrays.  So a call moves the modes
+    in with one `take` and two indexed writes and out with one `take`, and
+    allocates only the returned coefficients, or nothing with ``out``.  Not
+    for concurrent use.
     """
-    def grid(j):
-        P, k = polys[j], cutoffs[j]
-        return None if P.is_zero() else (k, padded_size(k, max(P.total_degree, 1) * k, k))
+    kouts, nout = cutoffs if out_cutoffs is None else out_cutoffs, n if nout is None else nout
 
-    width = 2 * n + 1
-    groups, at = [], []  # at: the (input, u, u_x, forward-transform) entry of each mode
+    def grid(j):
+        P, k, ko = polys[j], cutoffs[j], kouts[j]
+        return None if P.is_zero() else (k, ko, padded_size(k, max(P.total_degree, 1) * k, ko))
+
+    width, groups = 2 * n + 1, []
+    # The input, u and u_x entries and the multiplier i*k of each group's modes.
+    ins = [(np.zeros(0, np.intp),) * 3 + (np.zeros(0, np.complex128),)]
+    # Output entry -> its forward-transform entry, or -1: the zero after them all.
+    gather = np.full((len(polys), 2 * nout + 1), -1)
     size = hsize = 0  # entries of the buffers and of the forward transforms so far
     for key, rows in groupby(range(len(polys)), key=grid):
         if key is None:
@@ -302,44 +293,43 @@ def _rows_coefficient_map(polys: list[PolynomialNonlinearity], cutoffs: list[int
         for _, same in groupby(rows, key=lambda j: [idx for idx, _ in polys[j].terms]):
             same = list(same)
             runs.append((same[0] - r0, same[-1] + 1 - r0, _stacked([polys[j] for j in same])))
-        (k, m), b = key, len(rows)
+        (k, ko, m), b = key, len(rows)
         ks = np.arange(-k, k + 1)
-        cells = (np.arange(b)[:, None] * m + np.mod(ks, m)).ravel()
-        entries = (np.array(rows)[:, None] * width + n + ks).ravel()
-        at.append([entries, size + cells, size + b * m + cells, hsize + cells])
+        cells = np.arange(size, size + 2 * b * m, m)[:, None] + ks  # u rows, then u_x rows
+        cells[:, :k] += m  # mode k < 0 sits at k + m
+        src = (np.arange(r0 * width, (r0 + b) * width, width)[:, None] + (n + ks)).ravel()
+        ik = np.concatenate([1j * ks.astype(float)] * b)
+        ins.append((src, cells[:b].ravel(), cells[b:].ravel(), ik))
+        h_cells = gather[r0 : r0 + b, nout - ko : nout + ko + 1]
+        h_cells[:] = np.arange(hsize, hsize + b * m, m)[:, None] + np.arange(-ko, ko + 1)
+        h_cells[:, :ko] += m
         groups.append((size, hsize, b, m, runs))
         size, hsize = size + 2 * b * m, hsize + b * m
-    src, u_at, du_at, h_at = np.concatenate([np.zeros((4, 0), np.intp), *at], axis=1)
-    ik = 1j * (src % width - n).astype(float)
+    src, u_at, du_at, ik = (np.concatenate(a) for a in zip(*ins))
     modes, dmodes = (np.empty(len(src), dtype=np.complex128) for _ in range(2))
     flat = np.zeros(size, dtype=np.complex128)
     hflat = np.zeros(hsize + 1, dtype=np.complex128)
     plans = []
     for i, j, b, m, runs in groups:
+        buf = flat[i : i + 2 * b * m].reshape(2 * b, m)
         vals = np.empty((2 * b, m), dtype=np.complex128)
         f = np.empty((b, m), dtype=np.complex128)
-        plans.append((
-            flat[i : i + 2 * b * m].reshape(2 * b, m),
-            vals,
-            [P.values_plan(vals[p0:p1], vals[b + p0 : b + p1], f[p0:p1]) for p0, p1, P in runs],
-            f,
-            hflat[j : j + b * m].reshape(b, m),
-        ))
-    # Output entry -> its forward-transform entry, or the zero after them all.
-    gather = np.full(len(polys) * width, hsize)
-    gather[src] = h_at
-    gather = gather.reshape(len(polys), width)
+        inverse = list(zip(buf, vals)) if b == 1 and m > _SPLIT_ABOVE else [(buf, vals)]
+        evaluations = [P.values_plan(vals[p:q], vals[b + p : b + q], f[p:q]) for p, q, P in runs]
+        plans.append((inverse, evaluations, f, hflat[j : j + b * m].reshape(b, m)))
 
     def apply(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         coeffs.take(src, out=modes, mode="clip")  # indices in range: "clip" spares a buffer
         flat[u_at] = modes
         flat[du_at] = np.multiply(modes, ik, out=dmodes)
-        for buf, vals, evaluations, f, h in plans:
-            np.fft.ifft(buf, norm="forward", out=vals)
+        for inverse, evaluations, f, h in plans:
+            for buf, vals in inverse:
+                np.fft.ifft(buf, norm="forward", out=vals)
             for evaluate in evaluations:
                 evaluate()
             np.fft.fft(f, norm="forward", out=h)
-        return hflat.take(gather) if out is None else hflat.take(gather, out=out, mode="clip")
+        # "wrap" reads -1 as the last entry, and with out= spares a buffer.
+        return hflat.take(gather, out=out, mode="wrap")
 
     return apply
 

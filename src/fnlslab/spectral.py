@@ -19,6 +19,7 @@ grid in the package is sized by `padded_size`: the next power of two up to
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -61,6 +62,7 @@ def _next_pow2(n: int) -> int:
     return m
 
 
+@lru_cache(maxsize=256)  # every coefficient map sizes its grid, and the same few sizes recur
 def _next_smooth(n: int) -> int:
     """Smallest 2^a 3^b 5^c >= n."""
     best = _next_pow2(n)

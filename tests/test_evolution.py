@@ -36,6 +36,7 @@ from fnlslab.spectral import (
     sobolev_norm,
     truncate_modes,
 )
+from test_nonlinearity import oracle_coefficient_map
 from test_spectral import linear_semigroup_apply
 
 ZERO = PolynomialNonlinearity.zero()
@@ -270,7 +271,7 @@ def sequential_integrate(
     """Reference: the one-row IF-RK4 loop, independent of `integrate_rows`."""
     k = cfg.cutoff
     u, F_rest, e_half, e_full = _prepare(phi, F, cfg)
-    rhs = F_rest.coefficient_map(k, k)
+    rhs = oracle_coefficient_map(F_rest, k, k)
     dt = cfg.dt
     nsteps = int(round(cfg.horizon / dt))
     sob_w = _h1_weights(k)

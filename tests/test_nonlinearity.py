@@ -558,6 +558,8 @@ def _random_coeffs(rng, shape):
 @example((example_d(1.0, 2.0), 4, 4), 0)  # a power-of-two grid (32 points)
 @example((example_d(1.0, 2.0), 40, 40), 0)  # a 5-smooth grid (162 points)
 @example((PolynomialNonlinearity.zero(), 3, None), 0)
+@example((example_d(1.0, 2.0), 2048, 2048), 0)  # one row on 8640 points: split transforms
+@example((example_d(1.0, 2.0), 2048, None), 0)  # and on 12500
 @settings(max_examples=150, deadline=None)
 def test_coefficient_map_matches_fresh_allocation_oracle(case, seed):
     F, cutoff, out_cutoff = case
@@ -583,6 +585,8 @@ def test_coefficient_map_matches_fresh_allocation_oracle(case, seed):
 )
 @example([(example_d(1.0, 2.0), 9), (example_d(1j, 2.0), 9), (cubic(1j), 4)], False, 3, 0)
 @example([(PolynomialNonlinearity.zero(), 5)], False, 0, 0)
+@example([(example_d(1.0, 2.0), 1100), (example_d(1j, 2.0), 1100)], False, 0, 0)  # a (4, 4500) buffer
+@example([(example_d(1.0, 2.0), 1100)], False, 0, 0)  # one row on 4500 points: split transforms
 @settings(max_examples=120, deadline=None)
 def test_rows_map_matches_per_group_oracle(rows, ordered, extra, seed):
     # ordered: as integrate_rows orders its rows, so that groups and runs form
@@ -603,6 +607,24 @@ def test_rows_map_matches_per_group_oracle(rows, ordered, extra, seed):
         results.append((got, want))
     first, want = results[0]  # the second call leaves the first result alone
     assert first.tobytes() == want.tobytes()
+
+
+@given(cases=st.lists(_map_case(), min_size=1, max_size=6), seed=st.integers(0, 2**32 - 1))
+@example([(example_d(1.0, 2.0), 9, None), (example_d(1j, 2.0), 9, None), (cubic(1j), 9, 4)], 0)
+@settings(max_examples=60, deadline=None)
+def test_rows_map_with_output_cutoffs_matches_one_row_oracle(cases, seed):
+    polys, cutoffs, outs = (list(v) for v in zip(*cases))
+    bands = [max(P.total_degree, 1) * k for P, k in zip(polys, cutoffs)]
+    kouts = [band if o is None else min(o, band) for band, o in zip(bands, outs)]
+    n, nout = max(cutoffs), max(kouts)
+    plan = _rows_coefficient_map(polys, cutoffs, n, kouts, nout)
+    coeffs = _random_coeffs(np.random.default_rng(seed), (len(cases), 2 * n + 1))
+    got = plan(coeffs)
+    assert got.shape == (len(cases), 2 * nout + 1)
+    for j, (P, k, ko) in enumerate(zip(polys, cutoffs, kouts)):
+        want = oracle_coefficient_map(P, k, ko)(coeffs[j, n - k : n + k + 1])
+        assert got[j, nout - ko : nout + ko + 1].tobytes() == want.tobytes()
+        assert not got[j, : nout - ko].any() and not got[j, nout + ko + 1 :].any()
 
 
 def test_linear_evaluate_to_narrow_output_regression():

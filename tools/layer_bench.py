@@ -10,6 +10,8 @@ that a swing in the host's speed lands on both sides alike.  The layers:
 
   rhs            one nonlinear RHS evaluation (the coefficient map of the
                  degree-3 example_d(1, 2)), out_cutoff = K
+  evaluate       one `evaluate` of F_omega of example_d(1, 2) at full
+                 bandwidth (2K): its coefficient map built and called once
   rhs_rows       one RHS evaluation of the block map of `integrate_rows` for
                  the example_b(1) growth probe: example_b(1) and its control
                  cubic(i) at K and at 2K, four padded grids (absent on a
@@ -82,9 +84,11 @@ def _layers_at(k: int) -> dict:
     steps = max(8, 6400 // k)
     cfg = evolution.EvolutionConfig(alpha=3.0, cutoff=k, dt=2.5e-4, horizon=steps * 2.5e-4)
     rhs = F.coefficient_map(k, k)
+    omega = F.wirtinger("omega")
     series = evolution.integrate(phi, C, dataclasses.replace(cfg, horizon=2 * cfg.dt, record_every=1))
     row = {
         "rhs": lambda: _best_us(lambda: rhs(phi.coeffs), steps),
+        "evaluate": lambda: _best_us(lambda: omega.evaluate(phi), steps),
         "step_1row": lambda: _best_us(lambda: evolution.integrate(phi, F, cfg), 1) / steps,
         "step_2x1row": lambda: _best_us(
             lambda: (evolution.integrate(phi, G, cfg), evolution.integrate(phi, F, cfg)), 1
