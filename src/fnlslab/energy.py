@@ -27,6 +27,9 @@ Flux terms K_n are the boundary terms produced when differentiating L_n in
 time; the n-th one cancels against the (n+1)-th, which is what the ladder
 audit exercises numerically.
 
+energy_audit evaluates E along a whole trajectory with one coefficient map
+of F_omega for all its snapshots; modified_energy is its one-snapshot call.
+
 Formally setting alpha = 2 turns the coefficients into 1/n! and the exponents
 all into r-1; the series then sums to an exponential weight
 exp(dxinv Im T_w) |<D>^{r-1} v|^2, recovering the gauge transformation.  That
@@ -153,6 +156,17 @@ def _weight_field(F: PolynomialNonlinearity, u: SpectralField) -> SpectralField:
     return antiderivative(imag_part(theta))
 
 
+def _weight_and_slot(n, u, F, alpha, v, last):
+    """g = dxinv Im T_w along u and the quadratic slot (v, else u_x) of the
+    order-n integral whose last order is `last` past the ladder's depth: 0 for
+    L_n, 1 for K_n (K_{N+1} appears when auditing the last cancellation)."""
+    if alpha < 2:
+        raise ValueError("alpha must be >= 2")
+    if n < 1 or (alpha > 2 and n > ladder_depth(alpha) + last):
+        raise ValueError(f"n={n} outside the ladder for alpha={alpha}")
+    return _weight_field(F, u), derivative(u) if v is None else v
+
+
 def correction_term(
     n: int,
     u: SpectralField,
@@ -162,13 +176,7 @@ def correction_term(
     v: SpectralField | None = None,
 ) -> float:
     """L_n evaluated alias-free.  alpha = 2 is accepted for the gauge-limit diagnostic."""
-    if alpha < 2:
-        raise ValueError("alpha must be >= 2")
-    if n < 1 or (alpha > 2 and n > ladder_depth(alpha)):
-        raise ValueError(f"n={n} outside the ladder for alpha={alpha}")
-    if v is None:
-        v = derivative(u)
-    return _rung(n, _weight_field(F, u), v, alpha, r)
+    return _rung(n, *_weight_and_slot(n, u, F, alpha, v, 0), alpha, r)
 
 
 def _rung(n: int, g: SpectralField, v: SpectralField, alpha: float, r: float) -> float:
@@ -191,23 +199,14 @@ def flux_term(
     """K_n = -alpha c_n Im int dx(g^n) (<D>^{s'} v_x) <D>^{s'} conj(v) dx,
 
     with s' = r - 1 - (alpha-2)(n-1)/2.  Real-valued by construction.
+    dx(g^n) is sampled as n g^{n-1} dx g on the integrand's alias-free grid.
     """
-    if alpha < 2:
-        raise ValueError("alpha must be >= 2")
-    if n < 1 or (alpha > 2 and n > ladder_depth(alpha) + 1):
-        # K_{N+1} appears when auditing the last cancellation.
-        raise ValueError(f"n={n} outside the ladder for alpha={alpha}")
-    if v is None:
-        v = derivative(u)
-    g = _weight_field(F, u)
+    g, v = _weight_and_slot(n, u, F, alpha, v, 1)
     sp = r - 1.0 - (alpha - 2.0) * (n - 1) / 2.0
     w1 = bracket_power(v, sp)
     w2 = bracket_power(derivative(v), sp)
     m = padded_size(max(g.cutoff, v.cutoff), n * g.cutoff + 2 * v.cutoff, 0)
-    gv = np.real(g.to_samples(m))
-    gn = gv**n
-    freqs = np.fft.fftfreq(m, d=1.0 / m)
-    dgn = np.fft.ifft(1j * freqs * np.fft.fft(gn))
+    dgn = n * np.real(g.to_samples(m)) ** (n - 1) * np.real(derivative(g).to_samples(m))
     val = np.mean(dgn * w2.to_samples(m) * np.conj(w1.to_samples(m)))
     return -alpha * correction_coefficient(n, alpha) * float(val.imag)
 
@@ -233,28 +232,38 @@ def modified_energy(
     F: PolynomialNonlinearity,
     ladder: CorrectionLadder,
 ) -> ModifiedEnergy:
-    """E and the coercivity sandwich at one snapshot."""
+    """E and the coercivity sandwich at one snapshot: `energy_audit`'s one-snapshot call."""
+    return next(_energies([u], u.cutoff, F, ladder))
+
+
+def _energies(snapshots, cutoff: int, F: PolynomialNonlinearity, ladder: CorrectionLadder):
+    """The ModifiedEnergy of each snapshot (all of this cutoff), in order.
+
+    T_w comes from one coefficient map of F_omega, built here once for all
+    the snapshots; each is bitwise `F.wirtinger("omega").evaluate(u)`.
+    """
     alpha, r = ladder.alpha, ladder.r
-    v = derivative(u)
-    nu = sobolev_norm(u, r - 1.0)
-    nv = sobolev_norm(v, r - 1.0)
-    theta = F.wirtinger("omega").evaluate(u)
-    w = sobolev_norm(theta, 0.0)
-    mean_im = float(theta.coefficient(0).imag)
-    g = antiderivative(imag_part(theta))  # _weight_field(F, u), shared by every rung
-    ls = tuple(_rung(n, g, v, alpha, r) for n in range(1, ladder.depth + 1))
-    e2 = nu**2 + nv**2 + sum(ls) + ladder.a * nu**2 * w ** (2 * ladder.depth)
-    if e2 < 0:
-        raise ArithmeticError(
-            "negative energy radicand: the Young constants failed coercivity"
-        )
-    lower = nu**2 + 0.5 * nv**2
-    upper = nu**2 + 1.5 * nv**2 + 2.0 * ladder.a * nu**2 * w ** (2 * ladder.depth)
-    slack = 1e-12 * max(1.0, e2)
-    coercive = (lower <= e2 + slack) and (e2 <= upper + slack)
-    return ModifiedEnergy(
-        math.sqrt(e2), nu, nv, ls, w, mean_im, coercive, lower, upper
-    )
+    theta_of = F.wirtinger("omega").coefficient_map(cutoff)
+    for u in snapshots:
+        v = derivative(u)
+        nu = sobolev_norm(u, r - 1.0)
+        nv = sobolev_norm(v, r - 1.0)
+        coeffs = theta_of(u.coeffs)
+        theta = SpectralField(coeffs, len(coeffs) // 2)
+        w = sobolev_norm(theta, 0.0)
+        mean_im = float(theta.coefficient(0).imag)
+        g = antiderivative(imag_part(theta))  # _weight_field(F, u), shared by every rung
+        ls = tuple(_rung(n, g, v, alpha, r) for n in range(1, ladder.depth + 1))
+        e2 = nu**2 + nv**2 + sum(ls) + ladder.a * nu**2 * w ** (2 * ladder.depth)
+        if e2 < 0:
+            raise ArithmeticError(
+                "negative energy radicand: the Young constants failed coercivity"
+            )
+        lower = nu**2 + 0.5 * nv**2
+        upper = nu**2 + 1.5 * nv**2 + 2.0 * ladder.a * nu**2 * w ** (2 * ladder.depth)
+        slack = 1e-12 * max(1.0, e2)
+        coercive = (lower <= e2 + slack) and (e2 <= upper + slack)
+        yield ModifiedEnergy(math.sqrt(e2), nu, nv, ls, w, mean_im, coercive, lower, upper)
 
 
 @dataclass
@@ -273,29 +282,19 @@ class EnergyTrace:
     ladder: CorrectionLadder
 
 
-def energy_audit(
-    traj: TrajectoryRecord,
-    F: PolynomialNonlinearity,
-    r: float,
-    ladder: CorrectionLadder | None = None,
-) -> EnergyTrace:
+def energy_audit(traj: TrajectoryRecord, F: PolynomialNonlinearity, r: float) -> EnergyTrace:
     """Energy components per snapshot plus the empirical growth constant.
 
-    The differential inequality bounds the increase of log(1 + E) only, so
-    the reported constant is the maximal positive centered-difference slope.
+    The ladder is CorrectionLadder.build(traj.config.alpha, r), and one
+    coefficient map of F_omega serves every snapshot.  The differential
+    inequality bounds the increase of log(1 + E) only, so the reported
+    constant is the maximal positive centered-difference slope.
     """
-    if ladder is None:
-        ladder = CorrectionLadder.build(traj.config.alpha, r)
-    if abs(ladder.alpha - traj.config.alpha) > 1e-12 or abs(ladder.r - r) > 1e-12:
-        raise ValueError("ladder does not match the trajectory configuration")
-    rows = [modified_energy(u, F, ladder) for u in traj.snapshots]
+    ladder = CorrectionLadder.build(traj.config.alpha, r)
+    rows = list(_energies(traj.snapshots, traj.config.cutoff, F, ladder))
     e = np.array([m.value for m in rows])
-    slopes = (
-        np.gradient(np.log1p(e), traj.times)
-        if len(e) > 1
-        else np.zeros(1)
-    )
-    lip = float(max(0.0, np.max(slopes))) if len(e) > 1 else 0.0
+    slopes = np.gradient(np.log1p(e), traj.times) if len(e) > 1 else np.zeros(1)
+    lip = float(max(0.0, np.max(slopes)))
     return EnergyTrace(
         times=traj.times,
         energy=e,

@@ -234,8 +234,6 @@ def _analysis_criterion(spec, F, params, custom, cfg, seed, out_dir, criterion, 
 
 
 def _analysis_linear_regression(spec, F, params, custom, cfg, seed, out_dir, criterion, smooth):
-    if custom:
-        return True, {"skipped": "exact-solution regression applies to the preset formula only"}
     rng = np.random.default_rng(seed)
     k = cfg.cutoff
     ks = np.arange(-k, k + 1)
@@ -455,6 +453,8 @@ def run(
         raise ValueError(f"unknown overrides: {sorted(rest)}")
     custom = nonlinearity is not None
     F = nonlinearity if custom else spec.family(**params)
+    # A custom F runs the analyses its verdict calls for; the preset gives only defaults.
+    analyses = ("criterion", "dynamics") if custom else spec.analyses
     os.makedirs(out_dir, exist_ok=True)
     # The criterion verdict, computed on first use and then shared by every
     # analysis of the run.
@@ -463,11 +463,11 @@ def run(
     # eps study, at each of its eps, integrated as one block on first use and
     # then shared: the energy audit's run is bitwise the study's row of the
     # same eps (a row's record does not depend on the rows beside it).
-    study = _EPS_STUDY if "eps_rate" in spec.analyses else ()
+    study = _EPS_STUDY if "eps_rate" in analyses else ()
     smooth = functools.cache(functools.partial(_smooth_runs, F, cfg, seed, (cfg.eps, *study)))
 
     results = []
-    for analysis in spec.analyses:
+    for analysis in analyses:
         if analysis == "dynamics":
             # auto-dispatch: well-posed families get the energy audit, the
             # others the paired-resolution growth probe

@@ -316,6 +316,20 @@ def test_run_custom_nonlinearity_uses_checker_witness(tmp_path):
     assert "_custom" not in s["config"]["params"]
 
 
+def test_custom_run_takes_the_analyses_of_its_verdict(tmp_path, capsys):
+    # the preset supplies only the evolution defaults: cubic's energy audit
+    # and eps study do not run on an F whose criterion fails
+    nl = tmp_path / "custom.nl"
+    nl.write_text("0 1 0 0 0 1\n")  # i u_x
+    out = tmp_path / "art"
+    assert cli_main(["run", "--preset", "cubic", "--nonlinearity", str(nl), "--out", str(out)]) == 0
+    s = json.loads(read(out / "summary.json"))
+    assert [a["name"] for a in s["analyses"]] == ["criterion", "growth_probe"]
+    assert s["analyses"][0]["metrics"]["satisfied"] is False
+    assert s["config"]["dt"] == PRESETS["cubic"].dt
+    assert not (out / "energy_trace.csv").exists() and not (out / "eps_rate.csv").exists()
+
+
 def test_cli_estimates_verb(tmp_path, capsys):
     rc = cli_main(["estimates", "--quick", "--out", str(tmp_path)])
     assert rc == 0

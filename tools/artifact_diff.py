@@ -13,16 +13,18 @@ process with its own ``src`` on PYTHONPATH:
   - ``sweep --preset example_c --axis c --values 1 i -i 1+2i``;
   - ``estimates --quick``;
   - ``run --preset example_b --c 2i --m 2`` (the example_b witness at m = 2);
-  - ``run --nonlinearity FILE`` (a custom polynomial) with preset cubic, and
-    with preset example_c, whose dynamics take the growth probe on the
-    checker's witness against the cubic control.
+  - ``run --nonlinearity FILE`` (a custom polynomial) with the evolution
+    defaults of preset cubic, and with those of preset example_c: each runs
+    the criterion and the dynamics, here the growth probe on the checker's
+    witness against the cubic control.
 
 49 invocations in all.
 
 Each invocation writes into its own directory.  The exit codes, the printed
 lines (with the output directory normalised) and ``diff -r`` of the output
-trees are compared in invocation order.  The tool prints the first
-difference and exits 1, or exits 0 when everything is byte-identical.
+trees are compared in invocation order.  The tool prints every differing
+invocation with how it differs, then how many are identical, and exits 1 if
+any differs, 0 when everything is byte-identical.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# A custom nonlinearity for the `run --nonlinearity` call: i|u|^2 u_x plus a
-# transport term, so the run takes the custom path through every analysis.
+# A custom nonlinearity for the `run --nonlinearity` calls: i|u|^2 u_x plus a
+# transport term, which violates the criterion, so the runs take the probe.
 CUSTOM_TERMS = "1 1 1 0 0 1\n0 1 0 0 0.5 0\n"
 
 
@@ -85,20 +87,19 @@ def _run_side(checkout: str, calls_path: str, out_root: str) -> list:
     return json.loads(proc.stdout)
 
 
-def first_difference(calls, results, roots) -> str | None:
-    """A report of the first differing invocation, or None."""
-    for i, argv in enumerate(calls):
-        (code_p, out_p), (code_c, out_c) = results["parent"][i], results["change"][i]
-        what = "fnlslab " + " ".join(argv)
-        if code_p != code_c:
-            return f"{what}\nexit code: parent {code_p}, change {code_c}"
-        if out_p != out_c:
-            return f"{what}\nstdout differs:\n--- parent\n{out_p}--- change\n{out_c}"
-        trees = [os.path.join(roots[side], f"{i:02d}") for side in ("parent", "change")]
-        diff = subprocess.run(["diff", "-r", *trees], capture_output=True, text=True)
-        if diff.returncode != 0:
-            lines = (diff.stdout + diff.stderr).splitlines()
-            return f"{what}\noutput trees differ:\n" + "\n".join(lines[:40])
+def difference(i, argv, results, roots) -> str | None:
+    """A report of how invocation i differs between the sides, or None."""
+    (code_p, out_p), (code_c, out_c) = results["parent"][i], results["change"][i]
+    what = "fnlslab " + " ".join(argv)
+    if code_p != code_c:
+        return f"{what}\nexit code: parent {code_p}, change {code_c}"
+    if out_p != out_c:
+        return f"{what}\nstdout differs:\n--- parent\n{out_p}--- change\n{out_c}"
+    trees = [os.path.join(roots[side], f"{i:02d}") for side in ("parent", "change")]
+    diff = subprocess.run(["diff", "-r", *trees], capture_output=True, text=True)
+    if diff.returncode != 0:
+        lines = (diff.stdout + diff.stderr).splitlines()
+        return f"{what}\noutput trees differ:\n" + "\n".join(lines[:40])
     return None
 
 
@@ -123,12 +124,12 @@ def main() -> int:
             json.dump(calls, fh)
         roots = {side: os.path.join(tmp, side) for side in sides}
         results = {side: _run_side(sides[side], calls_path, roots[side]) for side in sides}
-        report = first_difference(calls, results, roots)
-    if report is not None:
-        print(report)
-        return 1
-    print(f"{len(calls)} invocations: exit codes, stdout and output trees identical")
-    return 0
+        reports = [r for i, argv in enumerate(calls) if (r := difference(i, argv, results, roots))]
+    for report in reports:
+        print(report + "\n")
+    print(f"{len(calls) - len(reports)} of {len(calls)} invocations: exit codes, stdout and "
+          "output trees identical")
+    return 1 if reports else 0
 
 
 if __name__ == "__main__":

@@ -29,6 +29,8 @@ that a swing in the host's speed lands on both sides alike.  The layers:
                  nonlinear part is zero
   energy         `modified_energy` of one snapshot, example_d(i, 2i),
                  alpha = 2.5 (ladder depth 2)
+  energy_audit   `energy_audit` of a 41-snapshot example_d(i, 2i) run,
+                 alpha = 2.5 (ladder depth 2), per snapshot
   decomposition  `decomposition_series` of a three-snapshot example_c(i) run,
                  alpha = 3, per snapshot (on a checkout whose series calls
                  `resonant_decomposition` per snapshot, that loop)
@@ -86,6 +88,9 @@ def _layers_at(k: int) -> dict:
     rhs = F.coefficient_map(k, k)
     omega = F.wirtinger("omega")
     series = evolution.integrate(phi, C, dataclasses.replace(cfg, horizon=2 * cfg.dt, record_every=1))
+    audited = evolution.integrate(
+        phi, balanced, dataclasses.replace(cfg, alpha=2.5, horizon=40 * cfg.dt, record_every=1)
+    )
     row = {
         "rhs": lambda: _best_us(lambda: rhs(phi.coeffs), steps),
         "evaluate": lambda: _best_us(lambda: omega.evaluate(phi), steps),
@@ -94,6 +99,9 @@ def _layers_at(k: int) -> dict:
             lambda: (evolution.integrate(phi, G, cfg), evolution.integrate(phi, F, cfg)), 1
         ) / steps,
         "energy": lambda: _best_us(lambda: energy.modified_energy(phi, balanced, ladder), 3),
+        "energy_audit": lambda: _best_us(
+            lambda: energy.energy_audit(audited, balanced, ladder.r), 1
+        ) / len(audited.times),
         "linear_step": lambda: _best_us(lambda: evolution.integrate(phi, linear, cfg), 1) / steps,
         "decomposition": lambda: _best_us(
             lambda: growth.decomposition_series(series, C), 1
