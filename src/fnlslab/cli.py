@@ -25,7 +25,7 @@ import sys
 
 from . import energy as energy_mod
 from . import experiments as exp
-from .evolution import read_trajectory
+from .evolution import _write_json, read_trajectory
 from .nonlinearity import (
     check_wellposedness_condition,
     format_nonlinearity,
@@ -86,19 +86,12 @@ def cmd_check(args) -> int:
     else:
         raise ValueError("need --preset or --nonlinearity")
     verdict = check_wellposedness_condition(F, seed=seed)
-    payload = {
-        "satisfied": verdict.satisfied,
-        "witness_value": verdict.witness_value,
-        "trials": verdict.trials,
-        "tolerance": verdict.tolerance,
-        "nonlinearity": format_nonlinearity(F).strip().splitlines(),
-    }
+    payload = exp._verdict_fields(verdict)
+    payload["nonlinearity"] = format_nonlinearity(F).strip().splitlines()
     print(json.dumps(payload, sort_keys=True))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "criterion.json"), "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(os.path.join(args.out, "criterion.json"), payload)
     return 0
 
 

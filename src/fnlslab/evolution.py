@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from .nonlinearity import PolynomialNonlinearity, _rows_coefficient_map
-from .spectral import SpectralField, sobolev_norm, truncate_modes
+from .spectral import SpectralField, sobolev_norm
 
 __all__ = [
     "EvolutionConfig",
@@ -43,7 +43,6 @@ __all__ = [
     "eps_convergence_study",
     "eps_convergence_table",
     "EpsConvergenceTable",
-    "truncate_modes",  # sharp initial-data truncation, defined in spectral
     "sup_l2_gap",
     "write_trajectory",
     "read_trajectory",
@@ -383,6 +382,13 @@ def eps_convergence_table(runs: list[TrajectoryRecord]) -> EpsConvergenceTable:
 # -- storage -------------------------------------------------------------------
 
 
+def _write_json(path, obj) -> None:
+    """The one JSON format of the lab's artifacts: indent 2, sorted keys, final newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_trajectory(
     traj: TrajectoryRecord, csv_path, json_path=None, extra: dict | None = None
 ) -> None:
@@ -392,48 +398,43 @@ def write_trajectory(
         for t, snap in zip(traj.times.tolist(), traj.snapshots):
             # One % per snapshot; '%.17g' % x is f'{x:.17g}' for every float.
             n = len(snap.coeffs)
-            fields = [None] * (4 * n)
-            fields[0::4] = ["%.17g" % t] * n
-            fields[1::4] = snap.wavenumbers().tolist()
-            fields[2::4] = snap.coeffs.real.tolist()
-            fields[3::4] = snap.coeffs.imag.tolist()
-            fh.write("%s,%d,%.17g,%.17g\n" * n % tuple(fields))
+            cells = [None] * (4 * n)
+            cells[0::4] = ["%.17g" % t] * n
+            cells[1::4] = snap.wavenumbers().tolist()
+            cells[2::4] = snap.coeffs.real.tolist()
+            cells[3::4] = snap.coeffs.imag.tolist()
+            fh.write("%s,%d,%.17g,%.17g\n" * n % tuple(cells))
     if json_path is not None:
-        meta = dict(asdict(traj.config), truncated=traj.truncated)
-        if extra:
-            meta.update(extra)
-        with open(json_path, "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        meta = {**asdict(traj.config), "truncated": traj.truncated, **(extra or {})}
+        _write_json(json_path, meta)
 
 
 def read_trajectory(csv_path, json_path) -> TrajectoryRecord:
+    """The record stored by `write_trajectory`.  A sidecar may omit record_every
+    and blowup_ceiling, which then take their defaults; a missing other field
+    is a KeyError, and a CSV mode outside the sidecar's cutoff a ValueError."""
     with open(json_path) as fh:
         meta = json.load(fh)
-    cfg = EvolutionConfig(
-        alpha=meta["alpha"],
-        eps=meta["eps"],
-        cutoff=meta["cutoff"],
-        dt=meta["dt"],
-        horizon=meta["horizon"],
-        record_every=meta.get("record_every", 10),
-        blowup_ceiling=meta.get("blowup_ceiling", 1e6),
-    )
+    optional = ("record_every", "blowup_ceiling")
+    names = [f.name for f in fields(EvolutionConfig)]
+    cfg = EvolutionConfig(**{n: meta[n] for n in names if n in meta or n not in optional})
     k = cfg.cutoff
     by_time: dict[float, np.ndarray] = {}
     order: list[float] = []
     with open(csv_path) as fh:
         fh.readline()
-        for line in fh:
+        for ln, line in enumerate(fh, 2):
             line = line.strip()
             if not line:
                 continue
             t_s, k_s, re_s, im_s = line.split(",")
-            t = float(t_s)
+            t, mode = float(t_s), int(k_s)
+            if not -k <= mode <= k:
+                raise ValueError(f"{csv_path}:{ln}: mode {mode} outside the cutoff {k}")
             if t not in by_time:
                 by_time[t] = np.zeros(2 * k + 1, dtype=np.complex128)
                 order.append(t)
-            by_time[t][int(k_s) + k] = float(re_s) + 1j * float(im_s)
+            by_time[t][mode + k] = float(re_s) + 1j * float(im_s)
     snaps = [SpectralField(by_time[t], k) for t in order]
     return TrajectoryRecord(
         np.asarray(order), snaps, cfg, truncated=bool(meta.get("truncated", False))

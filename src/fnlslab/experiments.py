@@ -5,10 +5,12 @@ constructor, evolution defaults, the analyses that make sense for it, its
 closed-form criterion verdict, a readable witness and a well-posed sibling
 that the growth probe runs as its control.
 
-Paired-resolution probes evaluate the data recipe at each run's own cutoff:
-the two runs approximate the same rough continuum datum, and the coarse run
-is its sharp truncation.  Well-posed control pairs use a fast-decay tail so
-the unresolved data tail sits far below the agreement threshold.
+Paired-resolution probes evaluate the data recipe at each run's own cutoff.
+The two data are not one datum and its truncation: each draws its tail phases
+in order of increasing k (on the minus side from k = -cutoff) and scales its
+tail by its own truncated norm, so they differ on shared modes (ROADMAP item
+1).  Well-posed control pairs use a fast-decay tail so the unresolved data
+tail sits far below the agreement threshold.
 
 Every run writes into its artifact directory: trajectory CSVs with JSON
 sidecars, energy/growth/ratio CSVs, gnuplot scripts for them, and a
@@ -20,10 +22,9 @@ byte-reproducible for a fixed seed.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -34,6 +35,7 @@ from . import growth as growth_mod
 from .evolution import (
     EvolutionConfig,
     TrajectoryRecord,
+    _write_json,
     eps_convergence_table,
     integrate,
     integrate_rows,
@@ -51,7 +53,7 @@ from .nonlinearity import (
     format_nonlinearity,
     linear_transport,
 )
-from .spectral import SpectralField, random_field, sobolev_norm, truncate_modes
+from .spectral import SpectralField, random_field, sobolev_norm
 
 __all__ = [
     "ExperimentPreset",
@@ -95,6 +97,13 @@ SETTINGS = {
     "c": parse_complex, "m": int, "c1": parse_complex, "c2": parse_complex,
 }
 
+# The SETTINGS key of each EvolutionConfig field a run sets: its own name, but
+# `modes` for cutoff.  blowup_ceiling is no run setting.
+_CONFIG_KEYS = {
+    f.name: key for f in fields(EvolutionConfig)
+    if (key := "modes" if f.name == "cutoff" else f.name) in SETTINGS
+}
+
 
 def parse_settings(raw: dict, sources: dict | None = None) -> dict:
     """Type each value of `raw` by its SETTINGS parser; other keys are a ValueError.
@@ -115,13 +124,17 @@ def parse_settings(raw: dict, sources: dict | None = None) -> dict:
     return typed
 
 
+_DEFAULT_CONFIG = EvolutionConfig(alpha=3.0, cutoff=32, dt=2.5e-4, horizon=0.1)
+
+
 @dataclass(frozen=True)
 class ExperimentPreset:
     """One nonlinearity family: constructor, run defaults and what is known of it.
 
-    ``wellposed(params)`` is the closed-form criterion verdict, ``witness(params)``
-    the modes (at cutoff 2) of a readable field on which a violating member fails
-    the criterion, and ``sibling(params)`` a well-posed control for the probe.
+    ``config`` holds the evolution defaults of its runs, ``wellposed(params)``
+    the closed-form criterion verdict, ``witness(params)`` the modes (at cutoff
+    2) of a readable field on which a violating member fails the criterion, and
+    ``sibling(params)`` a well-posed control for the probe.
     """
 
     family: Callable[..., PolynomialNonlinearity]
@@ -130,12 +143,7 @@ class ExperimentPreset:
     wellposed: Callable[[dict], bool]
     witness: Callable[[dict], dict]
     sibling: Callable[[dict], PolynomialNonlinearity]
-    alpha: float = 3.0
-    eps: float = 0.0
-    cutoff: int = 32
-    dt: float = 2.5e-4
-    horizon: float = 0.1
-    record_every: int = 10
+    config: EvolutionConfig = _DEFAULT_CONFIG
 
 
 def _example_b_witness(p: dict) -> dict:
@@ -152,10 +160,7 @@ PRESETS: dict[str, ExperimentPreset] = {
         wellposed=lambda p: True,
         witness=lambda p: {0: 1.0},
         sibling=lambda p: cubic(1j),
-        eps=1e-2,
-        dt=1e-3,
-        horizon=0.25,
-        record_every=25,
+        config=replace(_DEFAULT_CONFIG, eps=1e-2, dt=1e-3, horizon=0.25, record_every=25),
     ),
     "example_b": ExperimentPreset(
         family=example_b,
@@ -164,7 +169,7 @@ PRESETS: dict[str, ExperimentPreset] = {
         wellposed=lambda p: p["c"] == 0,
         witness=_example_b_witness,
         sibling=lambda p: cubic(1j),
-        horizon=0.18,
+        config=replace(_DEFAULT_CONFIG, horizon=0.18),
     ),
     "example_c": ExperimentPreset(
         family=example_c,
@@ -181,7 +186,7 @@ PRESETS: dict[str, ExperimentPreset] = {
         wellposed=lambda p: (2 * p["c1"] - p["c2"]).real == 0.0,
         witness=lambda p: {1: 1.0},
         sibling=lambda p: example_d(c1=p["c1"], c2=2 * p["c1"]),
-        horizon=0.18,
+        config=replace(_DEFAULT_CONFIG, horizon=0.18),
     ),
     "linear_transport": ExperimentPreset(
         family=linear_transport,
@@ -190,9 +195,7 @@ PRESETS: dict[str, ExperimentPreset] = {
         wellposed=lambda p: p["c"].imag == 0.0,
         witness=lambda p: {0: 1.0},
         sibling=lambda p: linear_transport(c=p["c"].real),
-        cutoff=64,
-        dt=1e-3,
-        horizon=1.0,
+        config=replace(_DEFAULT_CONFIG, cutoff=64, dt=1e-3, horizon=1.0),
     ),
 }
 
@@ -213,17 +216,16 @@ def family_params(preset_name: str, settings: dict) -> dict:
 # -- analyses -------------------------------------------------------------------
 
 
+def _verdict_fields(verdict) -> dict:
+    """A CriterionVerdict as `check` prints it and the criterion analysis records it."""
+    return {k: v for k, v in vars(verdict).items() if k != "witness"}
+
+
 def _analysis_criterion(spec, F, params, custom, cfg, seed, out_dir, criterion, smooth):
     verdict = criterion()
     expected = None if custom else spec.wellposed(params)
     ok = True if expected is None else verdict.satisfied == expected
-    metrics = {
-        "satisfied": verdict.satisfied,
-        "expected": expected,
-        "witness_value": verdict.witness_value,
-        "trials": verdict.trials,
-        "tolerance": verdict.tolerance,
-    }
+    metrics = {**_verdict_fields(verdict), "expected": expected}
     if verdict.witness is not None:
         metrics["witness"] = [
             [int(k), float(c.real), float(c.imag)]
@@ -261,8 +263,7 @@ def _analysis_linear_regression(spec, F, params, custom, cfg, seed, out_dir, cri
 def _smooth_small_data(cutoff: int, seed: int, amplitude: float = 0.2) -> SpectralField:
     # Band-limited inside cutoff // 2 so paired-resolution runs share the datum.
     rng = np.random.default_rng(seed)
-    f = random_field(max(cutoff // 2, 2), 4.0, rng, amplitude=amplitude)
-    return truncate_modes(f.with_cutoff(cutoff), max(cutoff // 2, 2))
+    return random_field(max(cutoff // 2, 2), 4.0, rng, amplitude=amplitude).with_cutoff(cutoff)
 
 
 def _smooth_runs(F, cfg, seed, eps_values) -> dict[float, TrajectoryRecord]:
@@ -278,7 +279,13 @@ def _analysis_energy_audit(spec, F, params, custom, cfg, seed, out_dir, criterio
     traj = smooth()[cfg.eps]
     trace = energy_mod.energy_audit(traj, F, r)
     energy_mod.write_energy_csv(trace, os.path.join(out_dir, "energy_trace.csv"))
-    _gnuplot_energy(os.path.join(out_dir, "energy_trace.gp"))
+    _gnuplot(
+        os.path.join(out_dir, "energy_trace.gp"),
+        "set xlabel 't'\nset logscale y\n"
+        "plot 'energy_trace.csv' using 1:2 with lines title 'E', \\\n"
+        "     '' using 1:3 with lines title 'norm_u', \\\n"
+        "     '' using 1:4 with lines title 'norm_v'\n",
+    )
     ok = bool(np.all(trace.coercivity_ok)) and not traj.truncated
     return ok, {
         "coercivity_violations": int(np.sum(~trace.coercivity_ok)),
@@ -300,14 +307,11 @@ def _analysis_eps_rate(spec, F, params, custom, cfg, seed, out_dir, criterion, s
         fh.write("eps_1,eps_2,sup_l2_diff\n")
         for e1, e2, d in table.pairs:
             fh.write(f"{e1:.17g},{e2:.17g},{d:.17g}\n")
-    with open(os.path.join(out_dir, "eps_rate.gp"), "w") as fh:
-        fh.write(
-            "set datafile separator ','\n"
-            "set key autotitle columnhead\n"
-            "set logscale xy\n"
-            "set xlabel '|eps_1 - eps_2|'\n"
-            "plot 'eps_rate.csv' using (abs($1-$2)):3 with points title 'sup-t L2 gap'\n"
-        )
+    _gnuplot(
+        os.path.join(out_dir, "eps_rate.gp"),
+        "set logscale xy\nset xlabel '|eps_1 - eps_2|'\n"
+        "plot 'eps_rate.csv' using (abs($1-$2)):3 with points title 'sup-t L2 gap'\n",
+    )
     ok = (not math.isnan(table.beta)) and table.beta >= 0.45
     return ok, {"beta": table.beta, "eps_list": list(_EPS_STUDY), "threshold": 0.45}
 
@@ -319,35 +323,29 @@ def paired_growth_probe(
     s: float,
     side: str = "minus",
     seed: int = 0,
-    control: PolynomialNonlinearity | None = None,
+    *,
+    control: PolynomialNonlinearity,
 ):
-    """Paired K / 2K runs from the same rough continuum datum, plus a verdict.
+    """Paired K / 2K runs of the rough data recipe, plus a verdict.
 
     The datum (witness + one-sided rough tail with phases from `seed`) is
-    evaluated at each run's own cutoff.  When a control nonlinearity is given
-    it runs on an identical-protocol pair with a fast-decay tail whose
-    unresolved part is negligible, providing the convergence baseline.
+    evaluated at each run's own cutoff.  The control nonlinearity runs on an
+    identical-protocol pair with a fast-decay tail whose unresolved part is
+    negligible, providing the convergence baseline.
     """
     k = cfg.cutoff
     cfg_2k = replace(cfg, cutoff=2 * k)
     phi_k = growth_mod.probe_initial_data(witness, k, s, side=side, seed=seed)
     phi_2k = growth_mod.probe_initial_data(witness, 2 * k, s, side=side, seed=seed)
-
-    control_div = None
-    if control is None:
-        run_k, run_2k = integrate_rows([(phi_k, F, cfg), (phi_2k, F, cfg_2k)])
-    else:
-        # The runs and the control runs at both cutoffs advance as one block.
-        smooth_k = _control_data(witness, k, s, side, seed)
-        smooth_2k = smooth_k.with_cutoff(2 * k)
-        run_k, c_k, run_2k, c_2k = integrate_rows([
-            (phi_k, F, cfg), (smooth_k, control, cfg),
-            (phi_2k, F, cfg_2k), (smooth_2k, control, cfg_2k),
-        ])
-        control_div = sup_l2_gap(c_k, c_2k)
-
+    # The runs and the control runs at both cutoffs advance as one block.
+    smooth_k = _control_data(witness, k, s, side, seed)
+    smooth_2k = smooth_k.with_cutoff(2 * k)
+    run_k, c_k, run_2k, c_2k = integrate_rows([
+        (phi_k, F, cfg), (smooth_k, control, cfg),
+        (phi_2k, F, cfg_2k), (smooth_2k, control, cfg_2k),
+    ])
     report = growth_mod.directional_growth(run_k, F, side=side, paired=run_2k)
-    verdict = growth_mod.nonexistence_verdict(report, control_divergence=control_div)
+    verdict = growth_mod.nonexistence_verdict(report, control_divergence=sup_l2_gap(c_k, c_2k))
     return report, verdict, run_k, run_2k
 
 
@@ -375,7 +373,11 @@ def _analysis_growth_probe(spec, F, params, custom, cfg, seed, out_dir, criterio
         F, witness, cfg, s, side=side, seed=seed, control=control
     )
     growth_mod.write_growth_csv(report, os.path.join(out_dir, "growth_rates.csv"))
-    _gnuplot_growth(os.path.join(out_dir, "growth_rates.gp"))
+    _gnuplot(
+        os.path.join(out_dir, "growth_rates.gp"),
+        "set xlabel 'k'\nplot 'growth_rates.csv' using 1:2 with points title 'fitted', \\\n"
+        "     '' using 1:3 with lines title 'predicted'\n",
+    )
     with open(os.path.join(out_dir, "verdict.json"), "w") as fh:
         fh.write(growth_mod.verdict_json(verdict) + "\n")
     write_trajectory(
@@ -441,14 +443,8 @@ def run(
         raise ValueError(f"a run with an explicit nonlinearity takes no family parameters: {given}")
     spec = PRESETS[preset_name]
     rest = {k: v for k, v in settings.items() if k not in params}
-    cfg = EvolutionConfig(
-        alpha=rest.pop("alpha", spec.alpha),
-        eps=rest.pop("eps", spec.eps),
-        cutoff=rest.pop("modes", spec.cutoff),
-        dt=rest.pop("dt", spec.dt),
-        horizon=rest.pop("horizon", spec.horizon),
-        record_every=rest.pop("record_every", spec.record_every),
-    )
+    evolution = {f: rest.pop(key) for f, key in _CONFIG_KEYS.items() if key in rest}
+    cfg = replace(spec.config, **evolution)
     if rest:
         raise ValueError(f"unknown overrides: {sorted(rest)}")
     custom = nonlinearity is not None
@@ -485,12 +481,7 @@ def run(
         "analyses": results,
         "config": _jsonable(
             {
-                "alpha": cfg.alpha,
-                "eps": cfg.eps,
-                "modes": cfg.cutoff,
-                "dt": cfg.dt,
-                "horizon": cfg.horizon,
-                "record_every": cfg.record_every,
+                **{key: getattr(cfg, f) for f, key in _CONFIG_KEYS.items()},
                 "params": params,
                 "custom_nonlinearity": format_nonlinearity(F).strip().splitlines()
                 if custom
@@ -498,9 +489,7 @@ def run(
             }
         ),
     }
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "summary.json"), summary)
     return summary
 
 
@@ -538,9 +527,7 @@ def sweep(
                 continue
             for a in row["summary"]["analyses"]:
                 fh.write(f"{row['value']},{a['name']},{int(a['pass'])}\n")
-    with open(os.path.join(out_dir, "sweep.json"), "w") as fh:
-        json.dump(_jsonable(rows), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "sweep.json"), _jsonable(rows))
     return rows
 
 
@@ -571,14 +558,11 @@ def run_estimates(out_dir: str, seed: int = 0, quick: bool = False) -> dict:
             }
         )
     est_mod.write_ratio_csv(reports, os.path.join(out_dir, "estimate_ratios.csv"))
-    with open(os.path.join(out_dir, "estimate_ratios.gp"), "w") as fh:
-        fh.write(
-            "set datafile separator ','\n"
-            "set key autotitle columnhead\n"
-            "set logscale x 2\n"
-            "set xlabel 'cutoff'\n"
-            "plot 'estimate_ratios.csv' using 2:3 with linespoints title 'max ratio'\n"
-        )
+    _gnuplot(
+        os.path.join(out_dir, "estimate_ratios.gp"),
+        "set logscale x 2\nset xlabel 'cutoff'\n"
+        "plot 'estimate_ratios.csv' using 2:3 with linespoints title 'max ratio'\n",
+    )
     s_c = 2.25
     expo = est_mod.cancellation_exponent(s_c, cutoffs)
     cancel_ok = expo <= s_c - 2.0 + 0.2
@@ -594,9 +578,7 @@ def run_estimates(out_dir: str, seed: int = 0, quick: bool = False) -> dict:
             }
         ],
     }
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(_jsonable(summary), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "summary.json"), _jsonable(summary))
     return summary
 
 
@@ -623,25 +605,8 @@ def parse_config_file(path, sources: dict | None = None) -> dict:
     return out
 
 
-def _gnuplot_energy(path) -> None:
+def _gnuplot(path, body: str) -> None:
+    """A gnuplot script: the lines every script of the lab starts with (comma-separated
+    data, titles from the CSV header), then `body`."""
     with open(path, "w") as fh:
-        fh.write(
-            "set datafile separator ','\n"
-            "set key autotitle columnhead\n"
-            "set xlabel 't'\n"
-            "set logscale y\n"
-            "plot 'energy_trace.csv' using 1:2 with lines title 'E', \\\n"
-            "     '' using 1:3 with lines title 'norm_u', \\\n"
-            "     '' using 1:4 with lines title 'norm_v'\n"
-        )
-
-
-def _gnuplot_growth(path) -> None:
-    with open(path, "w") as fh:
-        fh.write(
-            "set datafile separator ','\n"
-            "set key autotitle columnhead\n"
-            "set xlabel 'k'\n"
-            "plot 'growth_rates.csv' using 1:2 with points title 'fitted', \\\n"
-            "     '' using 1:3 with lines title 'predicted'\n"
-        )
+        fh.write("set datafile separator ','\nset key autotitle columnhead\n" + body)

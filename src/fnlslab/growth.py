@@ -573,6 +573,8 @@ def probe_initial_data(
     the probed side, scaled to rel_amplitude of the witness L2 norm; the
     witness keeps the criterion mean bounded away from zero at t = 0.
     """
+    if side not in ("plus", "minus"):
+        raise ValueError(f"unknown side {side!r}")
     rng = np.random.default_rng(seed)
     ks = np.arange(-cutoff, cutoff + 1)
     tail = np.zeros(2 * cutoff + 1, dtype=np.complex128)

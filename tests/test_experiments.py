@@ -127,8 +127,9 @@ def test_cubic_audit_and_eps_study_match_separate_runs(tmp_path, monkeypatch, ep
     monkeypatch.undo()
     spec = PRESETS["cubic"]
     cfg = EvolutionConfig(
-        alpha=spec.alpha, eps=spec.eps if eps is None else eps, cutoff=spec.cutoff,
-        dt=spec.dt, horizon=spec.horizon, record_every=spec.record_every,
+        alpha=spec.config.alpha, eps=spec.config.eps if eps is None else eps,
+        cutoff=spec.config.cutoff, dt=spec.config.dt, horizon=spec.config.horizon,
+        record_every=spec.config.record_every,
     )
     phi = experiments._smooth_small_data(cfg.cutoff, 2)
     F = spec.family(**spec.default_params)
@@ -277,6 +278,30 @@ def test_cli_run_and_audit_round_trip(tmp_path, capsys):
     assert (tmp_path / "audit" / "energy_trace.csv").exists()
 
 
+def test_cli_audit_rejects_a_malformed_trajectory(tmp_path, capsys):
+    # a cutoff-2 trajectory: a mode beyond it neither wraps onto k = +2
+    # (k = -3) nor crashes (k = 3), and a sidecar without alpha is invalid
+    meta = {"alpha": 3.0, "eps": 0.0, "cutoff": 2, "dt": 0.01, "horizon": 0.02,
+            "nonlinearity": "2 0 1 0 0 1\n"}
+    rows = "".join(
+        f"{t},{k},{0.1 + 0.2 * (k == 0)},0\n" for t in (0, 0.01, 0.02) for k in range(-2, 3)
+    )
+    sidecar, csv = tmp_path / "t.json", tmp_path / "t.csv"
+    sidecar.write_text(json.dumps(meta))
+    csv.write_text("t,k,re,im\n" + rows)
+    argv = ["audit", "--trajectory", str(csv), "--sidecar", str(sidecar), "--out", str(tmp_path)]
+    assert cli_main(argv) == 0
+    for k in (-3, 3):
+        bad = tmp_path / f"bad{k}.csv"
+        bad.write_text("t,k,re,im\n" + rows + f"0.02,{k},1,0\n")
+        capsys.readouterr()
+        assert cli_main([*argv[:2], str(bad), *argv[3:]]) == 2
+        assert f"{bad}:17: mode {k} outside the cutoff 2" in capsys.readouterr().err
+    sidecar.write_text(json.dumps({k: v for k, v in meta.items() if k != "alpha"}))
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err == "error: 'alpha'\n"
+
+
 def test_cli_sweep_verb(tmp_path, capsys):
     rc = cli_main(
         ["sweep", "--preset", "cubic", "--axis", "eps", "--values", "0.1", "0.01",
@@ -326,7 +351,7 @@ def test_custom_run_takes_the_analyses_of_its_verdict(tmp_path, capsys):
     s = json.loads(read(out / "summary.json"))
     assert [a["name"] for a in s["analyses"]] == ["criterion", "growth_probe"]
     assert s["analyses"][0]["metrics"]["satisfied"] is False
-    assert s["config"]["dt"] == PRESETS["cubic"].dt
+    assert s["config"]["dt"] == PRESETS["cubic"].config.dt
     assert not (out / "energy_trace.csv").exists() and not (out / "eps_rate.csv").exists()
 
 

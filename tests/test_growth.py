@@ -813,6 +813,11 @@ def test_probe_initial_data_shape():
     assert np.all(phi_p.coeffs[ks < 0] == 0)
 
 
+def test_probe_initial_data_rejects_an_unknown_side():
+    with pytest.raises(ValueError, match="minsu"):
+        probe_initial_data(SpectralField.constant(1.0, 2), 16, 2.6, side="minsu")
+
+
 def test_growth_csv(tmp_path):
     rep = GrowthReport(
         side="minus", fit_window=(0.0, 0.1), mode_rates={-2: 2.0, -3: 3.1},

@@ -16,9 +16,15 @@ process with its own ``src`` on PYTHONPATH:
   - ``run --nonlinearity FILE`` (a custom polynomial) with the evolution
     defaults of preset cubic, and with those of preset example_c: each runs
     the criterion and the dynamics, here the growth probe on the checker's
-    witness against the cubic control.
+    witness against the cubic control;
+  - ``run --config FILE``, whose file sets the preset and every evolution
+    setting;
+  - ``audit`` of a fixed cutoff-2 trajectory CSV and sidecar, whose sidecar
+    names the nonlinearity and leaves record_every and blowup_ceiling to
+    their defaults.
 
-49 invocations in all.
+The tool writes these input files into one temporary directory.  51
+invocations in all.
 
 Each invocation writes into its own directory.  The exit codes, the printed
 lines (with the output directory normalised) and ``diff -r`` of the output
@@ -33,6 +39,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -40,16 +47,34 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# A custom nonlinearity for the `run --nonlinearity` calls: i|u|^2 u_x plus a
-# transport term, which violates the criterion, so the runs take the probe.
-CUSTOM_TERMS = "1 1 1 0 0 1\n0 1 0 0 0.5 0\n"
+# The input files of the invocations, by name.
+INPUTS = {
+    # A custom nonlinearity for the `run --nonlinearity` calls: i|u|^2 u_x plus
+    # a transport term, which violates the criterion, so the runs take the probe.
+    "custom.nl": "1 1 1 0 0 1\n0 1 0 0 0.5 0\n",
+    # The preset and every evolution setting of a run.
+    "run.cfg": "preset=example_d\nalpha=2.5\neps=1e-3\nmodes=24\ndt=5e-4\nhorizon=0.05\n"
+    "record_every=5\n",
+    # A trajectory of cubic(i) at cutoff 2, modes 0.3 e^{-i k^3 t} / (1 + k^2);
+    # its sidecar leaves record_every and blowup_ceiling to their defaults.
+    "audit.csv": "t,k,re,im\n" + "".join(
+        f"{t!r},{k},{0.3 * math.cos(k**3 * t) / (1 + k * k)!r},"
+        f"{-0.3 * math.sin(k**3 * t) / (1 + k * k)!r}\n"
+        for t in (0.0, 0.01, 0.02) for k in range(-2, 3)
+    ),
+    "audit.json": json.dumps(
+        {"alpha": 3.0, "eps": 0.0, "cutoff": 2, "dt": 0.01, "horizon": 0.02,
+         "truncated": False, "nonlinearity": "2 0 1 0 0 1\n"}
+    ),
+}
 
 
-def invocations(nl_path: str) -> list[list[str]]:
-    """The fixed argument lists, without --out."""
+def invocations(inputs: str) -> list[list[str]]:
+    """The fixed argument lists, without --out, reading INPUTS from the directory `inputs`."""
     sys.path[:0] = [ROOT, os.path.join(ROOT, "src")]
     from perfbench.workloads import PresetSweep
 
+    nl_path, cfg_path, csv_path, json_path = (os.path.join(inputs, name) for name in INPUTS)
     calls = [argv for seed in (1, 7) for _, argv, _ in PresetSweep().build(seed)]
     return calls + [
         ["check", "--preset", "example_d", "--c1", "1", "--c2", "2"],
@@ -59,6 +84,8 @@ def invocations(nl_path: str) -> list[list[str]]:
         ["run", "--preset", "example_b", "--c", "2i", "--m", "2"],
         ["run", "--preset", "cubic", "--nonlinearity", nl_path],
         ["run", "--preset", "example_c", "--nonlinearity", nl_path],
+        ["run", "--config", cfg_path],
+        ["audit", "--trajectory", csv_path, "--sidecar", json_path],
     ]
 
 
@@ -115,10 +142,10 @@ def main() -> int:
         p.error("--parent is required")
     sides = {"parent": os.path.abspath(args.parent), "change": ROOT}
     with tempfile.TemporaryDirectory(prefix="artifact_diff_") as tmp:
-        nl_path = os.path.join(tmp, "custom.nl")
-        with open(nl_path, "w") as fh:
-            fh.write(CUSTOM_TERMS)
-        calls = invocations(nl_path)
+        for name, text in INPUTS.items():
+            with open(os.path.join(tmp, name), "w") as fh:
+                fh.write(text)
+        calls = invocations(tmp)
         calls_path = os.path.join(tmp, "calls.json")
         with open(calls_path, "w") as fh:
             json.dump(calls, fh)
