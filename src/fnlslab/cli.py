@@ -25,7 +25,7 @@ import sys
 
 from . import energy as energy_mod
 from . import experiments as exp
-from .evolution import _write_json, read_trajectory
+from .evolution import _trajectory_from, _write_json
 from .nonlinearity import (
     check_wellposedness_condition,
     format_nonlinearity,
@@ -145,9 +145,9 @@ def cmd_estimates(args) -> int:
 
 def cmd_audit(args) -> int:
     nl_path = _collect(args)[1]
-    traj = read_trajectory(args.trajectory, args.sidecar)
     with open(args.sidecar) as fh:
         meta = json.load(fh)
+    traj = _trajectory_from(args.trajectory, meta)
     if nl_path:
         F = _read_nonlinearity(nl_path)
     elif "nonlinearity" in meta:

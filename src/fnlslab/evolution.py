@@ -412,15 +412,21 @@ def write_trajectory(
 def read_trajectory(csv_path, json_path) -> TrajectoryRecord:
     """The record stored by `write_trajectory`.  A sidecar may omit record_every
     and blowup_ceiling, which then take their defaults; a missing other field
-    is a KeyError, and a CSV mode outside the sidecar's cutoff a ValueError."""
+    is a KeyError.  A CSV mode outside the sidecar's cutoff, a second row for
+    one (t, k) and a snapshot without a row for some mode are ValueErrors."""
     with open(json_path) as fh:
         meta = json.load(fh)
+    return _trajectory_from(csv_path, meta)
+
+
+def _trajectory_from(csv_path, meta: dict) -> TrajectoryRecord:
+    """`read_trajectory` of the CSV at csv_path and the parsed sidecar meta."""
     optional = ("record_every", "blowup_ceiling")
     names = [f.name for f in fields(EvolutionConfig)]
     cfg = EvolutionConfig(**{n: meta[n] for n in names if n in meta or n not in optional})
-    k = cfg.cutoff
-    by_time: dict[float, np.ndarray] = {}
-    order: list[float] = []
+    k, modes = cfg.cutoff, range(-cfg.cutoff, cfg.cutoff + 1)
+    rows: dict[float, dict[int, complex]] = {}  # time -> mode -> coefficient
+    last: dict[float, int] = {}  # time -> the line of its last row
     with open(csv_path) as fh:
         fh.readline()
         for ln, line in enumerate(fh, 2):
@@ -431,11 +437,16 @@ def read_trajectory(csv_path, json_path) -> TrajectoryRecord:
             t, mode = float(t_s), int(k_s)
             if not -k <= mode <= k:
                 raise ValueError(f"{csv_path}:{ln}: mode {mode} outside the cutoff {k}")
-            if t not in by_time:
-                by_time[t] = np.zeros(2 * k + 1, dtype=np.complex128)
-                order.append(t)
-            by_time[t][mode + k] = float(re_s) + 1j * float(im_s)
-    snaps = [SpectralField(by_time[t], k) for t in order]
+            row = rows.setdefault(t, {})
+            if mode in row:
+                raise ValueError(f"{csv_path}:{ln}: a second row for mode {mode} at t = {t}")
+            row[mode], last[t] = float(re_s) + 1j * float(im_s), ln
+    for t, row in rows.items():
+        missing = [j for j in modes if j not in row]
+        if missing:
+            raise ValueError(f"{csv_path}:{last[t]}: no row for mode {missing[0]} at t = {t}")
+    coeffs = [np.array([row[j] for j in modes], np.complex128) for row in rows.values()]
+    snaps = [SpectralField(c, k) for c in coeffs]
     return TrajectoryRecord(
-        np.asarray(order), snaps, cfg, truncated=bool(meta.get("truncated", False))
+        np.asarray(list(rows)), snaps, cfg, truncated=bool(meta.get("truncated", False))
     )

@@ -29,7 +29,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .spectral import SpectralField, _random_coefficients, padded_size
+from .spectral import SpectralField, _fft, _ifft, _random_coefficients, padded_size
 
 __all__ = [
     "PolynomialNonlinearity",
@@ -268,7 +268,10 @@ def _rows_coefficient_map(
     flat array whose entries off the modes stay zero, the forward transforms
     write into views of one flat spectrum array that ends in a zero, flat
     index arrays place every mode, and each run of rows evaluates F by a
-    `values_plan` on views of its group's arrays.  So a call moves the modes
+    `values_plan` on views of its group's arrays.  The transforms call numpy
+    >= 2.0's pocketfft gufuncs through `spectral._ifft` (fct 1.0) and
+    `spectral._fft` (fct 1/m), which write into those views with the bits of
+    numpy.fft's ifft and fft at norm="forward".  So a call moves the modes
     in with one `take` and two indexed writes and out with one `take`, and
     allocates only the returned coefficients, or nothing with ``out``.  Not
     for concurrent use.
@@ -316,18 +319,18 @@ def _rows_coefficient_map(
         f = np.empty((b, m), dtype=np.complex128)
         inverse = list(zip(buf, vals)) if b == 1 and m > _SPLIT_ABOVE else [(buf, vals)]
         evaluations = [P.values_plan(vals[p:q], vals[b + p : b + q], f[p:q]) for p, q, P in runs]
-        plans.append((inverse, evaluations, f, hflat[j : j + b * m].reshape(b, m)))
+        plans.append((inverse, evaluations, f, 1 / m, hflat[j : j + b * m].reshape(b, m)))
 
     def apply(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         coeffs.take(src, out=modes, mode="clip")  # indices in range: "clip" spares a buffer
         flat[u_at] = modes
         flat[du_at] = np.multiply(modes, ik, out=dmodes)
-        for inverse, evaluations, f, h in plans:
+        for inverse, evaluations, f, fct, h in plans:
             for buf, vals in inverse:
-                np.fft.ifft(buf, norm="forward", out=vals)
+                _ifft(buf, 1.0, vals)
             for evaluate in evaluations:
                 evaluate()
-            np.fft.fft(f, norm="forward", out=h)
+            _fft(f, fct, h)
         # "wrap" reads -1 as the last entry, and with out= spares a buffer.
         return hflat.take(gather, out=out, mode="wrap")
 
@@ -373,7 +376,8 @@ def _block_means(P: PolynomialNonlinearity, cutoff: int, coeffs: np.ndarray) -> 
     buf = np.zeros((2 * n, m), dtype=np.complex128)
     buf[:, : k + 1] = rows[:, k:]
     buf[:, m - k :] = rows[:, :k]
-    samples = np.fft.ifft(buf) * m
+    samples = _ifft(buf, 1 / m, np.empty_like(buf))
+    samples *= m
     return np.mean(P.evaluate_values(samples[:n], samples[n:]), axis=1)
 
 

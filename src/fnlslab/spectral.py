@@ -23,6 +23,7 @@ from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 __all__ = [
     "SpectralField",
@@ -49,6 +50,26 @@ MAX_GRID_POINTS = 1 << 22
 # rounds pure-mode data more cleanly: a K = 8 plane wave run for 1000 cubic
 # steps leaks 4e-17 into other modes on 64 points but 2e-12 on 36.
 _SMOOTH_ABOVE = 64
+
+
+# Every transform in the package calls numpy's pocketfft gufuncs (numpy >= 2.0,
+# signature (n),()->(m), so `out` is required) through `_fft` and `_ifft`.
+# They skip the numpy.fft wrapper's dispatch and argument checks and give its
+# bits: numpy.fft.fft(a) is `_fft(a, fct, out)` with fct 1.0 (default norm) or
+# 1/m (norm="forward"), and numpy.fft.ifft(a) is `_ifft` with fct 1/m (default)
+# or 1.0 (norm="forward").  The gufuncs are looked up on their module at each
+# call, so patching the module's attributes reaches every transform.
+_LAST_AXIS = [(-1,), (), (-1,)]
+
+
+def _fft(a: np.ndarray, fct: float, out: np.ndarray) -> np.ndarray:
+    """out = fct * sum_j a[..., j] e^{-2 pi i jk/m} along the last axis of m points."""
+    return _pocketfft.fft(a, fct, axes=_LAST_AXIS, out=out)
+
+
+def _ifft(a: np.ndarray, fct: float, out: np.ndarray) -> np.ndarray:
+    """out = fct * sum_k a[..., k] e^{+2 pi i jk/m} along the last axis of m points."""
+    return _pocketfft.ifft(a, fct, axes=_LAST_AXIS, out=out)
 
 
 class DealiasBudgetError(RuntimeError):
@@ -157,7 +178,7 @@ class SpectralField:
         m = samples.shape[0]
         if m < 2 * cutoff + 1:
             raise ValueError(f"{m} samples cannot resolve cutoff {cutoff}")
-        hat = np.fft.fft(samples) / m
+        hat = _fft(samples, 1.0, np.empty_like(samples)) / m
         ks = np.arange(-cutoff, cutoff + 1)
         return cls(hat[np.mod(ks, m)], cutoff)
 
@@ -179,7 +200,9 @@ class SpectralField:
             raise ValueError("sample grid too coarse for this cutoff")
         buf = np.zeros(m, dtype=np.complex128)
         buf[np.mod(self.wavenumbers(), m)] = self.coeffs  # distinct once m >= 2K+1
-        return np.fft.ifft(buf) * m
+        samples = _ifft(buf, 1 / m, np.empty_like(buf))
+        samples *= m
+        return samples
 
     def with_cutoff(self, cutoff: int) -> "SpectralField":
         """Embed (zero pad) or truncate to a new cutoff."""

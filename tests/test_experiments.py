@@ -280,7 +280,9 @@ def test_cli_run_and_audit_round_trip(tmp_path, capsys):
 
 def test_cli_audit_rejects_a_malformed_trajectory(tmp_path, capsys):
     # a cutoff-2 trajectory: a mode beyond it neither wraps onto k = +2
-    # (k = -3) nor crashes (k = 3), and a sidecar without alpha is invalid
+    # (k = -3) nor crashes (k = 3), a second row for one (t, k) does not
+    # replace the first, a missing row does not read as 0, and a sidecar
+    # without alpha is invalid
     meta = {"alpha": 3.0, "eps": 0.0, "cutoff": 2, "dt": 0.01, "horizon": 0.02,
             "nonlinearity": "2 0 1 0 0 1\n"}
     rows = "".join(
@@ -297,6 +299,15 @@ def test_cli_audit_rejects_a_malformed_trajectory(tmp_path, capsys):
         capsys.readouterr()
         assert cli_main([*argv[:2], str(bad), *argv[3:]]) == 2
         assert f"{bad}:17: mode {k} outside the cutoff 2" in capsys.readouterr().err
+    bad = tmp_path / "twice.csv"
+    bad.write_text("t,k,re,im\n" + rows + "0.02,1,9,9\n")
+    assert cli_main([*argv[:2], str(bad), *argv[3:]]) == 2
+    assert f"{bad}:17: a second row for mode 1 at t = 0.02" in capsys.readouterr().err
+    bad = tmp_path / "missing.csv"
+    kept = [row for row in rows.splitlines(True) if not row.startswith("0.01,0,")]
+    bad.write_text("t,k,re,im\n" + "".join(kept))
+    assert cli_main([*argv[:2], str(bad), *argv[3:]]) == 2
+    assert f"{bad}:10: no row for mode 0 at t = 0.01" in capsys.readouterr().err
     sidecar.write_text(json.dumps({k: v for k, v in meta.items() if k != "alpha"}))
     assert cli_main(argv) == 2
     assert capsys.readouterr().err == "error: 'alpha'\n"

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from fnlslab.spectral import (
     DealiasBudgetError,
     SpectralField,
+    _fft,
+    _ifft,
     _random_coefficients,
     antiderivative,
     bracket_power,
@@ -84,6 +86,46 @@ def test_samples_reconstruct_band_limited_exactly():
         assert np.max(np.abs(g.coeffs - f.coeffs)) < 1e-12
     with pytest.raises(ValueError):
         f.to_samples(20)
+
+
+@pytest.mark.parametrize("m", [8, 135, 270, 8640])
+def test_fft_binding_is_bitwise_numpy_fft(m):
+    # Every transform calls numpy's private pocketfft gufuncs through _fft and
+    # _ifft; each scaling convention the package uses must keep numpy.fft's
+    # bits, so a numpy release that changes that module fails here.
+    conventions = [
+        (_ifft, 1.0, lambda a: np.fft.ifft(a, norm="forward")),  # the block plan's inverse
+        (_fft, 1 / m, lambda a: np.fft.fft(a, norm="forward")),  # its forward
+        (_ifft, 1 / m, np.fft.ifft),  # _block_means and to_samples, then * m
+        (_fft, 1.0, np.fft.fft),  # from_samples, then / m
+    ]
+    rng = np.random.default_rng(m)
+    b = 3
+    data = np.zeros(2 * b * m + 2, dtype=np.complex128)  # buffers are views into a flat array
+    buf = data[1:-1].reshape(2 * b, m)
+    buf[:] = rng.standard_normal((2 * b, m)) + 1j * rng.standard_normal((2 * b, m))
+    layouts = [buf[0].copy(), buf[:b], buf]
+    if m == 8640:
+        layouts.append(data[1 + m : 1 + 2 * m])  # a split row: one row of a (2, m) buffer
+    for transform, fct, reference in conventions:
+        for a in layouts:
+            flat = np.zeros(a.size + 2, dtype=np.complex128)
+            out = flat[1:-1].reshape(a.shape)
+            assert transform(a, fct, out) is out
+            assert out.tobytes() == reference(a).tobytes()
+            assert flat[0] == flat[-1] == 0
+
+
+def test_samples_transforms_are_bitwise_numpy_fft():
+    f = random_field(3, 1.0, np.random.default_rng(2))
+    for m in (8, 135):
+        at = np.mod(f.wavenumbers(), m)
+        buf = np.zeros(m, dtype=np.complex128)
+        buf[at] = f.coeffs
+        samples = f.to_samples(m)
+        assert samples.tobytes() == (np.fft.ifft(buf) * m).tobytes()
+        back = SpectralField.from_samples(samples, 3)
+        assert back.coeffs.tobytes() == (np.fft.fft(samples) / m)[at].tobytes()
 
 
 def test_value_semantics():
