@@ -13,17 +13,21 @@ The well-posedness criterion functional is
     G(psi) = int_T Im F_omega(psi, psi_x, conj psi, conj psi_x) dx,
 
 the mean (zeroth Fourier coefficient) of the imaginary part of F_omega along
-psi.  The flow admits solutions exactly when G vanishes identically; the
-randomized checker falsifies "G == 0 for all psi" by sampling structured and
-random trigonometric polynomials (G is a polynomial functional of finitely
-many Fourier coefficients at each cutoff, so a nonzero functional is detected
-almost surely).
+psi.  The flow admits solutions exactly when G vanishes identically.  The
+checker decides this exactly: H = Im F_omega is a polynomial in the jet of u,
+and G == 0 exactly when H has no constant term and its Euler operator
+E_u H = dH/du - D_x dH/du_x vanishes identically, because the kernel of the
+Euler operator is the total derivatives (Olver, *Applications of Lie Groups
+to Differential Equations*, Thm 4.7).  Only a violated verdict samples G, on
+structured and random trigonometric polynomials, to report a readable
+witness.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from itertools import chain, groupby
 from typing import Iterable, Mapping
 
@@ -388,10 +392,15 @@ def criterion_functional(F: PolynomialNonlinearity, psi: SpectralField) -> float
 
 @dataclass(frozen=True)
 class CriterionVerdict:
-    """Outcome of the randomized identity test of G == 0.
+    """Outcome of the criterion check G == 0.
 
-    ``satisfied`` is probabilistically sound: a nonzero functional is caught
-    almost surely; when False the witness is exact (|G(witness)| > tolerance).
+    ``satisfied`` is exact up to the stated residual: it holds when
+    ``residual`` (see `_euler_residual`) is at most 1e-12 * deg^2.  A
+    satisfied verdict samples nothing: ``witness`` None, ``witness_value``
+    0.0, ``trials`` 0.  A violated one reports as ``witness`` the first
+    sampled field with |G| above ``tolerance`` = 1e-9 * max|F_omega
+    coefficient| (if none is, the first with the largest |G|), its G as
+    ``witness_value`` and the number of fields evaluated as ``trials``.
     """
 
     satisfied: bool
@@ -399,6 +408,7 @@ class CriterionVerdict:
     witness_value: float
     trials: int
     tolerance: float
+    residual: float = 0.0
 
 
 def structured_witnesses() -> list[SpectralField]:
@@ -436,15 +446,61 @@ def _structured_blocks() -> list[tuple[int, np.ndarray]]:
 _STRUCTURED_BLOCKS = _structured_blocks()
 
 
+def _euler_residual(fo: PolynomialNonlinearity, scale: float) -> float:
+    """max(|H_const|, max |coefficient of E_u H|) for H = Im(fo / scale).
+
+    H = (f - conj f) / 2i, where conjugation conjugates each coefficient and
+    swaps (a,b,c,d) -> (c,d,a,b); the product with -0.5j is exact.  E_u H is
+    a dict over 6-indices of (u, u_x, u_xx, conj u, conj u_x, conj u_xx).
+    For real H, E_{conj u} H is the conjugate of E_u H.
+    """
+    f = {idx: c / scale for idx, c in fo.terms}
+    euler: dict[tuple[int, ...], complex] = {}
+    for a, b, c, d in sorted(f.keys() | {(c, d, a, b) for a, b, c, d in f}):
+        h = -0.5j * (f.get((a, b, c, d), 0j) - f.get((c, d, a, b), 0j).conjugate())
+        terms = [((a - 1, b, 0, c, d, 0), a * h)] if a else []  # d/du H
+        if b:  # -D_x of d/du_x H: each slot s passes one power to slot s + 1
+            jet = (a, b - 1, 0, c, d, 0)
+            for s in (0, 1, 3, 4):
+                if jet[s]:
+                    key = jet[:s] + (jet[s] - 1, jet[s + 1] + 1) + jet[s + 2 :]
+                    terms.append((key, -b * jet[s] * h))
+        for key, v in terms:
+            euler[key] = euler.get(key, 0j) + v
+    return max([abs(f.get((0, 0, 0, 0), 0j).imag), *map(abs, euler.values())])  # H_const = Im f_0
+
+
 def check_wellposedness_condition(
     F: PolynomialNonlinearity,
     trials: int = 40,
     cutoffs: Iterable[int] = (2, 4, 8),
-    tol: float = 1e-9,
     seed: int = 0,
     decay: float = 3.5,
 ) -> CriterionVerdict:
-    """Decide whether G(psi) = 0 for all psi, by structured + random sampling.
+    """Decide whether G(psi) = 0 for all psi, exactly, by the Euler operator.
+
+    F_omega is first divided by its largest |coefficient|, so F -> 2^e F
+    gives bitwise the same verdict and a large omega-free term cannot hide a
+    small violation.  Only a violated verdict samples G, to find a readable
+    witness: `_sampled_verdict` at tol = 1e-9 * max|F_omega coefficient|,
+    deterministic in (seed, trials, cutoffs).  See `CriterionVerdict`.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    cutoffs, fo = tuple(cutoffs), F.wirtinger("omega")  # the witness search may scan twice
+    scale = max((abs(c) for _, c in fo.terms), default=0.0)
+    tol, residual = 1e-9 * scale, _euler_residual(fo, scale)
+    if residual <= 1e-12 * F.total_degree**2:
+        return CriterionVerdict(True, None, 0.0, 0, tol, residual)
+    v = _sampled_verdict(F, trials, cutoffs, tol, seed, decay)
+    if v.witness is None:  # no field above tol: the first with the largest |G|
+        top = math.nextafter(abs(v.witness_value), -1.0)
+        v = _sampled_verdict(F, trials, cutoffs, top, seed, decay)
+    return replace(v, satisfied=False, tolerance=tol, residual=residual)
+
+
+def _sampled_verdict(F, trials, cutoffs, tol, seed, decay) -> CriterionVerdict:
+    """Scan G on structured + random fields for the first |G| above tol.
 
     Structured witnesses run first so a failure is reported on a readable
     field; random trigonometric polynomials (coefficient decay <k>^{-decay})
@@ -452,10 +508,9 @@ def check_wellposedness_condition(
     The witnesses are evaluated a block at a time (the structured ones of
     one cutoff, or the `trials` random ones of one cutoff, drawn as that many
     successive `random_field` calls would draw them) and scanned in order,
-    so a block that holds the witness is evaluated whole.
+    so a block that holds the witness is evaluated whole.  With no field
+    above tol the verdict reads satisfied, with the largest G seen.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     fo = F.wirtinger("omega")
     rng = np.random.default_rng(seed)
     random_blocks = ((cut, _random_coefficients(trials, cut, decay, rng)) for cut in cutoffs)

@@ -10,6 +10,7 @@ from fnlslab.nonlinearity import (
     CriterionVerdict,
     PolynomialNonlinearity,
     _rows_coefficient_map,
+    _sampled_verdict,
     _stacked,
     check_wellposedness_condition,
     criterion_functional,
@@ -197,7 +198,7 @@ def test_power_family_witness_value():
         assert abs(g - 1.0) < 1e-12
 
 
-# -- the randomized checker -----------------------------------------------------------
+# -- the criterion checker ------------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -230,7 +231,106 @@ def test_checker_witness_is_evaluated_consistently():
     assert abs(criterion_functional(example_c(1j), v.witness) - v.witness_value) < 1e-14
 
 
-# -- the checker against its sequential oracle -------------------------------------------
+def test_certificate_is_relative_to_the_scale_of_f_omega():
+    # Each read the other way under an absolute tolerance on sampled |G|.
+    assert not check_wellposedness_condition(example_c(1e-12j)).satisfied
+    assert not check_wellposedness_condition(example_b(1e-300)).satisfied
+    assert check_wellposedness_condition(example_c(1e8)).satisfied
+    assert check_wellposedness_condition(example_d(1e7, 2e7)).satisfied
+    # The omega-free cubic term must not set the scale of the transport term's violation.
+    v = check_wellposedness_condition(1e8 * cubic(1j) + 1e-5 * linear_transport(1j))
+    assert not v.satisfied and v.residual == 1.0
+
+
+def test_satisfied_verdict_samples_nothing():
+    v = check_wellposedness_condition(example_d(1.0, 2.0))
+    assert (v.satisfied, v.witness, v.witness_value, v.trials) == (True, None, 0.0, 0)
+    assert v.tolerance == 1e-9 * 2.0 and v.residual == 0.0
+
+
+def test_violated_verdict_reports_largest_witness_below_tolerance():
+    # G = 1e-10 for every field, below the tolerance 2e-9 set by the 2|u|^2 term.
+    F = example_c(1.0) + 1e-10 * linear_transport(1j)
+    v = check_wellposedness_condition(F)
+    assert not v.satisfied and v.witness is not None and v.tolerance == 2e-9
+    assert abs(v.witness_value) == abs(sampled_checker(F, tol=2e-9).witness_value)
+    assert criterion_functional(F, v.witness) == v.witness_value
+
+
+def _finite_normal(lo, hi):
+    """Zero, or a float of magnitude in [lo, hi], either sign."""
+    mag = st.floats(lo, hi)
+    return st.one_of(st.just(0.0), mag, mag.map(lambda x: -x))
+
+
+_COEFFS = st.builds(complex, _finite_normal(1e-3, 10.0), _finite_normal(1e-3, 10.0)).filter(bool)
+_POLYS = st.dictionaries(
+    st.tuples(*(st.integers(0, 3),) * 4).filter(lambda idx: 1 <= sum(idx) <= 3),
+    _COEFFS, min_size=1, max_size=5,
+).map(PolynomialNonlinearity.from_terms)
+
+
+@given(_POLYS, st.integers(-900, 900))
+@settings(max_examples=60, deadline=None)
+def test_certificate_is_bitwise_invariant_under_powers_of_two(F, e):
+    a, b = check_wellposedness_condition(F), check_wellposedness_condition(F * 2.0**e)
+    assert a.satisfied is b.satisfied
+    assert np.float64(a.residual).tobytes() == np.float64(b.residual).tobytes()
+
+
+@given(_POLYS, st.floats(-250.0, 250.0))
+@settings(max_examples=60, deadline=None)
+def test_certificate_is_invariant_under_scaling(F, x):
+    a, b = check_wellposedness_condition(F), check_wellposedness_condition(F * 10.0**x)
+    assert a.satisfied is b.satisfied
+
+
+_REAL = st.floats(-2.0, 2.0)
+_Z = st.builds(complex, _REAL, _REAL)
+_Y = st.floats(0.5, 2.0).flatmap(lambda y: st.sampled_from([y, -y]))  # a violation's size
+_SATISFYING = st.one_of(
+    _Z.map(cubic),
+    _REAL.map(example_c),
+    st.builds(lambda z, y: example_d(z, 2 * z.real + 1j * y), _Z, _REAL),
+    _REAL.map(linear_transport),
+)
+_VIOLATING = st.one_of(
+    st.builds(lambda x, y, m: example_b(complex(x, y), m), _REAL, _Y, st.integers(1, 2)),
+    st.builds(lambda x, y: example_c(complex(x, y)), _REAL, _Y),
+    st.builds(lambda z, y, b: example_d(z, complex(2 * z.real - y, b)), _Z, _Y, _REAL),
+    st.builds(lambda x, y: linear_transport(complex(x, y)), _REAL, _Y),
+)
+
+
+@given(
+    st.lists(_SATISFYING, min_size=1, max_size=3),
+    st.one_of(st.none(), _VIOLATING),
+    st.floats(-12.0, 8.0),
+)
+@settings(max_examples=80, deadline=None)
+def test_certificate_classifies_constructed_sums(terms, violating, lam_exp):
+    """Sums of satisfying family terms, plus one violating term or none, scaled by lambda."""
+    F = sum(terms[1:], terms[0]) if violating is None else sum(terms, violating)
+    v = check_wellposedness_condition(F * 10.0**lam_exp)
+    assert v.satisfied is (violating is None)
+    assert v.satisfied or (v.witness is not None and abs(v.witness_value) > v.tolerance)
+
+
+_VIOLATED = [
+    example_b(1.0, 1), example_c(1j), example_d(1.0, 1.0), example_b(1e-300), linear_transport(2j)
+]
+
+
+@pytest.mark.parametrize("F", _VIOLATED)
+@pytest.mark.parametrize("seed", [0, 5])
+def test_violated_verdict_is_the_sampled_verdict(F, seed):
+    tol = 1e-9 * max(abs(c) for _, c in F.wirtinger("omega").terms)
+    got = check_wellposedness_condition(F, seed=seed)
+    assert not got.satisfied and got.residual > 0
+    assert_same_verdict(got, sampled_checker(F, tol=tol, seed=seed))
+
+
+# -- the sampler against its sequential oracle --------------------------------------------
 
 
 def _one_mean(P, u):
@@ -260,6 +360,11 @@ def sequential_checker(F, trials=40, cutoffs=(2, 4, 8), tol=1e-9, seed=0, decay=
         if abs(g) > tol:
             return CriterionVerdict(False, psi, g, n_eval, tol)
     return CriterionVerdict(True, None, best_val, n_eval, tol)
+
+
+def sampled_checker(F, trials=40, cutoffs=(2, 4, 8), tol=1e-9, seed=0, decay=3.5):
+    """The block sampler behind a violated verdict, with the checker's defaults."""
+    return _sampled_verdict(F, trials, cutoffs, tol, seed, decay)
 
 
 N_STRUCTURED = (48, 30)  # the constants at cutoff 1, then the cutoff-2 fields
@@ -319,7 +424,7 @@ def test_block_checker_matches_sequential_oracle(terms, lam_exp, trials, cutoffs
     else:
         tol = 10.0**tol
     kwargs = dict(trials=trials, cutoffs=cutoffs, tol=tol, seed=seed, decay=decay)
-    assert_same_verdict(check_wellposedness_condition(F, **kwargs), sequential_checker(F, **kwargs))
+    assert_same_verdict(sampled_checker(F, **kwargs), sequential_checker(F, **kwargs))
 
 
 def test_block_checker_exits_in_every_block():
@@ -332,7 +437,7 @@ def test_block_checker_exits_in_every_block():
         tol = _tol_exiting_in(block, values, trials, cutoffs)
         assert tol is not None, block
         kwargs = dict(trials=trials, cutoffs=cutoffs, tol=tol, seed=3, decay=decay)
-        got = check_wellposedness_condition(F, **kwargs)
+        got = sampled_checker(F, **kwargs)
         assert start < got.trials <= end
         assert_same_verdict(got, sequential_checker(F, **kwargs))
 
@@ -340,7 +445,7 @@ def test_block_checker_exits_in_every_block():
 @pytest.mark.parametrize("F", [cubic(1j), example_d(1.0, 2.0), PolynomialNonlinearity.zero()])
 def test_block_checker_satisfied_matches_oracle(F):
     for kwargs in ({}, {"trials": 1, "cutoffs": (5,)}, {"cutoffs": ()}):
-        assert_same_verdict(check_wellposedness_condition(F, **kwargs), sequential_checker(F, **kwargs))
+        assert_same_verdict(sampled_checker(F, **kwargs), sequential_checker(F, **kwargs))
 
 
 # -- the evaluation plan and the RHS maps against fresh-allocation references ---------

@@ -9,7 +9,9 @@ process with its own ``src`` on PYTHONPATH:
   - the 21 ``run`` calls of the benchmark's ``preset_sweep`` workload (7
     families x 3 alphas, as built by ``perfbench/workloads.py``) at workload
     seeds 1 and 7;
-  - ``check`` of example_d(1, 2), and of example_c(1e-12i) with ``--seed 2``;
+  - ``check`` of example_d(1, 2), of example_c(1e-12i) with ``--seed 2`` and
+    of example_d(1e7, 2e7): the last two are the criterion's scale cases,
+    ill-posed at a tiny scale and well-posed at a large one;
   - ``sweep --preset example_c --axis c --values 1 i -i 1+2i``;
   - ``estimates --quick``;
   - ``run --preset example_b --c 2i --m 2`` (the example_b witness at m = 2);
@@ -23,7 +25,7 @@ process with its own ``src`` on PYTHONPATH:
     names the nonlinearity and leaves record_every and blowup_ceiling to
     their defaults.
 
-The tool writes these input files into one temporary directory.  51
+The tool writes these input files into one temporary directory.  52
 invocations in all.
 
 Each invocation writes into its own directory.  The exit codes, the printed
@@ -79,6 +81,7 @@ def invocations(inputs: str) -> list[list[str]]:
     return calls + [
         ["check", "--preset", "example_d", "--c1", "1", "--c2", "2"],
         ["check", "--preset", "example_c", "--c", "1e-12i", "--seed", "2"],
+        ["check", "--preset", "example_d", "--c1", "1e7", "--c2", "2e7"],
         ["sweep", "--preset", "example_c", "--axis", "c", "--values", "1", "i", "-i", "1+2i"],
         ["estimates", "--quick"],
         ["run", "--preset", "example_b", "--c", "2i", "--m", "2"],

@@ -35,10 +35,12 @@ that a swing in the host's speed lands on both sides alike.  The layers:
                  alpha = 3, per snapshot (on a checkout whose series calls
                  `resonant_decomposition` per snapshot, that loop)
   criterion      one `check_wellposedness_condition` of example_d(1, 2),
-                 which does not depend on K: satisfied, so every witness runs
+                 which does not depend on K: satisfied, so the certificate
+                 alone runs (on a checkout that samples, every witness)
   criterion_violated
-                 the same for example_c(i), violated on the first
-                 structured witness: the early exit
+                 the same for example_c(i): violated, so the certificate
+                 and then the witness search, which exits on the first
+                 structured witness
 
 A round measures every (layer, K) once on each side.  Each time is the best
 of five repeats; the report gives the median and the minimum over the rounds.
