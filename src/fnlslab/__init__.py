@@ -4,7 +4,7 @@ Submodules:
 
   spectral      band-limited fields, Fourier multipliers, norms, products
   nonlinearity  polynomial nonlinearities, Wirtinger calculus, the
-                well-posedness criterion and its exact checker
+                well-posedness criterion and its rounding-exact checker
   evolution     integrating-factor RK4 for the regularized flow
   energy        the modified-energy correction ladder and its audits
   estimates     bilinear/commutator inequality stress tests

@@ -50,7 +50,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .evolution import TrajectoryRecord, _multipliers, sup_l2_gap
-from .nonlinearity import PolynomialNonlinearity, criterion_functional, theta_omega_mean
+from .nonlinearity import PolynomialNonlinearity, _block_means
 from .spectral import (
     SpectralField,
     conjugate,
@@ -84,18 +84,12 @@ def gauge_shift(traj: TrajectoryRecord, F: PolynomialNonlinearity) -> Trajectory
     Trajectories with purely imaginary mean (e.g. T_w = i|u|^2 flows) are
     returned unchanged up to roundoff.
     """
-    t = traj.times
-    m_re = np.array(
-        [theta_omega_mean(F, u).real for u in traj.snapshots], dtype=float
-    )
-    if len(t) > 1:
-        shift = np.concatenate(
-            ([0.0], np.cumsum(0.5 * (m_re[1:] + m_re[:-1]) * np.diff(t)))
-        )
-    else:
-        shift = np.zeros(1)
-    snaps = [translate(u, a) for u, a in zip(traj.snapshots, shift)]
-    return TrajectoryRecord(t.copy(), snaps, traj.config, traj.truncated)
+    t, snaps = traj.times, traj.snapshots
+    coeffs = np.array([u.coeffs for u in snaps])
+    m_re = _block_means(F.wirtinger("omega"), snaps[0].cutoff, coeffs).real
+    shift = np.concatenate(([0.0], np.cumsum(0.5 * (m_re[1:] + m_re[:-1]) * np.diff(t))))
+    moved = [translate(u, a) for u, a in zip(snaps, shift)]
+    return TrajectoryRecord(t.copy(), moved, traj.config, traj.truncated)
 
 
 # -- resonant decomposition ------------------------------------------------------
@@ -469,9 +463,10 @@ def directional_growth(
         raise ValueError("fit window contains fewer than three snapshots")
     ts = traj.times[sel]
     ks = traj.snapshots[0].wavenumbers()
-    amps = np.array([np.abs(traj.snapshots[i].coeffs) for i in sel])
+    rows = np.array([traj.snapshots[i].coeffs for i in sel])
+    amps = np.abs(rows)
 
-    predicted = float(np.mean([criterion_functional(F, traj.snapshots[i]) for i in sel]))
+    predicted = float(np.mean(_block_means(F.wirtinger("omega"), traj.config.cutoff, rows).imag))
 
     side_modes = [k for k in ks if (k < 0 if side == "minus" else k > 0)]
     side_modes.sort(key=abs)

@@ -18,18 +18,18 @@ checker decides this exactly: H = Im F_omega is a polynomial in the jet of u,
 and G == 0 exactly when H has no constant term and its Euler operator
 E_u H = dH/du - D_x dH/du_x vanishes identically, because the kernel of the
 Euler operator is the total derivatives (Olver, *Applications of Lie Groups
-to Differential Equations*, Thm 4.7).  Only a violated verdict samples G, on
-structured and random trigonometric polynomials, to report a readable
-witness.
+to Differential Equations*, Thm 4.7).  The constant term must be exactly 0,
+and each Euler coefficient within the rounding of the coefficients it is
+formed from.  Only a violated verdict samples G, on structured and random
+trigonometric polynomials, to report a readable witness.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass, replace
 from itertools import chain, groupby
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .spectral import SpectralField, _fft, _ifft, _random_coefficients, padded_s
 __all__ = [
     "PolynomialNonlinearity",
     "CriterionVerdict",
-    "theta_omega_mean",
     "criterion_functional",
     "check_wellposedness_condition",
     "structured_witnesses",
@@ -358,11 +357,6 @@ def _stacked(polys: list[PolynomialNonlinearity]) -> PolynomialNonlinearity:
     )
 
 
-def theta_omega_mean(F: PolynomialNonlinearity, u: SpectralField) -> complex:
-    """Mean (zeroth coefficient) of F_omega along u, as a complex number."""
-    return complex(_block_means(F.wirtinger("omega"), u.cutoff, u.coeffs[None])[0])
-
-
 def _block_means(P: PolynomialNonlinearity, cutoff: int, coeffs: np.ndarray) -> np.ndarray:
     """Means of P(u, u_x, conj u, conj u_x) over one period, one per row of coeffs.
 
@@ -387,20 +381,22 @@ def _block_means(P: PolynomialNonlinearity, cutoff: int, coeffs: np.ndarray) -> 
 
 def criterion_functional(F: PolynomialNonlinearity, psi: SpectralField) -> float:
     """G(psi): normalized-mean of Im F_omega along psi.  Always real."""
-    return float(theta_omega_mean(F, psi).imag)
+    return float(_block_means(F.wirtinger("omega"), psi.cutoff, psi.coeffs[None])[0].imag)
 
 
 @dataclass(frozen=True)
 class CriterionVerdict:
     """Outcome of the criterion check G == 0.
 
-    ``satisfied`` is exact up to the stated residual: it holds when
-    ``residual`` (see `_euler_residual`) is at most 1e-12 * deg^2.  A
-    satisfied verdict samples nothing: ``witness`` None, ``witness_value``
-    0.0, ``trials`` 0.  A violated one reports as ``witness`` the first
-    sampled field with |G| above ``tolerance`` = 1e-9 * max|F_omega
-    coefficient| (if none is, the first with the largest |G|), its G as
-    ``witness_value`` and the number of fields evaluated as ``trials``.
+    ``satisfied`` is exact up to rounding: H = Im F_omega has no constant
+    term and each coefficient of its Euler operator is within the rounding of
+    its own inputs (see `_euler_certificate`); ``residual`` is the largest of
+    those coefficients and |H_const|.  A satisfied verdict samples nothing:
+    ``witness`` None, ``witness_value`` 0.0, ``trials`` 0.  A violated one
+    reports as ``witness`` the first sampled field with |G| above
+    ``tolerance`` = 1e-9 * max|F_omega coefficient| (if none is, the first
+    with the largest |G|), its G as ``witness_value`` and its position in the
+    scan as ``trials``.
     """
 
     satisfied: bool
@@ -446,8 +442,18 @@ def _structured_blocks() -> list[tuple[int, np.ndarray]]:
 _STRUCTURED_BLOCKS = _structured_blocks()
 
 
-def _euler_residual(fo: PolynomialNonlinearity, scale: float) -> float:
-    """max(|H_const|, max |coefficient of E_u H|) for H = Im(fo / scale).
+# The rounding allowance of an Euler coefficient E = sum n * h (n an integer,
+# h = -0.5j * (f1 - conj f2)) relative to B = sum |n| * (|f1| + |f2|) / 2.
+# Each f carries k roundings of u = 2^-53 (its decimal, a sum, the Wirtinger
+# product, the division by the scale), h one more, n * h one more and the sum
+# one per contribution.  A well-posed pair cancels inside h, so its exact E
+# is 0 and |E| <= (k + 1 + T) u B over T contributions: 128 u covers k + T < 128.
+_ROUNDING = 64 * 2.0**-52
+
+
+def _euler_certificate(fo: PolynomialNonlinearity, scale: float) -> tuple[float, bool]:
+    """The residual max(|H_const|, max |E|) over the coefficients E of E_u H,
+    H = Im(fo / scale), and whether G == 0: H_const == 0, each |E| <= _ROUNDING * B.
 
     H = (f - conj f) / 2i, where conjugation conjugates each coefficient and
     swaps (a,b,c,d) -> (c,d,a,b); the product with -0.5j is exact.  E_u H is
@@ -455,48 +461,45 @@ def _euler_residual(fo: PolynomialNonlinearity, scale: float) -> float:
     For real H, E_{conj u} H is the conjugate of E_u H.
     """
     f = {idx: c / scale for idx, c in fo.terms}
-    euler: dict[tuple[int, ...], complex] = {}
+    euler: dict[tuple[int, ...], tuple[complex, float]] = {}  # key -> (E, B)
     for a, b, c, d in sorted(f.keys() | {(c, d, a, b) for a, b, c, d in f}):
-        h = -0.5j * (f.get((a, b, c, d), 0j) - f.get((c, d, a, b), 0j).conjugate())
-        terms = [((a - 1, b, 0, c, d, 0), a * h)] if a else []  # d/du H
+        f1, f2 = f.get((a, b, c, d), 0j), f.get((c, d, a, b), 0j)
+        h, size = -0.5j * (f1 - f2.conjugate()), 0.5 * (abs(f1) + abs(f2))
+        terms = [((a - 1, b, 0, c, d, 0), a)] if a else []  # d/du H
         if b:  # -D_x of d/du_x H: each slot s passes one power to slot s + 1
             jet = (a, b - 1, 0, c, d, 0)
             for s in (0, 1, 3, 4):
                 if jet[s]:
                     key = jet[:s] + (jet[s] - 1, jet[s + 1] + 1) + jet[s + 2 :]
-                    terms.append((key, -b * jet[s] * h))
-        for key, v in terms:
-            euler[key] = euler.get(key, 0j) + v
-    return max([abs(f.get((0, 0, 0, 0), 0j).imag), *map(abs, euler.values())])  # H_const = Im f_0
+                    terms.append((key, -b * jet[s]))
+        for key, n in terms:
+            e, bound = euler.get(key, (0j, 0.0))
+            euler[key] = (e + n * h, bound + abs(n) * size)
+    h_const = f.get((0, 0, 0, 0), 0j).imag
+    residual = max([abs(h_const), *(abs(e) for e, _ in euler.values())])
+    rounding = all(abs(e) <= _ROUNDING * bound for e, bound in euler.values())
+    return residual, h_const == 0 and rounding
 
 
-def check_wellposedness_condition(
-    F: PolynomialNonlinearity,
-    trials: int = 40,
-    cutoffs: Iterable[int] = (2, 4, 8),
-    seed: int = 0,
-    decay: float = 3.5,
-) -> CriterionVerdict:
+_TRIALS, _CUTOFFS, _DECAY = 40, (2, 4, 8), 3.5  # the witness search's random fields
+
+
+def check_wellposedness_condition(F: PolynomialNonlinearity, seed: int = 0) -> CriterionVerdict:
     """Decide whether G(psi) = 0 for all psi, exactly, by the Euler operator.
 
     F_omega is first divided by its largest |coefficient|, so F -> 2^e F
     gives bitwise the same verdict and a large omega-free term cannot hide a
-    small violation.  Only a violated verdict samples G, to find a readable
-    witness: `_sampled_verdict` at tol = 1e-9 * max|F_omega coefficient|,
-    deterministic in (seed, trials, cutoffs).  See `CriterionVerdict`.
+    small violation; see `_euler_certificate`.  Only a violated verdict
+    samples G, to find a readable witness: `_sampled_verdict` at tol = 1e-9 *
+    max|F_omega coefficient|, deterministic in seed.  See `CriterionVerdict`.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    cutoffs, fo = tuple(cutoffs), F.wirtinger("omega")  # the witness search may scan twice
+    fo = F.wirtinger("omega")
     scale = max((abs(c) for _, c in fo.terms), default=0.0)
-    tol, residual = 1e-9 * scale, _euler_residual(fo, scale)
-    if residual <= 1e-12 * F.total_degree**2:
+    tol, (residual, satisfied) = 1e-9 * scale, _euler_certificate(fo, scale)
+    if satisfied:
         return CriterionVerdict(True, None, 0.0, 0, tol, residual)
-    v = _sampled_verdict(F, trials, cutoffs, tol, seed, decay)
-    if v.witness is None:  # no field above tol: the first with the largest |G|
-        top = math.nextafter(abs(v.witness_value), -1.0)
-        v = _sampled_verdict(F, trials, cutoffs, top, seed, decay)
-    return replace(v, satisfied=False, tolerance=tol, residual=residual)
+    v = _sampled_verdict(F, _TRIALS, _CUTOFFS, tol, seed, _DECAY)
+    return replace(v, satisfied=False, residual=residual)
 
 
 def _sampled_verdict(F, trials, cutoffs, tol, seed, decay) -> CriterionVerdict:
@@ -509,21 +512,21 @@ def _sampled_verdict(F, trials, cutoffs, tol, seed, decay) -> CriterionVerdict:
     one cutoff, or the `trials` random ones of one cutoff, drawn as that many
     successive `random_field` calls would draw them) and scanned in order,
     so a block that holds the witness is evaluated whole.  With no field
-    above tol the verdict reads satisfied, with the largest G seen.
+    above tol the verdict reads satisfied, with the first field of largest
+    |G| as its witness and that field's position as ``trials``.
     """
     fo = F.wirtinger("omega")
     rng = np.random.default_rng(seed)
     random_blocks = ((cut, _random_coefficients(trials, cut, decay, rng)) for cut in cutoffs)
-    best_val = 0.0
-    n_eval = 0
+    best, n_eval = None, 0  # the verdict on the first field of largest |G| so far
     for cut, block in chain(_STRUCTURED_BLOCKS, random_blocks):
         for coeffs, g in zip(block, _block_means(fo, cut, block).imag.tolist()):
             n_eval += 1
-            if abs(g) > abs(best_val):
-                best_val = g
             if abs(g) > tol:
                 return CriterionVerdict(False, SpectralField(coeffs, cut), g, n_eval, tol)
-    return CriterionVerdict(True, None, best_val, n_eval, tol)
+            if best is None or abs(g) > abs(best.witness_value):
+                best = CriterionVerdict(True, SpectralField(coeffs, cut), g, n_eval, tol)
+    return best
 
 
 # -- presets and text format ---------------------------------------------------

@@ -29,6 +29,7 @@ from fnlslab.growth import (
 )
 from fnlslab.nonlinearity import (
     PolynomialNonlinearity,
+    criterion_functional,
     cubic,
     example_c,
     example_d,
@@ -41,7 +42,9 @@ from fnlslab.spectral import (
     pointwise_product,
     random_field,
     sobolev_norm,
+    translate,
 )
+from test_nonlinearity import _one_mean
 from test_spectral import convolve_coefficients, project
 
 ZERO = PolynomialNonlinearity.zero()
@@ -90,6 +93,35 @@ def test_gauge_shift_preserves_amplitudes():
     shifted = gauge_shift(traj, F)
     for a, b in zip(traj.snapshots, shifted.snapshots):
         assert np.max(np.abs(np.abs(a.coeffs) - np.abs(b.coeffs))) < 1e-14
+
+
+def test_series_means_are_bitwise_the_per_snapshot_means():
+    # F_omega = 0.7 + 0.4i + 2i|u|^2 + 2 conj(u) u_x + 0.5i u conj(u_x): a real mean that moves.
+    F = example_c(1j) + linear_transport(0.7 + 0.4j) + example_d(1.0, 0.5j)
+    phi = decaying_data(8, seed=4, rate=0.7)
+    cfg = EvolutionConfig(alpha=2.5, eps=0.0, cutoff=8, dt=1e-3, horizon=0.1, record_every=10)
+    traj = integrate(phi, F, cfg)
+    # The oracle: one mean per snapshot, each on its own grid, then the trapezoid rule.
+    fo, t = F.wirtinger("omega"), traj.times
+    m_re = np.array([_one_mean(fo, u).real for u in traj.snapshots])
+    assert np.ptp(m_re) > 0.01
+    shift = np.concatenate(([0.0], np.cumsum(0.5 * (m_re[1:] + m_re[:-1]) * np.diff(t))))
+    for u, a, got in zip(traj.snapshots, shift, gauge_shift(traj, F).snapshots):
+        assert got.coeffs.tobytes() == translate(u, a).coeffs.tobytes()
+    lo, hi = 0.02, 0.07
+    sel = np.where((t >= lo) & (t <= hi))[0]
+    predicted = float(np.mean([criterion_functional(F, traj.snapshots[i]) for i in sel]))
+    rep = directional_growth(traj, F, fit_window=(lo, hi))
+    assert np.float64(rep.predicted_slope).tobytes() == np.float64(predicted).tobytes()
+
+
+def test_gauge_shift_of_one_snapshot_is_the_snapshot():
+    phi = decaying_data(8, seed=5)
+    cfg = EvolutionConfig(alpha=3.0, eps=0.0, cutoff=8, dt=1e-3, horizon=0.01)
+    traj = TrajectoryRecord(np.array([0.0]), [phi], cfg, False)
+    shifted = gauge_shift(traj, linear_transport(1.0))
+    assert shifted.times.tolist() == [0.0]
+    assert shifted.snapshots[0].coeffs.tobytes() == phi.coeffs.tobytes()
 
 
 # -- interaction picture -----------------------------------------------------------------

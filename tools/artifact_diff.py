@@ -23,9 +23,12 @@ process with its own ``src`` on PYTHONPATH:
     setting;
   - ``audit`` of a fixed cutoff-2 trajectory CSV and sidecar, whose sidecar
     names the nonlinearity and leaves record_every and blowup_ceiling to
-    their defaults.
+    their defaults;
+  - ``check --nonlinearity FILE`` of example_c(1) + x * linear_transport(i)
+    at x = 1e-10 and 1e-11: violations below the witness search's tolerance,
+    so the first field of largest |G| is the witness.
 
-The tool writes these input files into one temporary directory.  52
+The tool writes these input files into one temporary directory.  54
 invocations in all.
 
 Each invocation writes into its own directory.  The exit codes, the printed
@@ -68,6 +71,9 @@ INPUTS = {
         {"alpha": 3.0, "eps": 0.0, "cutoff": 2, "dt": 0.01, "horizon": 0.02,
          "truncated": False, "nonlinearity": "2 0 1 0 0 1\n"}
     ),
+    # example_c(1) + x * linear_transport(i): G = x along every field.
+    "small_1e-10.nl": "1 1 1 0 2 0\n2 0 0 1 1 0\n0 1 0 0 0 1e-10\n",
+    "small_1e-11.nl": "1 1 1 0 2 0\n2 0 0 1 1 0\n0 1 0 0 0 1e-11\n",
 }
 
 
@@ -76,7 +82,9 @@ def invocations(inputs: str) -> list[list[str]]:
     sys.path[:0] = [ROOT, os.path.join(ROOT, "src")]
     from perfbench.workloads import PresetSweep
 
-    nl_path, cfg_path, csv_path, json_path = (os.path.join(inputs, name) for name in INPUTS)
+    nl_path, cfg_path, csv_path, json_path, small_10, small_11 = (
+        os.path.join(inputs, name) for name in INPUTS
+    )
     calls = [argv for seed in (1, 7) for _, argv, _ in PresetSweep().build(seed)]
     return calls + [
         ["check", "--preset", "example_d", "--c1", "1", "--c2", "2"],
@@ -89,6 +97,8 @@ def invocations(inputs: str) -> list[list[str]]:
         ["run", "--preset", "example_c", "--nonlinearity", nl_path],
         ["run", "--config", cfg_path],
         ["audit", "--trajectory", csv_path, "--sidecar", json_path],
+        ["check", "--nonlinearity", small_10],
+        ["check", "--nonlinearity", small_11],
     ]
 
 
