@@ -23,6 +23,12 @@ The third one carries a second-order Taylor cancellation: against a single
 slowly varying f and a single high mode g = e^{iKx} the commutator is
 O(K^{s-2}) rather than O(K^{s-1}), which the frequency-separated family
 checks by fitting the exponent.
+
+An ensemble draws each cutoff's pairs together and evaluates them as blocks
+of pairs: one block per cutoff, split only where it would pass
+`_BLOCK_POINTS` (rows x grid points).  Every operand of a block is sampled in
+one inverse transform and every product comes back in one forward transform.
+The pair functions are the block code's one-row calls.
 """
 
 from __future__ import annotations
@@ -33,10 +39,10 @@ import numpy as np
 
 from .spectral import (
     SpectralField,
-    bracket_power,
-    derivative,
-    pointwise_product,
-    random_field,
+    _fft,
+    _ifft,
+    _random_coefficients,
+    padded_size,
     sobolev_norm,
 )
 
@@ -56,6 +62,12 @@ __all__ = [
 ]
 
 DEFAULT_EPS = 0.1
+_SEPARATED_LOW = 3  # the largest low mode of a separated pair's f
+# The most rows x padded-grid points one block evaluates.  A block's arrays
+# take about 160 bytes per such point at once: the 8 pairs of a cutoff-256
+# ensemble took 1.4 MB as one block and take 0.6 MB as three, for about 1 ms
+# more of the 16 ms of `run_estimates` on a 2-core Xeon.
+_BLOCK_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -63,7 +75,8 @@ class EnsembleSpec:
     """Sampling plan: increasing cutoffs, samples per cutoff, coefficient decay.
 
     ``adversarial`` appends the lacunary and frequency-separated families to
-    the Gaussian draws at every cutoff.
+    the Gaussian draws at every cutoff; a separated pair's f has a mode up
+    to 3, so every cutoff must then be at least 3.
     """
 
     cutoffs: tuple[int, ...] = (16, 32, 64, 128, 256)
@@ -75,8 +88,14 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.samples_per_cutoff < 1:
             raise ValueError("samples_per_cutoff must be >= 1")
+        if not self.cutoffs:
+            raise ValueError("cutoffs must not be empty")
         if any(b <= a for a, b in zip(self.cutoffs, self.cutoffs[1:])):
             raise ValueError("cutoffs must be increasing")
+        if self.cutoffs[0] < 0:
+            raise ValueError("cutoffs must be >= 0")
+        if self.adversarial and self.cutoffs[0] < _SEPARATED_LOW:
+            raise ValueError(f"adversarial pairs need cutoffs >= {_SEPARATED_LOW}")
 
 
 @dataclass
@@ -97,63 +116,140 @@ def bilinear_ratio(
     The exponent triple must satisfy one of the two hypothesis sets,
     otherwise the ratio is meaningless and a ValueError is raised.
     """
-    mn = min(s0 + s1, s1 + s2, s2 + s0)
-    total = s0 + s1 + s2
-    if not ((mn >= 0 and total > 0.5) or (mn > 0 and total >= 0.5)):
-        raise ValueError(
-            f"(s0,s1,s2)=({s0},{s1},{s2}) violates the bilinear hypotheses"
-        )
-    denom = sobolev_norm(f, s1) * sobolev_norm(g, s2)
-    if denom == 0.0:
-        return 0.0
-    prod = pointwise_product(f, g, out_cutoff=f.cutoff + g.cutoff)
-    return sobolev_norm(prod, -s0) / denom
+    return float(_bilinear_ratios(s0, s1, s2, f.coeffs[None], g.coeffs[None])[0])
 
 
 def commutator_bracket(s: float, f: SpectralField, g: SpectralField) -> SpectralField:
     """[<D>^s, f] g_x = <D>^s(f g_x) - f <D>^s g_x, at full product bandwidth."""
-    gx = derivative(g)
-    full = f.cutoff + g.cutoff
-    lhs = bracket_power(pointwise_product(f, gx, out_cutoff=full), s)
-    rhs = pointwise_product(f, bracket_power(gx, s), out_cutoff=full)
-    return lhs - rhs
+    return SpectralField(
+        _commutator_brackets(s, f.coeffs[None], g.coeffs[None])[0], f.cutoff + g.cutoff
+    )
 
 
 def refined_commutator(s: float, f: SpectralField, g: SpectralField) -> SpectralField:
     """<D>^s(fg) - f <D>^s g + s f_x <D>^{s-2} g_x."""
-    full = f.cutoff + g.cutoff
-    t1 = bracket_power(pointwise_product(f, g, out_cutoff=full), s)
-    t2 = pointwise_product(f, bracket_power(g, s), out_cutoff=full)
-    t3 = pointwise_product(
-        derivative(f), bracket_power(derivative(g), s - 2.0), out_cutoff=full
+    return SpectralField(
+        _refined_commutators(s, f.coeffs[None], g.coeffs[None])[0], f.cutoff + g.cutoff
     )
-    return t1 - t2 + s * t3
 
 
 def commutator_ratio(
     s: float, f: SpectralField, g: SpectralField, eps: float = DEFAULT_EPS
 ) -> float:
     """L2 norm of the commutator against the proved right-hand side (s >= 0 or s < 0)."""
-    num = sobolev_norm(commutator_bracket(s, f, g), 0.0)
-    if s >= 0:
-        denom = sobolev_norm(f, 1.5 + eps) * sobolev_norm(g, s) + sobolev_norm(
-            f, s
-        ) * sobolev_norm(g, 1.5 + eps)
-    else:
-        denom = sobolev_norm(f, 1.5 + eps) * sobolev_norm(g, 0.0)
-    return num / denom if denom > 0 else 0.0
+    return float(_commutator_ratios(s, eps, f.coeffs[None], g.coeffs[None])[0])
 
 
 def refined_commutator_ratio(
     s: float, f: SpectralField, g: SpectralField, eps: float = DEFAULT_EPS
 ) -> float:
+    return float(_refined_commutator_ratios(s, eps, f.coeffs[None], g.coeffs[None])[0])
+
+
+# -- the block code -------------------------------------------------------------
+#
+# A block holds B pairs (f_i, g_i) as two C-contiguous arrays of coefficient
+# rows, f (B, 2Kf+1) and g (B, 2Kg+1); the cutoffs are read off the widths.
+# Row i of each result is bitwise what `sobolev_norm`, `pointwise_product` (at
+# out_cutoff Kf + Kg), `bracket_power` and `derivative` give on (f_i, g_i).  A
+# row reduction keeps those bits only on C-contiguous rows.
+
+
+def _modes(c: np.ndarray) -> np.ndarray:
+    """The wavenumbers -K..K of the rows of c."""
+    k = c.shape[-1] // 2
+    return np.arange(-k, k + 1)
+
+
+def _bracket(c: np.ndarray, s: float) -> np.ndarray:
+    """<D>^s of each row."""
+    k = _modes(c).astype(float)
+    return c * (1.0 + k * k) ** (s / 2.0)
+
+
+def _dx(c: np.ndarray) -> np.ndarray:
+    """d/dx of each row."""
+    return c * (1j * _modes(c))
+
+
+def _norms(c: np.ndarray, s: float) -> np.ndarray:
+    """The H^s norm of each row."""
+    k = _modes(c).astype(float)
+    return np.sqrt(np.sum((1.0 + k * k) ** s * np.abs(c) ** 2, axis=-1))
+
+
+def _products(f_ops, g_ops, f_of) -> np.ndarray:
+    """(len(g_ops), B, 2(Kf+Kg)+1): the full products f_ops[f_of[k]] * g_ops[k].
+
+    The f operands share cutoff Kf and the g operands Kg, so every product
+    has one alias-free grid.  All operands are sampled by one inverse
+    transform and all products come back through one forward transform,
+    both in place: each product overwrites its g operand's samples.
+    """
+    kf, kg = f_ops[0].shape[-1] // 2, g_ops[0].shape[-1] // 2
+    kout = kf + kg
+    m = padded_size(max(kf, kg), kout, kout)
+    ops = (*f_ops, *g_ops)
+    buf = np.zeros((len(ops), len(f_ops[0]), m), dtype=np.complex128)
+    for row, c in zip(buf, ops):
+        row[:, np.mod(_modes(c), m)] = c
+    _ifft(buf, 1 / m, buf)
+    buf *= m
+    prod = buf[len(f_ops) :]
+    for k, i in enumerate(f_of):
+        np.multiply(buf[i], prod[k], out=prod[k])
+    _fft(prod, 1.0, prod)
+    out = prod.take(np.mod(np.arange(-kout, kout + 1), m), axis=-1)
+    out /= m
+    return out
+
+
+def _ratios(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """num / denom row by row; 0 where denom is 0."""
+    return np.divide(num, denom, out=np.zeros_like(num), where=denom > 0)
+
+
+def _bilinear_ratios(s0, s1, s2, f, g) -> np.ndarray:
+    mn = min(s0 + s1, s1 + s2, s2 + s0)
+    total = s0 + s1 + s2
+    if not ((mn >= 0 and total > 0.5) or (mn > 0 and total >= 0.5)):
+        raise ValueError(
+            f"(s0,s1,s2)=({s0},{s1},{s2}) violates the bilinear hypotheses"
+        )
+    (prod,) = _products([f], [g], [0])
+    return _ratios(_norms(prod, -s0), _norms(f, s1) * _norms(g, s2))
+
+
+def _commutator_brackets(s, f, g) -> np.ndarray:
+    gx = _dx(g)
+    lhs, rhs = _products([f], [gx, _bracket(gx, s)], [0, 0])
+    return _bracket(lhs, s) - rhs
+
+
+def _refined_commutators(s, f, g) -> np.ndarray:
+    ops = [g, _bracket(g, s), _bracket(_dx(g), s - 2.0)]
+    t1, t2, t3 = _products([f, _dx(f)], ops, [0, 0, 1])
+    return _bracket(t1, s) - t2 + t3 * s
+
+
+def _commutator_ratios(s, eps, f, g) -> np.ndarray:
+    num = _norms(_commutator_brackets(s, f, g), 0.0)
+    if s >= 0:
+        denom = _norms(f, 1.5 + eps) * _norms(g, s) + _norms(f, s) * _norms(g, 1.5 + eps)
+    else:
+        denom = _norms(f, 1.5 + eps) * _norms(g, 0.0)
+    return _ratios(num, denom)
+
+
+def _refined_commutator_ratios(s, eps, f, g) -> np.ndarray:
     if not s > 2:
         raise ValueError("the refined commutator bound needs s > 2")
-    num = sobolev_norm(refined_commutator(s, f, g), 0.0)
-    denom = sobolev_norm(f, max(s, 2.5 + eps)) * sobolev_norm(
-        g, min(s - 2.0, 0.5 + eps)
-    ) + sobolev_norm(f, 2.5 + eps) * sobolev_norm(g, s - 2.0)
-    return num / denom if denom > 0 else 0.0
+    num = _norms(_refined_commutators(s, f, g), 0.0)
+    denom = (
+        _norms(f, max(s, 2.5 + eps)) * _norms(g, min(s - 2.0, 0.5 + eps))
+        + _norms(f, 2.5 + eps) * _norms(g, s - 2.0)
+    )
+    return _ratios(num, denom)
 
 
 # -- ensembles ------------------------------------------------------------------
@@ -176,21 +272,29 @@ def _separated_pair(
     cutoff: int, rng: np.random.Generator
 ) -> tuple[SpectralField, SpectralField]:
     """Slowly varying f times a single high mode g: the commutators' worst regime."""
-    low = int(rng.integers(1, 4))
+    low = int(rng.integers(1, _SEPARATED_LOW + 1))
     f = SpectralField.from_modes({0: 1.0, low: 1.0, -low: 0.5}, cutoff)
     g = SpectralField.from_modes({cutoff: 1.0}, cutoff)
     return f, g
 
 
-def _sample_pairs(cutoff: int, spec: EnsembleSpec, rng: np.random.Generator):
-    for _ in range(spec.samples_per_cutoff):
-        yield (
-            random_field(cutoff, spec.decay, rng),
-            random_field(cutoff, spec.decay, rng),
-        )
+def _sample_block(
+    cutoff: int, spec: EnsembleSpec, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs of one cutoff as an (f, g) block, drawn as pair-by-pair draws would.
+
+    One draw of 2 * samples_per_cutoff Gaussian fields gives f in its even
+    rows and g in its odd rows; the adversarial pairs follow.
+    """
+    c = _random_coefficients(2 * spec.samples_per_cutoff, cutoff, spec.decay, rng)
+    f, g = [c[0::2]], [c[1::2]]
     if spec.adversarial:
-        yield _lacunary_field(cutoff, rng), _lacunary_field(cutoff, rng)
-        yield _separated_pair(cutoff, rng)
+        f.append(_lacunary_field(cutoff, rng).coeffs[None])
+        g.append(_lacunary_field(cutoff, rng).coeffs[None])
+        sep_f, sep_g = _separated_pair(cutoff, rng)
+        f.append(sep_f.coeffs[None])
+        g.append(sep_g.coeffs[None])
+    return np.concatenate(f), np.concatenate(g)
 
 
 ESTIMATE_NAMES = ("bilinear", "commutator", "refined_commutator")
@@ -200,29 +304,29 @@ def run_ensemble(op: str, spec: EnsembleSpec, **params) -> RatioReport:
     """Evaluate one estimate's ratio over Gaussian + adversarial ensembles.
 
     params: bilinear needs s0, s1, s2; the commutators need s (and accept eps).
+    Each cutoff's pairs are drawn together and evaluated in as few equal
+    blocks as keep each within `_BLOCK_POINTS`.
     """
     if op not in ESTIMATE_NAMES:
         raise ValueError(f"unknown estimate {op!r}")
+    eps = params.get("eps", DEFAULT_EPS)
+
+    def ratios_of(f, g):
+        if op == "bilinear":
+            return _bilinear_ratios(params["s0"], params["s1"], params["s2"], f, g)
+        if op == "commutator":
+            return _commutator_ratios(params["s"], eps, f, g)
+        return _refined_commutator_ratios(params["s"], eps, f, g)
+
     rng = np.random.default_rng(spec.seed)
     maxr, medr = [], []
     for cutoff in spec.cutoffs:
-        ratios = []
-        for f, g in _sample_pairs(cutoff, spec, rng):
-            if op == "bilinear":
-                ratios.append(
-                    bilinear_ratio(params["s0"], params["s1"], params["s2"], f, g)
-                )
-            elif op == "commutator":
-                ratios.append(
-                    commutator_ratio(params["s"], f, g, params.get("eps", DEFAULT_EPS))
-                )
-            else:
-                ratios.append(
-                    refined_commutator_ratio(
-                        params["s"], f, g, params.get("eps", DEFAULT_EPS)
-                    )
-                )
-        ratios = np.asarray(ratios)
+        f, g = _sample_block(cutoff, spec, rng)
+        points = len(f) * padded_size(cutoff, 2 * cutoff, 2 * cutoff)
+        parts = min(len(f), -(-points // _BLOCK_POINTS))
+        ratios = np.concatenate(
+            [ratios_of(a, b) for a, b in zip(np.array_split(f, parts), np.array_split(g, parts))]
+        )
         maxr.append(float(np.max(ratios)))
         medr.append(float(np.median(ratios)))
     maxr = np.asarray(maxr)

@@ -498,16 +498,17 @@ def check_wellposedness_condition(F: PolynomialNonlinearity, seed: int = 0) -> C
     tol, (residual, satisfied) = 1e-9 * scale, _euler_certificate(fo, scale)
     if satisfied:
         return CriterionVerdict(True, None, 0.0, 0, tol, residual)
-    v = _sampled_verdict(F, _TRIALS, _CUTOFFS, tol, seed, _DECAY)
+    v = _sampled_verdict(fo, _TRIALS, _CUTOFFS, tol, seed, _DECAY)
     return replace(v, satisfied=False, residual=residual)
 
 
-def _sampled_verdict(F, trials, cutoffs, tol, seed, decay) -> CriterionVerdict:
+def _sampled_verdict(fo, trials, cutoffs, tol, seed, decay) -> CriterionVerdict:
     """Scan G on structured + random fields for the first |G| above tol.
 
-    Structured witnesses run first so a failure is reported on a readable
-    field; random trigonometric polynomials (coefficient decay <k>^{-decay})
-    are sampled at each cutoff.  Deterministic in (seed, trials, cutoffs).
+    ``fo`` is F_omega; G is the mean of Im fo along a field.  Structured
+    witnesses run first so a failure is reported on a readable field; random
+    trigonometric polynomials (coefficient decay <k>^{-decay}) are sampled
+    at each cutoff.  Deterministic in (seed, trials, cutoffs).
     The witnesses are evaluated a block at a time (the structured ones of
     one cutoff, or the `trials` random ones of one cutoff, drawn as that many
     successive `random_field` calls would draw them) and scanned in order,
@@ -515,7 +516,6 @@ def _sampled_verdict(F, trials, cutoffs, tol, seed, decay) -> CriterionVerdict:
     above tol the verdict reads satisfied, with the first field of largest
     |G| as its witness and that field's position as ``trials``.
     """
-    fo = F.wirtinger("omega")
     rng = np.random.default_rng(seed)
     random_blocks = ((cut, _random_coefficients(trials, cut, decay, rng)) for cut in cutoffs)
     best, n_eval = None, 0  # the verdict on the first field of largest |G| so far

@@ -390,7 +390,7 @@ def sequential_checker(F, trials=40, cutoffs=(2, 4, 8), tol=1e-9, seed=0, decay=
 
 def sampled_checker(F, trials=40, cutoffs=(2, 4, 8), tol=1e-9, seed=0, decay=3.5):
     """The block sampler behind a violated verdict, with the checker's defaults."""
-    return _sampled_verdict(F, trials, cutoffs, tol, seed, decay)
+    return _sampled_verdict(F.wirtinger("omega"), trials, cutoffs, tol, seed, decay)
 
 
 N_STRUCTURED = (48, 30)  # the constants at cutoff 1, then the cutoff-2 fields

@@ -13,7 +13,9 @@ process with its own ``src`` on PYTHONPATH:
     of example_d(1e7, 2e7): the last two are the criterion's scale cases,
     ill-posed at a tiny scale and well-posed at a large one;
   - ``sweep --preset example_c --axis c --values 1 i -i 1+2i``;
-  - ``estimates --quick``;
+  - ``estimates --quick`` (cutoffs up to 128, seed 0), and ``estimates``
+    and ``estimates --seed 7`` (cutoffs up to 256, as the benchmark's
+    ``criterion_batch`` workload runs it);
   - ``run --preset example_b --c 2i --m 2`` (the example_b witness at m = 2);
   - ``run --nonlinearity FILE`` (a custom polynomial) with the evolution
     defaults of preset cubic, and with those of preset example_c: each runs
@@ -28,7 +30,7 @@ process with its own ``src`` on PYTHONPATH:
     at x = 1e-10 and 1e-11: violations below the witness search's tolerance,
     so the first field of largest |G| is the witness.
 
-The tool writes these input files into one temporary directory.  54
+The tool writes these input files into one temporary directory.  56
 invocations in all.
 
 Each invocation writes into its own directory.  The exit codes, the printed
@@ -92,6 +94,8 @@ def invocations(inputs: str) -> list[list[str]]:
         ["check", "--preset", "example_d", "--c1", "1e7", "--c2", "2e7"],
         ["sweep", "--preset", "example_c", "--axis", "c", "--values", "1", "i", "-i", "1+2i"],
         ["estimates", "--quick"],
+        ["estimates"],
+        ["estimates", "--seed", "7"],
         ["run", "--preset", "example_b", "--c", "2i", "--m", "2"],
         ["run", "--preset", "cubic", "--nonlinearity", nl_path],
         ["run", "--preset", "example_c", "--nonlinearity", nl_path],

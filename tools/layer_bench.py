@@ -34,6 +34,10 @@ that a swing in the host's speed lands on both sides alike.  The layers:
   decomposition  `decomposition_series` of a three-snapshot example_c(i) run,
                  alpha = 3, per snapshot (on a checkout whose series calls
                  `resonant_decomposition` per snapshot, that loop)
+  estimates      one `run_ensemble` at the single cutoff K, per ensemble:
+                 the four jobs of `run_estimates` (bilinear (0, 1, 1),
+                 commutator s = 1 and s = -1, refined commutator s = 2.25),
+                 each over 6 Gaussian pairs plus the adversarial ones
   criterion      one `check_wellposedness_condition` of example_d(1, 2),
                  which does not depend on K: satisfied, so the certificate
                  alone runs (on a checkout that samples, every witness)
@@ -61,6 +65,13 @@ import time
 import numpy as np
 
 CUTOFFS = (32, 128, 512, 2048)
+# The jobs of `run_estimates`, each one ensemble.
+ESTIMATE_JOBS = (
+    ("bilinear", {"s0": 0.0, "s1": 1.0, "s2": 1.0}),
+    ("commutator", {"s": 1.0}),
+    ("commutator", {"s": -1.0}),
+    ("refined_commutator", {"s": 2.25}),
+)
 ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
@@ -76,7 +87,7 @@ def _best_us(fn, n: int, repeats: int = 5) -> float:
 
 def _layers_at(k: int) -> dict:
     """The layers measured at cutoff k: name -> a function timing it."""
-    from fnlslab import energy, evolution, growth, nonlinearity, spectral
+    from fnlslab import energy, estimates, evolution, growth, nonlinearity, spectral
 
     F, G = nonlinearity.example_d(1.0, 2.0), nonlinearity.example_d(1.0, 1j)
     C = nonlinearity.example_c(1j)
@@ -88,6 +99,7 @@ def _layers_at(k: int) -> dict:
     steps = max(8, 6400 // k)
     cfg = evolution.EvolutionConfig(alpha=3.0, cutoff=k, dt=2.5e-4, horizon=steps * 2.5e-4)
     rhs = F.coefficient_map(k, k)
+    ensemble = estimates.EnsembleSpec(cutoffs=(k,), samples_per_cutoff=6, seed=k)
     omega = F.wirtinger("omega")
     series = evolution.integrate(phi, C, dataclasses.replace(cfg, horizon=2 * cfg.dt, record_every=1))
     audited = evolution.integrate(
@@ -108,6 +120,9 @@ def _layers_at(k: int) -> dict:
         "decomposition": lambda: _best_us(
             lambda: growth.decomposition_series(series, C), 1
         ) / len(series.times),
+        "estimates": lambda: _best_us(
+            lambda: [estimates.run_ensemble(op, ensemble, **p) for op, p in ESTIMATE_JOBS], 1
+        ) / len(ESTIMATE_JOBS),
     }
     if hasattr(nonlinearity, "_rows_coefficient_map"):
         # The rows in the order integrate_rows gives them: by cutoff, then degree.
