@@ -53,7 +53,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nonlinearity", help="nonlinearity terms file (a b c d re im)")
     p.add_argument("--out", default="artifacts", help="artifact directory")
     for key, parse in exp.SETTINGS.items():
-        p.add_argument(f"--{key}", help=f"run setting, parsed by {parse.__name__}")
+        p.add_argument(f"--{key}", help=f"run setting, parsed by {parse.__name__.lstrip('_')}")
 
 
 def _collect(args: argparse.Namespace) -> tuple[str | None, str | None, dict, int]:
@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("estimates", help="inequality stress lab")
-    p.add_argument("--seed", help="run setting, parsed by int")
+    p.add_argument("--seed", help="run setting, parsed by nonnegative_int")
     p.add_argument("--out", default="artifacts", help="artifact directory")
     p.add_argument("--quick", action="store_true", help="smaller cutoff ladder")
     p.set_defaults(fn=cmd_estimates)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 from dataclasses import dataclass, fields, replace
 from typing import Callable
@@ -88,13 +89,25 @@ def parse_complex(text: str | complex) -> complex:
     return complex(t)
 
 
+def _nonnegative_int(value: str | int) -> int:
+    """A string through int(), any other value through operator.index, so a bool,
+    a float or another non-integral value is rejected; and it must be >= 0."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not an integer")
+    n = int(value) if isinstance(value, str) else operator.index(value)
+    if n < 0:
+        raise ValueError(f"{n} is negative")
+    return n
+
+
 # Every run setting and its parser, which takes a string or an already-typed
 # value: the run's seed, the evolution settings and the family parameters.  The
 # CLI flags, the --config keys and the sweep axes (all but seed) are these names.
 SETTINGS = {
-    "seed": int,
-    "alpha": float, "eps": float, "modes": int, "dt": float, "horizon": float, "record_every": int,
-    "c": parse_complex, "m": int, "c1": parse_complex, "c2": parse_complex,
+    "seed": _nonnegative_int,
+    "alpha": float, "eps": float, "modes": _nonnegative_int, "dt": float, "horizon": float,
+    "record_every": _nonnegative_int,
+    "c": parse_complex, "m": _nonnegative_int, "c1": parse_complex, "c2": parse_complex,
 }
 
 # The SETTINGS key of each EvolutionConfig field a run sets: its own name, but

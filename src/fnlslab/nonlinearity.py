@@ -161,7 +161,9 @@ class PolynomialNonlinearity:
         ``p = x ** e`` in slot order, and e == 2 is `np.square` (what
         ``x ** 2`` calls), so every value is bitwise that of the expression.
         The arrays may be views, and a coefficient may be an array that
-        broadcasts against out (see `_stacked`).  Not for concurrent use.
+        broadcasts against out, a (b, 1) column or one value per sample (see
+        `_stacked`), with the bits of each scalar on its samples.  Not for
+        concurrent use.
         """
         bases = [u_vals, du_vals, None, None]
         powers: dict[tuple[int, int], np.ndarray] = {}
@@ -239,8 +241,19 @@ class PolynomialNonlinearity:
 # One row on more grid points than this transforms its u and u_x samples
 # separately: one (2, m) inverse transform beats two (m,) ones up to 4320
 # points but not at 8640 (334-485 against 236-371 us on a 2-vCPU VM), while
-# (4, 8640) and (8, 8640) batched still win.  Both give the same bits.
+# (4, 8640) and (8, 8640) batched still win.  Both give the same bits.  It
+# also bounds a stage of `_rows_coefficient_map`, whose groups share one
+# evaluation of F across grids: on the growth probe's block of example_c or
+# example_d, an RHS evaluation took 8-12% less at K = 32 (810 samples a
+# slot) and 3-7% less at K = 128 (3240), but one stage took 3-7% more than
+# one per group at K = 512 (12960) (15 in-process rounds, 2-vCPU VM).
 _SPLIT_ABOVE = 4320
+
+
+def _grid(P: PolynomialNonlinearity, k: int, kout: int):
+    """(k, kout, m) for a row under P at cutoff k and output cutoff kout, m its
+    padded grid, or None for the zero polynomial, which needs no grid."""
+    return None if P.is_zero() else (k, kout, padded_size(k, max(P.total_degree, 1) * k, kout))
 
 
 def _rows_coefficient_map(
@@ -258,48 +271,47 @@ def _rows_coefficient_map(
     each row's polynomial along that row (nout default n), each row's
     2*kout+1 modes centred and the other columns zero; given ``out``, a
     C-contiguous array of that shape, it writes them there and returns it.
-    A row's grid is padded_size(k, max(deg, 1) * k, kout).  Adjacent rows of
-    one k, kout and grid form a group that shares the transforms: one inverse
-    transform of a (2b, m) buffer of the u rows, then the u_x rows (one per
-    buffer row for one row on more than _SPLIT_ABOVE points), and one forward
-    transform of (b, m).  Adjacent rows of a group with the same monomials
-    share one evaluation of F, through one polynomial whose differing
-    coefficients are (b, 1) columns of the rows' values (the coefficient
-    stays the left operand of each product, so every row is bitwise its own
-    call).  Callers order the rows so that such rows are adjacent; any order
-    is correct.  The plan is built once: the group buffers are views into one
-    flat array whose entries off the modes stay zero, the forward transforms
-    write into views of one flat spectrum array that ends in a zero, flat
-    index arrays place every mode, and each run of rows evaluates F by a
-    `values_plan` on views of its group's arrays.  The transforms call numpy
-    >= 2.0's pocketfft gufuncs through `spectral._ifft` (fct 1.0) and
-    `spectral._fft` (fct 1/m), which write into those views with the bits of
-    numpy.fft's ifft and fft at norm="forward".  So a call moves the modes
-    in with one `take` and two indexed writes and out with one `take`, and
-    allocates only the returned coefficients, or nothing with ``out``.  Not
-    for concurrent use.
+    A row's grid is `_grid`'s: padded_size(k, max(deg, 1) * k, kout).
+    Adjacent rows of one k, kout and grid form a group that shares the
+    transforms: one inverse transform of a (2, b, m) buffer of the u rows,
+    then the u_x rows (one per slot for one row on more than _SPLIT_ABOVE
+    points), and one forward transform of (b, m).  Adjacent groups form a
+    stage while it holds at most _SPLIT_ABOVE samples a slot (a larger group
+    is a stage alone).  A stage keeps its samples in one (2, S) array, every
+    group's u rows and then every group's u_x rows, and F's values in one
+    array of S, so a run of the stage's nonzero rows with the same monomials
+    spans one stretch of both, across grids, and shares one evaluation of F:
+    one `values_plan` of the polynomial `_stacked` makes of the run's rows,
+    whose differing coefficients are arrays (the coefficient stays the left
+    operand of each product, so every row is bitwise its own call).  Past
+    _SPLIT_ABOVE samples a call's arithmetic outweighs its overhead, and
+    per-sample coefficients cost more than they save.  Callers order the rows
+    so that such rows are adjacent; any order is correct.  The plan is built
+    once: the group buffers are views into one flat array whose entries off
+    the modes stay zero, the forward transforms write into views of one flat
+    spectrum array that ends in a zero, and flat index arrays place every
+    mode.  A call runs each stage's inverse transforms, evaluations and
+    forward transforms in turn.  The transforms call numpy >= 2.0's
+    pocketfft gufuncs through `spectral._ifft` (fct 1.0) and `spectral._fft`
+    (fct 1/m), which write into those views with the bits of numpy.fft's
+    ifft and fft at norm="forward".  So a call moves the modes in with one
+    `take` and two indexed writes and out with one `take`, and allocates only
+    the returned coefficients, or nothing with ``out``.  Not for concurrent
+    use.
     """
     kouts, nout = cutoffs if out_cutoffs is None else out_cutoffs, n if nout is None else nout
-
-    def grid(j):
-        P, k, ko = polys[j], cutoffs[j], kouts[j]
-        return None if P.is_zero() else (k, ko, padded_size(k, max(P.total_degree, 1) * k, ko))
-
-    width, groups = 2 * n + 1, []
+    width, stages = 2 * n + 1, []  # stages: adjacent groups, at most _SPLIT_ABOVE samples a slot
     # The input, u and u_x entries and the multiplier i*k of each group's modes.
     ins = [(np.zeros(0, np.intp),) * 3 + (np.zeros(0, np.complex128),)]
     # Output entry -> its forward-transform entry, or -1: the zero after them all.
     gather = np.full((len(polys), 2 * nout + 1), -1)
-    size = hsize = 0  # entries of the buffers and of the forward transforms so far
-    for key, rows in groupby(range(len(polys)), key=grid):
+    size = span = 0  # entries of the buffers, and samples of one slot, so far
+    grids = [_grid(P, k, ko) for P, k, ko in zip(polys, cutoffs, kouts)]
+    for key, rows in groupby(range(len(polys)), key=grids.__getitem__):
         if key is None:
             continue
         rows = list(rows)
-        r0, runs = rows[0], []
-        for _, same in groupby(rows, key=lambda j: [idx for idx, _ in polys[j].terms]):
-            same = list(same)
-            runs.append((same[0] - r0, same[-1] + 1 - r0, _stacked([polys[j] for j in same])))
-        (k, ko, m), b = key, len(rows)
+        (k, ko, m), b, r0 = key, len(rows), rows[0]
         ks = np.arange(-k, k + 1)
         cells = np.arange(size, size + 2 * b * m, m)[:, None] + ks  # u rows, then u_x rows
         cells[:, :k] += m  # mode k < 0 sits at k + m
@@ -307,53 +319,74 @@ def _rows_coefficient_map(
         ik = np.concatenate([1j * ks.astype(float)] * b)
         ins.append((src, cells[:b].ravel(), cells[b:].ravel(), ik))
         h_cells = gather[r0 : r0 + b, nout - ko : nout + ko + 1]
-        h_cells[:] = np.arange(hsize, hsize + b * m, m)[:, None] + np.arange(-ko, ko + 1)
+        h_cells[:] = np.arange(span, span + b * m, m)[:, None] + np.arange(-ko, ko + 1)
         h_cells[:, :ko] += m
-        groups.append((size, hsize, b, m, runs))
-        size, hsize = size + 2 * b * m, hsize + b * m
+        if stages and span + b * m - stages[-1][0][1] <= _SPLIT_ABOVE:
+            stages[-1].append((size, span, m, rows))
+        else:
+            stages.append([(size, span, m, rows)])
+        size, span = size + 2 * b * m, span + b * m
     src, u_at, du_at, ik = (np.concatenate(a) for a in zip(*ins))
     modes, dmodes = (np.empty(len(src), dtype=np.complex128) for _ in range(2))
     flat = np.zeros(size, dtype=np.complex128)
-    hflat = np.zeros(hsize + 1, dtype=np.complex128)
-    plans = []
-    for i, j, b, m, runs in groups:
-        buf = flat[i : i + 2 * b * m].reshape(2 * b, m)
-        vals = np.empty((2 * b, m), dtype=np.complex128)
-        f = np.empty((b, m), dtype=np.complex128)
-        inverse = list(zip(buf, vals)) if b == 1 and m > _SPLIT_ABOVE else [(buf, vals)]
-        evaluations = [P.values_plan(vals[p:q], vals[b + p : b + q], f[p:q]) for p, q, P in runs]
-        plans.append((inverse, evaluations, f, 1 / m, hflat[j : j + b * m].reshape(b, m)))
+    hflat = np.zeros(span + 1, dtype=np.complex128)
+    plan = []
+    for stage in stages:
+        live = [(j, m) for _, _, m, rows in stage for j in rows]  # each row and its grid size
+        samples = np.empty((2, sum(m for _, m in live)), dtype=np.complex128)  # u, then u_x
+        values = np.empty(samples.shape[1], dtype=np.complex128)
+        inverses, forwards, at = [], [], 0
+        for i, p, m, rows in stage:
+            b, end = len(rows), at + len(rows) * m
+            buf, vals = flat[i : i + 2 * b * m].reshape(2, b, m), samples[:, at:end].reshape(2, b, m)
+            inverses += zip(buf, vals) if b == 1 and m > _SPLIT_ABOVE else [(buf, vals)]
+            forwards.append((values[at:end].reshape(b, m), 1 / m, hflat[p : p + b * m].reshape(b, m)))
+            at = end
+        evaluations, at = [], 0
+        for _, run in groupby(live, key=lambda r: [idx for idx, _ in polys[r[0]].terms]):
+            js, ms = zip(*run)
+            end = at + sum(ms)
+            shape = (len(ms), ms[0]) if len(set(ms)) == 1 else (end - at,)  # rows, or samples
+            u, du, f = (a[at:end].reshape(shape) for a in (samples[0], samples[1], values))
+            evaluations.append(_stacked([polys[j] for j in js], ms).values_plan(u, du, f))
+            at = end
+        plan.append((inverses, evaluations, forwards))
 
     def apply(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         coeffs.take(src, out=modes, mode="clip")  # indices in range: "clip" spares a buffer
         flat[u_at] = modes
         flat[du_at] = np.multiply(modes, ik, out=dmodes)
-        for inverse, evaluations, f, fct, h in plans:
-            for buf, vals in inverse:
+        for inverses, evaluations, forwards in plan:
+            for buf, vals in inverses:
                 _ifft(buf, 1.0, vals)
             for evaluate in evaluations:
                 evaluate()
-            _fft(f, fct, h)
+            for f, fct, h in forwards:
+                _fft(f, fct, h)
         # "wrap" reads -1 as the last entry, and with out= spares a buffer.
         return hflat.take(gather, out=out, mode="wrap")
 
     return apply
 
 
-def _stacked(polys: list[PolynomialNonlinearity]) -> PolynomialNonlinearity:
-    """One polynomial for rows whose polynomials have the same monomials.
+def _stacked(polys: list[PolynomialNonlinearity], sizes) -> PolynomialNonlinearity:
+    """One polynomial for a run of rows whose polynomials have the same monomials,
+    row i on sizes[i] samples.
 
-    Unless the rows share one polynomial, each coefficient becomes the (b, 1)
-    column of the rows' values, so that its `values_plan` on (b, m) samples
-    evaluates row i under polys[i].  The result is only for that plan: its
-    coefficients are not numbers.
+    Unless the rows share one polynomial, each coefficient becomes an array
+    of the rows' values, so that its `values_plan` on the run's samples
+    evaluates row i under polys[i]: the (b, 1) column for (b, m) samples if
+    the rows have one size m, else per-sample, polys[i]'s value repeated over
+    the sizes[i] samples of row i, row after row.  The result is only for
+    that plan: its coefficients are not numbers.
     """
     first = polys[0]
     if all(P == first for P in polys):
         return first
     values = np.array([[c for _, c in P.terms] for P in polys])
+    spread = (lambda c: c[:, None]) if len(set(sizes)) == 1 else (lambda c: np.repeat(c, sizes))
     return PolynomialNonlinearity(
-        tuple((idx, values[:, t, None]) for t, (idx, _) in enumerate(first.terms))
+        tuple((idx, spread(values[:, t])) for t, (idx, _) in enumerate(first.terms))
     )
 
 

@@ -340,6 +340,50 @@ def test_integrate_rows_rejects_unshared_settings(field, value):
         integrate_rows([(phi, F, cfg), (phi, F, replace(cfg, **{field: value}))])
 
 
+def _probe_rows(F, control, cutoff):
+    """One step of the growth probe's block: F and its control at K and at 2K."""
+    cfg = EvolutionConfig(alpha=3.0, cutoff=cutoff, dt=2.5e-4, horizon=2.5e-4, record_every=1)
+    phi = SpectralField.from_modes({1: 0.1, -1: 0.05j}, 1)
+    return [(phi.with_cutoff(k), P, replace(cfg, cutoff=k))
+            for k in (cutoff, 2 * cutoff) for P in (F, control)]
+
+
+@pytest.mark.parametrize(
+    "rows, plans, grids",
+    [
+        # the probe blocks of the presets: F and its control at K = 32 and 2K
+        (_probe_rows(example_b(1.0), cubic(1j), 32), 2, 4),  # two monomial sets, four grids
+        (_probe_rows(example_c(1j), example_c(1.0), 32), 1, 2),
+        (_probe_rows(example_d(1.0, 1j), example_d(1.0, 2.0), 32), 1, 2),
+        # at K = 1 degrees 2 and 3 both pad to 8 points, and that grid stays one group
+        (_probe_rows(example_b(1.0), cubic(1j), 1), 4, 3),
+        # the eps study: one polynomial at three eps
+        ([(ROW_POOL[2][0], cubic(1j), replace(ROW_CFG, eps=e, horizon=ROW_CFG.dt, record_every=1))
+          for e in (1e-1, 1e-2, 1e-3)], 1, 1),
+    ],
+    ids=["example_b", "example_c", "example_d", "example_b_at_K1", "eps_study"],
+)
+def test_block_evaluates_F_once_per_monomial_set(rows, plans, grids, monkeypatch):
+    """integrate_rows orders a block so that it builds one `values_plan` per monomial
+    set, across cutoffs, and keeps one inverse transform per cutoff and grid."""
+    from fnlslab import nonlinearity
+
+    counts = {"plans": 0, "inverse": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(PolynomialNonlinearity, "values_plan",
+                        counted("plans", PolynomialNonlinearity.values_plan))
+    monkeypatch.setattr(nonlinearity, "_ifft", counted("inverse", nonlinearity._ifft))
+    records = integrate_rows(rows)
+    assert not any(r.truncated for r in records)
+    assert counts == {"plans": plans, "inverse": 4 * grids}  # one step: four RHS evaluations
+
+
 SPECIAL_PARTS = [np.nan, np.inf, -np.inf, 1e200, -1e300, 5e-324, -0.0, 1e6]
 
 
@@ -438,6 +482,34 @@ def test_config_validation():
         with pytest.raises(ValueError):
             EvolutionConfig(**{"alpha": 3.0, **bad})
     EvolutionConfig(alpha=3.0, cutoff=1, blowup_ceiling=float("inf"))  # no ceiling
+
+
+@pytest.mark.parametrize("field", ["cutoff", "record_every"])
+@pytest.mark.parametrize("value", [8.5, 8.0, np.float64(8.0), True, np.True_, "8"], ids=repr)
+def test_config_rejects_non_integral_counts(field, value):
+    # cutoff=8.5 used to construct and fail in integrate; record_every=2.5 recorded every 5th step
+    with pytest.raises(ValueError, match=field):
+        EvolutionConfig(alpha=3.0, **{field: value})
+
+
+_INTEGRAL = [int, np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+@given(
+    cutoff=st.integers(1, 12),
+    record_every=st.integers(1, 100),
+    types=st.tuples(st.sampled_from(_INTEGRAL), st.sampled_from(_INTEGRAL)),
+)
+@example(8, 10, (np.int64, int))  # cutoff=np.int64(8) used to break the JSON sidecar
+@settings(max_examples=40, deadline=None)
+def test_config_takes_any_integral_count(tmp_path_factory, cutoff, record_every, types):
+    plain = EvolutionConfig(alpha=3.0, cutoff=cutoff, dt=1e-2, horizon=0.1, record_every=record_every)
+    cfg = replace(plain, cutoff=types[0](cutoff), record_every=types[1](record_every))
+    assert cfg == plain and type(cfg.cutoff) is int and type(cfg.record_every) is int
+    traj = TrajectoryRecord(np.array([0.0]), [SpectralField.zeros(cutoff)], cfg)
+    out = tmp_path_factory.mktemp("sidecar")
+    write_trajectory(traj, out / "t.csv", out / "t.json")
+    assert read_trajectory(out / "t.csv", out / "t.json").config == plain
 
 
 def test_horizon_must_be_whole_number_of_steps():

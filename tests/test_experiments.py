@@ -6,6 +6,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -544,6 +545,36 @@ def test_settings_table_drives_flags_config_and_axes(tmp_path):
                 sweep("cubic", key, [], tmp_path / key)
         else:
             assert sweep("cubic", key, [], tmp_path / key) == []
+
+
+def test_integer_settings_are_strict():
+    # these used to read 2, 8, 1 and -3
+    for raw in ({"record_every": 2.5}, {"modes": 8.9}, {"m": True}, {"seed": -3},
+                {"seed": "-1"}, {"modes": "8.0"}, {"m": np.True_}, {"record_every": np.float64(5)}):
+        with pytest.raises(ValueError, match=f"invalid {next(iter(raw))} value"):
+            parse_settings(raw)
+    typed = parse_settings({"modes": np.int64(8), "seed": " 7 ", "m": "2", "record_every": 0})
+    assert typed == {"modes": 8, "seed": 7, "m": 2, "record_every": 0}
+    assert all(type(v) is int for v in typed.values())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--preset", "cubic"],  # satisfied: the seed is never used
+        ["check", "--preset", "example_b"],
+        ["run", "--preset", "cubic"],
+        ["sweep", "--preset", "cubic", "--axis", "eps", "--values", "0.1"],
+        ["estimates", "--quick"],
+        ["audit", "--trajectory", "t.csv", "--sidecar", "t.json"],  # audit takes no --seed
+    ],
+    ids=lambda argv: argv[0] + ("_" + argv[2] if argv[0] == "check" else ""),
+)
+def test_every_verb_rejects_a_negative_seed(argv, tmp_path, capsys):
+    out = str(tmp_path / "art")
+    assert cli_main([*argv, "--seed", "-1", "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not os.path.exists(out)
 
 
 def test_cli_record_every_by_flag_or_file(tmp_path, capsys):

@@ -11,7 +11,6 @@ from fnlslab.nonlinearity import (
     PolynomialNonlinearity,
     _rows_coefficient_map,
     _sampled_verdict,
-    _stacked,
     check_wellposedness_condition,
     criterion_functional,
     cubic,
@@ -23,6 +22,7 @@ from fnlslab.nonlinearity import (
     parse_nonlinearity,
     structured_witnesses,
 )
+from fnlslab.evolution import _row_order
 from fnlslab.spectral import SpectralField, derivative, padded_size, random_field, sobolev_norm
 
 
@@ -511,6 +511,23 @@ def oracle_evaluate_values(F: PolynomialNonlinearity, u_vals, du_vals) -> np.nda
     return out
 
 
+def stacked_columns(polys: list[PolynomialNonlinearity]) -> PolynomialNonlinearity:
+    """One polynomial for rows whose polynomials have the same monomials.
+
+    Unless the rows share one polynomial, each coefficient becomes the (b, 1)
+    column of the rows' values, so that evaluating it on (b, m) samples
+    evaluates row i under polys[i].  The result is only for that evaluation:
+    its coefficients are not numbers.
+    """
+    first = polys[0]
+    if all(P == first for P in polys):
+        return first
+    values = np.array([[c for _, c in P.terms] for P in polys])
+    return PolynomialNonlinearity(
+        tuple((idx, values[:, t, None]) for t, (idx, _) in enumerate(first.terms))
+    )
+
+
 _PLAN_MONOMIALS = st.lists(st.tuples(*(st.integers(0, 3),) * 4), max_size=5, unique=True)
 _PLAN_COEFF = st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0, allow_nan=False, allow_infinity=False)
 
@@ -522,7 +539,7 @@ def _plan_case(draw):
     monomials = draw(st.one_of(st.just([(0, 0, 0, 0)]), _PLAN_MONOMIALS))  # constant only, or any
     b = draw(st.integers(1, 4))
     if draw(st.booleans()):  # stacked (b, 1) coefficient columns
-        P = _stacked([
+        P = stacked_columns([
             PolynomialNonlinearity.from_terms({idx: draw(_PLAN_COEFF) for idx in monomials})
             for _ in range(b)
         ])
@@ -534,7 +551,7 @@ def _plan_case(draw):
 @given(case=_plan_case(), m=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
 @example((PolynomialNonlinearity.zero(), 2, 1), 5, 0)  # the zero polynomial
 @example((cubic(1j) + PolynomialNonlinearity.from_terms({(0, 0, 0, 0): 0.5}), 1, 0), 3, 0)
-@example((_stacked([example_d(1.0, 2.0), example_d(1j, -0.5)]), 2, 2), 16, 0)
+@example((stacked_columns([example_d(1.0, 2.0), example_d(1j, -0.5)]), 2, 2), 16, 0)
 @settings(max_examples=150, deadline=None)
 def test_values_plan_matches_fresh_allocation_oracle(case, m, seed):
     P, b, extra = case
@@ -619,7 +636,7 @@ def oracle_rows_coefficient_map(polys: list[PolynomialNonlinearity], cutoffs: li
         runs = []
         for _, same in groupby(rows, key=lambda j: [idx for idx, _ in polys[j].terms]):
             same = list(same)
-            runs.append((same[0] - r0, same[-1] + 1 - r0, _stacked([polys[j] for j in same])))
+            runs.append((same[0] - r0, same[-1] + 1 - r0, stacked_columns([polys[j] for j in same])))
         k, m = key
         ik = 1j * np.arange(-k, k + 1).astype(float)
         # Only the two runs of modes are ever written, so the rest stays zero.
@@ -718,11 +735,20 @@ def test_coefficient_map_matches_fresh_allocation_oracle(case, seed):
 @example([(PolynomialNonlinearity.zero(), 5)], False, 0, 0)
 @example([(example_d(1.0, 2.0), 1100), (example_d(1j, 2.0), 1100)], False, 0, 0)  # a (4, 4500) buffer
 @example([(example_d(1.0, 2.0), 1100)], False, 0, 0)  # one row on 4500 points: split transforms
+# one monomial set with differing coefficients at two cutoffs: one run on two grids
+@example([(example_d(1.0, 2.0), 5), (example_d(1j, -0.5), 9)], False, 0, 0)
+# and with a zero polynomial between the two rows
+@example([(example_d(1.0, 2.0), 5), (PolynomialNonlinearity.zero(), 7), (example_d(1j, -0.5), 9)], False, 1, 0)
+# a one-row group above _SPLIT_ABOVE after a small row of the same monomials
+@example([(example_d(1j, 2.0), 4), (example_d(1.0, 2.0), 1100)], False, 0, 0)
+# two groups of one monomial set past one stage's samples (810 + 1620 points a row)
+@example([(example_d(1.0, 2.0), 200), (example_d(1j, 2.0), 200), (example_d(1.0, 2.0), 400),
+          (example_d(1j, 2.0), 400)], False, 0, 0)
 @settings(max_examples=120, deadline=None)
 def test_rows_map_matches_per_group_oracle(rows, ordered, extra, seed):
     # ordered: as integrate_rows orders its rows, so that groups and runs form
     if ordered:
-        rows.sort(key=lambda r: (r[1], r[0].total_degree, [idx for idx, _ in r[0].terms]))
+        rows = [rows[j] for j in _row_order([P for P, _ in rows], [k for _, k in rows])]
     polys, cutoffs = (list(v) for v in zip(*rows))
     n = max(cutoffs) + extra  # wider than every row, as after the widest row left the block
     plan = _rows_coefficient_map(polys, cutoffs, n)

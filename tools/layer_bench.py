@@ -14,8 +14,9 @@ that a swing in the host's speed lands on both sides alike.  The layers:
                  bandwidth (2K): its coefficient map built and called once
   rhs_rows       one RHS evaluation of the block map of `integrate_rows` for
                  the example_b(1) growth probe: example_b(1) and its control
-                 cubic(i) at K and at 2K, four padded grids (absent on a
-                 checkout without that map)
+                 cubic(i) at K and at 2K, four padded grids, rows in the
+                 order `integrate_rows` stacks them (absent on a checkout
+                 without that map)
   step_1row      one IF-RK4 step of `integrate`, example_d(1, 2), alpha = 3
   step_2x1row    two one-row `integrate` steps: example_d(1, i) and its
                  control example_d(1, 2), the growth probe's pair
@@ -125,9 +126,13 @@ def _layers_at(k: int) -> dict:
         ) / len(ESTIMATE_JOBS),
     }
     if hasattr(nonlinearity, "_rows_coefficient_map"):
-        # The rows in the order integrate_rows gives them: by cutoff, then degree.
+        # The rows in the order integrate_rows gives them: its own key, or on a
+        # checkout without `_row_order` its older one, by cutoff, then degree.
         polys = [nonlinearity.example_b(1.0), nonlinearity.cubic(1j)] * 2
         cuts = [k, k, 2 * k, 2 * k]
+        if hasattr(evolution, "_row_order"):
+            order = evolution._row_order(polys, cuts)
+            polys, cuts = [polys[j] for j in order], [cuts[j] for j in order]
         block = np.zeros((4, 4 * k + 1), dtype=np.complex128)
         for i, c in enumerate(cuts):
             block[i, 2 * k - c : 2 * k + c + 1] = phi.with_cutoff(c).coeffs
