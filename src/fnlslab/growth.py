@@ -28,11 +28,13 @@ The machinery implemented here:
                           grid is built: the phases separate per mode, the
                           coefficients at k1 = k - k2 are Toeplitz views of
                           one padded array, and each pair sum is a masked
-                          matrix-vector product over blocks of output rows.
-                          decomposition_series takes every snapshot through
-                          one pass over the blocks, building each block's
-                          pair geometry once for all of them, so memory is
-                          O(block * K + S * K) for S snapshots;
+                          matrix-vector product over blocks of output rows,
+                          the separated sums over each block's band of
+                          columns only.  decomposition_series takes every
+                          snapshot through one pass over the blocks,
+                          building each block's pair geometry once for all
+                          of them, so memory is O(block * K + S * K) for S
+                          snapshots;
   resonant_norm_audit     the weighted l2 bounds each part must satisfy on a
                           bounded run;
   directional_growth      per-mode log-linear rate fits and the paired
@@ -271,11 +273,13 @@ def decomposition_series(
     the residual real mean is folded into the substituted time derivatives
     either way.  Sums run over the literal near-diagonal / separated index
     sets; zero denominators cannot occur on the separated set (asserted).
-    They are taken over blocks of about 2^16 pairs.  Each block's pair
-    geometry (the D1/D2 masks, the weights 1/delta and 1/sigma and the
-    denominator ratios) is built once and shared by every snapshot, so
-    memory is O(block * K + S * K) for S snapshots.  The coefficient maps of
-    F and of its Wirtinger polynomials are built once per series too.
+    They are taken over blocks of about 2^16 pairs; the separated sums of a
+    block run over the band of columns that holds its separated pairs.  Each
+    block's pair geometry (the D1/D2 masks, the column band, the weights
+    1/delta and 1/sigma and the denominator ratios) is built once and shared
+    by every snapshot, so memory is O(block * K + S * K) for S snapshots.
+    The coefficient maps of F and of its Wirtinger polynomials are built
+    once per series too.
     """
     alpha = traj.config.alpha
     eps = traj.config.eps
@@ -315,34 +319,41 @@ def decomposition_series(
         r = slice(i0, i0 + rows)
         abs_k1 = np.abs(ks[r, None] - cols)
         d2 = 2 * abs_k1 < abs_cols
-        delta = p[r, None] - p_cols
+        d1 = (~d2).astype(float)
+        # Row k separates from the columns 2k/3 < k2 < 2k (mirrored for
+        # k < 0), so the block's separated pairs lie in one band c of
+        # columns (empty when the block is the row k = 0 alone), and every
+        # separated-only step runs on that band.
+        j = np.flatnonzero(d2.any(axis=0))
+        c = slice(j[0], j[-1] + 1) if j.size else slice(0)
+        d2, abs_k1 = d2[:, c], abs_k1[:, c]
+        delta = p[r, None] - p_cols[c]
         # Separated pairs with k1 != 0 never have |k2| == |k|; asserted
         # below.  A used pair has k1 != 0, so its ratio is finite.
         zero_delta = d2 & (delta == 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.abs(delta) / (abs_k1 * q_cols)
+            ratio = np.abs(delta) / (abs_k1 * q_cols[c])
         del abs_k1
         # delta = 0 on D2 only at k1 = 0, where P_nonmean theta vanishes.
         w1 = np.zeros(delta.shape)
         np.divide(1.0, delta, out=w1, where=d2 & (delta != 0.0))
         del delta
-        sigma = p[r, None] + p_cols
+        sigma = p[r, None] + p_cols[c]
         w2 = np.zeros(sigma.shape)
         np.divide(1.0, sigma, out=w2, where=d2 & (sigma != 0.0))
         del sigma
-        d1 = (~d2).astype(float)
 
         for s in live:
-            used = d2 & s.th_used[r]
+            used = d2 & s.th_used[r, c]
             if np.any(zero_delta & used):
                 raise AssertionError("zero denominator on the separated index set")
             s.min_ratio = min(s.min_ratio, float(np.min(ratio, where=used, initial=np.inf)))
             n11, n21, m1, k1_arr, m2, k2_arr = s.sums
             n11[r] = (s.win_o[0, r] * d1) @ s.x_o[:, 0]
             n21[r] = (s.win_ob[0, r] * d1) @ s.x_ob[:, 0]
-            # sep[c, :, d] = (field c * weight) @ column vector d
-            sep_o = (s.win_o[:, r] * w1) @ s.x_o
-            sep_ob = (s.win_ob[:, r] * w2) @ s.x_ob
+            # sep[f, :, d] = (field f * weight) @ column vector d
+            sep_o = (s.win_o[:, r, c] * w1) @ s.x_o[c]
+            sep_ob = (s.win_ob[:, r, c] * w2) @ s.x_ob[c]
             m1[r] = sep_o[0, :, 0]
             k1_arr[r] = sep_o[1, :, 0] + sep_o[0, :, 1]
             m2[r] = sep_ob[0, :, 0]
@@ -391,7 +402,12 @@ def resonant_norm_audit(
     k1, k2 in l2_{s+min(-1, alpha-4)}.  A part is flagged when its sup
     exceeds growth_multiple times its initial size; a part whose sup stays
     below 1e-10 never flags, and one that starts below it flags on leaving it.
+    An empty `parts` or a growth_multiple that is not positive is a ValueError.
     """
+    if not parts:
+        raise ValueError("no snapshots to audit")
+    if not growth_multiple > 0.0:
+        raise ValueError(f"growth_multiple must be positive, got {growth_multiple!r}")
     weights = {
         "n11": s - 1.0,
         "n21": s - 1.0,

@@ -331,6 +331,31 @@ def test_decomposition_matches_dense_oracle_at_128(F):
     assert_matches_oracle(_single_snapshot_record(u, 3.0, 0.05), F, 0.05)
 
 
+@given(four_slot_polynomials(), st.sampled_from([130, 200]), st.integers(min_value=0, max_value=2**16))
+@settings(max_examples=10, deadline=None)
+def test_decomposition_matches_dense_oracle_on_column_bands(F, cutoff, seed):
+    # Above 2K+1 = 256 the rows split into several blocks, and the separated
+    # sums of a block run over its band of columns only.
+    assert _BLOCK_ENTRIES // (2 * cutoff + 1) < 2 * cutoff + 1
+    u = decaying_data(cutoff, seed=seed, rate=0.2)
+    assert_matches_oracle(_single_snapshot_record(u, 3.0, 0.05), F, 0.05)
+
+
+def test_series_is_bitwise_its_one_snapshot_calls_on_column_bands():
+    K = 200
+    assert _BLOCK_ENTRIES // (2 * K + 1) < 2 * K + 1
+    cfg = EvolutionConfig(alpha=3.0, eps=0.0, cutoff=K, dt=1e-3, horizon=1e-3)
+    snaps = [decaying_data(K, seed=30 + i, rate=0.2) for i in range(3)]
+    traj = TrajectoryRecord(0.02 * (1 + np.arange(3)), snaps, cfg)
+    F = example_d(1.0, 1j)
+    for got, t in zip(decomposition_series(traj, F), traj.times):
+        want = resonant_decomposition(traj, F, t)
+        for name, ref in want.by_name().items():
+            assert np.array_equal(got.by_name()[name].view(np.float64), ref.view(np.float64)), name
+        assert got.min_denominator_ratio == want.min_denominator_ratio
+        assert got.mean_im == want.mean_im
+
+
 def oracle_resonant_decomposition(
     traj: TrajectoryRecord, F: PolynomialNonlinearity, t: float
 ) -> ResonantParts:
@@ -729,6 +754,20 @@ def test_norm_audit_bounded_omega_dependent_run():
         assert not pn.flagged, (name, pn.initial, pn.sup)
         populated += pn.sup > 1e-8
     assert populated == 7
+
+
+def test_norm_audit_rejects_no_snapshots():
+    with pytest.raises(ValueError, match="no snapshots"):
+        resonant_norm_audit([], s=2.6, alpha=3.0)
+
+
+@pytest.mark.parametrize("multiple", [0.0, -1.0, float("nan")])
+def test_norm_audit_rejects_a_nonpositive_growth_multiple(multiple):
+    cfg = EvolutionConfig(alpha=3.0, eps=0.0, cutoff=8, dt=1e-3, horizon=1e-3)
+    traj = TrajectoryRecord(np.array([0.0]), [decaying_data(8)], cfg)
+    parts = decomposition_series(traj, example_d(1.0, 1j))
+    with pytest.raises(ValueError, match="growth_multiple"):
+        resonant_norm_audit(parts, s=2.6, alpha=3.0, growth_multiple=multiple)
 
 
 def test_weighted_l2():
