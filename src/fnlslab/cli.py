@@ -95,16 +95,21 @@ def cmd_check(args) -> int:
     return 0
 
 
+def _report(summary: dict, out: str) -> int:
+    """Print each analysis of a summary as pass or FAIL; exit 0 if all passed, else 1."""
+    for a in summary["analyses"]:
+        print(f"{a['name']}: {'pass' if a['pass'] else 'FAIL'}")
+    print(f"artifacts: {out}")
+    return 0 if all(a["pass"] for a in summary["analyses"]) else 1
+
+
 def cmd_run(args) -> int:
     preset, nl_path, settings, seed = _collect(args)
     if preset is None:
         raise ValueError("run needs --preset")
     nl = _read_nonlinearity(nl_path) if nl_path else None
     summary = exp.run(preset, args.out, overrides=settings, nonlinearity=nl, seed=seed)
-    for a in summary["analyses"]:
-        print(f"{a['name']}: {'pass' if a['pass'] else 'FAIL'}")
-    print(f"artifacts: {args.out}")
-    return 0 if all(a["pass"] for a in summary["analyses"]) else 1
+    return _report(summary, args.out)
 
 
 def cmd_sweep(args) -> int:
@@ -134,13 +139,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_estimates(args) -> int:
     summary = exp.run_estimates(args.out, seed=_collect(args)[3], quick=args.quick)
-    ok = True
-    for a in summary["analyses"]:
-        name = a.get("estimate", a.get("name"))
-        ok &= a["pass"]
-        print(f"{name}: {'pass' if a['pass'] else 'FAIL'}")
-    print(f"artifacts: {args.out}")
-    return 0 if ok else 1
+    return _report(summary, args.out)
 
 
 def cmd_audit(args) -> int:

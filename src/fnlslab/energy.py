@@ -139,8 +139,8 @@ class CorrectionLadder:
 
     @classmethod
     def build(cls, alpha: float, r: float) -> "CorrectionLadder":
-        if r < 1:
-            raise ValueError("r must be >= 1")
+        if not 1 <= r < math.inf:
+            raise ValueError(f"r must be finite and >= 1, not {r}")
         n_max = ladder_depth(alpha)
         c = tuple(correction_coefficient(n, alpha) for n in range(1, n_max + 1))
         a_n = tuple(young_constant(n, n_max, alpha) for n in range(1, n_max + 1))

@@ -12,10 +12,15 @@ tail by its own truncated norm, so they differ on shared modes (ROADMAP item
 1).  Well-posed control pairs use a fast-decay tail so the unresolved data
 tail sits far below the agreement threshold.
 
+A run builds one record, `_Run`, of its inputs and the two products its
+analyses share (the criterion verdict and the smooth datum's runs); each
+analysis is a method of it that returns (pass, metrics).
+
 Every run writes into its artifact directory: trajectory CSVs with JSON
 sidecars, energy/growth/ratio CSVs, gnuplot scripts for them, and a
 summary.json of shape {preset, seed, analyses: [{name, pass, metrics}]} with
-the effective configuration echoed for provenance.  Outputs are
+the effective configuration echoed for provenance as `config`.  `estimates`
+writes the same `analyses` shape, without `config`.  Outputs are
 byte-reproducible for a fixed seed.
 """
 
@@ -36,6 +41,7 @@ from . import growth as growth_mod
 from .evolution import (
     EvolutionConfig,
     TrajectoryRecord,
+    _multipliers,
     _write_json,
     eps_convergence_table,
     integrate,
@@ -234,99 +240,14 @@ def _verdict_fields(verdict) -> dict:
     return {k: v for k, v in vars(verdict).items() if k != "witness"}
 
 
-def _analysis_criterion(spec, F, params, custom, cfg, seed, out_dir, criterion, smooth):
-    verdict = criterion()
-    expected = None if custom else spec.wellposed(params)
-    ok = True if expected is None else verdict.satisfied == expected
-    metrics = {**_verdict_fields(verdict), "expected": expected}
-    if verdict.witness is not None:
-        metrics["witness"] = [
-            [int(k), float(c.real), float(c.imag)]
-            for k, c in zip(verdict.witness.wavenumbers(), verdict.witness.coeffs)
-            if c != 0
-        ]
-    return ok, metrics
-
-
-def _analysis_linear_regression(spec, F, params, custom, cfg, seed, out_dir, criterion, smooth):
-    rng = np.random.default_rng(seed)
-    k = cfg.cutoff
-    ks = np.arange(-k, k + 1)
-    phi = SpectralField(
-        np.exp(-np.abs(ks).astype(float)) * np.exp(2j * np.pi * rng.random(2 * k + 1)),
-        k,
-    )
-    traj = integrate(phi, F, cfg)
-    write_trajectory(
-        traj,
-        os.path.join(out_dir, "linear_trajectory.csv"),
-        os.path.join(out_dir, "linear_trajectory.json"),
-        extra={"nonlinearity": format_nonlinearity(F)},
-    )
-    c = complex(params["c"])
-    worst = 0.0
-    for t, snap in zip(traj.times, traj.snapshots):
-        exact = phi.coeffs * np.exp((-1j * np.abs(ks) ** cfg.alpha + 1j * c * ks) * t)
-        nz = np.abs(exact) > 0
-        rel = np.abs(snap.coeffs[nz] - exact[nz]) / np.abs(exact[nz])
-        worst = max(worst, float(np.max(rel)))
-    return worst <= 1e-8, {"sup_relative_error": worst, "tolerance": 1e-8}
-
-
 def _smooth_small_data(cutoff: int, seed: int, amplitude: float = 0.2) -> SpectralField:
     # Band-limited inside cutoff // 2 so paired-resolution runs share the datum.
     rng = np.random.default_rng(seed)
     return random_field(max(cutoff // 2, 2), 4.0, rng, amplitude=amplitude).with_cutoff(cutoff)
 
 
-def _smooth_runs(F, cfg, seed, eps_values) -> dict[float, TrajectoryRecord]:
-    """The runs from `_smooth_small_data` under cfg at each eps, as one block, by eps."""
-    eps_values = list(dict.fromkeys(eps_values))
-    phi = _smooth_small_data(cfg.cutoff, seed)
-    runs = integrate_rows([(phi, F, replace(cfg, eps=e)) for e in eps_values])
-    return dict(zip(eps_values, runs))
-
-
-def _analysis_energy_audit(spec, F, params, custom, cfg, seed, out_dir, criterion, smooth):
-    r = regularity_threshold(cfg.alpha) + 0.1
-    traj = smooth()[cfg.eps]
-    trace = energy_mod.energy_audit(traj, F, r)
-    energy_mod.write_energy_csv(trace, os.path.join(out_dir, "energy_trace.csv"))
-    _gnuplot(
-        os.path.join(out_dir, "energy_trace.gp"),
-        "set xlabel 't'\nset logscale y\n"
-        "plot 'energy_trace.csv' using 1:2 with lines title 'E', \\\n"
-        "     '' using 1:3 with lines title 'norm_u', \\\n"
-        "     '' using 1:4 with lines title 'norm_v'\n",
-    )
-    ok = bool(np.all(trace.coercivity_ok)) and not traj.truncated
-    return ok, {
-        "coercivity_violations": int(np.sum(~trace.coercivity_ok)),
-        "lipschitz": trace.lipschitz,
-        "truncated": traj.truncated,
-        "r": r,
-        "ladder_depth": trace.ladder.depth,
-    }
-
-
 # The viscosities of the eps_rate analysis.
 _EPS_STUDY = (1e-1, 1e-2, 1e-3)
-
-
-def _analysis_eps_rate(spec, F, params, custom, cfg, seed, out_dir, criterion, smooth):
-    runs = smooth()
-    table = eps_convergence_table([runs[e] for e in _EPS_STUDY])
-    with open(os.path.join(out_dir, "eps_rate.csv"), "w") as fh:
-        fh.write("eps_1,eps_2,sup_l2_diff\n")
-        for e1, e2, d in table.pairs:
-            fh.write(f"{e1:.17g},{e2:.17g},{d:.17g}\n")
-    _gnuplot(
-        os.path.join(out_dir, "eps_rate.gp"),
-        "set logscale xy\nset xlabel '|eps_1 - eps_2|'\n"
-        "plot 'eps_rate.csv' using (abs($1-$2)):3 with points title 'sup-t L2 gap'\n",
-    )
-    ok = (not math.isnan(table.beta)) and table.beta >= 0.45
-    return ok, {"beta": table.beta, "eps_list": list(_EPS_STUDY), "threshold": 0.45}
 
 
 def paired_growth_probe(
@@ -372,53 +293,151 @@ def _control_data(witness, cutoff, s, side, seed):
     return witness.with_cutoff(cutoff) + tail
 
 
-def _analysis_growth_probe(spec, F, params, custom, cfg, seed, out_dir, criterion, smooth):
-    s = regularity_threshold(cfg.alpha) + 0.1
-    # A custom nonlinearity is probed on the checker's witness against cubic(i).
-    if custom:
-        witness, control = criterion().witness, cubic(1j)
-    else:
-        witness = SpectralField.from_modes(spec.witness(params), 2)
-        control = spec.sibling(params)
-    mean0 = criterion_functional(F, witness)
-    side = "minus" if mean0 >= 0 else "plus"
-    report, verdict, run_k, run_2k = paired_growth_probe(
-        F, witness, cfg, s, side=side, seed=seed, control=control
-    )
-    growth_mod.write_growth_csv(report, os.path.join(out_dir, "growth_rates.csv"))
-    _gnuplot(
-        os.path.join(out_dir, "growth_rates.gp"),
-        "set xlabel 'k'\nplot 'growth_rates.csv' using 1:2 with points title 'fitted', \\\n"
-        "     '' using 1:3 with lines title 'predicted'\n",
-    )
-    with open(os.path.join(out_dir, "verdict.json"), "w") as fh:
-        fh.write(growth_mod.verdict_json(verdict) + "\n")
-    write_trajectory(
-        run_k,
-        os.path.join(out_dir, "probe_trajectory.csv"),
-        os.path.join(out_dir, "probe_trajectory.json"),
-        extra={"nonlinearity": format_nonlinearity(F)},
-    )
-    expected = "directional_growth_detected"
-    ok = verdict.classification == expected
-    return ok, {
-        "classification": verdict.classification,
-        "expected": expected,
-        "side": side,
-        "matching_run": report.matching_run,
-        "predicted_slope": report.predicted_slope,
-        "divergence": report.divergence,
-        "control_divergence": verdict.control_divergence,
-    }
+@dataclass(frozen=True)
+class _Run:
+    """One run: its inputs, the products its analyses share, and the analyses.
 
+    Each analysis is a method named as in ``ExperimentPreset.analyses``; it
+    writes its artifacts into ``out_dir`` and returns ``(pass, metrics)``.
+    ``study`` holds the viscosities of the eps study, empty when the run has
+    none.
+    """
 
-_ANALYSES = {
-    "criterion": _analysis_criterion,
-    "linear_regression": _analysis_linear_regression,
-    "energy_audit": _analysis_energy_audit,
-    "eps_rate": _analysis_eps_rate,
-    "growth_probe": _analysis_growth_probe,
-}
+    spec: ExperimentPreset
+    F: PolynomialNonlinearity
+    params: dict
+    custom: bool
+    cfg: EvolutionConfig
+    seed: int
+    out_dir: str
+    study: tuple[float, ...]
+
+    @functools.cached_property
+    def verdict(self):
+        """The criterion verdict, computed on first use and shared by every analysis."""
+        return check_wellposedness_condition(self.F, seed=self.seed)
+
+    @functools.cached_property
+    def smooth(self) -> dict[float, TrajectoryRecord]:
+        """The runs from `_smooth_small_data` at the run's eps and at each eps of
+        the study, by eps, integrated as one block on first use: the energy
+        audit's run is bitwise the study's row of the same eps (a row's record
+        does not depend on the rows beside it)."""
+        eps_values = list(dict.fromkeys((self.cfg.eps, *self.study)))
+        phi = _smooth_small_data(self.cfg.cutoff, self.seed)
+        runs = integrate_rows([(phi, self.F, replace(self.cfg, eps=e)) for e in eps_values])
+        return dict(zip(eps_values, runs))
+
+    def _path(self, name: str) -> str:
+        return os.path.join(self.out_dir, name)
+
+    def _write_trajectory(self, traj: TrajectoryRecord, stem: str) -> None:
+        """`traj` as stem.csv with its sidecar stem.json, which names F for `audit`."""
+        write_trajectory(traj, self._path(stem + ".csv"), self._path(stem + ".json"),
+                         extra={"nonlinearity": format_nonlinearity(self.F)})
+
+    def criterion(self):
+        verdict = self.verdict
+        expected = None if self.custom else self.spec.wellposed(self.params)
+        ok = True if expected is None else verdict.satisfied == expected
+        metrics = {**_verdict_fields(verdict), "expected": expected}
+        if verdict.witness is not None:
+            metrics["witness"] = [
+                [int(k), float(c.real), float(c.imag)]
+                for k, c in zip(verdict.witness.wavenumbers(), verdict.witness.coeffs)
+                if c != 0
+            ]
+        return ok, metrics
+
+    def linear_regression(self):
+        # Against the exact flow exp((-i|k|^alpha - eps k^2 + i c k) t) of F = c u_x.
+        cfg = self.cfg
+        rng = np.random.default_rng(self.seed)
+        ks = np.arange(-cfg.cutoff, cfg.cutoff + 1)
+        phi = SpectralField(
+            np.exp(-np.abs(ks).astype(float)) * np.exp(2j * np.pi * rng.random(ks.size)),
+            cfg.cutoff,
+        )
+        traj = integrate(phi, self.F, cfg)
+        self._write_trajectory(traj, "linear_trajectory")
+        lam = _multipliers(ks, cfg.alpha, cfg.eps) + 1j * complex(self.params["c"]) * ks
+        worst = 0.0
+        for t, snap in zip(traj.times, traj.snapshots):
+            exact = phi.coeffs * np.exp(lam * t)
+            nz = np.abs(exact) > 0
+            rel = np.abs(snap.coeffs[nz] - exact[nz]) / np.abs(exact[nz])
+            worst = max(worst, float(np.max(rel)))
+        return worst <= 1e-8, {"sup_relative_error": worst, "tolerance": 1e-8}
+
+    def energy_audit(self):
+        r = regularity_threshold(self.cfg.alpha) + 0.1
+        traj = self.smooth[self.cfg.eps]
+        trace = energy_mod.energy_audit(traj, self.F, r)
+        energy_mod.write_energy_csv(trace, self._path("energy_trace.csv"))
+        _gnuplot(
+            self._path("energy_trace.gp"),
+            "set xlabel 't'\nset logscale y\n"
+            "plot 'energy_trace.csv' using 1:2 with lines title 'E', \\\n"
+            "     '' using 1:3 with lines title 'norm_u', \\\n"
+            "     '' using 1:4 with lines title 'norm_v'\n",
+        )
+        ok = bool(np.all(trace.coercivity_ok)) and not traj.truncated
+        return ok, {
+            "coercivity_violations": int(np.sum(~trace.coercivity_ok)),
+            "lipschitz": trace.lipschitz,
+            "truncated": traj.truncated,
+            "r": r,
+            "ladder_depth": trace.ladder.depth,
+        }
+
+    def eps_rate(self):
+        table = eps_convergence_table([self.smooth[e] for e in self.study])
+        with open(self._path("eps_rate.csv"), "w") as fh:
+            fh.write("eps_1,eps_2,sup_l2_diff\n")
+            for e1, e2, d in table.pairs:
+                fh.write(f"{e1:.17g},{e2:.17g},{d:.17g}\n")
+        _gnuplot(
+            self._path("eps_rate.gp"),
+            "set logscale xy\nset xlabel '|eps_1 - eps_2|'\n"
+            "plot 'eps_rate.csv' using (abs($1-$2)):3 with points title 'sup-t L2 gap'\n",
+        )
+        ok = (not math.isnan(table.beta)) and table.beta >= 0.45
+        return ok, {"beta": table.beta, "eps_list": list(self.study), "threshold": 0.45}
+
+    def growth_probe(self):
+        F = self.F
+        s = regularity_threshold(self.cfg.alpha) + 0.1
+        # A custom nonlinearity is probed on the checker's witness against cubic(i).
+        if self.custom:
+            witness, control = self.verdict.witness, cubic(1j)
+        else:
+            witness = SpectralField.from_modes(self.spec.witness(self.params), 2)
+            control = self.spec.sibling(self.params)
+        mean0 = criterion_functional(F, witness)
+        side = "minus" if mean0 >= 0 else "plus"
+        report, verdict, run_k, _ = paired_growth_probe(
+            F, witness, self.cfg, s, side=side, seed=self.seed, control=control
+        )
+        growth_mod.write_growth_csv(report, self._path("growth_rates.csv"))
+        _gnuplot(
+            self._path("growth_rates.gp"),
+            "set xlabel 'k'\nplot 'growth_rates.csv' using 1:2 with points title 'fitted', \\\n"
+            "     '' using 1:3 with lines title 'predicted'\n",
+        )
+        with open(self._path("verdict.json"), "w") as fh:
+            fh.write(growth_mod.verdict_json(verdict) + "\n")
+        self._write_trajectory(run_k, "probe_trajectory")
+        expected = "directional_growth_detected"
+        ok = verdict.classification == expected
+        return ok, {
+            "classification": verdict.classification,
+            "expected": expected,
+            "side": side,
+            "matching_run": report.matching_run,
+            "predicted_slope": report.predicted_slope,
+            "divergence": report.divergence,
+            "control_divergence": verdict.control_divergence,
+        }
 
 
 # -- run / sweep ------------------------------------------------------------------
@@ -465,25 +484,16 @@ def run(
     # A custom F runs the analyses its verdict calls for; the preset gives only defaults.
     analyses = ("criterion", "dynamics") if custom else spec.analyses
     os.makedirs(out_dir, exist_ok=True)
-    # The criterion verdict, computed on first use and then shared by every
-    # analysis of the run.
-    criterion = functools.cache(functools.partial(check_wellposedness_condition, F, seed=seed))
-    # The runs from the smooth datum at the run's eps and, if the run has an
-    # eps study, at each of its eps, integrated as one block on first use and
-    # then shared: the energy audit's run is bitwise the study's row of the
-    # same eps (a row's record does not depend on the rows beside it).
     study = _EPS_STUDY if "eps_rate" in analyses else ()
-    smooth = functools.cache(functools.partial(_smooth_runs, F, cfg, seed, (cfg.eps, *study)))
-
+    record = _Run(spec, F, params, custom, cfg, seed, out_dir, study)
     results = []
     for analysis in analyses:
         if analysis == "dynamics":
             # auto-dispatch: well-posed families get the energy audit, the
             # others the paired-resolution growth probe
-            analysis = "energy_audit" if criterion().satisfied else "growth_probe"
-        fn = _ANALYSES[analysis]
+            analysis = "energy_audit" if record.verdict.satisfied else "growth_probe"
         try:
-            ok, metrics = fn(spec, F, params, custom, cfg, seed, out_dir, criterion, smooth)
+            ok, metrics = getattr(record, analysis)()
         except Exception as exc:  # analysis failures are data, not crashes
             ok, metrics = False, {"error": f"{type(exc).__name__}: {exc}"}
         results.append({"name": analysis, "pass": bool(ok), "metrics": _jsonable(metrics)})
@@ -556,20 +566,13 @@ def run_estimates(out_dir: str, seed: int = 0, quick: bool = False) -> dict:
         ("refined_commutator", {"s": 2.25}),
     ]
     reports = []
-    checks = []
+    analyses = []
     for op, params in jobs:
         rep = est_mod.run_ensemble(op, spec, **params)
         ok, worst, slope = est_mod.bounded_constant_check(rep)
         reports.append(rep)
-        checks.append(
-            {
-                "estimate": op,
-                "params": _jsonable(params),
-                "pass": bool(ok),
-                "worst_growth": worst,
-                "slope": slope,
-            }
-        )
+        metrics = {"params": params, "worst_growth": worst, "slope": slope}
+        analyses.append({"name": op, "pass": bool(ok), "metrics": metrics})
     est_mod.write_ratio_csv(reports, os.path.join(out_dir, "estimate_ratios.csv"))
     _gnuplot(
         os.path.join(out_dir, "estimate_ratios.gp"),
@@ -579,19 +582,10 @@ def run_estimates(out_dir: str, seed: int = 0, quick: bool = False) -> dict:
     s_c = 2.25
     expo = est_mod.cancellation_exponent(s_c, cutoffs)
     cancel_ok = expo <= s_c - 2.0 + 0.2
-    summary = {
-        "preset": "estimates",
-        "seed": seed,
-        "analyses": checks
-        + [
-            {
-                "name": "cancellation_exponent",
-                "pass": bool(cancel_ok),
-                "metrics": {"s": s_c, "exponent": expo, "bound": s_c - 1.8},
-            }
-        ],
-    }
-    _write_json(os.path.join(out_dir, "summary.json"), _jsonable(summary))
+    metrics = {"s": s_c, "exponent": expo, "bound": s_c - 1.8}
+    analyses.append({"name": "cancellation_exponent", "pass": bool(cancel_ok), "metrics": metrics})
+    summary = _jsonable({"preset": "estimates", "seed": seed, "analyses": analyses})
+    _write_json(os.path.join(out_dir, "summary.json"), summary)
     return summary
 
 

@@ -96,8 +96,9 @@ def test_ladder_build_and_range_checks():
     lad = CorrectionLadder.build(2.5, 2.6)
     assert lad.depth == 2 and len(lad.c) == 2 and len(lad.a_n) == 2
     assert lad.a == pytest.approx(sum(lad.a_n))
-    with pytest.raises(ValueError):
-        CorrectionLadder.build(2.5, 0.5)
+    for r in (0.5, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            CorrectionLadder.build(2.5, r)
     with pytest.raises(ValueError):
         young_constant(3, 2, 2.5)
 

@@ -99,13 +99,18 @@ def test_run_wellposed_and_illposed_branches(tmp_path):
 
 
 def test_summary_schema(tmp_path):
-    s = run("cubic", tmp_path, seed=3)
+    s = run("cubic", tmp_path / "run", seed=3)
     assert set(s) == {"preset", "seed", "analyses", "config"}
     assert s["preset"] == "cubic" and s["seed"] == 3
-    for a in s["analyses"]:
-        assert set(a) == {"name", "pass", "metrics"}
-    on_disk = json.loads(read(tmp_path / "summary.json"))
-    assert on_disk == json.loads(json.dumps(s, sort_keys=True))
+    e = run_estimates(tmp_path / "estimates", seed=3, quick=True)
+    assert set(e) == {"preset", "seed", "analyses"}
+    assert e["preset"] == "estimates" and e["seed"] == 3
+    for summary, out in ((s, "run"), (e, "estimates")):
+        for a in summary["analyses"]:
+            assert set(a) == {"name", "pass", "metrics"}
+        on_disk = json.loads(read(tmp_path / out / "summary.json"))
+        assert on_disk == json.loads(json.dumps(summary, sort_keys=True))
+    assert all(set(a["metrics"]) == {"params", "worst_growth", "slope"} for a in e["analyses"][:4])
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -154,6 +159,14 @@ def test_run_computes_the_criterion_verdict_once(tmp_path, monkeypatch):
     s = run("example_c", tmp_path, overrides={"c": 1.0, "horizon": 0.005}, seed=0)
     assert [a["name"] for a in s["analyses"]] == ["criterion", "energy_audit"]
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-2])
+def test_linear_regression_follows_the_viscous_flow(tmp_path, eps):
+    # the exact flow of F = c u_x under viscosity carries exp(-eps k^2 t)
+    s = run("linear_transport", tmp_path, overrides={"eps": eps}, seed=0)
+    (entry,) = [a for a in s["analyses"] if a["name"] == "linear_regression"]
+    assert entry["pass"], entry["metrics"]
 
 
 def test_growth_probe_blowup_is_quiet(tmp_path):
@@ -440,16 +453,27 @@ def test_cli_verbs_reject_flags_they_do_not_read(tmp_path, capsys):
         ["run", "--preset", "cubic", "--c", "nan"],
         ["check", "--preset", "cubic", "--c", "nan"],
         ["check", "--nonlinearity", "NAN_FILE"],
+        ["audit", "--trajectory", "CSV", "--sidecar", "SIDECAR", "--r", "nan"],
+        ["audit", "--trajectory", "CSV", "--sidecar", "SIDECAR", "--r", "inf"],
     ],
     ids=" ".join,
 )
 def test_cli_non_finite_setting_is_exit_two(argv, tmp_path, capsys):
-    nl = tmp_path / "nan.txt"
-    nl.write_text("2 0 1 0 0 1\n1 0 0 0 nan 0\n")
+    files = {"NAN_FILE": tmp_path / "nan.txt", "CSV": tmp_path / "t.csv",
+             "SIDECAR": tmp_path / "t.json"}
+    files["NAN_FILE"].write_text("2 0 1 0 0 1\n1 0 0 0 nan 0\n")
+    # a cutoff-2 trajectory of cubic(i) that audits cleanly at the default r
+    files["CSV"].write_text("t,k,re,im\n" + "".join(
+        f"{t},{k},{0.3 / (1 + k * k)},0\n" for t in (0, 0.01, 0.02) for k in range(-2, 3)
+    ))
+    files["SIDECAR"].write_text(json.dumps(
+        {"alpha": 3.0, "eps": 0.0, "cutoff": 2, "dt": 0.01, "horizon": 0.02,
+         "nonlinearity": "2 0 1 0 0 1\n"}
+    ))
     out = str(tmp_path / "art")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rc = cli_main([str(nl) if a == "NAN_FILE" else a for a in argv] + ["--out", out])
+        rc = cli_main([str(files.get(a, a)) for a in argv] + ["--out", out])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not os.path.exists(out)  # rejected before any run started

@@ -17,6 +17,11 @@ process with its own ``src`` on PYTHONPATH:
     and ``estimates --seed 7`` (cutoffs up to 256, as the benchmark's
     ``criterion_batch`` workload runs it);
   - ``run --preset example_b --c 2i --m 2`` (the example_b witness at m = 2);
+  - ``run --preset cubic --eps 0.05 --seed 3``: an eps outside the eps
+    study, so the smooth datum's block has four rows, the run's eps and the
+    study's three;
+  - ``run --preset linear_transport --eps 1e-3``: the linear regression
+    against the exact flow under viscosity;
   - ``run --nonlinearity FILE`` (a custom polynomial) with the evolution
     defaults of preset cubic, and with those of preset example_c: each runs
     the criterion and the dynamics, here the growth probe on the checker's
@@ -30,7 +35,7 @@ process with its own ``src`` on PYTHONPATH:
     at x = 1e-10 and 1e-11: violations below the witness search's tolerance,
     so the first field of largest |G| is the witness.
 
-The tool writes these input files into one temporary directory.  56
+The tool writes these input files into one temporary directory.  58
 invocations in all.
 
 Each invocation writes into its own directory.  The exit codes, the printed
@@ -97,6 +102,8 @@ def invocations(inputs: str) -> list[list[str]]:
         ["estimates"],
         ["estimates", "--seed", "7"],
         ["run", "--preset", "example_b", "--c", "2i", "--m", "2"],
+        ["run", "--preset", "cubic", "--eps", "0.05", "--seed", "3"],
+        ["run", "--preset", "linear_transport", "--eps", "1e-3"],
         ["run", "--preset", "cubic", "--nonlinearity", nl_path],
         ["run", "--preset", "example_c", "--nonlinearity", nl_path],
         ["run", "--config", cfg_path],
