@@ -288,8 +288,11 @@ def energy_audit(traj: TrajectoryRecord, F: PolynomialNonlinearity, r: float) ->
     The ladder is CorrectionLadder.build(traj.config.alpha, r), and one
     coefficient map of F_omega serves every snapshot.  The differential
     inequality bounds the increase of log(1 + E) only, so the reported
-    constant is the maximal positive centered-difference slope.
+    constant is the maximal positive centered-difference slope.  A record
+    without snapshots is a ValueError.
     """
+    if not traj.snapshots:
+        raise ValueError("no snapshots to audit")
     ladder = CorrectionLadder.build(traj.config.alpha, r)
     rows = list(_energies(traj.snapshots, traj.config.cutoff, F, ladder))
     e = np.array([m.value for m in rows])

@@ -26,9 +26,11 @@ checks by fitting the exponent.
 
 An ensemble draws each cutoff's pairs together and evaluates them as blocks
 of pairs: one block per cutoff, split only where it would pass
-`_BLOCK_POINTS` (rows x grid points).  Every operand of a block is sampled in
-one inverse transform and every product comes back in one forward transform.
-The pair functions are the block code's one-row calls.
+`_BLOCK_POINTS` (rows x grid points).  The block arithmetic is the row
+functions of `spectral`: the f operands of a block are sampled in one
+inverse transform, the g operands in another, and every product comes back
+in one forward transform.  The pair functions are the block code's one-row
+calls.
 """
 
 from __future__ import annotations
@@ -39,8 +41,10 @@ import numpy as np
 
 from .spectral import (
     SpectralField,
-    _fft,
-    _ifft,
+    _bracket,
+    _dx,
+    _norms,
+    _products,
     _random_coefficients,
     padded_size,
     sobolev_norm,
@@ -149,59 +153,7 @@ def refined_commutator_ratio(
 # -- the block code -------------------------------------------------------------
 #
 # A block holds B pairs (f_i, g_i) as two C-contiguous arrays of coefficient
-# rows, f (B, 2Kf+1) and g (B, 2Kg+1); the cutoffs are read off the widths.
-# Row i of each result is bitwise what `sobolev_norm`, `pointwise_product` (at
-# out_cutoff Kf + Kg), `bracket_power` and `derivative` give on (f_i, g_i).  A
-# row reduction keeps those bits only on C-contiguous rows.
-
-
-def _modes(c: np.ndarray) -> np.ndarray:
-    """The wavenumbers -K..K of the rows of c."""
-    k = c.shape[-1] // 2
-    return np.arange(-k, k + 1)
-
-
-def _bracket(c: np.ndarray, s: float) -> np.ndarray:
-    """<D>^s of each row."""
-    k = _modes(c).astype(float)
-    return c * (1.0 + k * k) ** (s / 2.0)
-
-
-def _dx(c: np.ndarray) -> np.ndarray:
-    """d/dx of each row."""
-    return c * (1j * _modes(c))
-
-
-def _norms(c: np.ndarray, s: float) -> np.ndarray:
-    """The H^s norm of each row."""
-    k = _modes(c).astype(float)
-    return np.sqrt(np.sum((1.0 + k * k) ** s * np.abs(c) ** 2, axis=-1))
-
-
-def _products(f_ops, g_ops, f_of) -> np.ndarray:
-    """(len(g_ops), B, 2(Kf+Kg)+1): the full products f_ops[f_of[k]] * g_ops[k].
-
-    The f operands share cutoff Kf and the g operands Kg, so every product
-    has one alias-free grid.  All operands are sampled by one inverse
-    transform and all products come back through one forward transform,
-    both in place: each product overwrites its g operand's samples.
-    """
-    kf, kg = f_ops[0].shape[-1] // 2, g_ops[0].shape[-1] // 2
-    kout = kf + kg
-    m = padded_size(max(kf, kg), kout, kout)
-    ops = (*f_ops, *g_ops)
-    buf = np.zeros((len(ops), len(f_ops[0]), m), dtype=np.complex128)
-    for row, c in zip(buf, ops):
-        row[:, np.mod(_modes(c), m)] = c
-    _ifft(buf, 1 / m, buf)
-    buf *= m
-    prod = buf[len(f_ops) :]
-    for k, i in enumerate(f_of):
-        np.multiply(buf[i], prod[k], out=prod[k])
-    _fft(prod, 1.0, prod)
-    out = prod.take(np.mod(np.arange(-kout, kout + 1), m), axis=-1)
-    out /= m
-    return out
+# rows, f (B, 2Kf+1) and g (B, 2Kg+1), for the row functions of `spectral`.
 
 
 def _ratios(num: np.ndarray, denom: np.ndarray) -> np.ndarray:

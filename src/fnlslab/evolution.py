@@ -447,8 +447,9 @@ def write_trajectory(
 def read_trajectory(csv_path, json_path) -> TrajectoryRecord:
     """The record stored by `write_trajectory`.  A sidecar may omit record_every
     and blowup_ceiling, which then take their defaults; a missing other field
-    is a KeyError.  A CSV mode outside the sidecar's cutoff, a second row for
-    one (t, k) and a snapshot without a row for some mode are ValueErrors."""
+    is a KeyError.  A CSV mode outside the sidecar's cutoff, a value that is
+    not finite, a second row for one (t, k), a snapshot without a row for some
+    mode and a CSV without rows are ValueErrors."""
     with open(json_path) as fh:
         meta = json.load(fh)
     return _trajectory_from(csv_path, meta)
@@ -469,13 +470,17 @@ def _trajectory_from(csv_path, meta: dict) -> TrajectoryRecord:
             if not line:
                 continue
             t_s, k_s, re_s, im_s = line.split(",")
-            t, mode = float(t_s), int(k_s)
+            t, mode, re, im = float(t_s), int(k_s), float(re_s), float(im_s)
+            if not all(map(math.isfinite, (t, re, im))):
+                raise ValueError(f"{csv_path}:{ln}: a value that is not finite in {line!r}")
             if not -k <= mode <= k:
                 raise ValueError(f"{csv_path}:{ln}: mode {mode} outside the cutoff {k}")
             row = rows.setdefault(t, {})
             if mode in row:
                 raise ValueError(f"{csv_path}:{ln}: a second row for mode {mode} at t = {t}")
-            row[mode], last[t] = float(re_s) + 1j * float(im_s), ln
+            row[mode], last[t] = re + 1j * im, ln
+    if not rows:
+        raise ValueError(f"{csv_path}: no data rows")
     for t, row in rows.items():
         missing = [j for j in modes if j not in row]
         if missing:

@@ -30,11 +30,10 @@ The machinery implemented here:
                           one padded array, and each pair sum is a masked
                           matrix-vector product over blocks of output rows,
                           the separated sums over each block's band of
-                          columns only.  decomposition_series takes every
-                          snapshot through one pass over the blocks,
-                          building each block's pair geometry once for all
-                          of them, so memory is O(block * K + S * K) for S
-                          snapshots;
+                          columns only.  decomposition_series forms its
+                          inputs for all S snapshots as (S, ...) arrays and
+                          builds each block's pair geometry once for all of
+                          them, so memory is O(block * K + S * K);
   resonant_norm_audit     the weighted l2 bounds each part must satisfy on a
                           bounded run;
   directional_growth      per-mode log-linear rate fits and the paired
@@ -52,15 +51,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .evolution import TrajectoryRecord, _multipliers, sup_l2_gap
-from .nonlinearity import PolynomialNonlinearity, _block_means
-from .spectral import (
-    SpectralField,
-    conjugate,
-    derivative,
-    pointwise_product,
-    sobolev_norm,
-    translate,
-)
+from .nonlinearity import PolynomialNonlinearity, _block_means, _rows_coefficient_map
+from .spectral import SpectralField, _dx, _norms, _products, sobolev_norm, translate
 
 __all__ = [
     "gauge_shift",
@@ -129,44 +121,11 @@ class ResonantParts:
 _BLOCK_ENTRIES = 1 << 16
 
 
-def _pair_window(
-    fields: tuple[SpectralField, ...], cutoff: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Toeplitz view of the fields at k1 = k - k2, and the array it strides.
-
-    view[c, i, j] is the coefficient of fields[c] at k - k2 for row k = i - K
-    and column k2 = K - j (|k|, |k2| <= K = cutoff), zero outside the field's
-    band.  The view copies nothing: it reads pad[c, k1 + 2K], so a write to
-    pad shows in the view.
-    """
-    pad = np.zeros((len(fields), 4 * cutoff + 1), dtype=np.complex128)
-    for c, f in enumerate(fields):
-        band = min(f.cutoff, 2 * cutoff)
-        pad[c, 2 * cutoff - band : 2 * cutoff + band + 1] = f.coeffs[
-            f.cutoff - band : f.cutoff + band + 1
-        ]
-    return sliding_window_view(pad, 2 * cutoff + 1, axis=1), pad
-
-
 def _times(F: PolynomialNonlinearity, slot: int) -> PolynomialNonlinearity:
     """F times the variable in `slot` (1 = omega, 3 = omega_bar)."""
     return PolynomialNonlinearity.from_terms(
         {idx[:slot] + (idx[slot] + 1,) + idx[slot + 1 :]: c for idx, c in F.terms}
     )
-
-
-def _galerkin_time_derivative(
-    u: SpectralField,
-    f: np.ndarray,
-    alpha: float,
-    eps: float,
-    mean_re: float,
-) -> SpectralField:
-    """du/dt from the (gauge-shifted) evolution equation, f = F along u, at |k| <= cutoff."""
-    k = u.wavenumbers()
-    lin = _multipliers(k, alpha, eps) * u.coeffs
-    transport = -mean_re * (1j * k) * u.coeffs
-    return SpectralField(lin + f + transport, u.cutoff)
 
 
 def resonant_decomposition(
@@ -178,90 +137,6 @@ def resonant_decomposition(
     block's pair geometry across its snapshots: for several times, call that.
     """
     return decomposition_series(traj, F, (t,))[0]
-
-
-@dataclass
-class _SnapshotSums:
-    """One snapshot's inputs to the pair sums, and the sums over the blocks so far."""
-
-    time: float
-    mean_im: float
-    phase: np.ndarray
-    n3: np.ndarray
-    x_o: np.ndarray  # column vectors of the omega family
-    x_ob: np.ndarray  # and of the omega_bar family
-    win_o: np.ndarray  # Toeplitz views of (theta, dt theta) at k1 = k - k2
-    win_ob: np.ndarray
-    th_used: np.ndarray  # pairs whose P_nonmean theta_omega is nonzero
-    live: bool  # some window is nonzero
-    sums: np.ndarray  # rows n11, n21, m1, k1, m2, k2 before the phase
-    min_ratio: float = float("inf")
-
-
-def _snapshot_sums(
-    u: SpectralField,
-    t: float,
-    maps: tuple,
-    p: np.ndarray,
-    alpha: float,
-    eps: float,
-) -> _SnapshotSums:
-    """The snapshot-dependent half of `decomposition_series` at time t, on its maps."""
-    theta_o_map, theta_ob_map, chain_o, chain_ob, remainder, f_map = maps
-    K = u.cutoff
-    ks = u.wavenumbers()
-
-    def along_u(fmap) -> SpectralField:
-        coeffs = fmap(u.coeffs)
-        return SpectralField(coeffs, len(coeffs) // 2)
-
-    theta_o = along_u(theta_o_map)
-    theta_ob = along_u(theta_ob_map)
-    mean_theta = theta_o.coefficient(0)
-    mean_re = float(mean_theta.real)
-
-    dtu = _galerkin_time_derivative(u, f_map(u.coeffs), alpha, eps, mean_re)
-    dtv = derivative(dtu)
-
-    # Chain rule through the equation for the inner time derivatives; the
-    # maps are those of the zeta, omega, zeta_bar and omega_bar derivatives.
-    def chain(wirtingers: list) -> SpectralField:
-        out = SpectralField.zeros(0)
-        for fmap, darg in zip(wirtingers, (dtu, dtv, conjugate(dtu), conjugate(dtv))):
-            coef_field = along_u(fmap)
-            if coef_field.is_zero():
-                continue
-            full = coef_field.cutoff + darg.cutoff
-            out = out + pointwise_product(coef_field, darg, out_cutoff=full)
-        return out
-
-    phase = np.exp(1j * p * t)
-    vhat = (1j * ks) * u.coeffs
-    dv = 1j * p * vhat + dtv.coeffs  # conj(phase) * dt Vhat
-    cols = ks[::-1]
-    # Column vectors: k2 vhat(k2), k2 dv(k2) for the omega family and
-    # k2 conj(vhat(-k2)), k2 conj(dv(-k2)) for the omega_bar family.
-    x_o = np.stack([cols * vhat[::-1], cols * dv[::-1]], axis=1)
-    x_ob = np.stack([cols * np.conj(vhat), cols * np.conj(dv)], axis=1)
-
-    win_o, pad_o = _pair_window((theta_o, chain(chain_o)), K)
-    pad_o[:, 2 * K] = 0.0  # P_nonmean for the omega family
-    win_ob, pad_ob = _pair_window((theta_ob, chain(chain_ob)), K)
-    return _SnapshotSums(
-        time=float(t),
-        mean_im=float(mean_theta.imag),
-        phase=phase,
-        n3=phase * remainder(u.coeffs),
-        x_o=x_o,
-        x_ob=x_ob,
-        win_o=win_o,
-        win_ob=win_ob,
-        th_used=sliding_window_view(pad_o[0] != 0, 2 * K + 1),
-        # With both windows zero (F free of omega and omega_bar up to a mean
-        # theta_omega) every pair sum is an exact zero and no pair is used.
-        live=bool(pad_o.any() or pad_ob.any()),
-        sums=np.zeros((6, 2 * K + 1), complex),
-    )
 
 
 def decomposition_series(
@@ -278,42 +153,82 @@ def decomposition_series(
     block's pair geometry (the D1/D2 masks, the column band, the weights
     1/delta and 1/sigma and the denominator ratios) is built once and shared
     by every snapshot, so memory is O(block * K + S * K) for S snapshots.
-    The coefficient maps of F and of its Wirtinger polynomials are built
-    once per series too.
+    The snapshot inputs are (S, ...) arrays: F and each of its Wirtinger
+    polynomials go along every snapshot in one block coefficient map, and
+    each chain-rule term is one block product.
     """
-    alpha = traj.config.alpha
-    eps = traj.config.eps
-    K = traj.config.cutoff
+    alpha, eps, K = traj.config.alpha, traj.config.eps, traj.config.cutoff
+    times = list(traj.times if times is None else times)
+    if not times:
+        return []
+    u = np.array([traj.snapshot_at(t).coeffs for t in times])
+    S, n = u.shape
+
+    def along(P: PolynomialNonlinearity, kout: int | None = None) -> np.ndarray:
+        """(S, 2*kout+1): P along each snapshot, kout default P's band (K is inside it)."""
+        kout = max(P.total_degree, 1) * K if kout is None else kout
+        return _rows_coefficient_map([P] * S, [K] * S, K, [kout] * S, kout)(u)
+
+    # The substituted time derivative du/dt of the gauge-shifted equation,
+    # f = F along u, the residual real mean folded into the transport.
+    ks = np.arange(-K, K + 1)
     theta_o, theta_ob = F.wirtinger("omega"), F.wirtinger("omega_bar")
-    slots = ("zeta", "omega", "zeta_bar", "omega_bar")
-    maps = (
-        theta_o.coefficient_map(K),
-        theta_ob.coefficient_map(K),
-        [theta_o.wirtinger(v).coefficient_map(K) for v in slots],
-        [theta_ob.wirtinger(v).coefficient_map(K) for v in slots],
-        # Remainder R = T_z v + T_zb conj v, one polynomial in the four slots.
-        (_times(F.wirtinger("zeta"), 1) + _times(F.wirtinger("zeta_bar"), 3)).coefficient_map(K, K),
-        F.coefficient_map(K, K),
-    )
+    th_o = along(theta_o)
+    mean_theta = th_o[:, th_o.shape[1] // 2]
+    dtu = _multipliers(ks, alpha, eps) * u + along(F, K) + -mean_theta.real[:, None] * (1j * ks) * u
+    dtv = _dx(dtu)
+
+    # The windows: theta of each family, assigned, and dt theta, the chain
+    # rule through the equation summed from +0.0 in slot order (zeta, omega,
+    # zeta_bar, omega_bar), at k1 + 2K for |k1| <= 2K.
+    dargs = (dtu, dtv, np.conj(dtu[:, ::-1]), np.conj(dtv[:, ::-1]))
+
+    def window(theta: PolynomialNonlinearity, coeffs: np.ndarray) -> np.ndarray:
+        pad = np.zeros((S, 2, 4 * K + 1), dtype=np.complex128)
+
+        def band(c):  # the window entries of c's modes |k1| <= 2K, and those modes
+            kc, b = c.shape[1] // 2, min(c.shape[1] // 2, 2 * K)
+            return slice(2 * K - b, 2 * K + b + 1), c[:, kc - b : kc + b + 1]
+
+        at, vals = band(coeffs)
+        pad[:, 0, at] = vals
+        for v, darg in zip(("zeta", "omega", "zeta_bar", "omega_bar"), dargs):
+            P = theta.wirtinger(v)
+            if not P.is_zero():
+                at, vals = band(_products([along(P)], [darg], [0])[0])
+                pad[:, 1, at] += vals
+        return pad
+
+    pad_o = window(theta_o, th_o)
+    pad_o[:, :, 2 * K] = 0.0  # P_nonmean for the omega family
+    pad_ob = window(theta_ob, along(theta_ob))
+    # Remainder R = T_z v + T_zb conj v, one polynomial in the four slots.
+    rem = along(_times(F.wirtinger("zeta"), 1) + _times(F.wirtinger("zeta_bar"), 3), K)
 
     # Pair sums over rows k (ascending) and columns k2 (descending).  The
     # phases separate: e^{i delta t} Vhat(k2) = phase(k) vhat(k2) and
     # e^{i sigma t} conj(Vhat(-k2)) = phase(k) conj(vhat(-k2)), so each sum is
     # phase(k) times a masked matrix-vector product over k2.
-    n = 2 * K + 1
-    ks = np.arange(-K, K + 1)
     p = np.abs(ks.astype(float)) ** alpha
+    vhat = (1j * ks) * u
+    dv = 1j * p * vhat + dtv  # conj(phase) * dt Vhat
     cols = ks[::-1]
+    # Column vectors: k2 vhat(k2), k2 dv(k2) for the omega family and
+    # k2 conj(vhat(-k2)), k2 conj(dv(-k2)) for the omega_bar family.
+    x_o = np.stack([cols * vhat[:, ::-1], cols * dv[:, ::-1]], axis=-1)
+    x_ob = np.stack([cols * np.conj(vhat), cols * np.conj(dv)], axis=-1)
+    del dtu, dtv, dargs, vhat, dv  # not needed in the block loop
+    win_o, win_ob = (sliding_window_view(pad, n, axis=-1) for pad in (pad_o, pad_ob))
+    th_used = sliding_window_view(pad_o[:, 0] != 0, n, axis=-1)  # P_nonmean theta_omega != 0
+    # With both windows zero (F free of omega and omega_bar up to a mean
+    # theta_omega) every pair sum is an exact zero and no pair is used.
+    live = [s for s in range(S) if pad_o[s].any() or pad_ob[s].any()]
+    sums = np.zeros((S, 6, n), dtype=np.complex128)  # n11, n21, m1, k1, m2, k2 before the phase
+    min_ratio = [float("inf")] * S
+
     abs_cols = np.abs(cols)
     p_cols = p[::-1]
     q_cols = np.maximum(abs_cols.astype(float), 1.0) ** (alpha - 1.0)
-    snaps = [
-        _snapshot_sums(traj.snapshot_at(t), t, maps, p, alpha, eps)
-        for t in (traj.times if times is None else times)
-    ]
-    del maps  # their buffers are not needed in the block loop
-    live = [s for s in snaps if s.live]
-
     rows = max(1, _BLOCK_ENTRIES // n)
     for i0 in range(0, n, rows) if live else ():
         r = slice(i0, i0 + rows)
@@ -344,39 +259,28 @@ def decomposition_series(
         del sigma
 
         for s in live:
-            used = d2 & s.th_used[r, c]
+            used = d2 & th_used[s, r, c]
             if np.any(zero_delta & used):
                 raise AssertionError("zero denominator on the separated index set")
-            s.min_ratio = min(s.min_ratio, float(np.min(ratio, where=used, initial=np.inf)))
-            n11, n21, m1, k1_arr, m2, k2_arr = s.sums
-            n11[r] = (s.win_o[0, r] * d1) @ s.x_o[:, 0]
-            n21[r] = (s.win_ob[0, r] * d1) @ s.x_ob[:, 0]
+            min_ratio[s] = min(min_ratio[s], float(np.min(ratio, where=used, initial=np.inf)))
+            n11, n21, m1, k1_arr, m2, k2_arr = sums[s]
+            n11[r] = (win_o[s, 0, r] * d1) @ x_o[s, :, 0]
+            n21[r] = (win_ob[s, 0, r] * d1) @ x_ob[s, :, 0]
             # sep[f, :, d] = (field f * weight) @ column vector d
-            sep_o = (s.win_o[:, r, c] * w1) @ s.x_o[c]
-            sep_ob = (s.win_ob[:, r, c] * w2) @ s.x_ob[c]
-            m1[r] = sep_o[0, :, 0]
-            k1_arr[r] = sep_o[1, :, 0] + sep_o[0, :, 1]
-            m2[r] = sep_ob[0, :, 0]
-            k2_arr[r] = sep_ob[1, :, 0] + sep_ob[0, :, 1]
+            sep_o = (win_o[s, :, r, c] * w1) @ x_o[s, c]
+            sep_ob = (win_ob[s, :, r, c] * w2) @ x_ob[s, c]
+            m1[r], k1_arr[r] = sep_o[0, :, 0], sep_o[1, :, 0] + sep_o[0, :, 1]
+            m2[r], k2_arr[r] = sep_ob[0, :, 0], sep_ob[1, :, 0] + sep_ob[0, :, 1]
 
     out = []
-    for s in snaps:
-        n11, n21, m1, k1_arr, m2, k2_arr = s.sums
-        out.append(
-            ResonantParts(
-                time=s.time,
-                k=ks.copy(),
-                n11=1j * s.phase * n11,
-                n21=1j * s.phase * n21,
-                n3=s.n3,
-                m1=s.phase * m1,
-                m2=s.phase * m2,
-                k1=-s.phase * k1_arr,
-                k2=-s.phase * k2_arr,
-                mean_im=s.mean_im,
-                min_denominator_ratio=s.min_ratio,
-            )
-        )
+    for s, t in enumerate(times):
+        phase = np.exp(1j * p * t)
+        n11, n21, m1, k1_arr, m2, k2_arr = sums[s]
+        out.append(ResonantParts(
+            time=float(t), k=ks.copy(), n11=1j * phase * n11, n21=1j * phase * n21,
+            n3=phase * rem[s], m1=phase * m1, m2=phase * m2, k1=-phase * k1_arr,
+            k2=-phase * k2_arr, mean_im=float(mean_theta[s].imag), min_denominator_ratio=min_ratio[s],
+        ))
     return out
 
 
@@ -419,9 +323,7 @@ def resonant_norm_audit(
     }
     out: dict[str, PartNorms] = {}
     for name, sig in weights.items():
-        norms = np.array(
-            [sobolev_norm(SpectralField(p.by_name()[name], len(p.k) // 2), sig) for p in parts]
-        )
+        norms = np.array([_norms(p.by_name()[name], sig) for p in parts])
         initial, sup = float(norms[0]), float(np.max(norms))
         if sup <= 1e-10:
             flagged = False

@@ -33,7 +33,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .spectral import SpectralField, _fft, _ifft, _random_coefficients, padded_size
+from .spectral import SpectralField, _dx, _fft, _ifft, _random_coefficients, _samples, padded_size
 
 __all__ = [
     "PolynomialNonlinearity",
@@ -396,19 +396,14 @@ def _block_means(P: PolynomialNonlinearity, cutoff: int, coeffs: np.ndarray) -> 
     ``coeffs`` is (n, 2*cutoff+1).  Row for row this is the arithmetic of
     sampling u and derivative(u) with `SpectralField.to_samples` on the grid
     the product needs and averaging P over it, so each mean is bitwise equal
-    to the one-row call; the block takes one inverse transform of a (2n, m)
-    buffer (u rows, then u_x rows) and one `evaluate_values` call.
+    to the one-row call; one `spectral._samples` call samples the u rows and
+    then the u_x rows, and one `evaluate_values` call evaluates P.
     """
     if P.is_zero():
         return np.zeros(len(coeffs), dtype=np.complex128)
     k, n = cutoff, len(coeffs)
     m = padded_size(k, max(P.total_degree, 1) * k, 0)
-    rows = np.concatenate([coeffs, coeffs * (1j * np.arange(-k, k + 1))])
-    buf = np.zeros((2 * n, m), dtype=np.complex128)
-    buf[:, : k + 1] = rows[:, k:]
-    buf[:, m - k :] = rows[:, :k]
-    samples = _ifft(buf, 1 / m, np.empty_like(buf))
-    samples *= m
+    samples = _samples(np.concatenate([coeffs, _dx(coeffs)]), m)
     return np.mean(P.evaluate_values(samples[:n], samples[n:]), axis=1)
 
 

@@ -13,7 +13,11 @@ Operators provided as free functions: the Japanese bracket <D>^s (multiplier
 (1+k^2)^{s/2}), the mean-free antiderivative (multiplier 1/(ik) off k=0),
 and alias-free pointwise products via zero-padded FFT grids.  Every padded
 grid in the package is sized by `padded_size`: the next power of two up to
-64 points, the smallest 5-smooth length (2^a 3^b 5^c) above that.
+64 points, the smallest 5-smooth length (2^a 3^b 5^c) above that.  The
+multipliers, the sampling on a grid and back, and the product are row
+functions (`_bracket`, `_dx`, `_norms`, `_samples`, `_coefficients`,
+`_products`) on blocks of coefficient rows; the field functions are their
+one-row calls.
 """
 
 from __future__ import annotations
@@ -178,9 +182,7 @@ class SpectralField:
         m = samples.shape[0]
         if m < 2 * cutoff + 1:
             raise ValueError(f"{m} samples cannot resolve cutoff {cutoff}")
-        hat = _fft(samples, 1.0, np.empty_like(samples)) / m
-        ks = np.arange(-cutoff, cutoff + 1)
-        return cls(hat[np.mod(ks, m)], cutoff)
+        return cls(_coefficients(samples, cutoff), cutoff)
 
     # -- basic accessors ----------------------------------------------------
 
@@ -198,11 +200,7 @@ class SpectralField:
         m = npoints if npoints is not None else padded_size(k, k, k)
         if m < 2 * self.cutoff + 1:
             raise ValueError("sample grid too coarse for this cutoff")
-        buf = np.zeros(m, dtype=np.complex128)
-        buf[np.mod(self.wavenumbers(), m)] = self.coeffs  # distinct once m >= 2K+1
-        samples = _ifft(buf, 1 / m, np.empty_like(buf))
-        samples *= m
-        return samples
+        return _samples(self.coeffs, m)
 
     def with_cutoff(self, cutoff: int) -> "SpectralField":
         """Embed (zero pad) or truncate to a new cutoff."""
@@ -246,20 +244,17 @@ class SpectralField:
 
 def bracket_power(f: SpectralField, s: float) -> SpectralField:
     """<D>^s f: multiply mode k by (1+k^2)^{s/2}.  Any real s."""
-    k = f.wavenumbers().astype(float)
-    return SpectralField(f.coeffs * (1.0 + k * k) ** (s / 2.0), f.cutoff)
+    return SpectralField(_bracket(f.coeffs, s), f.cutoff)
 
 
 def sobolev_norm(f: SpectralField, s: float = 0.0) -> float:
     """H^s norm (sum <k>^{2s} |c(k)|^2)^{1/2}; s=0 is the L2 norm."""
-    k = f.wavenumbers().astype(float)
-    w = (1.0 + k * k) ** s
-    return float(np.sqrt(np.sum(w * np.abs(f.coeffs) ** 2)))
+    return float(_norms(f.coeffs, s))
 
 
 def derivative(f: SpectralField) -> SpectralField:
     """d/dx: multiply mode k by ik."""
-    return SpectralField(f.coeffs * (1j * f.wavenumbers()), f.cutoff)
+    return SpectralField(_dx(f.coeffs), f.cutoff)
 
 
 def antiderivative(f: SpectralField) -> SpectralField:
@@ -308,12 +303,75 @@ def pointwise_product(
     truncation); pass ``out_cutoff`` up to ``f.cutoff + g.cutoff`` for the
     full product.
     """
-    full = f.cutoff + g.cutoff
     kout = max(f.cutoff, g.cutoff) if out_cutoff is None else out_cutoff
-    kout = min(kout, full)
-    m = padded_size(max(f.cutoff, g.cutoff), full, kout)
-    vals = f.to_samples(m) * g.to_samples(m)
-    return SpectralField.from_samples(vals, kout)
+    coeffs = _products([f.coeffs], [g.coeffs], [0], kout)[0]
+    return SpectralField(coeffs, len(coeffs) // 2)
+
+
+# -- rows of coefficients ------------------------------------------------------
+#
+# Arrays (..., 2K+1) of coefficient rows, K read off the last axis.  A row
+# reduction keeps the one-row bits only on C-contiguous rows.
+
+
+def _modes(c: np.ndarray) -> np.ndarray:
+    """The wavenumbers -K..K of the rows of c."""
+    k = c.shape[-1] // 2
+    return np.arange(-k, k + 1)
+
+
+def _bracket(c: np.ndarray, s: float) -> np.ndarray:
+    """<D>^s of each row."""
+    k = _modes(c).astype(float)
+    return c * (1.0 + k * k) ** (s / 2.0)
+
+
+def _dx(c: np.ndarray) -> np.ndarray:
+    """d/dx of each row."""
+    return c * (1j * _modes(c))
+
+
+def _norms(c: np.ndarray, s: float) -> np.ndarray:
+    """The H^s norm of each row."""
+    k = _modes(c).astype(float)
+    return np.sqrt(np.sum((1.0 + k * k) ** s * np.abs(c) ** 2, axis=-1))
+
+
+def _samples(c: np.ndarray, m: int) -> np.ndarray:
+    """(..., m): the values of each row of c on m >= 2K+1 uniform points."""
+    k = c.shape[-1] // 2
+    buf = np.zeros((*c.shape[:-1], m), dtype=np.complex128)
+    buf[..., : k + 1] = c[..., k:]
+    buf[..., m - k :] = c[..., :k]
+    _ifft(buf, 1 / m, buf)
+    buf *= m
+    return buf
+
+
+def _coefficients(values: np.ndarray, cutoff: int) -> np.ndarray:
+    """(..., 2*cutoff+1): the modes |k| <= cutoff of each row of m >= 2*cutoff+1
+    samples, in fresh arrays (values is left as it is)."""
+    m = values.shape[-1]
+    hat = _fft(values, 1.0, np.empty_like(values))
+    return np.concatenate((hat[..., m - cutoff :], hat[..., : cutoff + 1]), axis=-1) / m
+
+
+def _products(f_ops, g_ops, f_of, kout: int | None = None) -> np.ndarray:
+    """(len(g_ops), ..., 2*kout+1): the products f_ops[f_of[j]] * g_ops[j] at
+    |k| <= kout (default and cap: the full bandwidth Kf + Kg).
+
+    The f operands share cutoff Kf and the g operands Kg, so every product
+    has one alias-free grid: one inverse transform samples the f operands,
+    one the g operands, and one forward transform returns every product.
+    """
+    kf, kg = f_ops[0].shape[-1] // 2, g_ops[0].shape[-1] // 2
+    full = kf + kg
+    kout = full if kout is None else min(kout, full)
+    m = padded_size(max(kf, kg), full, kout)
+    f_vals, prod = _samples(np.stack(f_ops), m), _samples(np.stack(g_ops), m)
+    for j, i in enumerate(f_of):
+        np.multiply(f_vals[i], prod[j], out=prod[j])
+    return _coefficients(prod, kout)
 
 
 # -- random fields -----------------------------------------------------------

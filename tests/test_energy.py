@@ -450,6 +450,13 @@ def test_audit_dissipative_flow_energy_nonincreasing():
     assert np.all(trace.coercivity_ok)
 
 
+def test_audit_rejects_no_snapshots():
+    # an empty record has no growth constant; it must not read as 0
+    cfg = EvolutionConfig(alpha=3.0, eps=0.0, cutoff=4, dt=1e-3, horizon=1e-3)
+    with pytest.raises(ValueError, match="no snapshots to audit"):
+        energy_audit(TrajectoryRecord(np.zeros(0), [], cfg), cubic(1j), 2.6)
+
+
 def test_audit_lipschitz_uniform_across_eps():
     phi = random_field(8, 4.0, np.random.default_rng(9), amplitude=0.2).with_cutoff(16)
     consts = []

@@ -322,6 +322,20 @@ def test_cli_audit_rejects_a_malformed_trajectory(tmp_path, capsys):
     bad.write_text("t,k,re,im\n" + "".join(kept))
     assert cli_main([*argv[:2], str(bad), *argv[3:]]) == 2
     assert f"{bad}:10: no row for mode 0 at t = 0.01" in capsys.readouterr().err
+    # a header without rows and a value that is not finite are rejected before
+    # anything is audited or written
+    out = tmp_path / "rejected"
+    for name, body, message in (
+        ("empty", "", ": no data rows"),
+        ("nan", rows + "0.03,1,nan,0\n", ":17: a value that is not finite"),
+        ("inf", rows.replace("0.01,2,0.1,0", "0.01,2,0.1,-inf"), ":11: a value that is not finite"),
+        ("inf_t", rows + "inf,0,0.1,0\n", ":17: a value that is not finite"),
+    ):
+        bad = tmp_path / f"{name}.csv"
+        bad.write_text("t,k,re,im\n" + body)
+        assert cli_main(["audit", "--trajectory", str(bad), "--sidecar", str(sidecar), "--out", str(out)]) == 2
+        assert f"{bad}{message}" in capsys.readouterr().err
+        assert not (out / "energy_trace.csv").exists()
     sidecar.write_text(json.dumps({k: v for k, v in meta.items() if k != "alpha"}))
     assert cli_main(argv) == 2
     assert capsys.readouterr().err == "error: 'alpha'\n"

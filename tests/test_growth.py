@@ -9,13 +9,11 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings, strategies as st
 
-from fnlslab.evolution import EvolutionConfig, TrajectoryRecord, integrate
+from fnlslab.evolution import EvolutionConfig, TrajectoryRecord, _multipliers, integrate
 from fnlslab.growth import (
     _BLOCK_ENTRIES,
     GrowthReport,
     ResonantParts,
-    _galerkin_time_derivative,
-    _pair_window,
     _times,
     directional_growth,
     decomposition_series,
@@ -151,6 +149,39 @@ def test_interaction_variable_constant_under_free_flow():
 
 
 # -- resonant decomposition ----------------------------------------------------------------
+
+
+def _pair_window(
+    fields: tuple[SpectralField, ...], cutoff: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Toeplitz view of the fields at k1 = k - k2, and the array it strides.
+
+    view[c, i, j] is the coefficient of fields[c] at k - k2 for row k = i - K
+    and column k2 = K - j (|k|, |k2| <= K = cutoff), zero outside the field's
+    band.  The view copies nothing: it reads pad[c, k1 + 2K], so a write to
+    pad shows in the view.
+    """
+    pad = np.zeros((len(fields), 4 * cutoff + 1), dtype=np.complex128)
+    for c, f in enumerate(fields):
+        band = min(f.cutoff, 2 * cutoff)
+        pad[c, 2 * cutoff - band : 2 * cutoff + band + 1] = f.coeffs[
+            f.cutoff - band : f.cutoff + band + 1
+        ]
+    return sliding_window_view(pad, 2 * cutoff + 1, axis=1), pad
+
+
+def _galerkin_time_derivative(
+    u: SpectralField,
+    f: np.ndarray,
+    alpha: float,
+    eps: float,
+    mean_re: float,
+) -> SpectralField:
+    """du/dt from the (gauge-shifted) evolution equation, f = F along u, at |k| <= cutoff."""
+    k = u.wavenumbers()
+    lin = _multipliers(k, alpha, eps) * u.coeffs
+    transport = -mean_re * (1j * k) * u.coeffs
+    return SpectralField(lin + f + transport, u.cutoff)
 
 
 def _single_snapshot_record(u, alpha, t):
@@ -757,6 +788,9 @@ def test_norm_audit_bounded_omega_dependent_run():
 
 
 def test_norm_audit_rejects_no_snapshots():
+    cfg = EvolutionConfig(alpha=3.0, eps=0.0, cutoff=8, dt=1e-3, horizon=1e-3)
+    traj = TrajectoryRecord(np.array([0.0]), [decaying_data(8)], cfg)
+    assert decomposition_series(traj, example_d(1.0, 1j), ()) == []
     with pytest.raises(ValueError, match="no snapshots"):
         resonant_norm_audit([], s=2.6, alpha=3.0)
 

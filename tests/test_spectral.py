@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 from fnlslab.spectral import (
     DealiasBudgetError,
     SpectralField,
+    _coefficients,
     _fft,
     _ifft,
     _random_coefficients,
+    _samples,
     antiderivative,
     bracket_power,
     conjugate,
@@ -96,8 +98,8 @@ def test_fft_binding_is_bitwise_numpy_fft(m):
     conventions = [
         (_ifft, 1.0, lambda a: np.fft.ifft(a, norm="forward")),  # the block plan's inverse
         (_fft, 1 / m, lambda a: np.fft.fft(a, norm="forward")),  # its forward
-        (_ifft, 1 / m, np.fft.ifft),  # _block_means and to_samples, then * m
-        (_fft, 1.0, np.fft.fft),  # from_samples, then / m
+        (_ifft, 1 / m, np.fft.ifft),  # the sampler _samples, then * m
+        (_fft, 1.0, np.fft.fft),  # its inverse _coefficients, then / m
     ]
     rng = np.random.default_rng(m)
     b = 3
@@ -116,16 +118,47 @@ def test_fft_binding_is_bitwise_numpy_fft(m):
             assert flat[0] == flat[-1] == 0
 
 
+def _numpy_samples(c, m):
+    """ifft(buf) * m of the coefficients c (|k| <= K) placed at k mod m."""
+    buf = np.zeros(m, dtype=np.complex128)
+    buf[np.mod(np.arange(len(c)) - len(c) // 2, m)] = c
+    return np.fft.ifft(buf) * m
+
+
+def _numpy_coefficients(values, cutoff):
+    """fft(values) / m at the modes |k| <= cutoff."""
+    m = len(values)
+    return (np.fft.fft(values) / m)[np.mod(np.arange(-cutoff, cutoff + 1), m)]
+
+
 def test_samples_transforms_are_bitwise_numpy_fft():
     f = random_field(3, 1.0, np.random.default_rng(2))
     for m in (8, 135):
-        at = np.mod(f.wavenumbers(), m)
-        buf = np.zeros(m, dtype=np.complex128)
-        buf[at] = f.coeffs
         samples = f.to_samples(m)
-        assert samples.tobytes() == (np.fft.ifft(buf) * m).tobytes()
+        assert samples.tobytes() == _numpy_samples(f.coeffs, m).tobytes()
+        kept = samples.tobytes()
         back = SpectralField.from_samples(samples, 3)
-        assert back.coeffs.tobytes() == (np.fft.fft(samples) / m)[at].tobytes()
+        assert samples.tobytes() == kept  # from_samples leaves its input as it is
+        assert back.coeffs.tobytes() == _numpy_coefficients(samples, 3).tobytes()
+    # a (2, 3)-row block samples and comes back row by row
+    rng = np.random.default_rng(3)
+    block = rng.standard_normal((2, 3, 9)) + 1j * rng.standard_normal((2, 3, 9))
+    values = _samples(block, 135)
+    assert values.shape == (2, 3, 135)
+    rows = _coefficients(values, 6)
+    for i, j in np.ndindex(2, 3):
+        assert values[i, j].tobytes() == _numpy_samples(block[i, j], 135).tobytes()
+        assert rows[i, j].tobytes() == _numpy_coefficients(values[i, j], 6).tobytes()
+    # products at out_cutoff 0, max(cutoffs) and full bandwidth, on 8 points
+    # and on 5-smooth grids
+    for (kf, kg), grids in (((1, 2), (8, 8, 8)), ((30, 40), (90, 120, 144))):
+        f, g = random_field(kf, 1.0, rng), random_field(kg, 1.0, rng)
+        for kout, m in zip((0, kg, kf + kg), grids):
+            assert padded_size(kg, kf + kg, kout) == m
+            vals = _numpy_samples(f.coeffs, m) * _numpy_samples(g.coeffs, m)
+            got = pointwise_product(f, g, out_cutoff=kout)
+            assert got.cutoff == kout
+            assert got.coeffs.tobytes() == _numpy_coefficients(vals, kout).tobytes()
 
 
 def test_value_semantics():
