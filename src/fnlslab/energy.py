@@ -27,8 +27,10 @@ Flux terms K_n are the boundary terms produced when differentiating L_n in
 time; the n-th one cancels against the (n+1)-th, which is what the ladder
 audit exercises numerically.
 
-energy_audit evaluates E along a whole trajectory with one coefficient map
-of F_omega for all its snapshots; modified_energy is its one-snapshot call.
+energy_audit evaluates E along a trajectory as one series over the (S, 2K+1)
+array of its snapshot coefficients, in blocks, with `spectral`'s row functions
+and one coefficient map of F_omega; modified_energy and correction_term are
+its one-row calls.
 
 Formally setting alpha = 2 turns the coefficients into 1/n! and the exponents
 all into r-1; the series then sums to an exponential weight
@@ -50,15 +52,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import TrajectoryRecord
-from .nonlinearity import PolynomialNonlinearity
+from .nonlinearity import PolynomialNonlinearity, _rows_coefficient_map
 from .spectral import (
     SpectralField,
-    antiderivative,
-    bracket_power,
-    derivative,
-    imag_part,
+    _block_size,
+    _bracket,
+    _dx,
+    _dxinv,
+    _imag,
+    _norms,
+    _samples,
     padded_size,
-    sobolev_norm,
 )
 
 __all__ = [
@@ -150,21 +154,52 @@ class CorrectionLadder:
 # -- alias-free weighted integrals ----------------------------------------------
 
 
-def _weight_field(F: PolynomialNonlinearity, u: SpectralField) -> SpectralField:
-    """g = dxinv Im T_w along u, at full product bandwidth."""
-    theta = F.wirtinger("omega").evaluate(u)
-    return antiderivative(imag_part(theta))
+def _ladder_grid(n: int, kg: int, kw: int) -> int:
+    """The alias-free grid of an order-n ladder integrand g^n w w', g of cutoff
+    kg and w, w' of kw: the grid of L_n, of K_n and of the gauge-limit sums."""
+    return padded_size(max(kg, kw), n * kg + 2 * kw, 0)
+
+
+def _weighted(u, F: PolynomialNonlinearity, depth: int = 1):
+    """(rows, T_w, g = dxinv Im T_w) of each block of the S rows u of 2K+1
+    coefficients (an array, or a list of rows), stacked one block at a time,
+    the blocks of `spectral._block_size` on L_depth's grid.  T_w, each row
+    bitwise `F.wirtinger("omega").evaluate`, comes from one map built for a
+    full block; the last block's missing rows are zero rows for it."""
+    P = F.wirtinger("omega")
+    k = len(u[0]) // 2
+    kg = max(P.total_degree, 1) * k
+    b = _block_size(len(u), _ladder_grid(depth, kg, k))
+    theta_of = _rows_coefficient_map([P] * b, [k] * b, k, [kg] * b, kg)
+    for i in range(0, len(u), b):
+        block = u[i : i + b]
+        rows = np.zeros((b, 2 * k + 1), np.complex128)
+        rows[: len(block)] = block
+        theta = theta_of(rows)[: len(block)]
+        yield rows[: len(block)], theta, _dxinv(_imag(theta))
+
+
+def _corrections(g: np.ndarray, v: np.ndarray, alpha: float, r: float, ns) -> np.ndarray:
+    """(B, len(ns)): L_n for n in ns of each row's weight g and quadratic slot v."""
+    cols = []
+    for n in ns:
+        w = _bracket(v, r - 1.0 - (alpha - 2.0) * n / 2.0)
+        m = _ladder_grid(n, g.shape[-1] // 2, w.shape[-1] // 2)
+        gv, wv = np.real(_samples(g, m)), _samples(w, m)
+        cols.append(correction_coefficient(n, alpha) * np.mean(gv**n * np.abs(wv) ** 2, axis=-1))
+    return np.stack(cols, axis=-1)
 
 
 def _weight_and_slot(n, u, F, alpha, v, last):
-    """g = dxinv Im T_w along u and the quadratic slot (v, else u_x) of the
+    """One-row g = dxinv Im T_w along u and quadratic slot (v, else u_x) of the
     order-n integral whose last order is `last` past the ladder's depth: 0 for
     L_n, 1 for K_n (K_{N+1} appears when auditing the last cancellation)."""
     if alpha < 2:
         raise ValueError("alpha must be >= 2")
     if n < 1 or (alpha > 2 and n > ladder_depth(alpha) + last):
         raise ValueError(f"n={n} outside the ladder for alpha={alpha}")
-    return _weight_field(F, u), derivative(u) if v is None else v
+    ((rows, _, g),) = _weighted(u.coeffs[None], F)
+    return g, _dx(rows) if v is None else v.coeffs[None]
 
 
 def correction_term(
@@ -176,16 +211,8 @@ def correction_term(
     v: SpectralField | None = None,
 ) -> float:
     """L_n evaluated alias-free.  alpha = 2 is accepted for the gauge-limit diagnostic."""
-    return _rung(n, *_weight_and_slot(n, u, F, alpha, v, 0), alpha, r)
-
-
-def _rung(n: int, g: SpectralField, v: SpectralField, alpha: float, r: float) -> float:
-    """L_n for the weight g = dxinv Im T_w and the quadratic slot v."""
-    w = bracket_power(v, r - 1.0 - (alpha - 2.0) * n / 2.0)
-    m = padded_size(max(g.cutoff, w.cutoff), n * g.cutoff + 2 * w.cutoff, 0)
-    gv = np.real(g.to_samples(m))
-    wv = w.to_samples(m)
-    return correction_coefficient(n, alpha) * float(np.mean(gv**n * np.abs(wv) ** 2))
+    g, v = _weight_and_slot(n, u, F, alpha, v, 0)
+    return float(_corrections(g, v, alpha, r, [n])[0, 0])
 
 
 def flux_term(
@@ -203,11 +230,10 @@ def flux_term(
     """
     g, v = _weight_and_slot(n, u, F, alpha, v, 1)
     sp = r - 1.0 - (alpha - 2.0) * (n - 1) / 2.0
-    w1 = bracket_power(v, sp)
-    w2 = bracket_power(derivative(v), sp)
-    m = padded_size(max(g.cutoff, v.cutoff), n * g.cutoff + 2 * v.cutoff, 0)
-    dgn = n * np.real(g.to_samples(m)) ** (n - 1) * np.real(derivative(g).to_samples(m))
-    val = np.mean(dgn * w2.to_samples(m) * np.conj(w1.to_samples(m)))
+    m = _ladder_grid(n, g.shape[-1] // 2, v.shape[-1] // 2)
+    gv, dgv = np.real(_samples(np.concatenate((g, _dx(g))), m))
+    w1, w2 = _samples(np.concatenate((_bracket(v, sp), _bracket(_dx(v), sp))), m)
+    val = np.mean(n * gv ** (n - 1) * dgv * w2 * np.conj(w1))
     return -alpha * correction_coefficient(n, alpha) * float(val.imag)
 
 
@@ -233,37 +259,32 @@ def modified_energy(
     ladder: CorrectionLadder,
 ) -> ModifiedEnergy:
     """E and the coercivity sandwich at one snapshot: `energy_audit`'s one-snapshot call."""
-    return next(_energies([u], u.cutoff, F, ladder))
+    return next(_energies(u.coeffs[None], F, ladder))
 
 
-def _energies(snapshots, cutoff: int, F: PolynomialNonlinearity, ladder: CorrectionLadder):
-    """The ModifiedEnergy of each snapshot (all of this cutoff), in order.
-
-    T_w comes from one coefficient map of F_omega, built here once for all
-    the snapshots; each is bitwise `F.wirtinger("omega").evaluate(u)`.
-    """
-    alpha, r = ladder.alpha, ladder.r
-    theta_of = F.wirtinger("omega").coefficient_map(cutoff)
-    for u in snapshots:
-        v = derivative(u)
-        nu = sobolev_norm(u, r - 1.0)
-        nv = sobolev_norm(v, r - 1.0)
-        coeffs = theta_of(u.coeffs)
-        theta = SpectralField(coeffs, len(coeffs) // 2)
-        w = sobolev_norm(theta, 0.0)
-        mean_im = float(theta.coefficient(0).imag)
-        g = antiderivative(imag_part(theta))  # _weight_field(F, u), shared by every rung
-        ls = tuple(_rung(n, g, v, alpha, r) for n in range(1, ladder.depth + 1))
-        e2 = nu**2 + nv**2 + sum(ls) + ladder.a * nu**2 * w ** (2 * ladder.depth)
-        if e2 < 0:
-            raise ArithmeticError(
-                "negative energy radicand: the Young constants failed coercivity"
-            )
-        lower = nu**2 + 0.5 * nv**2
-        upper = nu**2 + 1.5 * nv**2 + 2.0 * ladder.a * nu**2 * w ** (2 * ladder.depth)
-        slack = 1e-12 * max(1.0, e2)
-        coercive = (lower <= e2 + slack) and (e2 <= upper + slack)
-        yield ModifiedEnergy(math.sqrt(e2), nu, nv, ls, w, mean_im, coercive, lower, upper)
+def _energies(u, F: PolynomialNonlinearity, ladder: CorrectionLadder):
+    """The ModifiedEnergy of each of the S rows u, in order, block by block."""
+    alpha, r, depth, a = ladder.alpha, ladder.r, ladder.depth, ladder.a
+    for rows, theta, g in _weighted(u, F, depth):
+        v = _dx(rows)
+        for nu, nv, w, mean_im, ls in zip(
+            _norms(rows, r - 1.0).tolist(),
+            _norms(v, r - 1.0).tolist(),
+            _norms(theta, 0.0).tolist(),
+            theta[:, theta.shape[-1] // 2].imag.tolist(),
+            _corrections(g, v, alpha, r, range(1, depth + 1)).tolist(),
+        ):
+            ls = tuple(ls)
+            e2 = nu**2 + nv**2 + sum(ls) + a * nu**2 * w ** (2 * depth)
+            if e2 < 0:
+                raise ArithmeticError(
+                    "negative energy radicand: the Young constants failed coercivity"
+                )
+            lower = nu**2 + 0.5 * nv**2
+            upper = nu**2 + 1.5 * nv**2 + 2.0 * a * nu**2 * w ** (2 * depth)
+            slack = 1e-12 * max(1.0, e2)
+            coercive = (lower <= e2 + slack) and (e2 <= upper + slack)
+            yield ModifiedEnergy(math.sqrt(e2), nu, nv, ls, w, mean_im, coercive, lower, upper)
 
 
 @dataclass
@@ -285,8 +306,8 @@ class EnergyTrace:
 def energy_audit(traj: TrajectoryRecord, F: PolynomialNonlinearity, r: float) -> EnergyTrace:
     """Energy components per snapshot plus the empirical growth constant.
 
-    The ladder is CorrectionLadder.build(traj.config.alpha, r), and one
-    coefficient map of F_omega serves every snapshot.  The differential
+    The ladder is CorrectionLadder.build(traj.config.alpha, r), and the
+    snapshots are audited as rows, block by block.  The differential
     inequality bounds the increase of log(1 + E) only, so the reported
     constant is the maximal positive centered-difference slope.  A record
     without snapshots is a ValueError.
@@ -294,7 +315,7 @@ def energy_audit(traj: TrajectoryRecord, F: PolynomialNonlinearity, r: float) ->
     if not traj.snapshots:
         raise ValueError("no snapshots to audit")
     ladder = CorrectionLadder.build(traj.config.alpha, r)
-    rows = list(_energies(traj.snapshots, traj.config.cutoff, F, ladder))
+    rows = list(_energies([u.coeffs for u in traj.snapshots], F, ladder))
     e = np.array([m.value for m in rows])
     slopes = np.gradient(np.log1p(e), traj.times) if len(e) > 1 else np.zeros(1)
     lip = float(max(0.0, np.max(slopes)))
@@ -336,20 +357,14 @@ def gauge_limit_partial_sums(
 
     Returns (partial sums for m = 0..n_terms, exponential integral).
     """
-    v = derivative(u)
-    g = _weight_field(F, u)
-    w = bracket_power(v, r - 1.0)
+    ((_, _, g),) = _weighted(u.coeffs[None], F)
     # exact for every partial sum; exp(g) aliases only through terms past n_terms
-    m = padded_size(max(g.cutoff, w.cutoff), n_terms * g.cutoff + 2 * w.cutoff, 0)
-    gv = np.real(g.to_samples(m))
-    w2 = np.abs(w.to_samples(m)) ** 2
+    m = _ladder_grid(n_terms, g.shape[-1] // 2, u.cutoff)
+    gv = np.real(_samples(g[0], m))
+    w2 = np.abs(_samples(_bracket(_dx(u.coeffs), r - 1.0), m)) ** 2
     target = float(np.mean(np.exp(gv) * w2))
-    sums = np.zeros(n_terms + 1)
-    acc = 0.0
-    for n in range(n_terms + 1):
-        acc += float(np.mean(gv**n * w2)) / math.factorial(n)
-        sums[n] = acc
-    return sums, target
+    terms = [float(np.mean(gv**n * w2)) / math.factorial(n) for n in range(n_terms + 1)]
+    return np.cumsum(terms), target
 
 
 def write_energy_csv(trace: EnergyTrace, path) -> None:

@@ -25,12 +25,12 @@ O(K^{s-2}) rather than O(K^{s-1}), which the frequency-separated family
 checks by fitting the exponent.
 
 An ensemble draws each cutoff's pairs together and evaluates them as blocks
-of pairs: one block per cutoff, split only where it would pass
-`_BLOCK_POINTS` (rows x grid points).  The block arithmetic is the row
-functions of `spectral`: the f operands of a block are sampled in one
-inverse transform, the g operands in another, and every product comes back
-in one forward transform.  The pair functions are the block code's one-row
-calls.
+of pairs: one block per cutoff, split by `spectral._block_size` only where
+it would pass the budget of rows x grid points that the energy audit shares.
+The block arithmetic is the row functions of `spectral`: the f operands of a
+block are sampled in one inverse transform, the g operands in another, and
+every product comes back in one forward transform.  `refined_commutator` is
+the block code's one-row call.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ import numpy as np
 
 from .spectral import (
     SpectralField,
+    _block_size,
     _bracket,
     _dx,
     _norms,
@@ -53,11 +54,7 @@ from .spectral import (
 __all__ = [
     "EnsembleSpec",
     "RatioReport",
-    "bilinear_ratio",
-    "commutator_bracket",
     "refined_commutator",
-    "commutator_ratio",
-    "refined_commutator_ratio",
     "run_ensemble",
     "bounded_constant_check",
     "cancellation_exponent",
@@ -67,11 +64,6 @@ __all__ = [
 
 DEFAULT_EPS = 0.1
 _SEPARATED_LOW = 3  # the largest low mode of a separated pair's f
-# The most rows x padded-grid points one block evaluates.  A block's arrays
-# take about 160 bytes per such point at once: the 8 pairs of a cutoff-256
-# ensemble took 1.4 MB as one block and take 0.6 MB as three, for about 1 ms
-# more of the 16 ms of `run_estimates` on a 2-core Xeon.
-_BLOCK_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -112,42 +104,11 @@ class RatioReport:
     growth_factors: np.ndarray  # max_ratio[i+1] / max_ratio[i]
 
 
-def bilinear_ratio(
-    s0: float, s1: float, s2: float, f: SpectralField, g: SpectralField
-) -> float:
-    """||fg||_{H^{-s0}} / (||f||_{H^{s1}} ||g||_{H^{s2}}); 0/0 -> 0.
-
-    The exponent triple must satisfy one of the two hypothesis sets,
-    otherwise the ratio is meaningless and a ValueError is raised.
-    """
-    return float(_bilinear_ratios(s0, s1, s2, f.coeffs[None], g.coeffs[None])[0])
-
-
-def commutator_bracket(s: float, f: SpectralField, g: SpectralField) -> SpectralField:
-    """[<D>^s, f] g_x = <D>^s(f g_x) - f <D>^s g_x, at full product bandwidth."""
-    return SpectralField(
-        _commutator_brackets(s, f.coeffs[None], g.coeffs[None])[0], f.cutoff + g.cutoff
-    )
-
-
 def refined_commutator(s: float, f: SpectralField, g: SpectralField) -> SpectralField:
     """<D>^s(fg) - f <D>^s g + s f_x <D>^{s-2} g_x."""
     return SpectralField(
         _refined_commutators(s, f.coeffs[None], g.coeffs[None])[0], f.cutoff + g.cutoff
     )
-
-
-def commutator_ratio(
-    s: float, f: SpectralField, g: SpectralField, eps: float = DEFAULT_EPS
-) -> float:
-    """L2 norm of the commutator against the proved right-hand side (s >= 0 or s < 0)."""
-    return float(_commutator_ratios(s, eps, f.coeffs[None], g.coeffs[None])[0])
-
-
-def refined_commutator_ratio(
-    s: float, f: SpectralField, g: SpectralField, eps: float = DEFAULT_EPS
-) -> float:
-    return float(_refined_commutator_ratios(s, eps, f.coeffs[None], g.coeffs[None])[0])
 
 
 # -- the block code -------------------------------------------------------------
@@ -256,8 +217,8 @@ def run_ensemble(op: str, spec: EnsembleSpec, **params) -> RatioReport:
     """Evaluate one estimate's ratio over Gaussian + adversarial ensembles.
 
     params: bilinear needs s0, s1, s2; the commutators need s (and accept eps).
-    Each cutoff's pairs are drawn together and evaluated in as few equal
-    blocks as keep each within `_BLOCK_POINTS`.
+    Each cutoff's pairs are drawn together and evaluated in as few blocks of
+    `spectral._block_size` as keep them within `spectral._BLOCK_POINTS`.
     """
     if op not in ESTIMATE_NAMES:
         raise ValueError(f"unknown estimate {op!r}")
@@ -274,11 +235,8 @@ def run_ensemble(op: str, spec: EnsembleSpec, **params) -> RatioReport:
     maxr, medr = [], []
     for cutoff in spec.cutoffs:
         f, g = _sample_block(cutoff, spec, rng)
-        points = len(f) * padded_size(cutoff, 2 * cutoff, 2 * cutoff)
-        parts = min(len(f), -(-points // _BLOCK_POINTS))
-        ratios = np.concatenate(
-            [ratios_of(a, b) for a, b in zip(np.array_split(f, parts), np.array_split(g, parts))]
-        )
+        b = _block_size(len(f), padded_size(cutoff, 2 * cutoff, 2 * cutoff))
+        ratios = np.concatenate([ratios_of(f[i : i + b], g[i : i + b]) for i in range(0, len(f), b)])
         maxr.append(float(np.max(ratios)))
         medr.append(float(np.median(ratios)))
     maxr = np.asarray(maxr)

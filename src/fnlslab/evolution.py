@@ -447,9 +447,10 @@ def write_trajectory(
 def read_trajectory(csv_path, json_path) -> TrajectoryRecord:
     """The record stored by `write_trajectory`.  A sidecar may omit record_every
     and blowup_ceiling, which then take their defaults; a missing other field
-    is a KeyError.  A CSV mode outside the sidecar's cutoff, a value that is
-    not finite, a second row for one (t, k), a snapshot without a row for some
-    mode and a CSV without rows are ValueErrors."""
+    is a KeyError.  A CSV whose first line is not the header ``t,k,re,im``, a
+    mode outside the sidecar's cutoff, a value that is not finite, a second row
+    for one (t, k), a snapshot without a row for some mode and a CSV without
+    rows are ValueErrors."""
     with open(json_path) as fh:
         meta = json.load(fh)
     return _trajectory_from(csv_path, meta)
@@ -464,7 +465,9 @@ def _trajectory_from(csv_path, meta: dict) -> TrajectoryRecord:
     rows: dict[float, dict[int, complex]] = {}  # time -> mode -> coefficient
     last: dict[float, int] = {}  # time -> the line of its last row
     with open(csv_path) as fh:
-        fh.readline()
+        header = fh.readline().strip()
+        if header != "t,k,re,im":
+            raise ValueError(f"{csv_path}:1: header {header!r}, not 't,k,re,im'")
         for ln, line in enumerate(fh, 2):
             line = line.strip()
             if not line:

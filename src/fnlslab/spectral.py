@@ -15,9 +15,10 @@ and alias-free pointwise products via zero-padded FFT grids.  Every padded
 grid in the package is sized by `padded_size`: the next power of two up to
 64 points, the smallest 5-smooth length (2^a 3^b 5^c) above that.  The
 multipliers, the sampling on a grid and back, and the product are row
-functions (`_bracket`, `_dx`, `_norms`, `_samples`, `_coefficients`,
-`_products`) on blocks of coefficient rows; the field functions are their
-one-row calls.
+functions (`_bracket`, `_dx`, `_dxinv`, `_imag`, `_norms`, `_samples`,
+`_coefficients`, `_products`) on blocks of coefficient rows; the field
+functions are their one-row calls.  `_block_size` holds blocks of rows to
+one budget, `_BLOCK_POINTS` rows x grid points.
 """
 
 from __future__ import annotations
@@ -262,11 +263,7 @@ def antiderivative(f: SpectralField) -> SpectralField:
 
     Satisfies d/dx (antiderivative f) = P_nonmean f.
     """
-    k = f.wavenumbers()
-    out = np.zeros_like(f.coeffs)
-    nz = k != 0
-    out[nz] = f.coeffs[nz] / (1j * k[nz])
-    return SpectralField(out, f.cutoff)
+    return SpectralField(_dxinv(f.coeffs), f.cutoff)
 
 
 def conjugate(f: SpectralField) -> SpectralField:
@@ -275,7 +272,7 @@ def conjugate(f: SpectralField) -> SpectralField:
 
 
 def imag_part(f: SpectralField) -> SpectralField:
-    return (-0.5j) * (f - conjugate(f))
+    return SpectralField(_imag(f.coeffs), f.cutoff)
 
 
 def translate(f: SpectralField, a: float) -> SpectralField:
@@ -331,6 +328,17 @@ def _dx(c: np.ndarray) -> np.ndarray:
     return c * (1j * _modes(c))
 
 
+def _dxinv(c: np.ndarray) -> np.ndarray:
+    """The mean-free antiderivative of each row: c(k)/(ik) off k = 0."""
+    k = _modes(c)
+    return np.divide(c, 1j * k, out=np.zeros_like(c), where=k != 0)
+
+
+def _imag(c: np.ndarray) -> np.ndarray:
+    """The imaginary part of each row's function: c(k) - conj(c(-k)), times -i/2."""
+    return (c - np.conj(c[..., ::-1])) * -0.5j
+
+
 def _norms(c: np.ndarray, s: float) -> np.ndarray:
     """The H^s norm of each row."""
     k = _modes(c).astype(float)
@@ -372,6 +380,19 @@ def _products(f_ops, g_ops, f_of, kout: int | None = None) -> np.ndarray:
     for j, i in enumerate(f_of):
         np.multiply(f_vals[i], prod[j], out=prod[j])
     return _coefficients(prod, kout)
+
+
+# The most rows x padded-grid points one block evaluates.  A block's arrays
+# take about 160 bytes per such point at once: the 8 pairs of a cutoff-256
+# ensemble took 1.4 MB as one block and take 0.6 MB as three, for about 1 ms
+# more of the 16 ms of `run_estimates` on a 2-core Xeon.
+_BLOCK_POINTS = 4096
+
+
+def _block_size(count: int, m: int) -> int:
+    """Rows per block for count rows on m-point grids: as few blocks as keep
+    rows x m within _BLOCK_POINTS on average, the last one maybe short."""
+    return -(-count // min(count, -(-count * m // _BLOCK_POINTS)))
 
 
 # -- random fields -----------------------------------------------------------

@@ -11,8 +11,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from fnlslab import energy, spectral
 from fnlslab.energy import (
     CorrectionLadder,
     correction_coefficient,
@@ -294,21 +295,22 @@ def test_energy_of_zero_field():
 
 def test_modified_energy_evaluates_the_weight_once(monkeypatch):
     # depth 3 at alpha = 2.4: one F_omega coefficient map per modified_energy
-    # and per energy_audit, whatever its snapshot count, and each rung
-    # bitwise equal to the public correction_term
+    # and per energy_audit, whatever its snapshot count (100 snapshots are
+    # three blocks of L_3's 100-point grid), and each rung bitwise equal to
+    # the public correction_term
     lad = CorrectionLadder.build(2.4, 2.3)
     u = random_field(12, 3.0, np.random.default_rng(5), amplitude=0.8)
     builds = []
-    coefficient_map = PolynomialNonlinearity.coefficient_map
+    rows_coefficient_map = energy._rows_coefficient_map
     monkeypatch.setattr(
-        PolynomialNonlinearity,
-        "coefficient_map",
-        lambda *a, **k: builds.append(1) or coefficient_map(*a, **k),
+        energy,
+        "_rows_coefficient_map",
+        lambda *a, **k: builds.append(1) or rows_coefficient_map(*a, **k),
     )
     me = modified_energy(u, BALANCED_IMAG, lad)
     assert len(builds) == 1
     cfg = EvolutionConfig(alpha=2.4, cutoff=12, dt=1e-3, horizon=1e-3)
-    for count in (1, 2, 7):
+    for count in (1, 2, 7, 100):
         builds.clear()
         traj = TrajectoryRecord(np.arange(count) * 1e-3, [u] * count, cfg)
         trace = energy_audit(traj, BALANCED_IMAG, 2.3)
@@ -355,18 +357,30 @@ AUDIT_FAMILIES = (cubic(1j), example_d(1.0, 2.0), BALANCED_IMAG, example_b(1.0, 
     alpha=st.floats(2.25, 4.0),
     cutoff=st.sampled_from([3, 8, 21, 40]),
     family=st.integers(0, len(AUDIT_FAMILIES) - 1),
-    count=st.integers(1, 5),
+    count=st.integers(1, 12),
     seed=st.integers(0, 2**16),
     amplitude=st.floats(0.05, 1.5),
+    block_points=st.sampled_from([spectral._BLOCK_POINTS, 500, 1]),  # 1: a block per snapshot
 )
+# blocks of 6 and 5 rows on L_4's 405-point grid, of 4, 4 and 3 on L_2's 128
+# points, and of one row each
+@example(2.25, 40, 1, 11, 3, 0.7, spectral._BLOCK_POINTS)
+@example(2.5, 21, 2, 11, 4, 0.9, 500)
+@example(3.0, 8, 3, 7, 5, 1.2, 1)
 @settings(max_examples=40, deadline=None)
-def test_audit_is_bitwise_the_per_snapshot_energy(alpha, cutoff, family, count, seed, amplitude):
+def test_audit_is_bitwise_the_per_snapshot_energy(
+    alpha, cutoff, family, count, seed, amplitude, block_points
+):
     F, r = AUDIT_FAMILIES[family], max(alpha / 2.0 + 1.0, 2.5) + 0.1
     rng = np.random.default_rng(seed)
     snaps = [random_field(cutoff, r + 1.0, rng, amplitude=amplitude) for _ in range(count)]
     times = np.cumsum(rng.uniform(1e-3, 1e-1, count))
     cfg = EvolutionConfig(alpha=alpha, cutoff=cutoff, dt=1e-3, horizon=1e-3)
-    trace = energy_audit(TrajectoryRecord(times, snaps, cfg), F, r)
+    kept, spectral._BLOCK_POINTS = spectral._BLOCK_POINTS, block_points
+    try:
+        trace = energy_audit(TrajectoryRecord(times, snaps, cfg), F, r)
+    finally:
+        spectral._BLOCK_POINTS = kept
     ladder = CorrectionLadder.build(alpha, r)
     rows = [_oracle_modified_energy(u, F, ladder) for u in snaps]
     e = np.array([m.value for m in rows])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fnlslab import estimates
+from fnlslab import spectral
 from fnlslab.estimates import (
     DEFAULT_EPS,
     ESTIMATE_NAMES,
@@ -17,13 +17,9 @@ from fnlslab.estimates import (
     _refined_commutator_ratios,
     _refined_commutators,
     _separated_pair,
-    bilinear_ratio,
     bounded_constant_check,
     cancellation_exponent,
-    commutator_bracket,
-    commutator_ratio,
     refined_commutator,
-    refined_commutator_ratio,
     run_ensemble,
     write_ratio_csv,
 )
@@ -37,28 +33,38 @@ from fnlslab.spectral import (
 )
 
 
+def one_row(block_fn, *args):
+    """The row of block_fn on one-row blocks, the coefficients of each field in args."""
+    return block_fn(*(a.coeffs[None] if isinstance(a, SpectralField) else a for a in args))[0]
+
+
+def commutator_bracket(s, f, g):
+    """[<D>^s, f] g_x as a field: the one-row call of `_commutator_brackets`."""
+    return SpectralField(one_row(_commutator_brackets, s, f, g), f.cutoff + g.cutoff)
+
+
 def test_bilinear_ratio_constants():
     one = SpectralField.constant(1.0)
-    assert bilinear_ratio(0.0, 1.0, 1.0, one, one) == pytest.approx(1.0)
+    assert one_row(_bilinear_ratios, 0.0, 1.0, 1.0, one, one) == pytest.approx(1.0)
 
 
 def test_bilinear_ratio_opposite_modes():
     f = SpectralField.from_modes({1: 1.0}, 1)
     g = SpectralField.from_modes({-1: 1.0}, 1)
     # fg = 1, each factor has H^1 norm sqrt(2): ratio 1/2
-    assert bilinear_ratio(0.0, 1.0, 1.0, f, g) == pytest.approx(0.5)
+    assert one_row(_bilinear_ratios, 0.0, 1.0, 1.0, f, g) == pytest.approx(0.5)
 
 
 def test_bilinear_hypotheses_enforced():
     f = SpectralField.constant(1.0)
     with pytest.raises(ValueError):
-        bilinear_ratio(0.0, 0.2, 0.2, f, f)  # total below 1/2 on both branches
+        one_row(_bilinear_ratios, 0.0, 0.2, 0.2, f, f)  # total below 1/2 on both branches
     with pytest.raises(ValueError):
-        bilinear_ratio(2.0, -1.5, 1.0, f, f)  # min pair sum negative
+        one_row(_bilinear_ratios, 2.0, -1.5, 1.0, f, f)  # min pair sum negative
     # exact total 1/2 is allowed when every pair sum is strictly positive
-    bilinear_ratio(0.0, 0.25, 0.25, f, f)
+    one_row(_bilinear_ratios, 0.0, 0.25, 0.25, f, f)
     # zero fields: 0/0 -> 0
-    assert bilinear_ratio(0.0, 1.0, 1.0, SpectralField.zeros(2), f) == 0.0
+    assert one_row(_bilinear_ratios, 0.0, 1.0, 1.0, SpectralField.zeros(2), f) == 0.0
 
 
 def test_commutator_trivial_cases():
@@ -127,7 +133,7 @@ def test_single_sample_report_is_the_single_ratio():
     rng = np.random.default_rng(5)
     f = random_field(16, spec.decay, rng)
     g = random_field(16, spec.decay, rng)
-    expect = bilinear_ratio(0.0, 1.0, 1.0, f, g)
+    expect = one_row(_bilinear_ratios, 0.0, 1.0, 1.0, f, g)
     assert rep.max_ratio[0] == pytest.approx(expect)
     assert rep.median_ratio[0] == pytest.approx(expect)
 
@@ -153,7 +159,7 @@ def test_refined_ratio_requires_s_above_two():
     rng = np.random.default_rng(4)
     f = random_field(6, 1.0, rng)
     with pytest.raises(ValueError):
-        refined_commutator_ratio(1.5, f, f)
+        one_row(_refined_commutator_ratios, 1.5, DEFAULT_EPS, f, f)
 
 
 def test_ratio_csv(tmp_path):
@@ -302,20 +308,20 @@ JOBS = [  # run_estimates' four jobs, then other exponents and an explicit eps
     st.booleans(),
     st.floats(0.5, 3.0),
     st.integers(0, 2**32 - 1),
-    st.sampled_from([estimates._BLOCK_POINTS, 500, 1]),  # 1: a block per pair
+    st.sampled_from([spectral._BLOCK_POINTS, 500, 1]),  # 1: a block per pair
 )
-@example(JOBS[3], [16, 32, 64, 128, 256], 6, True, 2.0, 0, estimates._BLOCK_POINTS)
+@example(JOBS[3], [16, 32, 64, 128, 256], 6, True, 2.0, 0, spectral._BLOCK_POINTS)
 @settings(max_examples=60, deadline=None)
 def test_ensemble_is_bitwise_the_per_pair_oracle(
     job, cutoffs, samples, adversarial, decay, seed, block_points
 ):
     op, params = job
     spec = EnsembleSpec(tuple(cutoffs), samples, decay, seed, adversarial)
-    kept, estimates._BLOCK_POINTS = estimates._BLOCK_POINTS, block_points
+    kept, spectral._BLOCK_POINTS = spectral._BLOCK_POINTS, block_points
     try:
         got = run_ensemble(op, spec, **params)
     finally:
-        estimates._BLOCK_POINTS = kept
+        spectral._BLOCK_POINTS = kept
     want = oracle_run_ensemble(op, spec, **params)
     for field in ("max_ratio", "median_ratio", "growth_factors"):
         a, b = getattr(got, field), getattr(want, field)
@@ -341,19 +347,19 @@ def test_pair_functions_are_the_block_rows_at_unequal_cutoffs(kf, kg):
             assert one.coeffs.tobytes() == row.tobytes()
             assert one.coeffs.tobytes() == oracle_fn(s, fi, gi).coeffs.tobytes()
     ratios = [
-        (bilinear_ratio, oracle_bilinear_ratio, (0.0, 1.0, 1.0),
+        (_bilinear_ratios, (0.0, 1.0, 1.0), oracle_bilinear_ratio, (0.0, 1.0, 1.0),
          _bilinear_ratios(0.0, 1.0, 1.0, f, g)),
-        (commutator_ratio, oracle_commutator_ratio, (1.2,),
+        (_commutator_ratios, (1.2, DEFAULT_EPS), oracle_commutator_ratio, (1.2,),
          _commutator_ratios(1.2, DEFAULT_EPS, f, g)),
-        (commutator_ratio, oracle_commutator_ratio, (-0.4,),
+        (_commutator_ratios, (-0.4, DEFAULT_EPS), oracle_commutator_ratio, (-0.4,),
          _commutator_ratios(-0.4, DEFAULT_EPS, f, g)),
-        (refined_commutator_ratio, oracle_refined_commutator_ratio, (2.6,),
+        (_refined_commutator_ratios, (2.6, DEFAULT_EPS), oracle_refined_commutator_ratio, (2.6,),
          _refined_commutator_ratios(2.6, DEFAULT_EPS, f, g)),
     ]
-    for pair_fn, oracle_fn, params, block in ratios:
+    for block_fn, params, oracle_fn, oracle_params, block in ratios:
         assert block[-1] == 0.0
-        one = np.array([pair_fn(*params, a, b) for a, b in zip(fs, gs)])
-        want = np.array([oracle_fn(*params, a, b) for a, b in zip(fs, gs)])
+        one = np.array([one_row(block_fn, *params, a, b) for a, b in zip(fs, gs)])
+        want = np.array([oracle_fn(*oracle_params, a, b) for a, b in zip(fs, gs)])
         assert np.array_equal(block.view(np.uint64), one.view(np.uint64))
         assert np.array_equal(block.view(np.uint64), want.view(np.uint64))
 
@@ -361,7 +367,7 @@ def test_pair_functions_are_the_block_rows_at_unequal_cutoffs(kf, kg):
 def test_pair_functions_of_zero_fields_read_zero():
     z, f = SpectralField.zeros(4), random_field(4, 1.0, np.random.default_rng(6))
     for a, b in ((z, z), (z, f), (f, z)):
-        assert bilinear_ratio(0.0, 1.0, 1.0, a, b) == 0.0
-        assert commutator_ratio(1.0, a, b) == 0.0
-        assert commutator_ratio(-1.0, a, b) == 0.0
-        assert refined_commutator_ratio(2.5, a, b) == 0.0
+        assert one_row(_bilinear_ratios, 0.0, 1.0, 1.0, a, b) == 0.0
+        assert one_row(_commutator_ratios, 1.0, DEFAULT_EPS, a, b) == 0.0
+        assert one_row(_commutator_ratios, -1.0, DEFAULT_EPS, a, b) == 0.0
+        assert one_row(_refined_commutator_ratios, 2.5, DEFAULT_EPS, a, b) == 0.0

@@ -341,6 +341,28 @@ def test_cli_audit_rejects_a_malformed_trajectory(tmp_path, capsys):
     assert capsys.readouterr().err == "error: 'alpha'\n"
 
 
+def test_cli_audit_rejects_a_trajectory_without_its_header(tmp_path, capsys):
+    # a CSV without a header lost its first row (then "no row for mode -2"),
+    # and one headed time,mode,a,b was audited as valid: both name line 1
+    meta = {"alpha": 3.0, "eps": 0.0, "cutoff": 2, "dt": 0.01, "horizon": 0.02,
+            "nonlinearity": "2 0 1 0 0 1\n"}
+    rows = "".join(
+        f"{t},{k},{0.1 + 0.2 * (k == 0)},0\n" for t in (0, 0.01, 0.02) for k in range(-2, 3)
+    )
+    sidecar, out = tmp_path / "t.json", tmp_path / "audit"
+    sidecar.write_text(json.dumps(meta))
+    for name, text, header in (
+        ("headless", rows, "'0,-2,0.1,0'"),
+        ("renamed", "time,mode,a,b\n" + rows, "'time,mode,a,b'"),
+    ):
+        bad = tmp_path / f"{name}.csv"
+        bad.write_text(text)
+        argv = ["audit", "--trajectory", str(bad), "--sidecar", str(sidecar), "--out", str(out)]
+        assert cli_main(argv) == 2
+        assert f"{bad}:1: header {header}, not 't,k,re,im'" in capsys.readouterr().err
+        assert not (out / "energy_trace.csv").exists()
+
+
 def test_cli_sweep_verb(tmp_path, capsys):
     rc = cli_main(
         ["sweep", "--preset", "cubic", "--axis", "eps", "--values", "0.1", "0.01",
