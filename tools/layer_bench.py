@@ -35,6 +35,9 @@ that a swing in the host's speed lands on both sides alike.  The layers:
   decomposition  `decomposition_series` of a three-snapshot example_c(i) run,
                  alpha = 3, per snapshot (on a checkout whose series calls
                  `resonant_decomposition` per snapshot, that loop)
+  decomposition_peak
+                 the tracemalloc peak, in MB (not us), of one call of that
+                 series: the memory the `decomposition` layer needs
   estimates      one `run_ensemble` at the single cutoff K, per ensemble:
                  the four jobs of `run_estimates` (bilinear (0, 1, 1),
                  commutator s = 1 and s = -1, refined commutator s = 2.25),
@@ -48,7 +51,8 @@ that a swing in the host's speed lands on both sides alike.  The layers:
                  structured witness
 
 A round measures every (layer, K) once on each side.  Each time is the best
-of five repeats; the report gives the median and the minimum over the rounds.
+of five repeats, and each peak is one call; the report gives the median and
+the minimum over the rounds.
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -84,6 +89,16 @@ def _best_us(fn, n: int, repeats: int = 5) -> float:
             fn()
         best = min(best, (time.perf_counter() - t0) / n)
     return 1e6 * best
+
+
+def _peak_mb(fn) -> float:
+    """The tracemalloc peak of one fn() call, in MB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def _layers_at(k: int) -> dict:
@@ -121,6 +136,7 @@ def _layers_at(k: int) -> dict:
         "decomposition": lambda: _best_us(
             lambda: growth.decomposition_series(series, C), 1
         ) / len(series.times),
+        "decomposition_peak": lambda: _peak_mb(lambda: growth.decomposition_series(series, C)),
         "estimates": lambda: _best_us(
             lambda: [estimates.run_ensemble(op, ensemble, **p) for op, p in ESTIMATE_JOBS], 1
         ) / len(ESTIMATE_JOBS),
@@ -205,7 +221,8 @@ class _Side:
 def _summary(times: dict) -> dict:
     out: dict = {}
     for (layer, k), vals in times.items():
-        out.setdefault(layer, {})[k] = {"median_us": statistics.median(vals), "min_us": min(vals)}
+        unit = "mb" if layer.endswith("_peak") else "us"
+        out.setdefault(layer, {})[k] = {f"median_{unit}": statistics.median(vals), f"min_{unit}": min(vals)}
     return out
 
 
@@ -245,11 +262,12 @@ def main() -> None:
             side.close()
     report = {
         "command": "python tools/layer_bench.py --parent PARENT --rounds %d" % args.rounds,
-        "unit": "us per call; best of 5 repeats in a process, then median and min over rounds",
+        "unit": "us per call, best of 5 repeats in a process (a *_peak layer: MB, one call); median and min over rounds",
         "rounds": args.rounds,
         "machine": {
             "cpu": _cpu_model(),
             "nproc": os.cpu_count(),
+            "cpus_usable": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
             "python": platform.python_version(),
             "numpy": np.__version__,
             "threads": ENV,
