@@ -27,8 +27,9 @@ trigonometric polynomials, to report a readable witness.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, replace
-from itertools import chain, groupby
+from dataclasses import dataclass
+from functools import cache
+from itertools import groupby
 from typing import Mapping
 
 import numpy as np
@@ -390,21 +391,44 @@ def _stacked(polys: list[PolynomialNonlinearity], sizes) -> PolynomialNonlineari
     )
 
 
-def _block_means(P: PolynomialNonlinearity, cutoff: int, coeffs: np.ndarray) -> np.ndarray:
+def _mean_grid(P: PolynomialNonlinearity, cutoff: int) -> int:
+    """The grid of the mean of P along fields of this cutoff: alias-free at mode 0."""
+    return padded_size(cutoff, max(P.total_degree, 1) * cutoff, 0)
+
+
+def _jet_samples(coeffs: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(u, u_x): the rows of coeffs and their derivatives sampled on m points.
+
+    One `spectral._samples` call samples the u rows and then the u_x rows, or
+    for one row on more than _SPLIT_ABOVE points one call each, as in
+    `_rows_coefficient_map`; both give the same bits.
+    """
+    if len(coeffs) == 1 and m > _SPLIT_ABOVE:
+        return _samples(coeffs, m), _samples(_dx(coeffs), m)
+    samples = _samples(np.concatenate([coeffs, _dx(coeffs)]), m)
+    return samples[: len(coeffs)], samples[len(coeffs) :]
+
+
+def _block_means(
+    P: PolynomialNonlinearity,
+    cutoff: int,
+    coeffs: np.ndarray,
+    jet: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
     """Means of P(u, u_x, conj u, conj u_x) over one period, one per row of coeffs.
 
     ``coeffs`` is (n, 2*cutoff+1).  Row for row this is the arithmetic of
     sampling u and derivative(u) with `SpectralField.to_samples` on the grid
-    the product needs and averaging P over it, so each mean is bitwise equal
-    to the one-row call; one `spectral._samples` call samples the u rows and
-    then the u_x rows, and one `evaluate_values` call evaluates P.
+    the product needs (`_mean_grid`) and averaging P over it, so each mean is
+    bitwise equal to the one-row call.  The samples are `_jet_samples` of
+    coeffs on that grid, or ``jet`` if the caller keeps them (the witness
+    search keeps the structured witnesses'); one `evaluate_values` call
+    evaluates P on them.
     """
     if P.is_zero():
         return np.zeros(len(coeffs), dtype=np.complex128)
-    k, n = cutoff, len(coeffs)
-    m = padded_size(k, max(P.total_degree, 1) * k, 0)
-    samples = _samples(np.concatenate([coeffs, _dx(coeffs)]), m)
-    return np.mean(P.evaluate_values(samples[:n], samples[n:]), axis=1)
+    u, du = _jet_samples(coeffs, _mean_grid(P, cutoff)) if jet is None else jet
+    return np.mean(P.evaluate_values(u, du), axis=1)
 
 
 def criterion_functional(F: PolynomialNonlinearity, psi: SpectralField) -> float:
@@ -470,6 +494,20 @@ def _structured_blocks() -> list[tuple[int, np.ndarray]]:
 _STRUCTURED_BLOCKS = _structured_blocks()
 
 
+@cache
+def _structured_jet(block: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_jet_samples` of `_STRUCTURED_BLOCKS[block]` on m points, read-only.
+
+    Built on the first verdict that scans that block on that grid and kept,
+    one entry per (block, grid size): the grid grows with the degree of
+    F_omega, so a process keeps one per degree it has checked.
+    """
+    jet = _jet_samples(_STRUCTURED_BLOCKS[block][1], m)
+    for a in jet:
+        a.setflags(write=False)
+    return jet
+
+
 # The rounding allowance of an Euler coefficient E = sum n * h (n an integer,
 # h = -0.5j * (f1 - conj f2)) relative to B = sum |n| * (|f1| + |f2|) / 2.
 # Each f carries k roundings of u = 2^-53 (its decimal, a sum, the Wirtinger
@@ -526,8 +564,8 @@ def check_wellposedness_condition(F: PolynomialNonlinearity, seed: int = 0) -> C
     tol, (residual, satisfied) = 1e-9 * scale, _euler_certificate(fo, scale)
     if satisfied:
         return CriterionVerdict(True, None, 0.0, 0, tol, residual)
-    v = _sampled_verdict(fo, _TRIALS, _CUTOFFS, tol, seed, _DECAY)
-    return replace(v, satisfied=False, residual=residual)
+    psi, g, n, _ = _witness(fo, _TRIALS, _CUTOFFS, tol, seed, _DECAY)
+    return CriterionVerdict(False, psi, g, n, tol, residual)
 
 
 def _sampled_verdict(fo, trials, cutoffs, tol, seed, decay) -> CriterionVerdict:
@@ -540,21 +578,66 @@ def _sampled_verdict(fo, trials, cutoffs, tol, seed, decay) -> CriterionVerdict:
     The witnesses are evaluated a block at a time (the structured ones of
     one cutoff, or the `trials` random ones of one cutoff, drawn as that many
     successive `random_field` calls would draw them) and scanned in order,
-    so a block that holds the witness is evaluated whole.  With no field
-    above tol the verdict reads satisfied, with the first field of largest
-    |G| as its witness and that field's position as ``trials``.
+    so a block that holds the witness is evaluated whole, and the blocks
+    after it not at all.  The structured blocks' samples on each grid are
+    sampled once per process and kept (`_structured_jet`); the generator is
+    built, and the random fields drawn, only when the scan reaches them.
+    With no field above tol the verdict reads satisfied, with the first
+    field of largest |G| as its witness and that field's position as
+    ``trials``.
     """
-    rng = np.random.default_rng(seed)
-    random_blocks = ((cut, _random_coefficients(trials, cut, decay, rng)) for cut in cutoffs)
-    best, n_eval = None, 0  # the verdict on the first field of largest |G| so far
-    for cut, block in chain(_STRUCTURED_BLOCKS, random_blocks):
-        for coeffs, g in zip(block, _block_means(fo, cut, block).imag.tolist()):
-            n_eval += 1
-            if abs(g) > tol:
-                return CriterionVerdict(False, SpectralField(coeffs, cut), g, n_eval, tol)
-            if best is None or abs(g) > abs(best.witness_value):
-                best = CriterionVerdict(True, SpectralField(coeffs, cut), g, n_eval, tol)
-    return best
+    psi, g, n, above = _witness(fo, trials, cutoffs, tol, seed, decay)
+    return CriterionVerdict(not above, psi, g, n, tol)
+
+
+def _witness(fo, trials, cutoffs, tol, seed, decay) -> tuple[SpectralField, float, int, bool]:
+    """(psi, G(psi), its position in the scan, |G| > tol): `_sampled_verdict`'s pick."""
+    scanned = []  # (cutoff, coefficients) of each block the scan reached
+
+    def means():  # a generator: each block is built when the scan reaches it
+        for j, (cut, block) in enumerate(_STRUCTURED_BLOCKS):
+            scanned.append((cut, block))
+            yield _block_means(fo, cut, block, _structured_jet(j, _mean_grid(fo, cut))).imag
+        rng = np.random.default_rng(seed)
+        for cut in cutoffs:
+            block = _random_coefficients(trials, cut, decay, rng)
+            scanned.append((cut, block))
+            yield _block_means(fo, cut, block).imag
+
+    j, i, g, above = _scan(means(), tol)
+    cut, block = scanned[j]
+    n = sum(len(b) for _, b in scanned[:j]) + i + 1
+    return SpectralField(block[i], cut), g, n, above
+
+
+def _scan(values, tol) -> tuple[int, int, float, bool]:
+    """(j, i, g, above): row i of the j-th array of values, with value g, that
+    a row-by-row scan of the arrays picks.
+
+    That scan returns the first row with |g| > tol (above True); failing
+    that, its pick is the first row, replaced by each later row whose |g| is
+    strictly larger (so a NaN first row stays and later NaN rows never win;
+    above False).  Here each array is checked in a few numpy steps, and
+    ``values``, an iterable, is read only up to the array that holds the
+    first row above tol.
+    """
+    best = None  # (j, i, g, |g|) of the pick so far
+    for j, g in enumerate(values):
+        a = np.abs(g)
+        over = a > tol
+        if over.any():
+            i = int(over.argmax())
+            return j, i, float(g[i]), True
+        if not len(a):
+            continue
+        if best is None:
+            best = (j, 0, g[0], a[0])
+        top = np.fmax.reduce(a)  # the largest |g| that is not NaN (NaN if all are)
+        if top > best[3]:
+            i = int((a == top).argmax())
+            best = (j, i, g[i], top)
+    j, i, g, _ = best
+    return j, i, float(g), False
 
 
 # -- presets and text format ---------------------------------------------------

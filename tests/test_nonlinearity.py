@@ -1,5 +1,6 @@
 """Polynomial nonlinearities: Wirtinger algebra, evaluation, the criterion checker."""
 
+import warnings
 from itertools import chain, groupby
 
 import numpy as np
@@ -9,8 +10,14 @@ from hypothesis import example, given, settings, strategies as st
 from fnlslab.nonlinearity import (
     CriterionVerdict,
     PolynomialNonlinearity,
+    _SPLIT_ABOVE,
+    _STRUCTURED_BLOCKS,
+    _block_means,
+    _mean_grid,
     _rows_coefficient_map,
     _sampled_verdict,
+    _scan,
+    _structured_jet,
     check_wellposedness_condition,
     criterion_functional,
     cubic,
@@ -23,7 +30,15 @@ from fnlslab.nonlinearity import (
     structured_witnesses,
 )
 from fnlslab.evolution import _row_order
-from fnlslab.spectral import SpectralField, derivative, padded_size, random_field, sobolev_norm
+from fnlslab.spectral import (
+    SpectralField,
+    _dx,
+    _samples,
+    derivative,
+    padded_size,
+    random_field,
+    sobolev_norm,
+)
 
 
 def const(z):
@@ -472,6 +487,133 @@ def test_block_checker_exits_in_every_block():
 def test_block_checker_satisfied_matches_oracle(F):
     for kwargs in ({}, {"trials": 1, "cutoffs": (5,)}, {"cutoffs": ()}):
         assert_same_verdict(sampled_checker(F, **kwargs), sequential_checker(F, **kwargs))
+
+
+# -- what the witness search pays for: kept samples, a lazy generator, the block scan --
+
+
+# A violated F that every structured field misses: its witness is random trial 79.
+F2 = parse_nonlinearity("0 2 0 2 -1.4696764789658596 -1.0917222141854408")
+
+
+def test_structured_witness_builds_no_generator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the random generator was built")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    for F, trials in ((example_c(1j), 1), (example_b(1.0), 2), (example_d(1.0, 1.0), 49)):
+        v = check_wellposedness_condition(F, seed=3)
+        assert not v.satisfied and v.trials == trials
+        assert sampled_checker(F, seed=3).trials == trials
+
+
+def test_random_witness_builds_one_generator(monkeypatch):
+    seeds, build = [], np.random.default_rng
+
+    def counted(seed):
+        seeds.append(seed)
+        return build(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    v = check_wellposedness_condition(F2, seed=7)
+    assert not v.satisfied and v.trials == 79 and v.witness.cutoff == 2
+    assert seeds == [7]
+
+
+@pytest.mark.parametrize("F", [example_c(1j), example_d(1.0, 1.0), F2, example_b(1.0, 6)])
+def test_structured_samples_are_kept_read_only_and_fresh(F):
+    fo = F.wirtinger("omega")
+    for j, (cut, block) in enumerate(_STRUCTURED_BLOCKS):
+        m = _mean_grid(fo, cut)
+        jet = _structured_jet(j, m)
+        fresh = _samples(np.concatenate([block, _dx(block)]), m)
+        assert _structured_jet(j, m) is jet
+        for kept, want in zip(jet, (fresh[: len(block)], fresh[len(block) :])):
+            assert not kept.flags.writeable
+            assert kept.tobytes() == want.tobytes()
+            with pytest.raises(ValueError):
+                kept[0, 0] = 0.0
+
+
+def _same_full_verdict(got, want):
+    assert_same_verdict(got, want)
+    assert np.float64(got.residual).tobytes() == np.float64(want.residual).tobytes()
+
+
+def test_verdict_is_the_same_with_a_cold_and_a_warm_cache():
+    cases = [example_c(1j), example_d(1.0, 1.0), F2, example_b(1.0, 3), linear_transport(2j)]
+    cold = []
+    for F in cases:
+        _structured_jet.cache_clear()
+        cold.append(check_wellposedness_condition(F, seed=5))
+    for F, want in zip(cases, cold):  # warm, with every other degree's samples kept too
+        _same_full_verdict(check_wellposedness_condition(F, seed=5), want)
+    for F, other, want in zip(cases, cases[1:] + cases[:1], cold):  # after another degree
+        _structured_jet.cache_clear()
+        check_wellposedness_condition(other, seed=5)
+        _same_full_verdict(check_wellposedness_condition(F, seed=5), want)
+
+
+def loop_scan(blocks, tol):
+    """The row-by-row scan the block scan replaces: (j, i, g, above)."""
+    best = None
+    for j, block in enumerate(blocks):
+        for i, g in enumerate(np.asarray(block, dtype=float).tolist()):
+            if abs(g) > tol:
+                return j, i, g, True
+            if best is None or abs(g) > abs(best[2]):
+                best = (j, i, g, False)
+    return best
+
+
+_G = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, np.inf, -np.inf, np.nan]),  # ties and NaN
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@given(
+    first=st.lists(_G, min_size=1, max_size=8),
+    rest=st.lists(st.lists(_G, max_size=8), max_size=4),
+    tol=st.one_of(st.sampled_from([0.0, 0.5, 1.0, np.inf, np.nan]), st.floats(0.0, 2.0)),
+)
+@example([np.nan, 1.0], [[2.0]], 5.0)  # a NaN first row stays the pick
+@example([0.5, np.nan, -0.5], [[np.nan], [0.5, -np.inf]], np.inf)  # inf below an infinite tol
+@example([1.0, -1.0], [[], [1.0]], 2.0)  # ties: the first row
+@settings(max_examples=300, deadline=None)
+def test_block_scan_matches_row_loop(first, rest, tol):
+    blocks = [np.array(b, dtype=float) for b in [first, *rest]]
+    reached = []
+
+    def values():
+        for b in blocks:
+            reached.append(b)
+            yield b
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        j, i, g, above = _scan(values(), tol)
+    want = loop_scan(blocks, tol)
+    assert (j, i, above) == want[:2] + (want[3],)
+    assert np.float64(g).tobytes() == np.float64(want[2]).tobytes() and type(g) is float
+    assert len(reached) == (j + 1 if above else len(blocks))
+
+
+@pytest.mark.parametrize("cutoff", [2048, 4096])  # 4320 and 8640 points for a degree-2 F_omega
+def test_one_large_row_mean_is_the_one_row_arithmetic(cutoff, monkeypatch):
+    fo = example_c(1j).wirtinger("omega")
+    u = random_field(cutoff, 1.0, np.random.default_rng(cutoff))
+    shapes = []
+
+    def counted(c, m):
+        shapes.append(c.shape)
+        return _samples(c, m)
+
+    monkeypatch.setattr("fnlslab.nonlinearity._samples", counted)
+    got = _block_means(fo, cutoff, u.coeffs[None])
+    assert got.tobytes() == np.complex128(_one_mean(fo, u)).tobytes()
+    split = _mean_grid(fo, cutoff) > _SPLIT_ABOVE
+    assert shapes == ([(1, 2 * cutoff + 1)] * 2 if split else [(2, 2 * cutoff + 1)])
 
 
 # -- the evaluation plan and the RHS maps against fresh-allocation references ---------

@@ -49,6 +49,14 @@ that a swing in the host's speed lands on both sides alike.  The layers:
                  the same for example_c(i): violated, so the certificate
                  and then the witness search, which exits on the first
                  structured witness
+  criterion_cutoff2
+                 the same for example_d(1, 1), which vanishes on every
+                 constant: the search exits in the cutoff-2 structured
+                 block, at witness 49
+  criterion_random
+                 the same for the violated F = (-1.4697 - 1.0917i) u_x^2
+                 conj(u_x)^2, whose G is 0 on every structured field:
+                 the search draws random fields and exits at witness 79
 
 A round measures every (layer, K) once on each side.  Each time is the best
 of five repeats, and each peak is one call; the report gives the median and
@@ -176,8 +184,11 @@ def cases() -> dict:
     from fnlslab import nonlinearity
 
     out = {(name, str(k)): fn for k in CUTOFFS for name, fn in _layers_at(k).items()}
+    random_witness = nonlinearity.parse_nonlinearity("0 2 0 2 -1.4696764789658596 -1.0917222141854408")
     for name, P in (("criterion", nonlinearity.example_d(1.0, 2.0)),
-                    ("criterion_violated", nonlinearity.example_c(1j))):
+                    ("criterion_violated", nonlinearity.example_c(1j)),
+                    ("criterion_cutoff2", nonlinearity.example_d(1.0, 1.0)),
+                    ("criterion_random", random_witness)):
         out[name, "any"] = lambda P=P: _best_us(lambda: nonlinearity.check_wellposedness_condition(P), 3)
     return out
 
