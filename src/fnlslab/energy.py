@@ -170,7 +170,7 @@ def _weighted(u, F: PolynomialNonlinearity, depth: int = 1):
     k = len(u[0]) // 2
     kg = max(P.total_degree, 1) * k
     b = _block_size(len(u), _ladder_grid(depth, kg, k))
-    theta_of = _rows_coefficient_map([P] * b, [k] * b, k, [kg] * b, kg)
+    theta_of = _rows_coefficient_map([P] * b, [k] * b, k, kg)
     for i in range(0, len(u), b):
         block = u[i : i + b]
         rows = np.zeros((b, 2 * k + 1), np.complex128)

@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .nonlinearity import PolynomialNonlinearity, _grid, _rows_coefficient_map
+from .nonlinearity import PolynomialNonlinearity, _rows_coefficient_map
 from .spectral import SpectralField, sobolev_norm
 
 __all__ = [
@@ -234,34 +234,6 @@ def _leaving(u: np.ndarray, w2: np.ndarray, ceiling: np.ndarray, reach: float) -
     return np.flatnonzero(~stay).tolist()
 
 
-def _row_order(polys: list[PolynomialNonlinearity], cuts: list[int]) -> list[int]:
-    """The positions of a block's rows in the order `integrate_rows` stacks them.
-
-    The key is (degree, cutoff, monomials, first position of the polynomial):
-    rows of one cutoff and degree, so of one padded grid, are adjacent and
-    share the transforms, and rows of the same monomials are adjacent across
-    cutoffs and share one evaluation of F.  Degrees whose rows share a grid
-    at some cutoff of the block (degrees 2 and 3 both pad to 8 points at
-    K = 1) sort as their least degree and then by degree after the cutoff,
-    so that grid's rows stay adjacent too.
-    """
-    on_grid: dict = {}  # (k, k, m) -> the degrees of its rows
-    for P, k in zip(polys, cuts):
-        on_grid.setdefault(_grid(P, k, k), set()).add(P.total_degree)
-    classes: list[set[int]] = []  # those sets, merged where they meet
-    for degrees in on_grid.values():
-        meet = [c for c in classes if c & degrees]
-        classes = [c for c in classes if not c & degrees] + [degrees.union(*meet)]
-    least = {d: min(c) for c in classes for d in c}
-
-    def key(j):
-        P = polys[j]
-        d = P.total_degree
-        return least[d], cuts[j], d, [idx for idx, _ in P.terms], polys.index(P)
-
-    return sorted(range(len(polys)), key=key)
-
-
 def integrate(
     phi: SpectralField, F: PolynomialNonlinearity, cfg: EvolutionConfig
 ) -> TrajectoryRecord:
@@ -288,15 +260,15 @@ def integrate_rows(
     again whenever a row leaves), one row or many: an evaluation moves every
     row's modes in and out with a few indexed moves of the whole block and
     takes one pair of transforms per cutoff and padded grid instead of one
-    per row.  The rows are stacked in `_row_order`, so that rows of the same
-    monomials are adjacent across cutoffs and share one evaluation of F
-    across their grids.  The step (`_rk4_stepper`) is built with the RHS and
-    writes its stages into arrays built with it.  A row's record is bitwise
-    the same whichever rows share the call.  While every row of the block
-    has a zero nonlinear part (F is diagonal linear, absorbed into the
-    integrating factor) the block takes the exact two-operation step of
-    `_linear_step`.  A row is recorded truncated as in `integrate` and
-    leaves the block while the others go on.  No rows give no records.
+    per row, and rows of the same monomials share one evaluation of F across
+    grids whatever their order.  The rows are stacked as given.  The step
+    (`_rk4_stepper`) is built with the RHS and writes its stages into arrays
+    built with it.  A row's record is bitwise the same whichever rows share
+    the call.  While every row of the block has a zero nonlinear part (F is
+    diagonal linear, absorbed into the integrating factor) the block takes
+    the exact two-operation step of `_linear_step`.  A row is recorded
+    truncated as in `integrate` and leaves the block while the others go on.
+    No rows give no records.
     """
     rows = list(rows)
     if len({(c.dt, c.horizon, c.record_every) for _, _, c in rows}) > 1:
@@ -329,7 +301,7 @@ def integrate_rows(
         rhs = _rows_coefficient_map([polys[j] for j in js], [cuts[j] for j in js], n)
         return _rk4_stepper(rhs, e_half, e_full, dt), limits
 
-    active = _row_order(polys, cuts)
+    active = list(range(len(rows)))
     u = stack(u0, active, 0.0)
     step_map, limits = block(active)
     times = [[0.0] for _ in rows]

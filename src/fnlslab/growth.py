@@ -220,7 +220,7 @@ def decomposition_series(
     def along(P: PolynomialNonlinearity, kout: int | None = None) -> np.ndarray:
         """(S, 2*kout+1): P along each snapshot, kout default P's band (K is inside it)."""
         kout = max(P.total_degree, 1) * K if kout is None else kout
-        return _rows_coefficient_map([P] * S, [K] * S, K, [kout] * S, kout)(u)
+        return _rows_coefficient_map([P] * S, [K] * S, K, kout)(u)
 
     # The substituted time derivative du/dt of the gauge-shifted equation,
     # f = F along u, the residual real mean folded into the transport.
@@ -547,18 +547,20 @@ def nonexistence_verdict(
     )
 
 
+_TAIL_AMPLITUDE = 0.1  # the probe datum's tail, relative to the witness in L2
+
+
 def probe_initial_data(
     witness: SpectralField,
     cutoff: int,
     s: float,
     side: str = "minus",
-    rel_amplitude: float = 0.1,
     seed: int = 0,
 ) -> SpectralField:
     """Witness plus a rough one-sided tail, just outside H^{s + delta}.
 
     Tail coefficients <k>^{-s-1/2-0.01} e^{i theta_k} with random phases on
-    the probed side, scaled to rel_amplitude of the witness L2 norm; the
+    the probed side, scaled to _TAIL_AMPLITUDE of the witness L2 norm; the
     witness keeps the criterion mean bounded away from zero at t = 0.
     """
     if side not in ("plus", "minus"):
@@ -575,7 +577,7 @@ def probe_initial_data(
     tn = sobolev_norm(tail_field, 0.0)
     wn = sobolev_norm(witness, 0.0)
     if tn > 0 and wn > 0:
-        tail_field = tail_field * (rel_amplitude * wn / tn)
+        tail_field = tail_field * (_TAIL_AMPLITUDE * wn / tn)
     return witness.with_cutoff(cutoff) + tail_field
 
 

@@ -123,16 +123,17 @@ class PolynomialNonlinearity:
         if var not in VARIABLES:
             raise ValueError(f"var must be one of {VARIABLES}")
         pos = VARIABLES.index(var)
-        out: dict[Index, complex] = {}
+        terms = []  # lowering one exponent keeps the terms sorted and distinct
         for idx, c in self.terms:
             e = idx[pos]
             if e == 0:
                 continue
-            new = list(idx)
-            new[pos] = e - 1
-            key = tuple(new)
-            out[key] = out.get(key, 0.0) + c * e
-        return PolynomialNonlinearity.from_terms(out)
+            key = idx[:pos] + (e - 1,) + idx[pos + 1 :]
+            coeff = 0.0 + c * e  # nonzero; the 0.0 + clears a -0.0 real part
+            if not cmath.isfinite(coeff):
+                raise ValueError(f"coefficient of {key} is not finite: {coeff}")
+            terms.append((key, coeff))
+        return PolynomialNonlinearity(tuple(terms))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -219,7 +220,7 @@ class PolynomialNonlinearity:
         """
         band = max(self.total_degree, 1) * cutoff
         kout = band if out_cutoff is None else min(out_cutoff, band)
-        plan = _rows_coefficient_map([self], [cutoff], cutoff, [kout], kout)
+        plan = _rows_coefficient_map([self], [cutoff], cutoff, kout)
 
         def apply(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
             block = plan(coeffs[None], out=None if out is None else out[None])
@@ -258,70 +259,82 @@ def _grid(P: PolynomialNonlinearity, k: int, kout: int):
 
 
 def _rows_coefficient_map(
-    polys: list[PolynomialNonlinearity],
-    cutoffs: list[int],
-    n: int,
-    out_cutoffs: list[int] | None = None,
-    nout: int | None = None,
+    polys: list[PolynomialNonlinearity], cutoffs: list[int], n: int, kout: int | None = None
 ):
     """`coefficient_map(k, kout)` for a block of rows, row j under polys[j] at
-    k = cutoffs[j] and kout = out_cutoffs[j] (default: k).
+    k = cutoffs[j] and kout the given one (default: k).
 
     The returned function takes a (B, 2*n+1) array of coefficients, each
     row's 2k+1 modes centred, and returns the (B, 2*nout+1) coefficients of
-    each row's polynomial along that row (nout default n), each row's
+    each row's polynomial along that row (nout = kout, default n), each row's
     2*kout+1 modes centred and the other columns zero; given ``out``, a
     C-contiguous array of that shape, it writes them there and returns it.
-    A row's grid is `_grid`'s: padded_size(k, max(deg, 1) * k, kout).
-    Adjacent rows of one k, kout and grid form a group that shares the
-    transforms: one inverse transform of a (2, b, m) buffer of the u rows,
-    then the u_x rows (one per slot for one row on more than _SPLIT_ABOVE
-    points), and one forward transform of (b, m).  Adjacent groups form a
-    stage while it holds at most _SPLIT_ABOVE samples a slot (a larger group
-    is a stage alone).  A stage keeps its samples in one (2, S) array, every
-    group's u rows and then every group's u_x rows, and F's values in one
-    array of S, so a run of the stage's nonzero rows with the same monomials
-    spans one stretch of both, across grids, and shares one evaluation of F:
-    one `values_plan` of the polynomial `_stacked` makes of the run's rows,
-    whose differing coefficients are arrays (the coefficient stays the left
-    operand of each product, so every row is bitwise its own call).  Past
-    _SPLIT_ABOVE samples a call's arithmetic outweighs its overhead, and
-    per-sample coefficients cost more than they save.  Callers order the rows
-    so that such rows are adjacent; any order is correct.  The plan is built
-    once: the group buffers are views into one flat array whose entries off
-    the modes stay zero, the forward transforms write into views of one flat
-    spectrum array that ends in a zero, and flat index arrays place every
-    mode.  A call runs each stage's inverse transforms, evaluations and
-    forward transforms in turn.  The transforms call numpy >= 2.0's
-    pocketfft gufuncs through `spectral._ifft` (fct 1.0) and `spectral._fft`
-    (fct 1/m), which write into those views with the bits of numpy.fft's
-    ifft and fft at norm="forward".  So a call moves the modes in with one
-    `take` and two indexed writes and out with one `take`, and allocates only
-    the returned coefficients, or nothing with ``out``.  Not for concurrent
-    use.
+    Rows go in and come out in the caller's order.  A row's grid is `_grid`'s:
+    padded_size(k, max(deg, 1) * k, kout).  The plan lays out the rows by
+    degree class (degrees whose rows share a grid in the block, as degrees 2
+    and 3 pad to 8 points at K = 1), k, degree, monomials and the first
+    position of the polynomial.  Adjacent rows of one grid form a group that
+    shares the transforms: one inverse transform of a (2, b, m) buffer of the
+    u rows, then the u_x rows (one per slot for one row on more than
+    _SPLIT_ABOVE points), and one forward transform of (b, m).  Adjacent
+    groups form a stage while it holds at most _SPLIT_ABOVE samples a slot (a
+    larger group is a stage alone).  A stage keeps its samples in one (2, S)
+    array, every group's u rows and then every group's u_x rows, and F's
+    values in one array of S, so a run of the stage's nonzero rows with the
+    same monomials spans one stretch of both, across grids, and shares one
+    evaluation of F: one `values_plan` of the polynomial `_stacked` makes of
+    the run's rows, whose differing coefficients are arrays (the coefficient
+    stays the left operand of each product, so every row is bitwise its own
+    call).  Past _SPLIT_ABOVE samples a call's arithmetic outweighs its
+    overhead, and per-sample coefficients cost more than they save.  The plan
+    is built once: the group buffers are views into one flat array whose
+    entries off the modes stay zero, the forward transforms write into views
+    of one flat spectrum array that ends in a zero, and flat index arrays
+    place every mode.  A call runs each stage's inverse transforms,
+    evaluations and forward transforms in turn.  The transforms call numpy >=
+    2.0's pocketfft gufuncs through `spectral._ifft` (fct 1.0) and
+    `spectral._fft` (fct 1/m), which write into those views with the bits of
+    numpy.fft's ifft and fft at norm="forward".  So a call moves the modes in
+    with one `take` and two indexed writes and out with one `take`, and
+    allocates only the returned coefficients, or nothing with ``out``.  Not
+    for concurrent use.
     """
-    kouts, nout = cutoffs if out_cutoffs is None else out_cutoffs, n if nout is None else nout
+    nout = n if kout is None else kout
+    grids = [_grid(P, k, k if kout is None else kout) for P, k in zip(polys, cutoffs)]
+    degree = [P.total_degree for P in polys]
+    on_grid: dict = {}  # grid -> the degrees of its rows
+    for d, grid in zip(degree, grids):
+        on_grid.setdefault(grid, set()).add(d)
+    classes: list[set[int]] = []  # those sets, merged where they meet
+    for degrees in on_grid.values():
+        meet = [c for c in classes if c & degrees]
+        classes = [c for c in classes if not c & degrees] + [degrees.union(*meet)]
+    least = {d: min(c) for c in classes for d in c}
+
+    def layout(j):
+        P, d = polys[j], degree[j]
+        return least[d], cutoffs[j], d, [idx for idx, _ in P.terms], polys.index(P)
+
     width, stages = 2 * n + 1, []  # stages: adjacent groups, at most _SPLIT_ABOVE samples a slot
     # The input, u and u_x entries and the multiplier i*k of each group's modes.
     ins = [(np.zeros(0, np.intp),) * 3 + (np.zeros(0, np.complex128),)]
     # Output entry -> its forward-transform entry, or -1: the zero after them all.
     gather = np.full((len(polys), 2 * nout + 1), -1)
     size = span = 0  # entries of the buffers, and samples of one slot, so far
-    grids = [_grid(P, k, ko) for P, k, ko in zip(polys, cutoffs, kouts)]
-    for key, rows in groupby(range(len(polys)), key=grids.__getitem__):
+    for key, rows in groupby(sorted(range(len(polys)), key=layout), key=grids.__getitem__):
         if key is None:
             continue
         rows = list(rows)
-        (k, ko, m), b, r0 = key, len(rows), rows[0]
+        (k, ko, m), b, at = key, len(rows), np.array(rows)
         ks = np.arange(-k, k + 1)
         cells = np.arange(size, size + 2 * b * m, m)[:, None] + ks  # u rows, then u_x rows
         cells[:, :k] += m  # mode k < 0 sits at k + m
-        src = (np.arange(r0 * width, (r0 + b) * width, width)[:, None] + (n + ks)).ravel()
+        src = (at[:, None] * width + (n + ks)).ravel()
         ik = np.concatenate([1j * ks.astype(float)] * b)
         ins.append((src, cells[:b].ravel(), cells[b:].ravel(), ik))
-        h_cells = gather[r0 : r0 + b, nout - ko : nout + ko + 1]
-        h_cells[:] = np.arange(span, span + b * m, m)[:, None] + np.arange(-ko, ko + 1)
+        h_cells = np.arange(span, span + b * m, m)[:, None] + np.arange(-ko, ko + 1)
         h_cells[:, :ko] += m
+        gather[at, nout - ko : nout + ko + 1] = h_cells
         if stages and span + b * m - stages[-1][0][1] <= _SPLIT_ABOVE:
             stages[-1].append((size, span, m, rows))
         else:
@@ -556,7 +569,7 @@ def check_wellposedness_condition(F: PolynomialNonlinearity, seed: int = 0) -> C
     F_omega is first divided by its largest |coefficient|, so F -> 2^e F
     gives bitwise the same verdict and a large omega-free term cannot hide a
     small violation; see `_euler_certificate`.  Only a violated verdict
-    samples G, to find a readable witness: `_sampled_verdict` at tol = 1e-9 *
+    samples G, to find a readable witness: `_witness` at tol = 1e-9 *
     max|F_omega coefficient|, deterministic in seed.  See `CriterionVerdict`.
     """
     fo = F.wirtinger("omega")
@@ -568,8 +581,9 @@ def check_wellposedness_condition(F: PolynomialNonlinearity, seed: int = 0) -> C
     return CriterionVerdict(False, psi, g, n, tol, residual)
 
 
-def _sampled_verdict(fo, trials, cutoffs, tol, seed, decay) -> CriterionVerdict:
-    """Scan G on structured + random fields for the first |G| above tol.
+def _witness(fo, trials, cutoffs, tol, seed, decay) -> tuple[SpectralField, float, int, bool]:
+    """(psi, G(psi), its position in the scan, |G| > tol): the scan of G on
+    structured + random fields for the first |G| above tol.
 
     ``fo`` is F_omega; G is the mean of Im fo along a field.  Structured
     witnesses run first so a failure is reported on a readable field; random
@@ -582,16 +596,8 @@ def _sampled_verdict(fo, trials, cutoffs, tol, seed, decay) -> CriterionVerdict:
     after it not at all.  The structured blocks' samples on each grid are
     sampled once per process and kept (`_structured_jet`); the generator is
     built, and the random fields drawn, only when the scan reaches them.
-    With no field above tol the verdict reads satisfied, with the first
-    field of largest |G| as its witness and that field's position as
-    ``trials``.
+    With no field above tol the pick is the first field of largest |G|.
     """
-    psi, g, n, above = _witness(fo, trials, cutoffs, tol, seed, decay)
-    return CriterionVerdict(not above, psi, g, n, tol)
-
-
-def _witness(fo, trials, cutoffs, tol, seed, decay) -> tuple[SpectralField, float, int, bool]:
-    """(psi, G(psi), its position in the scan, |G| > tol): `_sampled_verdict`'s pick."""
     scanned = []  # (cutoff, coefficients) of each block the scan reached
 
     def means():  # a generator: each block is built when the scan reaches it

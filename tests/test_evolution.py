@@ -2,6 +2,7 @@
 
 import warnings
 from dataclasses import replace
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -382,6 +383,43 @@ def test_block_evaluates_F_once_per_monomial_set(rows, plans, grids, monkeypatch
     records = integrate_rows(rows)
     assert not any(r.truncated for r in records)
     assert counts == {"plans": plans, "inverse": 4 * grids}  # one step: four RHS evaluations
+
+
+_ONE_STEP_BLOCKS = test_block_evaluates_F_once_per_monomial_set.pytestmark[0]
+
+
+@pytest.mark.parametrize(*_ONE_STEP_BLOCKS.args, **_ONE_STEP_BLOCKS.kwargs)
+def test_block_plan_is_the_same_in_every_row_order(rows, plans, grids, monkeypatch):
+    """The block map lays out its own rows: in each order of the rows above it
+    builds as many `values_plan`s, runs as many inverse transforms and gives
+    each row the same bits."""
+    from fnlslab import nonlinearity
+
+    counts = {"plans": 0, "inverse": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(PolynomialNonlinearity, "values_plan",
+                        counted("plans", PolynomialNonlinearity.values_plan))
+    monkeypatch.setattr(nonlinearity, "_ifft", counted("inverse", nonlinearity._ifft))
+    polys = [_prepare(*row)[1] for row in rows]
+    cuts = [cfg.cutoff for _, _, cfg in rows]
+    n = max(cuts)
+    rng = np.random.default_rng(3)
+    coeffs = np.zeros((len(rows), 2 * n + 1), dtype=np.complex128)
+    for row, k in zip(coeffs, cuts):
+        row[n - k : n + k + 1] = rng.standard_normal(2 * k + 1) + 1j * rng.standard_normal(2 * k + 1)
+    want = None
+    for order in map(list, permutations(range(len(rows)))):  # the identity first
+        counts.update(plans=0, inverse=0)
+        got = _rows_coefficient_map([polys[j] for j in order], [cuts[j] for j in order], n)(coeffs[order])
+        assert counts == {"plans": plans, "inverse": grids}
+        want = got if want is None else want
+        assert got.tobytes() == want[order].tobytes()
 
 
 SPECIAL_PARTS = [np.nan, np.inf, -np.inf, 1e200, -1e300, 5e-324, -0.0, 1e6]

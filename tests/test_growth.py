@@ -1038,7 +1038,7 @@ def test_verdict_cubic_consistent():
 
 def test_probe_initial_data_shape():
     w = SpectralField.constant(1.0, 2)
-    phi = probe_initial_data(w, 16, 2.6, side="minus", rel_amplitude=0.1, seed=0)
+    phi = probe_initial_data(w, 16, 2.6, side="minus", seed=0)
     ks = phi.wavenumbers()
     assert np.all(phi.coeffs[ks > 0] == 0)
     tail = phi - w.with_cutoff(16)

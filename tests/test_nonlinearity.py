@@ -15,9 +15,9 @@ from fnlslab.nonlinearity import (
     _block_means,
     _mean_grid,
     _rows_coefficient_map,
-    _sampled_verdict,
     _scan,
     _structured_jet,
+    _witness,
     check_wellposedness_condition,
     criterion_functional,
     cubic,
@@ -29,7 +29,6 @@ from fnlslab.nonlinearity import (
     parse_nonlinearity,
     structured_witnesses,
 )
-from fnlslab.evolution import _row_order
 from fnlslab.spectral import (
     SpectralField,
     _dx,
@@ -80,6 +79,47 @@ def test_mixed_wirtinger_derivatives_commute():
             a = F.wirtinger(v1).wirtinger(v2)
             b = F.wirtinger(v2).wirtinger(v1)
             assert a.as_dict() == b.as_dict()
+
+
+def loop_wirtinger(F: PolynomialNonlinearity, var: str) -> PolynomialNonlinearity:
+    """Reference: the derivative summed into a dict and rebuilt through from_terms."""
+    pos = ("zeta", "omega", "zeta_bar", "omega_bar").index(var)
+    out = {}
+    for idx, c in F.terms:
+        e = idx[pos]
+        if e == 0:
+            continue
+        new = list(idx)
+        new[pos] = e - 1
+        key = tuple(new)
+        out[key] = out.get(key, 0.0) + c * e
+    return PolynomialNonlinearity.from_terms(out)
+
+
+def _outcome(fn):
+    try:
+        return [(idx, np.complex128(c).tobytes()) for idx, c in fn().terms]
+    except ValueError as err:
+        return str(err)
+
+
+_PART = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, 6e307, -0.5]),
+)
+
+
+@given(
+    st.dictionaries(st.tuples(*(st.integers(0, 3),) * 4), st.builds(complex, _PART, _PART), max_size=6),
+    st.sampled_from(["zeta", "omega", "zeta_bar", "omega_bar"]),
+)
+@example({(0, 3, 0, 0): 1e308 + 0j, (0, 1, 0, 0): 1.0}, "omega")  # 3e308 overflows
+@example({(0, 2, 0, 0): complex(-0.0, 1.0), (1, 0, 0, 0): -0.0 - 5e-324j}, "omega")
+@settings(max_examples=300, deadline=None)
+def test_wirtinger_matches_the_dict_loop(terms, var):
+    """Bitwise the same terms, signed zeros and subnormals included, or the same error."""
+    F = PolynomialNonlinearity.from_terms(terms)
+    assert _outcome(lambda: F.wirtinger(var)) == _outcome(lambda: loop_wirtinger(F, var))
 
 
 # -- evaluation ---------------------------------------------------------------------
@@ -405,7 +445,8 @@ def sequential_checker(F, trials=40, cutoffs=(2, 4, 8), tol=1e-9, seed=0, decay=
 
 def sampled_checker(F, trials=40, cutoffs=(2, 4, 8), tol=1e-9, seed=0, decay=3.5):
     """The block sampler behind a violated verdict, with the checker's defaults."""
-    return _sampled_verdict(F.wirtinger("omega"), trials, cutoffs, tol, seed, decay)
+    psi, g, n, above = _witness(F.wirtinger("omega"), trials, cutoffs, tol, seed, decay)
+    return CriterionVerdict(not above, psi, g, n, tol)
 
 
 N_STRUCTURED = (48, 30)  # the constants at cutoff 1, then the cutoff-2 fields
@@ -869,28 +910,24 @@ def test_coefficient_map_matches_fresh_allocation_oracle(case, seed):
 
 @given(
     rows=st.lists(_map_row(), min_size=1, max_size=8),
-    ordered=st.booleans(),
     extra=st.integers(0, 6),
     seed=st.integers(0, 2**32 - 1),
 )
-@example([(example_d(1.0, 2.0), 9), (example_d(1j, 2.0), 9), (cubic(1j), 4)], False, 3, 0)
-@example([(PolynomialNonlinearity.zero(), 5)], False, 0, 0)
-@example([(example_d(1.0, 2.0), 1100), (example_d(1j, 2.0), 1100)], False, 0, 0)  # a (4, 4500) buffer
-@example([(example_d(1.0, 2.0), 1100)], False, 0, 0)  # one row on 4500 points: split transforms
+@example([(example_d(1.0, 2.0), 9), (example_d(1j, 2.0), 9), (cubic(1j), 4)], 3, 0)
+@example([(PolynomialNonlinearity.zero(), 5)], 0, 0)
+@example([(example_d(1.0, 2.0), 1100), (example_d(1j, 2.0), 1100)], 0, 0)  # a (4, 4500) buffer
+@example([(example_d(1.0, 2.0), 1100)], 0, 0)  # one row on 4500 points: split transforms
 # one monomial set with differing coefficients at two cutoffs: one run on two grids
-@example([(example_d(1.0, 2.0), 5), (example_d(1j, -0.5), 9)], False, 0, 0)
+@example([(example_d(1.0, 2.0), 5), (example_d(1j, -0.5), 9)], 0, 0)
 # and with a zero polynomial between the two rows
-@example([(example_d(1.0, 2.0), 5), (PolynomialNonlinearity.zero(), 7), (example_d(1j, -0.5), 9)], False, 1, 0)
+@example([(example_d(1.0, 2.0), 5), (PolynomialNonlinearity.zero(), 7), (example_d(1j, -0.5), 9)], 1, 0)
 # a one-row group above _SPLIT_ABOVE after a small row of the same monomials
-@example([(example_d(1j, 2.0), 4), (example_d(1.0, 2.0), 1100)], False, 0, 0)
+@example([(example_d(1j, 2.0), 4), (example_d(1.0, 2.0), 1100)], 0, 0)
 # two groups of one monomial set past one stage's samples (810 + 1620 points a row)
 @example([(example_d(1.0, 2.0), 200), (example_d(1j, 2.0), 200), (example_d(1.0, 2.0), 400),
-          (example_d(1j, 2.0), 400)], False, 0, 0)
+          (example_d(1j, 2.0), 400)], 0, 0)
 @settings(max_examples=120, deadline=None)
-def test_rows_map_matches_per_group_oracle(rows, ordered, extra, seed):
-    # ordered: as integrate_rows orders its rows, so that groups and runs form
-    if ordered:
-        rows = [rows[j] for j in _row_order([P for P, _ in rows], [k for _, k in rows])]
+def test_rows_map_matches_per_group_oracle(rows, extra, seed):
     polys, cutoffs = (list(v) for v in zip(*rows))
     n = max(cutoffs) + extra  # wider than every row, as after the widest row left the block
     plan = _rows_coefficient_map(polys, cutoffs, n)
@@ -908,22 +945,28 @@ def test_rows_map_matches_per_group_oracle(rows, ordered, extra, seed):
     assert first.tobytes() == want.tobytes()
 
 
-@given(cases=st.lists(_map_case(), min_size=1, max_size=6), seed=st.integers(0, 2**32 - 1))
-@example([(example_d(1.0, 2.0), 9, None), (example_d(1j, 2.0), 9, None), (cubic(1j), 9, 4)], 0)
+@st.composite
+def _map_block(draw):
+    """(rows, kout): rows as for `_map_row` and one output cutoff within every row's band."""
+    rows = draw(st.lists(_map_row(), min_size=1, max_size=6))
+    return rows, draw(st.integers(0, min(max(P.total_degree, 1) * k for P, k in rows)))
+
+
+@given(case=_map_block(), seed=st.integers(0, 2**32 - 1))
+@example(([(example_d(1.0, 2.0), 9), (example_d(1j, 2.0), 9), (cubic(1j), 9)], 4), 0)
+@example(([(example_d(1.0, 2.0), 9), (PolynomialNonlinearity.zero(), 3), (cubic(1j), 5)], 3), 0)
 @settings(max_examples=60, deadline=None)
-def test_rows_map_with_output_cutoffs_matches_one_row_oracle(cases, seed):
-    polys, cutoffs, outs = (list(v) for v in zip(*cases))
-    bands = [max(P.total_degree, 1) * k for P, k in zip(polys, cutoffs)]
-    kouts = [band if o is None else min(o, band) for band, o in zip(bands, outs)]
-    n, nout = max(cutoffs), max(kouts)
-    plan = _rows_coefficient_map(polys, cutoffs, n, kouts, nout)
-    coeffs = _random_coeffs(np.random.default_rng(seed), (len(cases), 2 * n + 1))
+def test_rows_map_with_output_cutoffs_matches_one_row_oracle(case, seed):
+    rows, kout = case
+    polys, cutoffs = (list(v) for v in zip(*rows))
+    n = max(cutoffs)
+    plan = _rows_coefficient_map(polys, cutoffs, n, kout)
+    coeffs = _random_coeffs(np.random.default_rng(seed), (len(rows), 2 * n + 1))
     got = plan(coeffs)
-    assert got.shape == (len(cases), 2 * nout + 1)
-    for j, (P, k, ko) in enumerate(zip(polys, cutoffs, kouts)):
-        want = oracle_coefficient_map(P, k, ko)(coeffs[j, n - k : n + k + 1])
-        assert got[j, nout - ko : nout + ko + 1].tobytes() == want.tobytes()
-        assert not got[j, : nout - ko].any() and not got[j, nout + ko + 1 :].any()
+    assert got.shape == (len(rows), 2 * kout + 1)
+    for j, (P, k) in enumerate(rows):
+        want = oracle_coefficient_map(P, k, kout)(coeffs[j, n - k : n + k + 1])
+        assert got[j].tobytes() == want.tobytes()
 
 
 def test_linear_evaluate_to_narrow_output_regression():

@@ -15,17 +15,13 @@ that a swing in the host's speed lands on both sides alike.  The layers:
   rhs_rows       one RHS evaluation of the block map of `integrate_rows` for
                  the example_b(1) growth probe: example_b(1) and its control
                  cubic(i) at K and at 2K, four padded grids, rows in the
-                 order `integrate_rows` stacks them (absent on a checkout
-                 without that map)
+                 order `integrate_rows` stacks them
   step_1row      one IF-RK4 step of `integrate`, example_d(1, 2), alpha = 3
   step_2x1row    two one-row `integrate` steps: example_d(1, i) and its
                  control example_d(1, 2), the growth probe's pair
-  step_2rows     one `integrate_rows` step of the same two rows (absent on
-                 a checkout without `integrate_rows`)
+  step_2rows     one `integrate_rows` step of the same two rows
   probe_step     one step of the growth probe's four rows: example_d(1, i)
-                 and its control at K and at 2K; one `integrate_rows` call
-                 where rows may differ in cutoff, else one call per cutoff
-                 (absent on a checkout without `integrate_rows`)
+                 and its control at K and at 2K, one `integrate_rows` call
   linear_step    one IF-RK4 step of `integrate`, linear_transport(i), whose
                  nonlinear part is zero
   energy         `modified_energy` of one snapshot, example_d(i, 2i),
@@ -149,33 +145,23 @@ def _layers_at(k: int) -> dict:
             lambda: [estimates.run_ensemble(op, ensemble, **p) for op, p in ESTIMATE_JOBS], 1
         ) / len(ESTIMATE_JOBS),
     }
-    if hasattr(nonlinearity, "_rows_coefficient_map"):
-        # The rows in the order integrate_rows gives them: its own key, or on a
-        # checkout without `_row_order` its older one, by cutoff, then degree.
-        polys = [nonlinearity.example_b(1.0), nonlinearity.cubic(1j)] * 2
-        cuts = [k, k, 2 * k, 2 * k]
-        if hasattr(evolution, "_row_order"):
-            order = evolution._row_order(polys, cuts)
-            polys, cuts = [polys[j] for j in order], [cuts[j] for j in order]
-        block = np.zeros((4, 4 * k + 1), dtype=np.complex128)
-        for i, c in enumerate(cuts):
-            block[i, 2 * k - c : 2 * k + c + 1] = phi.with_cutoff(c).coeffs
-        try:
-            rows_rhs = nonlinearity._rows_coefficient_map(polys, cuts, 2 * k)
-        except TypeError:  # a checkout whose map takes no block width
-            rows_rhs = nonlinearity._rows_coefficient_map(polys, cuts)
-        row["rhs_rows"] = lambda: _best_us(lambda: rows_rhs(block), steps)
-    if hasattr(evolution, "integrate_rows"):
-        pair = [(phi, G, cfg), (phi, F, cfg)]
-        row["step_2rows"] = lambda: _best_us(lambda: evolution.integrate_rows(pair), 1) / steps
-        cfg_2k = dataclasses.replace(cfg, cutoff=2 * k)
-        pair_2k = [(phi.with_cutoff(2 * k), G, cfg_2k), (phi.with_cutoff(2 * k), F, cfg_2k)]
-        try:
-            evolution.integrate_rows([pair[0], pair_2k[0]])
-            probe = lambda: evolution.integrate_rows(pair + pair_2k)
-        except ValueError:  # rows must share their cutoff
-            probe = lambda: (evolution.integrate_rows(pair), evolution.integrate_rows(pair_2k))
-        row["probe_step"] = lambda: _best_us(probe, 1) / steps
+    # The rows in the order integrate_rows stacks them: as given, or on a
+    # checkout where integrate_rows sorts them first (by `_row_order`), sorted.
+    polys = [nonlinearity.example_b(1.0), nonlinearity.cubic(1j)] * 2
+    cuts = [k, k, 2 * k, 2 * k]
+    if hasattr(evolution, "_row_order"):
+        order = evolution._row_order(polys, cuts)
+        polys, cuts = [polys[j] for j in order], [cuts[j] for j in order]
+    block = np.zeros((4, 4 * k + 1), dtype=np.complex128)
+    for i, c in enumerate(cuts):
+        block[i, 2 * k - c : 2 * k + c + 1] = phi.with_cutoff(c).coeffs
+    rows_rhs = nonlinearity._rows_coefficient_map(polys, cuts, 2 * k)
+    row["rhs_rows"] = lambda: _best_us(lambda: rows_rhs(block), steps)
+    pair = [(phi, G, cfg), (phi, F, cfg)]
+    row["step_2rows"] = lambda: _best_us(lambda: evolution.integrate_rows(pair), 1) / steps
+    cfg_2k = dataclasses.replace(cfg, cutoff=2 * k)
+    pair_2k = [(phi.with_cutoff(2 * k), G, cfg_2k), (phi.with_cutoff(2 * k), F, cfg_2k)]
+    row["probe_step"] = lambda: _best_us(lambda: evolution.integrate_rows(pair + pair_2k), 1) / steps
     return row
 
 
