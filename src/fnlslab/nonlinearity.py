@@ -291,10 +291,8 @@ def _rows_coefficient_map(
     entries off the modes stay zero, the forward transforms write into views
     of one flat spectrum array that ends in a zero, and flat index arrays
     place every mode.  A call runs each stage's inverse transforms,
-    evaluations and forward transforms in turn.  The transforms call numpy >=
-    2.0's pocketfft gufuncs through `spectral._ifft` (fct 1.0) and
-    `spectral._fft` (fct 1/m), which write into those views with the bits of
-    numpy.fft's ifft and fft at norm="forward".  So a call moves the modes in
+    evaluations and forward transforms in turn.  The transforms, `spectral`'s
+    `_ifft` and `_fft`, write into those views.  So a call moves the modes in
     with one `take` and two indexed writes and out with one `take`, and
     allocates only the returned coefficients, or nothing with ``out``.  Not
     for concurrent use.
@@ -354,7 +352,7 @@ def _rows_coefficient_map(
             b, end = len(rows), at + len(rows) * m
             buf, vals = flat[i : i + 2 * b * m].reshape(2, b, m), samples[:, at:end].reshape(2, b, m)
             inverses += zip(buf, vals) if b == 1 and m > _SPLIT_ABOVE else [(buf, vals)]
-            forwards.append((values[at:end].reshape(b, m), 1 / m, hflat[p : p + b * m].reshape(b, m)))
+            forwards.append((values[at:end].reshape(b, m), hflat[p : p + b * m].reshape(b, m)))
             at = end
         evaluations, at = [], 0
         for _, run in groupby(live, key=lambda r: [idx for idx, _ in polys[r[0]].terms]):
@@ -372,11 +370,11 @@ def _rows_coefficient_map(
         flat[du_at] = np.multiply(modes, ik, out=dmodes)
         for inverses, evaluations, forwards in plan:
             for buf, vals in inverses:
-                _ifft(buf, 1.0, vals)
+                _ifft(buf, vals)
             for evaluate in evaluations:
                 evaluate()
-            for f, fct, h in forwards:
-                _fft(f, fct, h)
+            for f, h in forwards:
+                _fft(f, h)
         # "wrap" reads -1 as the last entry, and with out= spares a buffer.
         return hflat.take(gather, out=out, mode="wrap")
 

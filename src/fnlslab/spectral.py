@@ -59,22 +59,22 @@ _SMOOTH_ABOVE = 64
 
 # Every transform in the package calls numpy's pocketfft gufuncs (numpy >= 2.0,
 # signature (n),()->(m), so `out` is required) through `_fft` and `_ifft`.
-# They skip the numpy.fft wrapper's dispatch and argument checks and give its
-# bits: numpy.fft.fft(a) is `_fft(a, fct, out)` with fct 1.0 (default norm) or
-# 1/m (norm="forward"), and numpy.fft.ifft(a) is `_ifft` with fct 1/m (default)
-# or 1.0 (norm="forward").  The gufuncs are looked up on their module at each
-# call, so patching the module's attributes reaches every transform.
+# They skip the numpy.fft wrapper's dispatch and argument checks and give the
+# bits of numpy.fft.fft and numpy.fft.ifft at norm="forward", the package's one
+# convention: the forward transform divides by m, the inverse does not scale.
+# The gufuncs are looked up on their module at each call, so patching the
+# module's attributes reaches every transform.
 _LAST_AXIS = [(-1,), (), (-1,)]
 
 
-def _fft(a: np.ndarray, fct: float, out: np.ndarray) -> np.ndarray:
-    """out = fct * sum_j a[..., j] e^{-2 pi i jk/m} along the last axis of m points."""
-    return _pocketfft.fft(a, fct, axes=_LAST_AXIS, out=out)
+def _fft(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = (1/m) sum_j a[..., j] e^{-2 pi i jk/m} along the last axis of m points."""
+    return _pocketfft.fft(a, 1 / a.shape[-1], axes=_LAST_AXIS, out=out)
 
 
-def _ifft(a: np.ndarray, fct: float, out: np.ndarray) -> np.ndarray:
-    """out = fct * sum_k a[..., k] e^{+2 pi i jk/m} along the last axis of m points."""
-    return _pocketfft.ifft(a, fct, axes=_LAST_AXIS, out=out)
+def _ifft(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = sum_k a[..., k] e^{+2 pi i jk/m} along the last axis of m points."""
+    return _pocketfft.ifft(a, 1.0, axes=_LAST_AXIS, out=out)
 
 
 class DealiasBudgetError(RuntimeError):
@@ -351,17 +351,15 @@ def _samples(c: np.ndarray, m: int) -> np.ndarray:
     buf = np.zeros((*c.shape[:-1], m), dtype=np.complex128)
     buf[..., : k + 1] = c[..., k:]
     buf[..., m - k :] = c[..., :k]
-    _ifft(buf, 1 / m, buf)
-    buf *= m
-    return buf
+    return _ifft(buf, buf)
 
 
 def _coefficients(values: np.ndarray, cutoff: int) -> np.ndarray:
     """(..., 2*cutoff+1): the modes |k| <= cutoff of each row of m >= 2*cutoff+1
     samples, in fresh arrays (values is left as it is)."""
     m = values.shape[-1]
-    hat = _fft(values, 1.0, np.empty_like(values))
-    return np.concatenate((hat[..., m - cutoff :], hat[..., : cutoff + 1]), axis=-1) / m
+    hat = _fft(values, np.empty_like(values))
+    return np.concatenate((hat[..., m - cutoff :], hat[..., : cutoff + 1]), axis=-1)
 
 
 def _products(f_ops, g_ops, f_of, kout: int | None = None) -> np.ndarray:

@@ -13,6 +13,7 @@ from fnlslab.nonlinearity import (
     _SPLIT_ABOVE,
     _STRUCTURED_BLOCKS,
     _block_means,
+    _jet_samples,
     _mean_grid,
     _rows_coefficient_map,
     _scan,
@@ -31,6 +32,7 @@ from fnlslab.nonlinearity import (
 )
 from fnlslab.spectral import (
     SpectralField,
+    _coefficients,
     _dx,
     _samples,
     derivative,
@@ -967,6 +969,25 @@ def test_rows_map_with_output_cutoffs_matches_one_row_oracle(case, seed):
     for j, (P, k) in enumerate(rows):
         want = oracle_coefficient_map(P, k, kout)(coeffs[j, n - k : n + k + 1])
         assert got[j].tobytes() == want.tobytes()
+
+
+@given(
+    terms=st.dictionaries(_EXPONENTS, st.complex_numbers(max_magnitude=10.0), min_size=1, max_size=6),
+    cutoff=st.integers(1, 64),
+    out=st.sampled_from(["zero", "cutoff", "band"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example({(1, 1, 0, 0): 1.0, (2, 0, 1, 0): 1j}, 2048, "cutoff", 0)  # u and u_x transformed apart
+@settings(max_examples=60, deadline=None)
+def test_evaluate_is_bitwise_the_sampler_path(terms, cutoff, out, seed):
+    """The plan and `spectral`'s sampler and inverse give F along u with the same bits."""
+    F = PolynomialNonlinearity.from_terms(terms)
+    band = max(F.total_degree, 1) * cutoff
+    kout = {"zero": 0, "cutoff": cutoff, "band": band}[out]
+    m = padded_size(cutoff, band, kout)
+    u = SpectralField(_random_coeffs(np.random.default_rng(seed), 2 * cutoff + 1), cutoff)
+    want = _coefficients(F.evaluate_values(*_jet_samples(u.coeffs[None], m)), kout)[0]
+    assert F.evaluate(u, out_cutoff=kout).coeffs.tobytes() == want.tobytes()
 
 
 def test_linear_evaluate_to_narrow_output_regression():

@@ -93,13 +93,11 @@ def test_samples_reconstruct_band_limited_exactly():
 @pytest.mark.parametrize("m", [8, 135, 270, 8640])
 def test_fft_binding_is_bitwise_numpy_fft(m):
     # Every transform calls numpy's private pocketfft gufuncs through _fft and
-    # _ifft; each scaling convention the package uses must keep numpy.fft's
-    # bits, so a numpy release that changes that module fails here.
+    # _ifft; they must keep numpy.fft's bits at norm="forward", the package's
+    # one convention, so a numpy release that changes that module fails here.
     conventions = [
-        (_ifft, 1.0, lambda a: np.fft.ifft(a, norm="forward")),  # the block plan's inverse
-        (_fft, 1 / m, lambda a: np.fft.fft(a, norm="forward")),  # its forward
-        (_ifft, 1 / m, np.fft.ifft),  # the sampler _samples, then * m
-        (_fft, 1.0, np.fft.fft),  # its inverse _coefficients, then / m
+        (_ifft, lambda a: np.fft.ifft(a, norm="forward")),
+        (_fft, lambda a: np.fft.fft(a, norm="forward")),
     ]
     rng = np.random.default_rng(m)
     b = 3
@@ -109,26 +107,26 @@ def test_fft_binding_is_bitwise_numpy_fft(m):
     layouts = [buf[0].copy(), buf[:b], buf]
     if m == 8640:
         layouts.append(data[1 + m : 1 + 2 * m])  # a split row: one row of a (2, m) buffer
-    for transform, fct, reference in conventions:
+    for transform, reference in conventions:
         for a in layouts:
             flat = np.zeros(a.size + 2, dtype=np.complex128)
             out = flat[1:-1].reshape(a.shape)
-            assert transform(a, fct, out) is out
+            assert transform(a, out) is out
             assert out.tobytes() == reference(a).tobytes()
             assert flat[0] == flat[-1] == 0
 
 
 def _numpy_samples(c, m):
-    """ifft(buf) * m of the coefficients c (|k| <= K) placed at k mod m."""
+    """ifft(buf, norm="forward") of the coefficients c (|k| <= K) placed at k mod m."""
     buf = np.zeros(m, dtype=np.complex128)
     buf[np.mod(np.arange(len(c)) - len(c) // 2, m)] = c
-    return np.fft.ifft(buf) * m
+    return np.fft.ifft(buf, norm="forward")
 
 
 def _numpy_coefficients(values, cutoff):
-    """fft(values) / m at the modes |k| <= cutoff."""
+    """fft(values, norm="forward") at the modes |k| <= cutoff."""
     m = len(values)
-    return (np.fft.fft(values) / m)[np.mod(np.arange(-cutoff, cutoff + 1), m)]
+    return np.fft.fft(values, norm="forward")[np.mod(np.arange(-cutoff, cutoff + 1), m)]
 
 
 def test_samples_transforms_are_bitwise_numpy_fft():

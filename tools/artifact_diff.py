@@ -41,14 +41,18 @@ invocations in all.
 Each invocation writes into its own directory.  The exit codes, the printed
 lines (with the output directory normalised) and ``diff -r`` of the output
 trees are compared in invocation order.  The tool prints every differing
-invocation with how it differs, then how many are identical, and exits 1 if
-any differs, 0 when everything is byte-identical.
+invocation with how it differs: for differing trees, the ``diff -rq`` list of
+files, the largest relative difference over the numeric fields of each
+differing ``.csv`` or ``.json`` file (and the field it is in), and the first
+40 lines of ``diff -r``.  Then it prints how many are identical, and exits 1
+if any differs, 0 when everything is byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import io
 import json
 import math
@@ -147,11 +151,59 @@ def difference(i, argv, results, roots) -> str | None:
     if out_p != out_c:
         return f"{what}\nstdout differs:\n--- parent\n{out_p}--- change\n{out_c}"
     trees = [os.path.join(roots[side], f"{i:02d}") for side in ("parent", "change")]
+    listing = subprocess.run(["diff", "-rq", *trees], capture_output=True, text=True)
+    if listing.returncode == 0:
+        return None
+    lines = [what, "output trees differ:", *(listing.stdout + listing.stderr).splitlines()]
+    for line in listing.stdout.splitlines():
+        if line.startswith("Files ") and line.endswith(" differ"):
+            a, b = line[len("Files ") : -len(" differ")].split(" and ")
+            if a.endswith((".csv", ".json")):
+                lines.append(f"{os.path.relpath(a, trees[0])}: {_largest_relative(a, b)}")
     diff = subprocess.run(["diff", "-r", *trees], capture_output=True, text=True)
-    if diff.returncode != 0:
-        lines = (diff.stdout + diff.stderr).splitlines()
-        return f"{what}\noutput trees differ:\n" + "\n".join(lines[:40])
-    return None
+    return "\n".join(lines + (diff.stdout + diff.stderr).splitlines()[:40])
+
+
+def _numbers(path: str) -> list:
+    """The numeric fields of a .csv file (named by its header) or a .json file
+    (named by the key they sit under), in file order, as (name, value)."""
+    with open(path) as fh:
+        if path.endswith(".json"):
+            return list(_leaves(json.load(fh), ""))
+        header, *rows = list(csv.reader(fh)) or [[]]
+    out = []
+    for row in rows:
+        for name, cell in zip(header, row):
+            with contextlib.suppress(ValueError):
+                out.append((name, float(cell)))
+    return out
+
+
+def _leaves(obj, name: str):
+    """The numbers in a parsed JSON value, each as (its nearest key, value)."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _leaves(value, key)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from _leaves(value, name)
+    elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        yield name, float(obj)
+
+
+def _largest_relative(parent: str, change: str) -> str:
+    """The largest |a - b| / max(|a|, |b|) over the numeric fields of two files."""
+    a, b = _numbers(parent), _numbers(change)
+    if [name for name, _ in a] != [name for name, _ in b]:
+        return "numeric fields differ in number or names"
+    worst, where = 0.0, None
+    for (name, x), (_, y) in zip(a, b):
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        r = abs(x - y) / max(abs(x), abs(y)) if math.isfinite(x) and math.isfinite(y) else math.inf
+        if r > worst:
+            worst, where = r, name
+    return f"largest relative difference {worst:.3g}" + (f" (field {where})" if where else "")
 
 
 def main() -> int:

@@ -14,8 +14,7 @@ that a swing in the host's speed lands on both sides alike.  The layers:
                  bandwidth (2K): its coefficient map built and called once
   rhs_rows       one RHS evaluation of the block map of `integrate_rows` for
                  the example_b(1) growth probe: example_b(1) and its control
-                 cubic(i) at K and at 2K, four padded grids, rows in the
-                 order `integrate_rows` stacks them
+                 cubic(i) at K and at 2K, four padded grids
   step_1row      one IF-RK4 step of `integrate`, example_d(1, 2), alpha = 3
   step_2x1row    two one-row `integrate` steps: example_d(1, i) and its
                  control example_d(1, 2), the growth probe's pair
@@ -38,6 +37,10 @@ that a swing in the host's speed lands on both sides alike.  The layers:
                  the four jobs of `run_estimates` (bilinear (0, 1, 1),
                  commutator s = 1 and s = -1, refined commutator s = 2.25),
                  each over 6 Gaussian pairs plus the adversarial ones
+  samples        one `spectral._samples` of a (16, 2K+1) block of coefficient
+                 rows, the size of an estimates block, onto the grid of their
+                 full pair products (padded_size(K, 2K, 2K)), and one
+                 `spectral._coefficients` of the samples back to |k| <= K
   criterion      one `check_wellposedness_condition` of example_d(1, 2),
                  which does not depend on K: satisfied, so the certificate
                  alone runs (on a checkout that samples, every witness)
@@ -122,6 +125,8 @@ def _layers_at(k: int) -> dict:
     ensemble = estimates.EnsembleSpec(cutoffs=(k,), samples_per_cutoff=6, seed=k)
     omega = F.wirtinger("omega")
     series = evolution.integrate(phi, C, dataclasses.replace(cfg, horizon=2 * cfg.dt, record_every=1))
+    pairs = spectral._random_coefficients(16, k, 1.0, rng)
+    m = spectral.padded_size(k, 2 * k, 2 * k)
     audited = evolution.integrate(
         phi, balanced, dataclasses.replace(cfg, alpha=2.5, horizon=40 * cfg.dt, record_every=1)
     )
@@ -144,14 +149,10 @@ def _layers_at(k: int) -> dict:
         "estimates": lambda: _best_us(
             lambda: [estimates.run_ensemble(op, ensemble, **p) for op, p in ESTIMATE_JOBS], 1
         ) / len(ESTIMATE_JOBS),
+        "samples": lambda: _best_us(lambda: spectral._coefficients(spectral._samples(pairs, m), k), steps),
     }
-    # The rows in the order integrate_rows stacks them: as given, or on a
-    # checkout where integrate_rows sorts them first (by `_row_order`), sorted.
     polys = [nonlinearity.example_b(1.0), nonlinearity.cubic(1j)] * 2
     cuts = [k, k, 2 * k, 2 * k]
-    if hasattr(evolution, "_row_order"):
-        order = evolution._row_order(polys, cuts)
-        polys, cuts = [polys[j] for j in order], [cuts[j] for j in order]
     block = np.zeros((4, 4 * k + 1), dtype=np.complex128)
     for i, c in enumerate(cuts):
         block[i, 2 * k - c : 2 * k + c + 1] = phi.with_cutoff(c).coeffs
