@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .nonlinearity import PolynomialNonlinearity, _rows_coefficient_map
-from .spectral import SpectralField, sobolev_norm
+from .spectral import SpectralField, _norms, _weight
 
 __all__ = [
     "EvolutionConfig",
@@ -281,7 +281,7 @@ def integrate_rows(
     cuts = [c.cutoff for _, _, c in rows]
     n = max(cuts)
     window = [slice(n - k, n + k + 1) for k in cuts]
-    w2 = np.repeat(1.0 + np.arange(-n, n + 1).astype(float) ** 2, 2)
+    w2 = np.repeat(_weight(n, 1.0), 2)
     u0, polys, e_half0, e_full0 = zip(*(_prepare(*row) for row in rows))
 
     def stack(arrays, js, fill):
@@ -337,11 +337,12 @@ def sup_l2_gap(a: TrajectoryRecord, b: TrajectoryRecord) -> float:
     if not np.allclose(a.times[:n], b.times[:n]):
         raise ValueError("trajectories were recorded on different time grids")
     k = max(a.config.cutoff, b.config.cutoff)
-    gap = 0.0
-    for i in range(n):
-        d = a.snapshots[i].with_cutoff(k) - b.snapshots[i].with_cutoff(k)
-        gap = max(gap, sobolev_norm(d, 0.0))
-    return gap
+    d = np.zeros((n, 2 * k + 1), dtype=np.complex128)  # a's minus b's first n snapshots at k
+    wa, wb = (slice(k - r.config.cutoff, k + r.config.cutoff + 1) for r in (a, b))
+    for row, u, v in zip(d, a.snapshots, b.snapshots):
+        row[wa] = u.coeffs
+        row[wb] -= v.coeffs
+    return max([0.0, *_norms(d, 0.0).tolist()])  # max skips a NaN norm
 
 
 @dataclass

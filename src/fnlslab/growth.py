@@ -59,7 +59,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .evolution import TrajectoryRecord, _multipliers, sup_l2_gap
 from .nonlinearity import PolynomialNonlinearity, _block_means, _rows_coefficient_map
-from .spectral import SpectralField, _dx, _norms, _products, sobolev_norm, translate
+from .spectral import SpectralField, _dx, _norms, _products, _weight, sobolev_norm, translate
 
 __all__ = [
     "gauge_shift",
@@ -396,7 +396,7 @@ def resonant_norm_audit(
     }
     out: dict[str, PartNorms] = {}
     for name, sig in weights.items():
-        norms = np.array([_norms(p.by_name()[name], sig) for p in parts])
+        norms = _norms(np.array([p.by_name()[name] for p in parts]), sig)
         initial, sup = float(norms[0]), float(np.max(norms))
         if not np.all(np.isfinite(norms)):
             flagged = True
@@ -569,8 +569,7 @@ def probe_initial_data(
     ks = np.arange(-cutoff, cutoff + 1)
     tail = np.zeros(2 * cutoff + 1, dtype=np.complex128)
     mask = ks < 0 if side == "minus" else ks > 0
-    kk = ks[mask].astype(float)
-    tail[mask] = (1.0 + kk**2) ** (-(s + 0.5 + 0.01) / 2.0) * np.exp(
+    tail[mask] = _weight(cutoff, -(s + 0.5 + 0.01) / 2.0)[mask] * np.exp(
         2j * np.pi * rng.random(mask.sum())
     )
     tail_field = SpectralField(tail, cutoff)

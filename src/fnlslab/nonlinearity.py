@@ -402,11 +402,6 @@ def _stacked(polys: list[PolynomialNonlinearity], sizes) -> PolynomialNonlineari
     )
 
 
-def _mean_grid(P: PolynomialNonlinearity, cutoff: int) -> int:
-    """The grid of the mean of P along fields of this cutoff: alias-free at mode 0."""
-    return padded_size(cutoff, max(P.total_degree, 1) * cutoff, 0)
-
-
 def _jet_samples(coeffs: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """(u, u_x): the rows of coeffs and their derivatives sampled on m points.
 
@@ -430,15 +425,15 @@ def _block_means(
 
     ``coeffs`` is (n, 2*cutoff+1).  Row for row this is the arithmetic of
     sampling u and derivative(u) with `SpectralField.to_samples` on the grid
-    the product needs (`_mean_grid`) and averaging P over it, so each mean is
-    bitwise equal to the one-row call.  The samples are `_jet_samples` of
-    coeffs on that grid, or ``jet`` if the caller keeps them (the witness
-    search keeps the structured witnesses'); one `evaluate_values` call
-    evaluates P on them.
+    the product needs at mode 0 (`_grid(P, cutoff, 0)`) and averaging P over
+    it, so each mean is bitwise equal to the one-row call.  The samples are
+    `_jet_samples` of coeffs on that grid, or ``jet`` if the caller keeps
+    them (the witness search keeps the structured witnesses'); one
+    `evaluate_values` call evaluates P on them.
     """
     if P.is_zero():
         return np.zeros(len(coeffs), dtype=np.complex128)
-    u, du = _jet_samples(coeffs, _mean_grid(P, cutoff)) if jet is None else jet
+    u, du = _jet_samples(coeffs, _grid(P, cutoff, 0)[2]) if jet is None else jet
     return np.mean(P.evaluate_values(u, du), axis=1)
 
 
@@ -601,7 +596,8 @@ def _witness(fo, trials, cutoffs, tol, seed, decay) -> tuple[SpectralField, floa
     def means():  # a generator: each block is built when the scan reaches it
         for j, (cut, block) in enumerate(_STRUCTURED_BLOCKS):
             scanned.append((cut, block))
-            yield _block_means(fo, cut, block, _structured_jet(j, _mean_grid(fo, cut))).imag
+            grid = _grid(fo, cut, 0)  # None for a zero fo, whose means take no samples
+            yield _block_means(fo, cut, block, grid and _structured_jet(j, grid[2])).imag
         rng = np.random.default_rng(seed)
         for cut in cutoffs:
             block = _random_coefficients(trials, cut, decay, rng)

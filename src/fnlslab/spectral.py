@@ -17,8 +17,9 @@ grid in the package is sized by `padded_size`: the next power of two up to
 multipliers, the sampling on a grid and back, and the product are row
 functions (`_bracket`, `_dx`, `_dxinv`, `_imag`, `_norms`, `_samples`,
 `_coefficients`, `_products`) on blocks of coefficient rows; the field
-functions are their one-row calls.  `_block_size` holds blocks of rows to
-one budget, `_BLOCK_POINTS` rows x grid points.
+functions are their one-row calls, and every H^s weight (1+k^2)^p is
+`_weight`'s.  `_block_size` holds blocks of rows to one budget,
+`_BLOCK_POINTS` rows x grid points.
 """
 
 from __future__ import annotations
@@ -64,17 +65,16 @@ _SMOOTH_ABOVE = 64
 # convention: the forward transform divides by m, the inverse does not scale.
 # The gufuncs are looked up on their module at each call, so patching the
 # module's attributes reaches every transform.
-_LAST_AXIS = [(-1,), (), (-1,)]
 
 
 def _fft(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out = (1/m) sum_j a[..., j] e^{-2 pi i jk/m} along the last axis of m points."""
-    return _pocketfft.fft(a, 1 / a.shape[-1], axes=_LAST_AXIS, out=out)
+    return _pocketfft.fft(a, 1 / a.shape[-1], out=out)
 
 
 def _ifft(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out = sum_k a[..., k] e^{+2 pi i jk/m} along the last axis of m points."""
-    return _pocketfft.ifft(a, 1.0, axes=_LAST_AXIS, out=out)
+    return _pocketfft.ifft(a, 1.0, out=out)
 
 
 class DealiasBudgetError(RuntimeError):
@@ -317,10 +317,15 @@ def _modes(c: np.ndarray) -> np.ndarray:
     return np.arange(-k, k + 1)
 
 
+def _weight(cutoff: int, p: float) -> np.ndarray:
+    """(1 + k^2)^p at the wavenumbers -cutoff..cutoff: the H^s weights <k>^{2p}."""
+    k = np.arange(-cutoff, cutoff + 1).astype(float)
+    return (1.0 + k * k) ** p
+
+
 def _bracket(c: np.ndarray, s: float) -> np.ndarray:
     """<D>^s of each row."""
-    k = _modes(c).astype(float)
-    return c * (1.0 + k * k) ** (s / 2.0)
+    return c * _weight(c.shape[-1] // 2, s / 2.0)
 
 
 def _dx(c: np.ndarray) -> np.ndarray:
@@ -341,8 +346,7 @@ def _imag(c: np.ndarray) -> np.ndarray:
 
 def _norms(c: np.ndarray, s: float) -> np.ndarray:
     """The H^s norm of each row."""
-    k = _modes(c).astype(float)
-    return np.sqrt(np.sum((1.0 + k * k) ** s * np.abs(c) ** 2, axis=-1))
+    return np.sqrt(np.sum(_weight(c.shape[-1] // 2, s) * np.abs(c) ** 2, axis=-1))
 
 
 def _samples(c: np.ndarray, m: int) -> np.ndarray:
@@ -425,7 +429,7 @@ def _random_coefficients(
     """(count, 2*cutoff+1) coefficients, row i those of the i-th of `count`
     successive `random_field` calls with these arguments on `rng`."""
     k = np.arange(-cutoff, cutoff + 1)
-    w = (1.0 + k.astype(float) ** 2) ** (-decay / 2.0)
+    w = _weight(cutoff, -decay / 2.0)
     g = rng.standard_normal((count, 2, 2 * cutoff + 1))  # real, then imaginary parts
     c = amplitude * w * (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)
     if side == "plus":

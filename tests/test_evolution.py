@@ -38,7 +38,7 @@ from fnlslab.spectral import (
     truncate_modes,
 )
 from test_nonlinearity import oracle_coefficient_map
-from test_spectral import linear_semigroup_apply
+from test_spectral import _inline_norms, linear_semigroup_apply
 
 ZERO = PolynomialNonlinearity.zero()
 
@@ -686,3 +686,67 @@ def test_record_validation():
         TrajectoryRecord(np.array([0.0, 0.0]), snaps, cfg)
     with pytest.raises(ValueError):
         TrajectoryRecord(np.array([0.0]), snaps, cfg)
+
+
+# -- sup_l2_gap and the H^1 weights against frozen copies of the code they replaced ----
+
+
+def _loop_sup_l2_gap(a, b):
+    """sup_l2_gap as one zero-padded difference and one inline-weight norm per snapshot."""
+    n = min(len(a.times), len(b.times))
+    k = max(a.config.cutoff, b.config.cutoff)
+    gap = 0.0
+    for i in range(n):
+        d = a.snapshots[i].with_cutoff(k) - b.snapshots[i].with_cutoff(k)
+        gap = max(gap, float(_inline_norms(d.coeffs, 0.0)))
+    return gap
+
+
+@given(
+    st.integers(1, 12),
+    st.tuples(st.booleans(), st.booleans()),  # each run at K or at 2K
+    st.tuples(st.integers(0, 5), st.integers(0, 5)),  # and its snapshot count
+    st.integers(0, 2**32 - 1),
+    st.sets(st.integers(0, 9), max_size=2),  # snapshots 5 * run + j holding a NaN
+)
+@example(3, (False, True), (0, 0), 0, set())
+@example(3, (False, True), (4, 2), 0, {1, 5})
+@settings(max_examples=60, deadline=None)
+def test_sup_l2_gap_is_bitwise_the_per_snapshot_fold(k, doubled, lengths, seed, nan_at):
+    rng = np.random.default_rng(seed)
+    runs = []
+    for i, (twice, length) in enumerate(zip(doubled, lengths)):
+        cut = 2 * k if twice else k
+        cfg = EvolutionConfig(alpha=3.0, cutoff=cut, dt=0.1, horizon=0.5, record_every=1)
+        snaps = []
+        for j in range(length):
+            c = rng.standard_normal(2 * cut + 1) + 1j * rng.standard_normal(2 * cut + 1)
+            if 5 * i + j in nan_at:
+                c[rng.integers(2 * cut + 1)] = np.nan
+            snaps.append(SpectralField(c, cut))
+        runs.append(TrajectoryRecord(0.1 * np.arange(length), snaps, cfg))
+    for a, b in (runs, runs[::-1]):
+        got = sup_l2_gap(a, b)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(_loop_sup_l2_gap(a, b)).tobytes()
+
+
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=3))
+@settings(max_examples=20, deadline=None)
+def test_integrate_rows_h1_weights_are_the_inline_weights(cutoffs):
+    seen = []
+
+    def spy(u, w2, *limits):
+        seen.append(w2)
+        return _leaving(u, w2, *limits)
+
+    rows = [
+        (SpectralField.zeros(k), ZERO, EvolutionConfig(alpha=3.0, cutoff=k, dt=0.1, horizon=0.1))
+        for k in cutoffs
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("fnlslab.evolution._leaving", spy)
+        integrate_rows(rows)
+    n = max(cutoffs)
+    inline = np.repeat(1.0 + np.arange(-n, n + 1).astype(float) ** 2, 2)
+    assert seen[0].tobytes() == inline.tobytes()

@@ -1,18 +1,20 @@
 """Experiment presets, artifact reproducibility, sweeps, and the CLI."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fnlslab import experiments
 from fnlslab.energy import energy_audit, write_energy_csv
-from fnlslab.evolution import EvolutionConfig, eps_convergence_study, integrate
+from fnlslab.evolution import EvolutionConfig, _multipliers, eps_convergence_study, integrate
 
 from fnlslab.cli import _collect, build_parser
 from fnlslab.cli import main as cli_main
@@ -28,6 +30,7 @@ from fnlslab.experiments import (
     run_estimates,
     sweep,
 )
+from fnlslab.nonlinearity import linear_transport
 
 
 def read(path):
@@ -167,6 +170,49 @@ def test_linear_regression_follows_the_viscous_flow(tmp_path, eps):
     s = run("linear_transport", tmp_path, overrides={"eps": eps}, seed=0)
     (entry,) = [a for a in s["analyses"] if a["name"] == "linear_regression"]
     assert entry["pass"], entry["metrics"]
+
+
+def _loop_linear_regression_metric(cfg, c, seed, traj):
+    """The linear regression's sup relative error, one snapshot at a time."""
+    rng = np.random.default_rng(seed)
+    ks = np.arange(-cfg.cutoff, cfg.cutoff + 1)
+    phi = np.exp(-np.abs(ks).astype(float)) * np.exp(2j * np.pi * rng.random(ks.size))
+    lam = _multipliers(ks, cfg.alpha, cfg.eps) + 1j * complex(c) * ks
+    worst = 0.0
+    for t, snap in zip(traj.times, traj.snapshots):
+        exact = phi * np.exp(lam * t)
+        nz = np.abs(exact) > 0
+        rel = np.abs(snap.coeffs[nz] - exact[nz]) / np.abs(exact[nz])
+        worst = max(worst, float(np.max(rel)))
+    return worst
+
+
+@given(
+    st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    st.floats(2.05, 5.0),
+    st.floats(0.0, 2.0),
+    st.integers(1, 40),
+    st.sampled_from([1e6, math.inf]),
+    st.integers(0, 2**32 - 1),
+)
+@example(1.0, 3.0, 2.0, 40, 1e6, 0)  # high modes whose exact value underflows to 0
+@example(-200j, 3.0, 0.0, 4, math.inf, 0)  # inf snapshots, whose errors are NaN
+@settings(max_examples=25, deadline=None)
+def test_linear_regression_metric_is_bitwise_the_per_snapshot_fold(
+    c, alpha, eps, cutoff, ceiling, seed
+):
+    cfg = EvolutionConfig(alpha=alpha, eps=eps, cutoff=cutoff, dt=0.01, horizon=1.0,
+                          record_every=1, blowup_ceiling=ceiling)
+    runs = []
+    with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "integrate", lambda *a: runs.append(integrate(*a)) or runs[-1])
+        record = experiments._Run(PRESETS["linear_transport"], linear_transport(c), {"c": c},
+                                  False, cfg, seed, out, ())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            _, metrics = record.linear_regression()
+            want = _loop_linear_regression_metric(cfg, c, seed, runs[0])
+    assert np.float64(metrics["sup_relative_error"]).tobytes() == np.float64(want).tobytes()
 
 
 def test_growth_probe_blowup_is_quiet(tmp_path):

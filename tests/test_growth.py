@@ -48,7 +48,7 @@ from fnlslab.spectral import (
     translate,
 )
 from test_nonlinearity import _one_mean
-from test_spectral import convolve_coefficients, project
+from test_spectral import _inline_norms, convolve_coefficients, project
 
 ZERO = PolynomialNonlinearity.zero()
 
@@ -1064,3 +1064,75 @@ def test_growth_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "k,fitted_rate,predicted,relative_error"
     assert len(lines) == 3
+
+
+# -- the norm audit and the probe datum against frozen copies of the code they replaced ----
+
+
+def _loop_audit_norms(parts, s, alpha):
+    """Each part's norms as resonant_norm_audit took them: one inline-weight norm per snapshot."""
+    low, mid, high = s - 1.0, s + alpha - 3.0, s + min(-1.0, alpha - 4.0)
+    weights = {"n11": low, "n21": low, "n3": low, "m1": mid, "m2": mid, "k1": high, "k2": high}
+    return {
+        name: np.array([_inline_norms(p.by_name()[name], sig) for p in parts])
+        for name, sig in weights.items()
+    }
+
+
+@given(
+    st.integers(1, 40),
+    st.integers(1, 5),
+    st.floats(0.0, 6.0),
+    st.floats(2.05, 5.0),
+    st.integers(0, 2**32 - 1),
+    st.sets(st.integers(0, 34), max_size=3),  # entries 7 * snapshot + part made NaN or inf
+)
+@settings(max_examples=60, deadline=None)
+def test_audit_norms_are_bitwise_the_per_snapshot_norms(K, S, s, alpha, seed, bad):
+    rng = np.random.default_rng(seed)
+    parts = []
+    for t in range(S):
+        arrays = []
+        for j in range(7):
+            a = rng.standard_normal(2 * K + 1) + 1j * rng.standard_normal(2 * K + 1)
+            a *= 10.0 ** rng.uniform(-12.0, 4.0)
+            if 7 * t + j in bad:
+                a[rng.integers(2 * K + 1)] = (np.nan, np.inf)[t % 2]
+            arrays.append(a)
+        parts.append(ResonantParts(0.1 * t, np.arange(-K, K + 1), *arrays, 0.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = resonant_norm_audit(parts, s, alpha)
+    for name, want in _loop_audit_norms(parts, s, alpha).items():
+        assert got[name].norms.tobytes() == want.tobytes()
+
+
+def _inline_probe_initial_data(witness, cutoff, s, side, seed):
+    rng = np.random.default_rng(seed)
+    ks = np.arange(-cutoff, cutoff + 1)
+    tail = np.zeros(2 * cutoff + 1, dtype=np.complex128)
+    mask = ks < 0 if side == "minus" else ks > 0
+    kk = ks[mask].astype(float)
+    tail[mask] = (1.0 + kk**2) ** (-(s + 0.5 + 0.01) / 2.0) * np.exp(
+        2j * np.pi * rng.random(mask.sum())
+    )
+    tail_field = SpectralField(tail, cutoff)
+    tn, wn = sobolev_norm(tail_field, 0.0), sobolev_norm(witness, 0.0)
+    if tn > 0 and wn > 0:
+        tail_field = tail_field * (0.1 * wn / tn)
+    return witness.with_cutoff(cutoff) + tail_field
+
+
+@given(
+    st.integers(2, 300),
+    st.floats(-1.0, 8.0),
+    st.sampled_from(["minus", "plus"]),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 3.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_probe_datum_is_bitwise_the_inline_tail(cutoff, s, side, seed, amplitude):
+    witness = random_field(2, 1.0, np.random.default_rng(seed), amplitude=amplitude)
+    got = probe_initial_data(witness, cutoff, s, side=side, seed=seed)
+    want = _inline_probe_initial_data(witness, cutoff, s, side, seed)
+    assert got.coeffs.tobytes() == want.coeffs.tobytes()

@@ -13,8 +13,8 @@ from fnlslab.nonlinearity import (
     _SPLIT_ABOVE,
     _STRUCTURED_BLOCKS,
     _block_means,
+    _grid,
     _jet_samples,
-    _mean_grid,
     _rows_coefficient_map,
     _scan,
     _structured_jet,
@@ -567,7 +567,7 @@ def test_random_witness_builds_one_generator(monkeypatch):
 def test_structured_samples_are_kept_read_only_and_fresh(F):
     fo = F.wirtinger("omega")
     for j, (cut, block) in enumerate(_STRUCTURED_BLOCKS):
-        m = _mean_grid(fo, cut)
+        m = _grid(fo, cut, 0)[2]
         jet = _structured_jet(j, m)
         fresh = _samples(np.concatenate([block, _dx(block)]), m)
         assert _structured_jet(j, m) is jet
@@ -655,7 +655,7 @@ def test_one_large_row_mean_is_the_one_row_arithmetic(cutoff, monkeypatch):
     monkeypatch.setattr("fnlslab.nonlinearity._samples", counted)
     got = _block_means(fo, cutoff, u.coeffs[None])
     assert got.tobytes() == np.complex128(_one_mean(fo, u)).tobytes()
-    split = _mean_grid(fo, cutoff) > _SPLIT_ABOVE
+    split = _grid(fo, cutoff, 0)[2] > _SPLIT_ABOVE
     assert shapes == ([(1, 2 * cutoff + 1)] * 2 if split else [(2, 2 * cutoff + 1)])
 
 

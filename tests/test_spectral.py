@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 from fnlslab.spectral import (
     DealiasBudgetError,
     SpectralField,
+    _bracket,
     _coefficients,
     _fft,
     _ifft,
+    _norms,
     _random_coefficients,
     _samples,
     antiderivative,
@@ -421,3 +423,60 @@ def test_truncate_modes():
     assert all(g.coefficient(k) == 0 for k in range(5, 17))
     assert sobolev_norm(truncate_modes(f, 16) - f) == 0.0
     assert sobolev_norm(truncate_modes(f, 0) - project(f, "mean")) == 0.0
+
+
+# -- the H^s weights against frozen copies of the expressions `_weight` replaced ----
+
+
+def _inline_bracket(c, s):
+    k = np.arange(-(c.shape[-1] // 2), c.shape[-1] // 2 + 1).astype(float)
+    return c * (1.0 + k * k) ** (s / 2.0)
+
+
+def _inline_norms(c, s):
+    k = np.arange(-(c.shape[-1] // 2), c.shape[-1] // 2 + 1).astype(float)
+    return np.sqrt(np.sum((1.0 + k * k) ** s * np.abs(c) ** 2, axis=-1))
+
+
+def _inline_random_coefficients(count, cutoff, decay, rng, amplitude, side, include_mean):
+    k = np.arange(-cutoff, cutoff + 1)
+    w = (1.0 + k.astype(float) ** 2) ** (-decay / 2.0)
+    g = rng.standard_normal((count, 2, 2 * cutoff + 1))
+    c = amplitude * w * (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)
+    if side == "plus":
+        c[:, k <= 0] = 0.0
+    elif side == "minus":
+        c[:, k >= 0] = 0.0
+    if not include_mean:
+        c[:, k == 0] = 0.0
+    return c
+
+
+@given(
+    st.integers(0, 300),
+    st.integers(1, 4),
+    st.floats(-8.0, 8.0),
+    st.integers(0, 2**32 - 1),
+    st.floats(-2.0, 6.0),
+    st.floats(0.1, 10.0),
+    st.sampled_from([None, "plus", "minus"]),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_weight_sites_are_bitwise_their_inline_weights(
+    cutoff, count, s, seed, decay, amplitude, side, include_mean
+):
+    rng = np.random.default_rng(seed)
+    shape = (count, 2 * cutoff + 1)
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    c *= 10.0 ** rng.uniform(-8.0, 8.0, shape)
+    for rows in (c, c[0]):
+        assert _bracket(rows, s).tobytes() == _inline_bracket(rows, s).tobytes()
+        assert _norms(rows, s).tobytes() == _inline_norms(rows, s).tobytes()
+    f = SpectralField(c[0], cutoff)
+    assert bracket_power(f, s).coeffs.tobytes() == _inline_bracket(c[0], s).tobytes()
+    assert np.float64(sobolev_norm(f, s)).tobytes() == _inline_norms(c[0], s).tobytes()
+    options = (amplitude, side, include_mean)
+    got = _random_coefficients(count, cutoff, decay, np.random.default_rng(seed), *options)
+    want = _inline_random_coefficients(count, cutoff, decay, np.random.default_rng(seed), *options)
+    assert got.tobytes() == want.tobytes()
