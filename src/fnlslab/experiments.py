@@ -60,7 +60,7 @@ from .nonlinearity import (
     format_nonlinearity,
     linear_transport,
 )
-from .spectral import SpectralField, random_field, sobolev_norm
+from .spectral import SpectralField, random_field
 
 __all__ = [
     "ExperimentPreset",
@@ -284,13 +284,8 @@ def paired_growth_probe(
 
 
 def _control_data(witness, cutoff, s, side, seed):
-    rng = np.random.default_rng(seed)
-    tail = random_field(cutoff, s + 4.0, rng, amplitude=0.1, side=side, include_mean=False)
-    wn = sobolev_norm(witness, 0.0)
-    tn = sobolev_norm(tail, 0.0)
-    if tn > 0 and wn > 0:
-        tail = tail * (0.1 * wn / tn)
-    return witness.with_cutoff(cutoff) + tail
+    tail = random_field(cutoff, s + 4.0, np.random.default_rng(seed), amplitude=0.1, side=side)
+    return growth_mod._with_tail(witness, tail)
 
 
 @dataclass(frozen=True)

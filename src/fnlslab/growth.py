@@ -572,12 +572,16 @@ def probe_initial_data(
     tail[mask] = _weight(cutoff, -(s + 0.5 + 0.01) / 2.0)[mask] * np.exp(
         2j * np.pi * rng.random(mask.sum())
     )
-    tail_field = SpectralField(tail, cutoff)
-    tn = sobolev_norm(tail_field, 0.0)
-    wn = sobolev_norm(witness, 0.0)
+    return _with_tail(witness, SpectralField(tail, cutoff))
+
+
+def _with_tail(witness: SpectralField, tail: SpectralField) -> SpectralField:
+    """witness at the tail's cutoff plus the tail scaled to _TAIL_AMPLITUDE of
+    the witness L2 norm, or as it is if either norm is 0."""
+    tn, wn = sobolev_norm(tail, 0.0), sobolev_norm(witness, 0.0)
     if tn > 0 and wn > 0:
-        tail_field = tail_field * (_TAIL_AMPLITUDE * wn / tn)
-    return witness.with_cutoff(cutoff) + tail_field
+        tail = tail * (_TAIL_AMPLITUDE * wn / tn)
+    return witness.with_cutoff(tail.cutoff) + tail
 
 
 def write_growth_csv(report: GrowthReport, path) -> None:

@@ -211,22 +211,16 @@ class PolynomialNonlinearity:
         The returned function takes the 2*cutoff+1 coefficients of u and
         returns the 2*kout+1 coefficients of F(u, u_x, conj u, conj u_x),
         alias-free, where kout is ``out_cutoff`` capped at the full product
-        bandwidth total_degree * cutoff (the default); given ``out``, an array
-        of that length, it writes them there and returns it.  This is the
-        one-row call of `_rows_coefficient_map`, a plan built once per map,
-        so a call allocates only the returned coefficients, a fresh copy, or
-        nothing with ``out``.  Repeated calls (one per Runge-Kutta stage)
-        reuse the plan, so a map is not for concurrent use.
+        bandwidth total_degree * cutoff (the default).  This is the one-row
+        call of `_rows_coefficient_map`, a plan built once per map, so a call
+        allocates only the returned coefficients, a fresh copy.  Repeated
+        calls (one per Runge-Kutta stage) reuse the plan, so a map is not for
+        concurrent use.
         """
         band = max(self.total_degree, 1) * cutoff
         kout = band if out_cutoff is None else min(out_cutoff, band)
         plan = _rows_coefficient_map([self], [cutoff], cutoff, kout)
-
-        def apply(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-            block = plan(coeffs[None], out=None if out is None else out[None])
-            return block[0] if out is None else out
-
-        return apply
+        return lambda coeffs: plan(coeffs[None])[0]
 
     def evaluate(
         self, u: SpectralField, out_cutoff: int | None = None
@@ -240,15 +234,16 @@ class PolynomialNonlinearity:
         return SpectralField(coeffs, len(coeffs) // 2)
 
 
-# One row on more grid points than this transforms its u and u_x samples
-# separately: one (2, m) inverse transform beats two (m,) ones up to 4320
-# points but not at 8640 (334-485 against 236-371 us on a 2-vCPU VM), while
-# (4, 8640) and (8, 8640) batched still win.  Both give the same bits.  It
-# also bounds a stage of `_rows_coefficient_map`, whose groups share one
-# evaluation of F across grids: on the growth probe's block of example_c or
-# example_d, an RHS evaluation took 8-12% less at K = 32 (810 samples a
-# slot) and 3-7% less at K = 128 (3240), but one stage took 3-7% more than
-# one per group at K = 512 (12960) (15 in-process rounds, 2-vCPU VM).
+# A one-row group of `_rows_coefficient_map` on more grid points than this
+# transforms its u and u_x samples separately: one (2, m) inverse transform
+# beats two (m,) ones up to 4320 points but not at 8640 (334-485 against
+# 236-371 us on a 2-vCPU VM), while (4, 8640) and (8, 8640) batched still
+# win.  Both give the same bits.  It also bounds a stage of the plan, whose
+# groups share one evaluation of F across grids: on the growth probe's block
+# of example_c or example_d, an RHS evaluation took 8-12% less at K = 32
+# (810 samples a slot) and 3-7% less at K = 128 (3240), but one stage took
+# 3-7% more than one per group at K = 512 (12960) (15 in-process rounds,
+# 2-vCPU VM).
 _SPLIT_ABOVE = 4320
 
 
@@ -271,15 +266,14 @@ def _rows_coefficient_map(
     C-contiguous array of that shape, it writes them there and returns it.
     Rows go in and come out in the caller's order.  A row's grid is `_grid`'s:
     padded_size(k, max(deg, 1) * k, kout).  The plan lays out the rows by
-    degree class (degrees whose rows share a grid in the block, as degrees 2
-    and 3 pad to 8 points at K = 1), k, degree, monomials and the first
-    position of the polynomial.  Adjacent rows of one grid form a group that
-    shares the transforms: one inverse transform of a (2, b, m) buffer of the
-    u rows, then the u_x rows (one per slot for one row on more than
-    _SPLIT_ABOVE points), and one forward transform of (b, m).  Adjacent
-    groups form a stage while it holds at most _SPLIT_ABOVE samples a slot (a
-    larger group is a stage alone).  A stage keeps its samples in one (2, S)
-    array, every group's u rows and then every group's u_x rows, and F's
+    degree, k, monomials and the first position of the polynomial (two
+    degrees on one grid, as 2 and 3 on 8 points at K = 1, form a group each).
+    Adjacent rows of one grid form a group that shares the transforms: one
+    inverse transform of a (2, b, m) buffer of the u rows, then the u_x rows
+    (one per slot for one row on more than _SPLIT_ABOVE points), and one
+    forward transform of (b, m).  Adjacent groups form a stage while it
+    holds at most _SPLIT_ABOVE samples a slot (a larger group is a stage
+    alone).  A stage keeps its samples in one (2, S) array, every group's u rows and then every group's u_x rows, and F's
     values in one array of S, so a run of the stage's nonzero rows with the
     same monomials spans one stretch of both, across grids, and shares one
     evaluation of F: one `values_plan` of the polynomial `_stacked` makes of
@@ -299,19 +293,10 @@ def _rows_coefficient_map(
     """
     nout = n if kout is None else kout
     grids = [_grid(P, k, k if kout is None else kout) for P, k in zip(polys, cutoffs)]
-    degree = [P.total_degree for P in polys]
-    on_grid: dict = {}  # grid -> the degrees of its rows
-    for d, grid in zip(degree, grids):
-        on_grid.setdefault(grid, set()).add(d)
-    classes: list[set[int]] = []  # those sets, merged where they meet
-    for degrees in on_grid.values():
-        meet = [c for c in classes if c & degrees]
-        classes = [c for c in classes if not c & degrees] + [degrees.union(*meet)]
-    least = {d: min(c) for c in classes for d in c}
 
     def layout(j):
-        P, d = polys[j], degree[j]
-        return least[d], cutoffs[j], d, [idx for idx, _ in P.terms], polys.index(P)
+        P = polys[j]
+        return P.total_degree, cutoffs[j], [idx for idx, _ in P.terms], polys.index(P)
 
     width, stages = 2 * n + 1, []  # stages: adjacent groups, at most _SPLIT_ABOVE samples a slot
     # The input, u and u_x entries and the multiplier i*k of each group's modes.
@@ -403,14 +388,8 @@ def _stacked(polys: list[PolynomialNonlinearity], sizes) -> PolynomialNonlineari
 
 
 def _jet_samples(coeffs: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(u, u_x): the rows of coeffs and their derivatives sampled on m points.
-
-    One `spectral._samples` call samples the u rows and then the u_x rows, or
-    for one row on more than _SPLIT_ABOVE points one call each, as in
-    `_rows_coefficient_map`; both give the same bits.
-    """
-    if len(coeffs) == 1 and m > _SPLIT_ABOVE:
-        return _samples(coeffs, m), _samples(_dx(coeffs), m)
+    """(u, u_x): the rows of coeffs and their derivatives sampled on m points,
+    by one `spectral._samples` call on the u rows and then the u_x rows."""
     samples = _samples(np.concatenate([coeffs, _dx(coeffs)]), m)
     return samples[: len(coeffs)], samples[len(coeffs) :]
 
@@ -520,6 +499,9 @@ def _structured_jet(block: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 # product, the division by the scale), h one more, n * h one more and the sum
 # one per contribution.  A well-posed pair cancels inside h, so its exact E
 # is 0 and |E| <= (k + 1 + T) u B over T contributions: 128 u covers k + T < 128.
+# Below the normal range a rounding is absolute, not relative: at most half
+# the subnormal spacing 2^-1074.  Two of them in each f give h an error of at
+# most 2^-1074 / scale, so B also sums |n| * 2^-1074 / (scale * _ROUNDING).
 _ROUNDING = 64 * 2.0**-52
 
 
@@ -533,10 +515,11 @@ def _euler_certificate(fo: PolynomialNonlinearity, scale: float) -> tuple[float,
     For real H, E_{conj u} H is the conjugate of E_u H.
     """
     f = {idx: c / scale for idx, c in fo.terms}
+    slack = 2.0**-1074 / _ROUNDING / scale if scale else 0.0  # subnormal rounding, per |n|
     euler: dict[tuple[int, ...], tuple[complex, float]] = {}  # key -> (E, B)
     for a, b, c, d in sorted(f.keys() | {(c, d, a, b) for a, b, c, d in f}):
         f1, f2 = f.get((a, b, c, d), 0j), f.get((c, d, a, b), 0j)
-        h, size = -0.5j * (f1 - f2.conjugate()), 0.5 * (abs(f1) + abs(f2))
+        h, size = -0.5j * (f1 - f2.conjugate()), 0.5 * (abs(f1) + abs(f2)) + slack
         terms = [((a - 1, b, 0, c, d, 0), a)] if a else []  # d/du H
         if b:  # -D_x of d/du_x H: each slot s passes one power to slot s + 1
             jet = (a, b - 1, 0, c, d, 0)

@@ -406,14 +406,13 @@ def random_field(
     rng: np.random.Generator,
     amplitude: float = 1.0,
     side: str | None = None,
-    include_mean: bool = True,
 ) -> SpectralField:
     """Random trigonometric polynomial with coefficient decay <k>^{-decay}.
 
     Coefficients are complex Gaussian; ``side`` restricts support to 'plus'
     or 'minus' modes.
     """
-    coeffs = _random_coefficients(1, cutoff, decay, rng, amplitude, side, include_mean)
+    coeffs = _random_coefficients(1, cutoff, decay, rng, amplitude, side)
     return SpectralField(coeffs[0], cutoff)
 
 
@@ -424,7 +423,6 @@ def _random_coefficients(
     rng: np.random.Generator,
     amplitude: float = 1.0,
     side: str | None = None,
-    include_mean: bool = True,
 ) -> np.ndarray:
     """(count, 2*cutoff+1) coefficients, row i those of the i-th of `count`
     successive `random_field` calls with these arguments on `rng`."""
@@ -438,6 +436,4 @@ def _random_coefficients(
         c[:, k >= 0] = 0.0
     elif side is not None:
         raise ValueError(f"unknown side {side!r}")
-    if not include_mean:
-        c[:, k == 0] = 0.0
     return c

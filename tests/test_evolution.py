@@ -356,8 +356,8 @@ def _probe_rows(F, control, cutoff):
         (_probe_rows(example_b(1.0), cubic(1j), 32), 2, 4),  # two monomial sets, four grids
         (_probe_rows(example_c(1j), example_c(1.0), 32), 1, 2),
         (_probe_rows(example_d(1.0, 1j), example_d(1.0, 2.0), 32), 1, 2),
-        # at K = 1 degrees 2 and 3 both pad to 8 points, and that grid stays one group
-        (_probe_rows(example_b(1.0), cubic(1j), 1), 4, 3),
+        # at K = 1 degrees 2 and 3 both pad to 8 points, one group each
+        (_probe_rows(example_b(1.0), cubic(1j), 1), 2, 4),
         # the eps study: one polynomial at three eps
         ([(ROW_POOL[2][0], cubic(1j), replace(ROW_CFG, eps=e, horizon=ROW_CFG.dt, record_every=1))
           for e in (1e-1, 1e-2, 1e-3)], 1, 1),

@@ -31,6 +31,7 @@ from fnlslab.experiments import (
     sweep,
 )
 from fnlslab.nonlinearity import linear_transport
+from fnlslab.spectral import SpectralField, random_field, sobolev_norm
 
 
 def read(path):
@@ -225,6 +226,38 @@ def test_growth_probe_blowup_is_quiet(tmp_path):
         ("criterion", True), ("growth_probe", True)
     ]
     assert s["analyses"][1]["metrics"]["matching_run"] == 29
+
+
+def _inline_control_data(witness, cutoff, s, side, seed):
+    # the control datum with its own copy of the tail rule and of the random tail
+    rng = np.random.default_rng(seed)
+    k = np.arange(-cutoff, cutoff + 1)
+    g = rng.standard_normal((1, 2, 2 * cutoff + 1))
+    w = (1.0 + k.astype(float) ** 2) ** (-(s + 4.0) / 2.0)
+    c = 0.1 * w * (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)
+    c[:, k <= 0 if side == "plus" else k >= 0] = 0.0
+    c[:, k == 0] = 0.0
+    tail = SpectralField(c[0], cutoff)
+    wn, tn = sobolev_norm(witness, 0.0), sobolev_norm(tail, 0.0)
+    if tn > 0 and wn > 0:
+        tail = tail * (0.1 * wn / tn)
+    return witness.with_cutoff(cutoff) + tail
+
+
+@given(
+    st.integers(1, 300),
+    st.floats(-1.0, 8.0),
+    st.sampled_from(["minus", "plus"]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 1e-3, 1.0, 30.0]),
+)
+@example(32, 2.35, "minus", 3, 0.0)  # a zero witness keeps the tail as drawn
+@settings(max_examples=60, deadline=None)
+def test_control_datum_is_bitwise_the_inline_tail(cutoff, s, side, seed, amplitude):
+    witness = random_field(2, 1.0, np.random.default_rng(seed + 1), amplitude=amplitude)
+    got = experiments._control_data(witness, cutoff, s, side, seed)
+    want = _inline_control_data(witness, cutoff, s, side, seed)
+    assert got.cutoff == cutoff and got.coeffs.tobytes() == want.coeffs.tobytes()
 
 
 def test_unknown_overrides_rejected(tmp_path):

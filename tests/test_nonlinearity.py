@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 from fnlslab.nonlinearity import (
     CriterionVerdict,
     PolynomialNonlinearity,
-    _SPLIT_ABOVE,
     _STRUCTURED_BLOCKS,
     _block_means,
     _grid,
@@ -388,6 +387,8 @@ _VIOLATING = st.one_of(
     st.one_of(st.none(), _VIOLATING),
     st.floats(-12.0, 8.0),
 )
+# a well-posed pair of subnormal coefficients, whose roundings are absolute
+@example([example_d(2.2250738585e-313, 2 * 2.2250738585e-313)], None, 0.5)
 @settings(max_examples=80, deadline=None)
 def test_certificate_classifies_constructed_sums(terms, violating, lam_exp):
     """Sums of satisfying family terms, plus one violating term or none, scaled by lambda."""
@@ -655,8 +656,7 @@ def test_one_large_row_mean_is_the_one_row_arithmetic(cutoff, monkeypatch):
     monkeypatch.setattr("fnlslab.nonlinearity._samples", counted)
     got = _block_means(fo, cutoff, u.coeffs[None])
     assert got.tobytes() == np.complex128(_one_mean(fo, u)).tobytes()
-    split = _grid(fo, cutoff, 0)[2] > _SPLIT_ABOVE
-    assert shapes == ([(1, 2 * cutoff + 1)] * 2 if split else [(2, 2 * cutoff + 1)])
+    assert shapes == [(2, 2 * cutoff + 1)]
 
 
 # -- the evaluation plan and the RHS maps against fresh-allocation references ---------
@@ -903,8 +903,6 @@ def test_coefficient_map_matches_fresh_allocation_oracle(case, seed):
         coeffs = _random_coeffs(rng, 2 * cutoff + 1)
         got, want = fmap(coeffs), oracle(coeffs)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        out = np.full_like(want, np.nan)
-        assert fmap(coeffs, out=out) is out and out.tobytes() == want.tobytes()
         results.append((got, want))
     for got, want in results:  # a later call leaves an earlier result alone
         assert got.tobytes() == want.tobytes()

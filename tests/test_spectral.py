@@ -384,16 +384,13 @@ def test_grid_products_match_convolution(cutoff, idxs, g_cutoff, out_cutoff, see
     st.floats(-2.0, 5.0),
     st.floats(0.1, 10.0),
     st.sampled_from([None, "plus", "minus"]),
-    st.booleans(),
     st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=60, deadline=None)
-def test_random_block_rows_are_successive_random_fields(count, cutoff, decay, amp, side, mean, seed):
-    block = _random_coefficients(
-        count, cutoff, decay, np.random.default_rng(seed), amp, side, include_mean=mean
-    )
+def test_random_block_rows_are_successive_random_fields(count, cutoff, decay, amp, side, seed):
+    block = _random_coefficients(count, cutoff, decay, np.random.default_rng(seed), amp, side)
     rng = np.random.default_rng(seed)
-    rows = [random_field(cutoff, decay, rng, amp, side, include_mean=mean) for _ in range(count)]
+    rows = [random_field(cutoff, decay, rng, amp, side) for _ in range(count)]
     assert block.shape == (count, 2 * cutoff + 1)
     assert block.tobytes() == np.array([f.coeffs for f in rows]).tobytes()
 
@@ -438,7 +435,7 @@ def _inline_norms(c, s):
     return np.sqrt(np.sum((1.0 + k * k) ** s * np.abs(c) ** 2, axis=-1))
 
 
-def _inline_random_coefficients(count, cutoff, decay, rng, amplitude, side, include_mean):
+def _inline_random_coefficients(count, cutoff, decay, rng, amplitude, side):
     k = np.arange(-cutoff, cutoff + 1)
     w = (1.0 + k.astype(float) ** 2) ** (-decay / 2.0)
     g = rng.standard_normal((count, 2, 2 * cutoff + 1))
@@ -447,8 +444,6 @@ def _inline_random_coefficients(count, cutoff, decay, rng, amplitude, side, incl
         c[:, k <= 0] = 0.0
     elif side == "minus":
         c[:, k >= 0] = 0.0
-    if not include_mean:
-        c[:, k == 0] = 0.0
     return c
 
 
@@ -460,12 +455,9 @@ def _inline_random_coefficients(count, cutoff, decay, rng, amplitude, side, incl
     st.floats(-2.0, 6.0),
     st.floats(0.1, 10.0),
     st.sampled_from([None, "plus", "minus"]),
-    st.booleans(),
 )
 @settings(max_examples=60, deadline=None)
-def test_weight_sites_are_bitwise_their_inline_weights(
-    cutoff, count, s, seed, decay, amplitude, side, include_mean
-):
+def test_weight_sites_are_bitwise_their_inline_weights(cutoff, count, s, seed, decay, amplitude, side):
     rng = np.random.default_rng(seed)
     shape = (count, 2 * cutoff + 1)
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -476,7 +468,7 @@ def test_weight_sites_are_bitwise_their_inline_weights(
     f = SpectralField(c[0], cutoff)
     assert bracket_power(f, s).coeffs.tobytes() == _inline_bracket(c[0], s).tobytes()
     assert np.float64(sobolev_norm(f, s)).tobytes() == _inline_norms(c[0], s).tobytes()
-    options = (amplitude, side, include_mean)
+    options = (amplitude, side)
     got = _random_coefficients(count, cutoff, decay, np.random.default_rng(seed), *options)
     want = _inline_random_coefficients(count, cutoff, decay, np.random.default_rng(seed), *options)
     assert got.tobytes() == want.tobytes()

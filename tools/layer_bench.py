@@ -28,8 +28,7 @@ that a swing in the host's speed lands on both sides alike.  The layers:
   energy_audit   `energy_audit` of a 41-snapshot example_d(i, 2i) run,
                  alpha = 2.5 (ladder depth 2), per snapshot
   decomposition  `decomposition_series` of a three-snapshot example_c(i) run,
-                 alpha = 3, per snapshot (on a checkout whose series calls
-                 `resonant_decomposition` per snapshot, that loop)
+                 alpha = 3, per snapshot
   decomposition_peak
                  the tracemalloc peak, in MB (not us), of one call of that
                  series: the memory the `decomposition` layer needs
@@ -43,7 +42,7 @@ that a swing in the host's speed lands on both sides alike.  The layers:
                  `spectral._coefficients` of the samples back to |k| <= K
   criterion      one `check_wellposedness_condition` of example_d(1, 2),
                  which does not depend on K: satisfied, so the certificate
-                 alone runs (on a checkout that samples, every witness)
+                 alone runs
   criterion_violated
                  the same for example_c(i): violated, so the certificate
                  and then the witness search, which exits on the first
