@@ -34,7 +34,19 @@ from typing import Mapping
 
 import numpy as np
 
-from .spectral import SpectralField, _dx, _fft, _ifft, _random_coefficients, _samples, padded_size
+from .spectral import (
+    _SPLIT_ABOVE,
+    SpectralField,
+    _dx,
+    _fft,
+    _halves,
+    _ifft,
+    _join_halves,
+    _odd_halves,
+    _random_coefficients,
+    _samples,
+    padded_size,
+)
 
 __all__ = [
     "PolynomialNonlinearity",
@@ -234,17 +246,18 @@ class PolynomialNonlinearity:
         return SpectralField(coeffs, len(coeffs) // 2)
 
 
-# A one-row group of `_rows_coefficient_map` on more grid points than this
-# transforms its u and u_x samples separately: one (2, m) inverse transform
-# beats two (m,) ones up to 4320 points but not at 8640 (334-485 against
-# 236-371 us on a 2-vCPU VM), while (4, 8640) and (8, 8640) batched still
-# win.  Both give the same bits.  It also bounds a stage of the plan, whose
-# groups share one evaluation of F across grids: on the growth probe's block
-# of example_c or example_d, an RHS evaluation took 8-12% less at K = 32
-# (810 samples a slot) and 3-7% less at K = 128 (3240), but one stage took
-# 3-7% more than one per group at K = 512 (12960) (15 in-process rounds,
-# 2-vCPU VM).
-_SPLIT_ABOVE = 4320
+# `spectral._SPLIT_ABOVE` (4320 samples) also bounds a stage of
+# `_rows_coefficient_map`, whose groups share one evaluation of F across
+# grids: on the growth probe's block of example_c or example_d, an RHS
+# evaluation took 8-12% less at K = 32 (810 samples a slot) and 3-7% less at
+# K = 128 (3240), but one stage took 3-7% more than one per group at K = 512
+# (12960) (15 in-process rounds, 2-vCPU VM).  Every group transforms its u and
+# u_x rows in one call.  On half grids two calls cost the same (one-row RHS at
+# K = 2048: median 342-392 us batched, 353-367 us in two calls); on one grid
+# above 4320 points the outcome hangs on the allocator: a degree-1 row on 8100
+# points read 354-356 against 411-447 us, a degree-2 row on 6250 points
+# 377-378 against 307-339 us, with 66 page faults a call from pocketfft's
+# scratch buffer (medians of 9 interleaved in-process rounds, 2-vCPU Xeon).
 
 
 def _grid(P: PolynomialNonlinearity, k: int, kout: int):
@@ -269,11 +282,18 @@ def _rows_coefficient_map(
     degree, k, monomials and the first position of the polynomial (two
     degrees on one grid, as 2 and 3 on 8 points at K = 1, form a group each).
     Adjacent rows of one grid form a group that shares the transforms: one
-    inverse transform of a (2, b, m) buffer of the u rows, then the u_x rows
-    (one per slot for one row on more than _SPLIT_ABOVE points), and one
-    forward transform of (b, m).  Adjacent groups form a stage while it
-    holds at most _SPLIT_ABOVE samples a slot (a larger group is a stage
-    alone).  A stage keeps its samples in one (2, S) array, every group's u rows and then every group's u_x rows, and F's
+    inverse transform of a (2, b, m) buffer of the u rows, then the u_x rows,
+    and one forward transform of (b, m).  Where `spectral._halves` allows
+    (at k for the inverse, at kout for the forward), a transform runs on the
+    grid's two interleaved half grids by `spectral`'s rule, the bits of
+    `_samples` and `_coefficients`: the buffer is (2, b, 2, m/2), whose odd
+    halves `_odd_halves` fills from the even ones, and the inverse writes the
+    samples in their natural order; the forward transform reads the even and
+    odd samples as (b, 2, m/2), and `_join_halves` turns the two spectra into
+    the modes in place.  Adjacent groups
+    form a stage while it holds at most _SPLIT_ABOVE samples a slot (a
+    larger group is a stage alone).  A stage keeps its samples in one (2, S)
+    array, every group's u rows and then every group's u_x rows, and F's
     values in one array of S, so a run of the stage's nonzero rows with the
     same monomials spans one stretch of both, across grids, and shares one
     evaluation of F: one `values_plan` of the polynomial `_stacked` makes of
@@ -288,8 +308,9 @@ def _rows_coefficient_map(
     evaluations and forward transforms in turn.  The transforms, `spectral`'s
     `_ifft` and `_fft`, write into those views.  So a call moves the modes in
     with one `take` and two indexed writes and out with one `take`, and
-    allocates only the returned coefficients, or nothing with ``out``.  Not
-    for concurrent use.
+    allocates only the returned coefficients, or nothing with ``out``; half
+    grids add one in-place multiplication on the way in and three on the way
+    out.  Not for concurrent use.
     """
     nout = n if kout is None else kout
     grids = [_grid(P, k, k if kout is None else kout) for P, k in zip(polys, cutoffs)]
@@ -311,33 +332,40 @@ def _rows_coefficient_map(
         (k, ko, m), b, at = key, len(rows), np.array(rows)
         ks = np.arange(-k, k + 1)
         cells = np.arange(size, size + 2 * b * m, m)[:, None] + ks  # u rows, then u_x rows
-        cells[:, :k] += m  # mode k < 0 sits at k + m
+        cells[:, :k] += m // 2 if _halves(m, k) else m  # mode k < 0 sits at k + m, or k + m/2
         src = (at[:, None] * width + (n + ks)).ravel()
         ik = np.concatenate([1j * ks.astype(float)] * b)
         ins.append((src, cells[:b].ravel(), cells[b:].ravel(), ik))
         h_cells = np.arange(span, span + b * m, m)[:, None] + np.arange(-ko, ko + 1)
-        h_cells[:, :ko] += m
+        h_cells[:, :ko] += m // 2 if _halves(m, ko) else m
         gather[at, nout - ko : nout + ko + 1] = h_cells
         if stages and span + b * m - stages[-1][0][1] <= _SPLIT_ABOVE:
-            stages[-1].append((size, span, m, rows))
+            stages[-1].append((size, span, m, k, ko, rows))
         else:
-            stages.append([(size, span, m, rows)])
+            stages.append([(size, span, m, k, ko, rows)])
         size, span = size + 2 * b * m, span + b * m
     src, u_at, du_at, ik = (np.concatenate(a) for a in zip(*ins))
     modes, dmodes = (np.empty(len(src), dtype=np.complex128) for _ in range(2))
     flat = np.zeros(size, dtype=np.complex128)
     hflat = np.zeros(span + 1, dtype=np.complex128)
-    plan = []
+    odd_in, plan = [], []  # odd_in: the (buffer, k, m) of each inverse transform on half grids
     for stage in stages:
-        live = [(j, m) for _, _, m, rows in stage for j in rows]  # each row and its grid size
+        live = [(j, m) for _, _, m, _, _, rows in stage for j in rows]  # each row and its grid size
         samples = np.empty((2, sum(m for _, m in live)), dtype=np.complex128)  # u, then u_x
         values = np.empty(samples.shape[1], dtype=np.complex128)
-        inverses, forwards, at = [], [], 0
-        for i, p, m, rows in stage:
+        inverses, forwards, joins, at = [], [], [], 0
+        for i, p, m, k, ko, rows in stage:
             b, end = len(rows), at + len(rows) * m
             buf, vals = flat[i : i + 2 * b * m].reshape(2, b, m), samples[:, at:end].reshape(2, b, m)
-            inverses += zip(buf, vals) if b == 1 and m > _SPLIT_ABOVE else [(buf, vals)]
-            forwards.append((values[at:end].reshape(b, m), hflat[p : p + b * m].reshape(b, m)))
+            if _halves(m, k):
+                buf, vals = buf.reshape(2, b, 2, m // 2), vals.reshape(2, b, m // 2, 2).swapaxes(-1, -2)
+                odd_in.append((buf, k, m))
+            inverses.append((buf, vals))
+            f, h = values[at:end].reshape(b, m), hflat[p : p + b * m].reshape(b, m)
+            if _halves(m, ko):
+                f, h = f.reshape(b, m // 2, 2).swapaxes(-1, -2), h.reshape(b, 2, m // 2)
+                joins.append((h, ko, m))
+            forwards.append((f, h))
             at = end
         evaluations, at = [], 0
         for _, run in groupby(live, key=lambda r: [idx for idx, _ in polys[r[0]].terms]):
@@ -347,19 +375,23 @@ def _rows_coefficient_map(
             u, du, f = (a[at:end].reshape(shape) for a in (samples[0], samples[1], values))
             evaluations.append(_stacked([polys[j] for j in js], ms).values_plan(u, du, f))
             at = end
-        plan.append((inverses, evaluations, forwards))
+        plan.append((inverses, evaluations, forwards, joins))
 
     def apply(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         coeffs.take(src, out=modes, mode="clip")  # indices in range: "clip" spares a buffer
         flat[u_at] = modes
         flat[du_at] = np.multiply(modes, ik, out=dmodes)
-        for inverses, evaluations, forwards in plan:
+        for buf, k, m in odd_in:
+            _odd_halves(buf, k, m)
+        for inverses, evaluations, forwards, joins in plan:
             for buf, vals in inverses:
                 _ifft(buf, vals)
             for evaluate in evaluations:
                 evaluate()
             for f, h in forwards:
                 _fft(f, h)
+            for h, ko, m in joins:
+                _join_halves(h, ko, m)
         # "wrap" reads -1 as the last entry, and with out= spares a buffer.
         return hflat.take(gather, out=out, mode="wrap")
 

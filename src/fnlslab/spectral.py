@@ -18,7 +18,9 @@ multipliers, the sampling on a grid and back, and the product are row
 functions (`_bracket`, `_dx`, `_dxinv`, `_imag`, `_norms`, `_samples`,
 `_coefficients`, `_products`) on blocks of coefficient rows; the field
 functions are their one-row calls, and every H^s weight (1+k^2)^p is
-`_weight`'s.  `_block_size` holds blocks of rows to one budget,
+`_weight`'s.  On an even grid above `_SPLIT_ABOVE` points whose half holds
+the band, sampling and its inverse transform the grid's two interleaved half
+grids (`_halves`).  `_block_size` holds blocks of rows to one budget,
 `_BLOCK_POINTS` rows x grid points.
 """
 
@@ -64,7 +66,11 @@ _SMOOTH_ABOVE = 64
 # bits of numpy.fft.fft and numpy.fft.ifft at norm="forward", the package's one
 # convention: the forward transform divides by m, the inverse does not scale.
 # The gufuncs are looked up on their module at each call, so patching the
-# module's attributes reaches every transform.
+# module's attributes reaches every transform.  A band-limited transform on a
+# large even grid runs on the grid's two interleaved half grids (`_halves`),
+# with the same convention: `_odd_halves` and `_join_halves` hold that rule,
+# for `_samples`, `_coefficients` and the block coefficient map of
+# `nonlinearity`.
 
 
 def _fft(a: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -75,6 +81,54 @@ def _fft(a: np.ndarray, out: np.ndarray) -> np.ndarray:
 def _ifft(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out = sum_k a[..., k] e^{+2 pi i jk/m} along the last axis of m points."""
     return _pocketfft.ifft(a, 1.0, out=out)
+
+
+# An even grid of more points than this whose half holds the band transforms
+# as its two interleaved half grids (Markel, "FFT pruning", IEEE Trans. Audio
+# Electroacoust. 19, 1971): on a 2-vCPU Xeon one (2, 4320) inverse transform
+# took 114 us against 187 us for two (8640,) ones, and one forward transform of
+# the (2, 4320) halves 63 us against 93 us for the (8640,) grid.  The grid,
+# `padded_size` and the order of the samples stay as they are.
+_SPLIT_ABOVE = 4320
+
+
+def _halves(m: int, band: int) -> bool:
+    """Whether a transform between m samples and the modes |k| <= band runs on
+    the two interleaved half grids of m/2 points: m > _SPLIT_ABOVE, m even,
+    and m/2 >= 2*band + 1, so that the modes sit apart at k mod m/2."""
+    return m > _SPLIT_ABOVE and m % 2 == 0 and m // 2 >= 2 * band + 1
+
+
+@lru_cache(maxsize=16)  # the few (band, grid) pairs of a run recur at every call
+def _phases(band: int, m: int) -> np.ndarray:
+    """(2, m/2), read-only: row 0 holds e^{2 pi i k/m} at k mod m/2 for |k| <= band
+    and 0 elsewhere, the phase of mode k at the odd points x_{2j+1} of m
+    relative to the even points x_{2j}; row 1 holds its conjugate."""
+    k = np.arange(-band, band + 1)
+    w = np.zeros((2, m // 2), dtype=np.complex128)
+    w[0, k % (m // 2)] = np.exp(2j * np.pi / m * k)
+    w[1] = np.conj(w[0])
+    w.setflags(write=False)
+    return w
+
+
+def _odd_halves(buf: np.ndarray, band: int, m: int) -> None:
+    """Fill the odd half grids buf[..., 1, :] of (..., 2, m/2) buffers whose even
+    half grids buf[..., 0, :] hold the modes |k| <= band at k mod m/2 and zeros:
+    the modes times e^{2 pi i k/m}, and zeros."""
+    np.multiply(buf[..., 0, :], _phases(band, m)[0], out=buf[..., 1, :])
+
+
+def _join_halves(hat: np.ndarray, band: int, m: int) -> None:
+    """Turn the spectra of the even and odd half grids, hat[..., 0, :] and
+    hat[..., 1, :] of (..., 2, m/2) arrays, into the m-point grid's modes
+    |k| <= band at k mod m/2 of hat[..., 0, :]: (h0 + h1 * e^{-2 pi i k/m}) * 0.5,
+    in that order of operations (the 1/2 is exact).  Overwrites hat[..., 1, :]
+    and leaves the other entries of hat[..., 0, :] meaningless."""
+    even, odd = hat[..., 0, :], hat[..., 1, :]
+    np.multiply(odd, _phases(band, m)[1], out=odd)
+    np.add(even, odd, out=even)
+    np.multiply(even, 0.5, out=even)
 
 
 class DealiasBudgetError(RuntimeError):
@@ -350,19 +404,50 @@ def _norms(c: np.ndarray, s: float) -> np.ndarray:
 
 
 def _samples(c: np.ndarray, m: int) -> np.ndarray:
-    """(..., m): the values of each row of c on m >= 2K+1 uniform points."""
+    """(..., m): the values of each row of c on m >= 2K+1 uniform points.
+
+    One inverse transform of the modes placed at k mod m, or, when
+    `_halves(m, K)`, one per row of a (2, m/2) buffer: the even points take
+    the modes at k mod m/2 and the odd points the modes times e^{2 pi i k/m}
+    (`_odd_halves`), and the transform writes the two halves into the
+    natural order of the row's samples.  Row by row, the buffer stays small:
+    a second array the size of the block cost more in page faults than the
+    half grids save (16 rows of K = 2048 onto 8640 points: 3.5-4.2 ms with
+    1116 faults a call against 1.9-2.0 ms with none, 2-vCPU Xeon).
+    """
     k = c.shape[-1] // 2
-    buf = np.zeros((*c.shape[:-1], m), dtype=np.complex128)
-    buf[..., : k + 1] = c[..., k:]
-    buf[..., m - k :] = c[..., :k]
-    return _ifft(buf, buf)
+    if not _halves(m, k):
+        buf = np.zeros((*c.shape[:-1], m), dtype=np.complex128)
+        buf[..., : k + 1] = c[..., k:]
+        buf[..., m - k :] = c[..., :k]
+        return _ifft(buf, buf)
+    h = m // 2
+    out = np.empty((*c.shape[:-1], m), dtype=np.complex128)
+    buf = np.zeros((2, h), dtype=np.complex128)
+    for row, values in zip(c.reshape(-1, 2 * k + 1), out.reshape(-1, m)):
+        buf[0, : k + 1] = row[k:]
+        buf[0, h - k :] = row[:k]
+        _odd_halves(buf, k, m)
+        _ifft(buf, values.reshape(h, 2).T)
+    return out
 
 
 def _coefficients(values: np.ndarray, cutoff: int) -> np.ndarray:
     """(..., 2*cutoff+1): the modes |k| <= cutoff of each row of m >= 2*cutoff+1
-    samples, in fresh arrays (values is left as it is)."""
+    samples, in fresh arrays (values is left as it is).
+
+    One forward transform of the m samples, or, when `_halves(m, cutoff)`,
+    one of the even and odd samples as (..., 2, m/2), whose spectra
+    `_join_halves` combines into the modes.
+    """
     m = values.shape[-1]
-    hat = _fft(values, np.empty_like(values))
+    if _halves(m, cutoff):
+        halves = values.reshape(*values.shape[:-1], m // 2, 2).swapaxes(-1, -2)
+        hat = _fft(halves, np.empty(halves.shape, dtype=np.complex128))
+        _join_halves(hat, cutoff, m)
+        hat, m = hat[..., 0, :], m // 2
+    else:
+        hat = _fft(values, np.empty_like(values))
     return np.concatenate((hat[..., m - cutoff :], hat[..., : cutoff + 1]), axis=-1)
 
 

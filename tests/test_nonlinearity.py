@@ -39,6 +39,7 @@ from fnlslab.spectral import (
     random_field,
     sobolev_norm,
 )
+from test_spectral import _half_grids, _numpy_coefficients, _numpy_samples
 
 
 def const(z):
@@ -761,29 +762,21 @@ def test_values_plan_matches_fresh_allocation_oracle(case, m, seed):
 def oracle_coefficient_map(F: PolynomialNonlinearity, cutoff: int, out_cutoff: int | None = None):
     """`F.coefficient_map(cutoff, out_cutoff)` with fresh transform outputs on every call.
 
-    The padded grid, its buffer, the scatter/gather indices and the
-    derivative multiplier are built once per map; each call allocates its u
-    and u_x samples and F's spectrum anew.
+    The padded grid and the derivative multiplier are built once per map;
+    each call samples u and u_x with `_numpy_samples` and reads F's modes
+    with `_numpy_coefficients`, numpy's transforms on the padded grid or on
+    its two interleaved half grids, each into fresh arrays.
     """
     band = max(F.total_degree, 1) * cutoff
     kout = band if out_cutoff is None else min(out_cutoff, band)
     if F.is_zero():
         return lambda coeffs: np.zeros(2 * kout + 1, dtype=np.complex128)
     m = padded_size(cutoff, band, kout)
-    ks = np.arange(-cutoff, cutoff + 1)
-    scatter = np.mod(ks, m)
-    gather = np.mod(np.arange(-kout, kout + 1), m)
-    ik = 1j * ks.astype(float)
-    # Only the scatter entries are ever written, so the rest stay zero.
-    buf = np.zeros(m, dtype=np.complex128)
+    ik = 1j * np.arange(-cutoff, cutoff + 1).astype(float)
 
     def apply(coeffs: np.ndarray) -> np.ndarray:
-        buf[scatter] = coeffs
-        u_vals = np.fft.ifft(buf, norm="forward")
-        buf[scatter] = coeffs * ik
-        du_vals = np.fft.ifft(buf, norm="forward")
-        vals = oracle_evaluate_values(F, u_vals, du_vals)
-        return np.fft.fft(vals, norm="forward")[gather]
+        vals = oracle_evaluate_values(F, _numpy_samples(coeffs, m), _numpy_samples(coeffs * ik, m))
+        return _numpy_coefficients(vals, kout)
 
     return apply
 
@@ -798,8 +791,10 @@ def oracle_rows_coefficient_map(polys: list[PolynomialNonlinearity], cutoffs: li
     columns outside it zero.  Adjacent rows of one cutoff whose polynomials
     need the same padded grid share the transforms: one inverse transform of
     a (2b, m) buffer holding the u rows and then the u_x rows, and one
-    forward transform of (b, m).  Adjacent rows of such a group whose
-    polynomials have the same monomials also share one evaluation of F
+    forward transform of (b, m); on two half grids (`_half_grids`) each row
+    goes through `_numpy_samples` and `_numpy_coefficients` instead.
+    Adjacent rows of such a group whose polynomials have the same monomials
+    also share one evaluation of F
     (`oracle_evaluate_values`), through one polynomial whose differing coefficients are (b, 1)
     columns of the rows' values (the coefficient stays the left operand of
     each product, which keeps every row bitwise equal to its own call).
@@ -832,11 +827,15 @@ def oracle_rows_coefficient_map(polys: list[PolynomialNonlinearity], cutoffs: li
         n = coeffs.shape[1] // 2
         for r0, r1, k, m, ik, buf, runs in groups:
             b = r1 - r0
-            buf[:b, : k + 1] = coeffs[r0:r1, n : n + k + 1]
-            buf[:b, m - k :] = coeffs[r0:r1, n - k : n]
-            np.multiply(buf[:b, : k + 1], ik[k:], out=buf[b:, : k + 1])
-            np.multiply(buf[:b, m - k :], ik[:k], out=buf[b:, m - k :])
-            vals = np.fft.ifft(buf, norm="forward")
+            if _half_grids(m, k):  # row by row on the two half grids
+                u = coeffs[r0:r1, n - k : n + k + 1]
+                vals = np.array([_numpy_samples(c, m) for c in np.concatenate((u, u * ik))])
+            else:
+                buf[:b, : k + 1] = coeffs[r0:r1, n : n + k + 1]
+                buf[:b, m - k :] = coeffs[r0:r1, n - k : n]
+                np.multiply(buf[:b, : k + 1], ik[k:], out=buf[b:, : k + 1])
+                np.multiply(buf[:b, m - k :], ik[:k], out=buf[b:, m - k :])
+                vals = np.fft.ifft(buf, norm="forward")
             if len(runs) == 1:
                 f = oracle_evaluate_values(runs[0][2], vals[:b], vals[b:])
             else:
@@ -844,6 +843,9 @@ def oracle_rows_coefficient_map(polys: list[PolynomialNonlinearity], cutoffs: li
                     oracle_evaluate_values(P, vals[p0:p1], vals[b + p0 : b + p1])
                     for p0, p1, P in runs
                 ])
+            if _half_grids(m, k):
+                out[r0:r1, n - k : n + k + 1] = [_numpy_coefficients(row, k) for row in f]
+                continue
             h = np.fft.fft(f, norm="forward")
             out[r0:r1, n - k : n] = h[:, m - k :]
             out[r0:r1, n : n + k + 1] = h[:, : k + 1]
@@ -891,8 +893,8 @@ def _random_coeffs(rng, shape):
 @example((example_d(1.0, 2.0), 4, 4), 0)  # a power-of-two grid (32 points)
 @example((example_d(1.0, 2.0), 40, 40), 0)  # a 5-smooth grid (162 points)
 @example((PolynomialNonlinearity.zero(), 3, None), 0)
-@example((example_d(1.0, 2.0), 2048, 2048), 0)  # one row on 8640 points: split transforms
-@example((example_d(1.0, 2.0), 2048, None), 0)  # and on 12500
+@example((example_d(1.0, 2.0), 2048, 2048), 0)  # one row on 8640 points: half grids both ways
+@example((example_d(1.0, 2.0), 2048, None), 0)  # on 12500: the inverse only on half grids
 @settings(max_examples=150, deadline=None)
 def test_coefficient_map_matches_fresh_allocation_oracle(case, seed):
     F, cutoff, out_cutoff = case
@@ -915,13 +917,13 @@ def test_coefficient_map_matches_fresh_allocation_oracle(case, seed):
 )
 @example([(example_d(1.0, 2.0), 9), (example_d(1j, 2.0), 9), (cubic(1j), 4)], 3, 0)
 @example([(PolynomialNonlinearity.zero(), 5)], 0, 0)
-@example([(example_d(1.0, 2.0), 1100), (example_d(1j, 2.0), 1100)], 0, 0)  # a (4, 4500) buffer
-@example([(example_d(1.0, 2.0), 1100)], 0, 0)  # one row on 4500 points: split transforms
+@example([(example_d(1.0, 2.0), 1100), (example_d(1j, 2.0), 1100)], 0, 0)  # a (2, 2, 2, 2250) buffer
+@example([(example_d(1.0, 2.0), 1100)], 0, 0)  # one row on 4500 points: half grids
 # one monomial set with differing coefficients at two cutoffs: one run on two grids
 @example([(example_d(1.0, 2.0), 5), (example_d(1j, -0.5), 9)], 0, 0)
 # and with a zero polynomial between the two rows
 @example([(example_d(1.0, 2.0), 5), (PolynomialNonlinearity.zero(), 7), (example_d(1j, -0.5), 9)], 1, 0)
-# a one-row group above _SPLIT_ABOVE after a small row of the same monomials
+# a one-row group on half grids after a small row of the same monomials
 @example([(example_d(1j, 2.0), 4), (example_d(1.0, 2.0), 1100)], 0, 0)
 # two groups of one monomial set past one stage's samples (810 + 1620 points a row)
 @example([(example_d(1.0, 2.0), 200), (example_d(1j, 2.0), 200), (example_d(1.0, 2.0), 400),
@@ -954,6 +956,10 @@ def _map_block(draw):
 
 @given(case=_map_block(), seed=st.integers(0, 2**32 - 1))
 @example(([(example_d(1.0, 2.0), 9), (example_d(1j, 2.0), 9), (cubic(1j), 9)], 4), 0)
+# two rows of two monomial sets on 8640 points: half grids both ways
+@example(([(example_d(1.0, 2.0), 2048), (cubic(1j), 2048)], 2048), 0)
+# the inverse on one 4500-point grid, the forward transform on its half grids
+@example(([(PolynomialNonlinearity.from_terms({(1, 1, 0, 0): 1.0}), 2200)], 0), 0)
 @example(([(example_d(1.0, 2.0), 9), (PolynomialNonlinearity.zero(), 3), (cubic(1j), 5)], 3), 0)
 @settings(max_examples=60, deadline=None)
 def test_rows_map_with_output_cutoffs_matches_one_row_oracle(case, seed):
@@ -967,6 +973,42 @@ def test_rows_map_with_output_cutoffs_matches_one_row_oracle(case, seed):
     for j, (P, k) in enumerate(rows):
         want = oracle_coefficient_map(P, k, kout)(coeffs[j, n - k : n + k + 1])
         assert got[j].tobytes() == want.tobytes()
+
+
+def test_plan_transform_calls(monkeypatch):
+    """The plan's transforms, seen at the pocketfft gufuncs that `spectral` looks
+    up at each call.  Below 4320 points the example_d(1, i) probe block at
+    K = 32 (F and its control, at K and 2K) makes one inverse transform of the
+    (2, b, m) u and u_x rows of each grid and one forward transform of each
+    (b, m); a one-row K = 2048 RHS makes one inverse and one forward transform,
+    both on the 8640-point grid's two 4320-point halves."""
+    from fnlslab import spectral
+
+    calls = []
+
+    def spy(name):
+        transform = getattr(spectral._pocketfft, name)
+
+        def wrapper(a, fct, out):
+            calls.append((name, a.shape, out.shape))
+            return transform(a, fct, out=out)
+
+        return wrapper
+
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(spectral._pocketfft, name, spy(name))
+    F, control = example_d(1.0, 1j), example_d(1.0, 2.0)
+    probe = _rows_coefficient_map([F, control, F, control], [32, 32, 64, 64], 64)
+    probe(_random_coeffs(np.random.default_rng(0), (4, 129)))
+    assert calls == [
+        ("ifft", (2, 2, 135), (2, 2, 135)),
+        ("ifft", (2, 2, 270), (2, 2, 270)),
+        ("fft", (2, 135), (2, 135)),
+        ("fft", (2, 270), (2, 270)),
+    ]
+    calls.clear()
+    control.coefficient_map(2048, 2048)(_random_coeffs(np.random.default_rng(1), 4097))
+    assert calls == [("ifft", (2, 1, 2, 4320), (2, 1, 2, 4320)), ("fft", (1, 2, 4320), (1, 2, 4320))]
 
 
 @given(

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fnlslab.spectral import (
     DealiasBudgetError,
@@ -118,17 +118,44 @@ def test_fft_binding_is_bitwise_numpy_fft(m):
             assert flat[0] == flat[-1] == 0
 
 
+def _half_grids(m, band):
+    """The half-grid rule, restated: an even grid of more than 4320 points whose
+    half holds the modes |k| <= band apart."""
+    return m > 4320 and m % 2 == 0 and m // 2 >= 2 * band + 1
+
+
+def _mode_phases(band, m):
+    """e^{2 pi i k/m} at k = -band..band, the phase of mode k at the odd points."""
+    return np.exp(2j * np.pi / m * np.arange(-band, band + 1))
+
+
 def _numpy_samples(c, m):
-    """ifft(buf, norm="forward") of the coefficients c (|k| <= K) placed at k mod m."""
-    buf = np.zeros(m, dtype=np.complex128)
-    buf[np.mod(np.arange(len(c)) - len(c) // 2, m)] = c
-    return np.fft.ifft(buf, norm="forward")
+    """ifft(buf, norm="forward") of the coefficients c (|k| <= K) placed at k mod m;
+    on half grids, of c at k mod m/2 for the even points and of c times the
+    phases for the odd points, as one (2, m/2) ifft."""
+    k = len(c) // 2
+    if not _half_grids(m, k):
+        buf = np.zeros(m, dtype=np.complex128)
+        buf[np.mod(np.arange(-k, k + 1), m)] = c
+        return np.fft.ifft(buf, norm="forward")
+    at = np.mod(np.arange(-k, k + 1), m // 2)
+    buf = np.zeros((2, m // 2), dtype=np.complex128)
+    buf[0, at], buf[1, at] = c, c * _mode_phases(k, m)
+    out = np.empty(m, dtype=np.complex128)
+    out[0::2], out[1::2] = np.fft.ifft(buf, norm="forward")
+    return out
 
 
 def _numpy_coefficients(values, cutoff):
-    """fft(values, norm="forward") at the modes |k| <= cutoff."""
+    """fft(values, norm="forward") at the modes |k| <= cutoff; on half grids,
+    (even + odd * conj(phase)) * 0.5 of the (2, m/2) fft of the even and odd
+    samples."""
     m = len(values)
-    return np.fft.fft(values, norm="forward")[np.mod(np.arange(-cutoff, cutoff + 1), m)]
+    if not _half_grids(m, cutoff):
+        return np.fft.fft(values, norm="forward")[np.mod(np.arange(-cutoff, cutoff + 1), m)]
+    at = np.mod(np.arange(-cutoff, cutoff + 1), m // 2)
+    even, odd = np.fft.fft(np.stack((values[0::2], values[1::2])), norm="forward")[:, at]
+    return (even + odd * np.conj(_mode_phases(cutoff, m))) * 0.5
 
 
 def test_samples_transforms_are_bitwise_numpy_fft():
@@ -159,6 +186,48 @@ def test_samples_transforms_are_bitwise_numpy_fft():
             got = pointwise_product(f, g, out_cutoff=kout)
             assert got.cutoff == kout
             assert got.coeffs.tobytes() == _numpy_coefficients(vals, kout).tobytes()
+
+
+@st.composite
+def _grid_and_band(draw):
+    """(m, band, True): an even grid above 4320 points and a band its half holds,
+    or (m, band, False): a grid that stays one grid, odd, with a half too small
+    for its band, or of at most 4320 points."""
+    if draw(st.booleans()):
+        m = draw(st.one_of(st.sampled_from([4374, 4500, 8640, 17280]), st.integers(2161, 9000).map(lambda h: 2 * h)))
+        return m, draw(st.integers(0, (m // 2 - 1) // 2)), True
+    m, band = draw(st.sampled_from([(5625, 1000), (8640, 2160), (12500, 4096), (4320, 2000), (135, 40)]))
+    return m, band, False
+
+
+@given(case=_grid_and_band(), rows=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+@example(case=(8640, 2048, True), rows=1, seed=0)  # the K = 2048 RHS grid
+@example(case=(5625, 1000, False), rows=2, seed=0)  # odd
+@settings(max_examples=40, deadline=None)
+def test_half_grids_agree_with_the_full_grid(case, rows, seed):
+    """On half grids `_samples` and `_coefficients` are within rounding of numpy's
+    full-grid transforms: max |error| <= 1e-14 max |value|, about 45 ulps, where
+    17280 points read about 4e-16.  They are bitwise the restated half-grid
+    arithmetic, and bitwise numpy's full grid everywhere else."""
+    m, band, halves = case
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((rows, 2 * band + 1)) + 1j * rng.standard_normal((rows, 2 * band + 1))
+    values = rng.standard_normal((rows, m)) + 1j * rng.standard_normal((rows, m))
+    got, back = _samples(c, m), _coefficients(values, band)
+    assert got.shape == (rows, m) and back.shape == (rows, 2 * band + 1)
+    for j in range(rows):
+        buf = np.zeros(m, dtype=np.complex128)
+        buf[np.mod(np.arange(-band, band + 1), m)] = c[j]
+        full = np.fft.ifft(buf, norm="forward")
+        modes = np.fft.fft(values[j], norm="forward")[np.mod(np.arange(-band, band + 1), m)]
+        if halves:
+            assert np.max(np.abs(got[j] - full)) <= 1e-14 * np.max(np.abs(full))
+            assert np.max(np.abs(back[j] - modes)) <= 1e-14 * np.max(np.abs(modes))
+            assert got[j].tobytes() == _numpy_samples(c[j], m).tobytes()
+            assert back[j].tobytes() == _numpy_coefficients(values[j], band).tobytes()
+        else:
+            assert got[j].tobytes() == full.tobytes()
+            assert back[j].tobytes() == modes.tobytes()
 
 
 def test_value_semantics():
