@@ -223,12 +223,15 @@ def _leaving(u: np.ndarray, w2: np.ndarray, ceiling: np.ndarray, reach: float) -
     and sqrt(sum(w2)) times it, so a block whose largest part is within
     ``reach`` stays whole on one reduction.  Otherwise a row with a nan, inf
     or above-ceiling part leaves before any norm squares it, which could
-    overflow, and the norms of the other rows are one reduction.
+    overflow, and the norms of the other rows are one reduction.  An inf
+    part leaves under an inf ceiling too.
     """
     parts = u.view(np.float64)
-    if np.abs(parts).max() <= reach:
+    biggest = np.abs(parts).max()
+    if biggest <= reach and biggest < math.inf:
         return []
-    stay = np.abs(parts).max(axis=1) <= ceiling
+    top = np.abs(parts).max(axis=1)
+    stay = (top <= ceiling) & (top < math.inf)
     if stay.any():
         stay[stay] = np.sqrt(np.square(parts[stay]) @ w2) <= ceiling[stay]
     return np.flatnonzero(~stay).tolist()

@@ -33,24 +33,21 @@ The machinery implemented here:
                           columns only.  decomposition_series forms its
                           inputs for all S snapshots as (S, ...) arrays and
                           builds each block's pair geometry once for all of
-                          them, so memory is O(block * K + S * K).  When two
-                          CPUs are usable and a block has enough pairs over
-                          the snapshots, its near-diagonal sums run on a
-                          worker thread beside its separated sums; the
-                          output does not depend on the CPU count;
+                          them, so memory is O(block * K + S * K);
   resonant_norm_audit     the weighted l2 bounds each part must satisfy on a
                           bounded run (a part that is not finite flags);
   directional_growth      per-mode log-linear rate fits and the paired
                           resolution-divergence metric;
   nonexistence_verdict    the two-sided classification.
+
+The growth probe of `fnlslab run` uses probe_initial_data, directional_growth
+and nonexistence_verdict.  No verb runs gauge_shift, the decomposition or its
+audit: they are a library diagnostic.
 """
 
 from __future__ import annotations
 
-import contextvars
 import json
-import os
-import threading
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 
@@ -126,47 +123,6 @@ class ResonantParts:
 
 # Entries per block array in decomposition_series.
 _BLOCK_ENTRIES = 1 << 16
-# Pairs a block sums over its live snapshots (rows * columns * snapshots)
-# from which its two halves run on two threads: about three snapshots of a
-# full block.  Below it the thread's start and the handoffs of the
-# interpreter lock cost more than the overlap saves.  With every block on
-# two threads, a series on a 2-vCPU Xeon ran 11-48% slower with one
-# snapshot (K = 32 to 2048) and 10-29% slower at K <= 64 with three, but
-# 2-12% faster with three at K = 384 to 2048 and 16-18% faster with eleven.
-_WORKER_PAIRS = 5 << 15
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _beside(work, here) -> None:
-    """work() on a worker thread while here() runs on this one.
-
-    The worker runs in a copy of this thread's context, so under the same
-    numpy error state.  It is joined before this returns, also when here()
-    raises, and what it raised is raised here.
-    """
-    raised = []
-
-    def body():
-        try:
-            work()
-        except BaseException as exc:
-            raised.append(exc)
-
-    worker = threading.Thread(target=contextvars.copy_context().run, args=(body,))
-    worker.start()
-    try:
-        here()
-    finally:
-        worker.join()
-    if raised:
-        raise raised[0]
 
 
 def _times(F: PolynomialNonlinearity, slot: int) -> PolynomialNonlinearity:
@@ -203,12 +159,7 @@ def decomposition_series(
     by every snapshot, so memory is O(block * K + S * K) for S snapshots.
     The snapshot inputs are (S, ...) arrays: F and each of its Wirtinger
     polynomials go along every snapshot in one block coefficient map, and
-    each chain-rule term is one block product.  With two usable CPUs and
-    enough pairs (about three snapshots of a full block) a block's
-    near-diagonal n11 and n21 run on a worker thread while this one computes
-    its separated sums (the band geometry, the used-pair checks and m1, k1,
-    m2, k2); both halves make the same numpy calls as on one CPU, so the
-    result is the same bitwise.
+    each chain-rule term is one block product.
     """
     alpha, eps, K = traj.config.alpha, traj.config.eps, traj.config.cutoff
     times = list(traj.times if times is None else times)
@@ -283,13 +234,22 @@ def decomposition_series(
     p_cols = p[::-1]
     q_cols = np.maximum(abs_cols.astype(float), 1.0) ** (alpha - 1.0)
 
-    def near(r, d1):  # the near-diagonal sums of block r: n11, n21
-        prod = None if buf is None else buf[: d1.shape[0]]
-        for s in live:
-            np.matmul(np.multiply(win_o[s, 0, r], d1, out=prod), x_o[s, :, 0], out=sums[s, 0, r])
-            np.matmul(np.multiply(win_ob[s, 0, r], d1, out=prod), x_ob[s, :, 0], out=sums[s, 1, r])
-
-    def separated(r, c, d2):  # the separated sums of block r on its band c: m1, k1, m2, k2
+    rows = max(1, _BLOCK_ENTRIES // n)
+    for i0 in range(0, n, rows) if live else ():
+        r = slice(i0, i0 + rows)
+        d2 = 2 * np.abs(ks[r, None] - cols) < abs_cols
+        d1 = (~d2).astype(float)
+        # Row k separates from the columns 2k/3 < k2 < 2k (mirrored for
+        # k < 0), so the block's separated pairs lie in one band c of
+        # columns (empty when the block is the row k = 0 alone), and every
+        # separated-only step runs on that band.
+        j = np.flatnonzero(d2.any(axis=0))
+        c = slice(j[0], j[-1] + 1) if j.size else slice(0)
+        for s in live:  # the near-diagonal sums n11, n21
+            np.matmul(win_o[s, 0, r] * d1, x_o[s, :, 0], out=sums[s, 0, r])
+            np.matmul(win_ob[s, 0, r] * d1, x_ob[s, :, 0], out=sums[s, 1, r])
+        # The separated sums m1, k1, m2, k2 on the band.
+        d2 = d2[:, c]
         abs_k1 = np.abs(ks[r, None] - cols[c])
         delta = p[r, None] - p_cols[c]
         # Separated pairs with k1 != 0 never have |k2| == |k|; asserted
@@ -317,31 +277,6 @@ def decomposition_series(
             m1, k1_arr, m2, k2_arr = sums[s, 2:]
             m1[r], k1_arr[r] = sep_o[0, :, 0], sep_o[1, :, 0] + sep_o[0, :, 1]
             m2[r], k2_arr[r] = sep_ob[0, :, 0], sep_ob[1, :, 0] + sep_ob[0, :, 1]
-
-    # With two usable CPUs and enough pairs a block's near-diagonal half runs
-    # on a worker thread beside its separated half; the halves write disjoint
-    # slots of `sums` and make the same numpy calls as in turn.  The worker
-    # forms its products in `buf`, so it allocates almost nothing: with the
-    # separated half on the worker, the worker's own malloc arenas raised
-    # the peak RSS of K = 384 series by 1-4 MB.
-    rows = max(1, _BLOCK_ENTRIES // n)
-    two_halves = len(live) * min(rows, n) * n >= _WORKER_PAIRS and _usable_cpus() >= 2
-    buf = np.empty((min(rows, n), n), dtype=np.complex128) if two_halves else None
-    for i0 in range(0, n, rows) if live else ():
-        r = slice(i0, i0 + rows)
-        d2 = 2 * np.abs(ks[r, None] - cols) < abs_cols
-        d1 = (~d2).astype(float)
-        # Row k separates from the columns 2k/3 < k2 < 2k (mirrored for
-        # k < 0), so the block's separated pairs lie in one band c of
-        # columns (empty when the block is the row k = 0 alone), and every
-        # separated-only step runs on that band.
-        j = np.flatnonzero(d2.any(axis=0))
-        c = slice(j[0], j[-1] + 1) if j.size else slice(0)
-        if two_halves:
-            _beside(lambda: near(r, d1), lambda: separated(r, c, d2[:, c]))
-        else:
-            near(r, d1)
-            separated(r, c, d2[:, c])
 
     out = []
     for s, t in enumerate(times):

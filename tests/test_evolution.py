@@ -187,6 +187,19 @@ def test_blowup_marks_record_truncated():
     assert all(np.all(np.isfinite(s.coeffs)) for s in traj.snapshots)
 
 
+def test_inf_state_leaves_under_an_inf_ceiling_regression():
+    # With no ceiling, the state of this linear run overflows at t = 0.89: the
+    # run stops at its last finite step, as under a finite ceiling.
+    cfg = EvolutionConfig(
+        alpha=3.0, cutoff=2, dt=0.01, horizon=2.0, record_every=1, blowup_ceiling=np.inf
+    )
+    F = PolynomialNonlinearity.from_terms({(1, 0, 0, 0): 800.0})
+    traj = integrate(SpectralField.from_modes({0: 1.0}, 2), F, cfg)
+    assert traj.truncated
+    assert traj.times[-1] == pytest.approx(0.88)
+    assert all(np.all(np.isfinite(s.coeffs)) for s in traj.snapshots)
+
+
 def test_blowup_past_float_range_is_quiet_regression():
     # The K = 64 run of example_d(1, i)'s paired growth probe at alpha = 4:
     # one step takes the still-finite state so far past the ceiling that its
@@ -243,10 +256,10 @@ def _blown_up(u: np.ndarray, sob_w: np.ndarray, ceiling: float) -> bool:
 
     The H^1 norm is at least the largest |Re uhat|, |Im uhat| (weights >= 1),
     so a nan, inf or above-ceiling part stops the run before the norm squares
-    it, which could overflow.
+    it, which could overflow.  An inf part stops it under an inf ceiling too.
     """
     peak = np.abs(u.view(np.float64)).max()
-    return not peak <= ceiling or np.linalg.norm(sob_w * u) > ceiling
+    return not peak <= ceiling or peak == np.inf or np.linalg.norm(sob_w * u) > ceiling
 
 
 def _h1_weights(cutoff: int) -> np.ndarray:
@@ -440,6 +453,7 @@ SPECIAL_PARTS = [np.nan, np.inf, -np.inf, 1e200, -1e300, 5e-324, -0.0, 1e6]
     )
 )
 @example([([0.0] * 18, 1e6), ([np.nan] + [0.0] * 17, np.inf), ([1e200] * 18, np.inf)])
+@example([([np.inf] + [0.0] * 17, np.inf)])  # an inf part under no ceiling
 @example([([1.0] * 18, 10.0)])  # H^1 norm sqrt(138) above the ceiling, every part below it
 @settings(max_examples=100, deadline=None)
 def test_block_blowup_check_matches_one_row_rule(rows):

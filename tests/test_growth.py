@@ -1,12 +1,9 @@
 """Ill-posedness machinery: gauge shift, resonant decomposition, growth verdicts."""
 
 import json
-import sys
-import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +11,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings, strategies as st
 
 from fnlslab.evolution import EvolutionConfig, TrajectoryRecord, _multipliers, integrate
-from fnlslab import growth
 from fnlslab.growth import (
     _BLOCK_ENTRIES,
     GrowthReport,
@@ -600,101 +596,10 @@ def _band_series(cutoff, seeds):
     return TrajectoryRecord(0.02 * (1 + np.arange(len(snaps))), snaps, cfg)
 
 
-def _assert_bitwise(series, reference):
-    assert len(series) == len(reference)
-    for got, want in zip(series, reference):
-        for name, ref in want.by_name().items():
-            assert np.array_equal(got.by_name()[name].view(np.float64), ref.view(np.float64)), name
-        assert got.min_denominator_ratio == want.min_denominator_ratio
-        assert got.mean_im == want.mean_im
-
-
-def _one_cpu_series(traj, F):
-    with mock.patch.object(growth, "_usable_cpus", lambda: 1):
-        return decomposition_series(traj, F)
-
-
-@given(
-    four_slot_polynomials(),
-    st.sampled_from([130, 200]),
-    st.lists(st.integers(min_value=0, max_value=2**16), min_size=1, max_size=4),
-)
-@settings(max_examples=10, deadline=None)
-def test_series_with_its_worker_is_bitwise_the_series_without(F, cutoff, seeds):
-    traj = _band_series(cutoff, seeds)
-    # every block on two threads, however few its pairs
-    with mock.patch.object(growth, "_usable_cpus", lambda: 2), mock.patch.object(growth, "_WORKER_PAIRS", 0):
-        series = decomposition_series(traj, F)
-    _assert_bitwise(series, _one_cpu_series(traj, F))
-
-
-def test_concurrent_series_are_bitwise_the_one_cpu_series(monkeypatch):
-    # Three callers, each with its worker, on two CPUs at a short switch
-    # interval: a write of one half landing in the other's slots, or in
-    # another call's, would show.
-    F = example_d(1.0, 1j)
-    trajs = [_band_series(130, [10 * i + j for j in range(3)]) for i in range(3)]
-    want = [_one_cpu_series(traj, F) for traj in trajs]
-    monkeypatch.setattr(growth, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(growth, "_WORKER_PAIRS", 0)
-    got = [None] * len(trajs)
-
-    def call(i):
-        got[i] = decomposition_series(trajs[i], F)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        callers = [threading.Thread(target=call, args=(i,)) for i in range(len(trajs))]
-        for t in callers:
-            t.start()
-        for t in callers:
-            t.join(timeout=120)
-            assert not t.is_alive()
-    finally:
-        sys.setswitchinterval(interval)
-    for series, reference in zip(got, want):
-        _assert_bitwise(series, reference)
-
-
-def test_series_raises_what_its_worker_raised(monkeypatch):
-    # np.matmul runs in the near-diagonal half: make it fail on the worker.
-    real_matmul = np.matmul
-
-    def failing_matmul(*args, **kwargs):
-        if threading.current_thread() is not threading.main_thread():
-            raise ZeroDivisionError("raised on the worker")
-        return real_matmul(*args, **kwargs)
-
-    traj = _band_series(130, [3, 4, 5])
-    monkeypatch.setattr(growth, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(np, "matmul", failing_matmul)
-    before = threading.active_count()
-    with pytest.raises(ZeroDivisionError, match="raised on the worker"):
-        decomposition_series(traj, example_d(1.0, 1j))
-    assert threading.active_count() == before
-
-
-@pytest.mark.parametrize(
-    "cpus, seeds", [(1, [3, 4, 5]), (2, [3])], ids=["one CPU", "too few pairs"]
-)
-def test_series_starts_no_thread_on_one_cpu_or_few_pairs(monkeypatch, cpus, seeds):
-    def no_thread(*args, **kwargs):
-        raise AssertionError("a thread was started")
-
-    # three snapshots start the worker on two CPUs (see the test above)
-    traj = _band_series(130, seeds)
-    monkeypatch.setattr(growth, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(threading, "Thread", no_thread)
-    parts = decomposition_series(traj, example_d(1.0, 1j))
-    assert len(parts) == len(seeds) and np.isfinite(parts[0].min_denominator_ratio)
-
-
-def test_series_worker_raises_no_runtime_warning(monkeypatch):
-    # The separated half divides by |k1| = 0 on the diagonal of every band;
-    # numpy's warnings for it stay off with the worker running beside it.
+def test_series_worker_raises_no_runtime_warning():
+    # The separated sums divide by |k1| = 0 on the diagonal of every band;
+    # numpy's warnings for it stay off.
     traj = _band_series(130, [5, 6, 7])
-    monkeypatch.setattr(growth, "_usable_cpus", lambda: 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         parts = decomposition_series(traj, example_c(1j))

@@ -1017,7 +1017,7 @@ def test_plan_transform_calls(monkeypatch):
     out=st.sampled_from(["zero", "cutoff", "band"]),
     seed=st.integers(0, 2**32 - 1),
 )
-@example({(1, 1, 0, 0): 1.0, (2, 0, 1, 0): 1j}, 2048, "cutoff", 0)  # u and u_x transformed apart
+@example({(1, 1, 0, 0): 1.0, (2, 0, 1, 0): 1j}, 2048, "cutoff", 0)  # 8640 points: u and u_x in one half-grid call
 @settings(max_examples=60, deadline=None)
 def test_evaluate_is_bitwise_the_sampler_path(terms, cutoff, out, seed):
     """The plan and `spectral`'s sampler and inverse give F along u with the same bits."""
