@@ -80,6 +80,7 @@ def _read_nonlinearity(path: str):
 def cmd_check(args) -> int:
     preset, nl_path, settings, seed = _collect(args)
     if nl_path:
+        exp._no_family_params(settings)
         F = _read_nonlinearity(nl_path)
     elif preset:
         F = exp.PRESETS[preset].family(**exp.family_params(preset, settings))

@@ -217,6 +217,7 @@ PRESETS: dict[str, ExperimentPreset] = {
         config=replace(_DEFAULT_CONFIG, cutoff=64, dt=1e-3, horizon=1.0),
     ),
 }
+_FAMILY_PARAMS = frozenset(key for spec in PRESETS.values() for key in spec.default_params)
 
 
 def family_params(preset_name: str, settings: dict) -> dict:
@@ -225,11 +226,16 @@ def family_params(preset_name: str, settings: dict) -> dict:
     if preset_name not in PRESETS:
         raise KeyError(f"unknown preset {preset_name!r}; have {sorted(PRESETS)}")
     defaults = PRESETS[preset_name].default_params
-    family = {key for spec in PRESETS.values() for key in spec.default_params}
-    foreign = sorted(k for k in settings if k in family and k not in defaults)
+    foreign = sorted(k for k in settings if k in _FAMILY_PARAMS and k not in defaults)
     if foreign:
         raise ValueError(f"{preset_name} takes {sorted(defaults)}, not {foreign}")
     return {k: settings.get(k, v) for k, v in defaults.items()}
+
+
+def _no_family_params(settings: dict) -> None:
+    """A ValueError if `settings` hold a family parameter: an explicit nonlinearity reads none."""
+    if given := sorted(set(settings) & _FAMILY_PARAMS):
+        raise ValueError(f"an explicit nonlinearity takes no family parameters: {given}")
 
 
 # -- analyses -------------------------------------------------------------------
@@ -395,8 +401,9 @@ class _Run:
             "set logscale xy\nset xlabel '|eps_1 - eps_2|'\n"
             "plot 'eps_rate.csv' using (abs($1-$2)):3 with points title 'sup-t L2 gap'\n",
         )
-        ok = (not math.isnan(table.beta)) and table.beta >= 0.45
-        return ok, {"beta": table.beta, "eps_list": list(self.study), "threshold": 0.45}
+        ok = (not math.isnan(table.beta)) and table.beta >= 0.45 and not table.truncated
+        return ok, {"beta": table.beta, "eps_list": list(self.study), "threshold": 0.45,
+                    "truncated": table.truncated}
 
     def growth_probe(self):
         F = self.F
@@ -465,8 +472,8 @@ def run(
     """
     settings = parse_settings(overrides or {})
     params = family_params(preset_name, settings)
-    if nonlinearity is not None and (given := sorted(set(settings) & set(params))):
-        raise ValueError(f"a run with an explicit nonlinearity takes no family parameters: {given}")
+    if nonlinearity is not None:
+        _no_family_params(settings)
     spec = PRESETS[preset_name]
     rest = {k: v for k, v in settings.items() if k not in params}
     evolution = {f: rest.pop(key) for f, key in _CONFIG_KEYS.items() if key in rest}

@@ -56,7 +56,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .evolution import TrajectoryRecord, _multipliers, sup_l2_gap
 from .nonlinearity import PolynomialNonlinearity, _block_means, _rows_coefficient_map
-from .spectral import SpectralField, _dx, _norms, _products, _weight, sobolev_norm, translate
+from .spectral import SpectralField, _dx, _norms, _products, _side, _weight, sobolev_norm, translate
 
 __all__ = [
     "gauge_shift",
@@ -84,7 +84,7 @@ def gauge_shift(traj: TrajectoryRecord, F: PolynomialNonlinearity) -> Trajectory
     """
     t, snaps = traj.times, traj.snapshots
     coeffs = np.array([u.coeffs for u in snaps])
-    m_re = _block_means(F.wirtinger("omega"), snaps[0].cutoff, coeffs).real
+    m_re = _block_means(F.wirtinger("omega"), coeffs).real
     shift = np.concatenate(([0.0], np.cumsum(0.5 * (m_re[1:] + m_re[:-1]) * np.diff(t))))
     moved = [translate(u, a) for u, a in zip(snaps, shift)]
     return TrajectoryRecord(t.copy(), moved, traj.config, traj.truncated)
@@ -95,7 +95,7 @@ def gauge_shift(traj: TrajectoryRecord, F: PolynomialNonlinearity) -> Trajectory
 
 @dataclass
 class ResonantParts:
-    """The seven coefficient arrays of the Vhat equation at one time."""
+    """The seven coefficient arrays of the Vhat equation, and mean Im P0 T_w, at one time."""
 
     time: float
     k: np.ndarray
@@ -107,7 +107,6 @@ class ResonantParts:
     k1: np.ndarray
     k2: np.ndarray
     mean_im: float
-    min_denominator_ratio: float  # min |Delta| / (|k1| |k2|^{alpha-1}) over used pairs
 
     def by_name(self) -> dict[str, np.ndarray]:
         return {
@@ -151,15 +150,16 @@ def decomposition_series(
     Expects a gauge-shifted trajectory (or one whose Re P0 T_w vanishes);
     the residual real mean is folded into the substituted time derivatives
     either way.  Sums run over the literal near-diagonal / separated index
-    sets; zero denominators cannot occur on the separated set (asserted).
-    They are taken over blocks of about 2^16 pairs; the separated sums of a
-    block run over the band of columns that holds its separated pairs.  Each
-    block's pair geometry (the D1/D2 masks, the column band, the weights
-    1/delta and 1/sigma and the denominator ratios) is built once and shared
-    by every snapshot, so memory is O(block * K + S * K) for S snapshots.
-    The snapshot inputs are (S, ...) arrays: F and each of its Wirtinger
-    polynomials go along every snapshot in one block coefficient map, and
-    each chain-rule term is one block product.
+    sets; on the separated set |delta| >= |k1| |k2|^{alpha-1}, a bound of the
+    index set alone, so zero denominators cannot occur there (asserted).
+    The sums are taken over blocks of about 2^16 pairs; the separated sums
+    of a block run over the band of columns that holds its separated pairs.
+    Each block's pair geometry (the D1/D2 masks, the column band and the
+    weights 1/delta and 1/sigma) is built once and shared by every snapshot,
+    so memory is O(block * K + S * K) for S snapshots.  The snapshot inputs
+    are (S, ...) arrays: F and each of its Wirtinger polynomials go along
+    every snapshot in one block coefficient map, and each chain-rule term is
+    one block product.
     """
     alpha, eps, K = traj.config.alpha, traj.config.eps, traj.config.cutoff
     times = list(traj.times if times is None else times)
@@ -228,11 +228,8 @@ def decomposition_series(
     # theta_omega) every pair sum is an exact zero and no pair is used.
     live = [s for s in range(S) if pad_o[s].any() or pad_ob[s].any()]
     sums = np.zeros((S, 6, n), dtype=np.complex128)  # n11, n21, m1, k1, m2, k2 before the phase
-    min_ratio = [float("inf")] * S
-
     abs_cols = np.abs(cols)
     p_cols = p[::-1]
-    q_cols = np.maximum(abs_cols.astype(float), 1.0) ** (alpha - 1.0)
 
     rows = max(1, _BLOCK_ENTRIES // n)
     for i0 in range(0, n, rows) if live else ():
@@ -250,15 +247,10 @@ def decomposition_series(
             np.matmul(win_ob[s, 0, r] * d1, x_ob[s, :, 0], out=sums[s, 1, r])
         # The separated sums m1, k1, m2, k2 on the band.
         d2 = d2[:, c]
-        abs_k1 = np.abs(ks[r, None] - cols[c])
         delta = p[r, None] - p_cols[c]
-        # Separated pairs with k1 != 0 never have |k2| == |k|; asserted
-        # below.  A used pair has k1 != 0, so its ratio is finite.
+        # delta = 0 on D2 only at k1 = 0, where P_nonmean theta vanishes;
+        # asserted below for the used pairs.
         zero_delta = d2 & (delta == 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.abs(delta) / (abs_k1 * q_cols[c])
-        del abs_k1
-        # delta = 0 on D2 only at k1 = 0, where P_nonmean theta vanishes.
         w1 = np.zeros(delta.shape)
         np.divide(1.0, delta, out=w1, where=d2 & (delta != 0.0))
         del delta
@@ -267,10 +259,8 @@ def decomposition_series(
         np.divide(1.0, sigma, out=w2, where=d2 & (sigma != 0.0))
         del sigma
         for s in live:
-            used = d2 & th_used[s, r, c]
-            if np.any(zero_delta & used):
+            if np.any(zero_delta & th_used[s, r, c]):
                 raise AssertionError("zero denominator on the separated index set")
-            min_ratio[s] = min(min_ratio[s], float(np.min(ratio, where=used, initial=np.inf)))
             # sep[f, :, d] = (field f * weight) @ column vector d
             sep_o = (win_o[s, :, r, c] * w1) @ x_o[s, c]
             sep_ob = (win_ob[s, :, r, c] * w2) @ x_ob[s, c]
@@ -285,7 +275,7 @@ def decomposition_series(
         out.append(ResonantParts(
             time=float(t), k=ks.copy(), n11=1j * phase * n11, n21=1j * phase * n21,
             n3=phase * rem[s], m1=phase * m1, m2=phase * m2, k1=-phase * k1_arr,
-            k2=-phase * k2_arr, mean_im=float(mean_theta[s].imag), min_denominator_ratio=min_ratio[s],
+            k2=-phase * k2_arr, mean_im=float(mean_theta[s].imag),
         ))
     return out
 
@@ -364,7 +354,6 @@ class GrowthReport:
     matching_run: int  # longest consecutive-mode run matching the prediction
     rate_tol: float
     divergence: float | None = None
-    cutoff: int = 0
 
 
 def directional_growth(
@@ -380,8 +369,8 @@ def directional_growth(
     mean of Im P0 T_w to a relative 0.25; under the one-sided mechanism they
     agree on the growing half.  Modes dipping below 1e-13 are excluded.
     """
-    if side not in ("plus", "minus"):
-        raise ValueError("side must be 'plus' or 'minus'")
+    ks = traj.snapshots[0].wavenumbers()
+    side_modes = sorted(ks[_side(ks, side)], key=abs)
     tmax = float(traj.times[-1])
     if fit_window is None:
         fit_window = (0.05 * tmax, 0.3 * tmax)
@@ -390,14 +379,11 @@ def directional_growth(
     if len(sel) < 3:
         raise ValueError("fit window contains fewer than three snapshots")
     ts = traj.times[sel]
-    ks = traj.snapshots[0].wavenumbers()
     rows = np.array([traj.snapshots[i].coeffs for i in sel])
     amps = np.abs(rows)
 
-    predicted = float(np.mean(_block_means(F.wirtinger("omega"), traj.config.cutoff, rows).imag))
+    predicted = float(np.mean(_block_means(F.wirtinger("omega"), rows).imag))
 
-    side_modes = [k for k in ks if (k < 0 if side == "minus" else k > 0)]
-    side_modes.sort(key=abs)
     rates: dict[int, float] = {}
     ratios: dict[int, float] = {}
     for k in side_modes:
@@ -428,7 +414,6 @@ def directional_growth(
         matching_run=best,
         rate_tol=_RATE_TOL,
         divergence=divergence,
-        cutoff=traj.config.cutoff,
     )
 
 
@@ -498,12 +483,9 @@ def probe_initial_data(
     the probed side, scaled to _TAIL_AMPLITUDE of the witness L2 norm; the
     witness keeps the criterion mean bounded away from zero at t = 0.
     """
-    if side not in ("plus", "minus"):
-        raise ValueError(f"unknown side {side!r}")
+    mask = _side(np.arange(-cutoff, cutoff + 1), side)
     rng = np.random.default_rng(seed)
-    ks = np.arange(-cutoff, cutoff + 1)
     tail = np.zeros(2 * cutoff + 1, dtype=np.complex128)
-    mask = ks < 0 if side == "minus" else ks > 0
     tail[mask] = _weight(cutoff, -(s + 0.5 + 0.01) / 2.0)[mask] * np.exp(
         2j * np.pi * rng.random(mask.sum())
     )

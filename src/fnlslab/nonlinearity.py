@@ -175,9 +175,8 @@ class PolynomialNonlinearity:
         ``p = x ** e`` in slot order, and e == 2 is `np.square` (what
         ``x ** 2`` calls), so every value is bitwise that of the expression.
         The arrays may be views, and a coefficient may be an array that
-        broadcasts against out, a (b, 1) column or one value per sample (see
-        `_stacked`), with the bits of each scalar on its samples.  Not for
-        concurrent use.
+        broadcasts against out, such as one value per sample (see `_stacked`),
+        with the bits of each scalar on its samples.  Not for concurrent use.
         """
         bases = [u_vals, du_vals, None, None]
         powers: dict[tuple[int, int], np.ndarray] = {}
@@ -295,22 +294,22 @@ def _rows_coefficient_map(
     larger group is a stage alone).  A stage keeps its samples in one (2, S)
     array, every group's u rows and then every group's u_x rows, and F's
     values in one array of S, so a run of the stage's nonzero rows with the
-    same monomials spans one stretch of both, across grids, and shares one
-    evaluation of F: one `values_plan` of the polynomial `_stacked` makes of
-    the run's rows, whose differing coefficients are arrays (the coefficient
-    stays the left operand of each product, so every row is bitwise its own
-    call).  Past _SPLIT_ABOVE samples a call's arithmetic outweighs its
-    overhead, and per-sample coefficients cost more than they save.  The plan
-    is built once: the group buffers are views into one flat array whose
-    entries off the modes stay zero, the forward transforms write into views
-    of one flat spectrum array that ends in a zero, and flat index arrays
-    place every mode.  A call runs each stage's inverse transforms,
-    evaluations and forward transforms in turn.  The transforms, `spectral`'s
-    `_ifft` and `_fft`, write into those views.  So a call moves the modes in
-    with one `take` and two indexed writes and out with one `take`, and
-    allocates only the returned coefficients, or nothing with ``out``; half
-    grids add one in-place multiplication on the way in and three on the way
-    out.  Not for concurrent use.
+    same monomials spans one flat stretch of both, across grids, and shares
+    one evaluation of F: one `values_plan` of the polynomial `_stacked` makes
+    of the run's rows, a coefficient that differs between them taking one
+    value per sample (it stays the left operand of each product, so every
+    row is bitwise its own call).  Past _SPLIT_ABOVE samples a call's
+    arithmetic outweighs its overhead, and per-sample coefficients cost more
+    than they save.  The plan is built once: the group buffers are views
+    into one flat array whose entries off the modes stay zero, the forward
+    transforms write into views of one flat spectrum array that ends in a
+    zero, and flat index arrays place every mode.  A call runs each stage's
+    inverse transforms, evaluations and forward transforms in turn.  The
+    transforms, `spectral`'s `_ifft` and `_fft`, write into those views.  So
+    a call moves the modes in with one `take` and two indexed writes and out
+    with one `take`, and allocates only the returned coefficients, or nothing
+    with ``out``; half grids add one in-place multiplication on the way in
+    and three on the way out.  Not for concurrent use.
     """
     nout = n if kout is None else kout
     grids = [_grid(P, k, k if kout is None else kout) for P, k in zip(polys, cutoffs)]
@@ -370,11 +369,9 @@ def _rows_coefficient_map(
         evaluations, at = [], 0
         for _, run in groupby(live, key=lambda r: [idx for idx, _ in polys[r[0]].terms]):
             js, ms = zip(*run)
-            end = at + sum(ms)
-            shape = (len(ms), ms[0]) if len(set(ms)) == 1 else (end - at,)  # rows, or samples
-            u, du, f = (a[at:end].reshape(shape) for a in (samples[0], samples[1], values))
+            u, du, f = (a[at : at + sum(ms)] for a in (samples[0], samples[1], values))
             evaluations.append(_stacked([polys[j] for j in js], ms).values_plan(u, du, f))
-            at = end
+            at += sum(ms)
         plan.append((inverses, evaluations, forwards, joins))
 
     def apply(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -400,22 +397,19 @@ def _rows_coefficient_map(
 
 def _stacked(polys: list[PolynomialNonlinearity], sizes) -> PolynomialNonlinearity:
     """One polynomial for a run of rows whose polynomials have the same monomials,
-    row i on sizes[i] samples.
+    row i on the next sizes[i] samples of one flat stretch.
 
     Unless the rows share one polynomial, each coefficient becomes an array
-    of the rows' values, so that its `values_plan` on the run's samples
-    evaluates row i under polys[i]: the (b, 1) column for (b, m) samples if
-    the rows have one size m, else per-sample, polys[i]'s value repeated over
-    the sizes[i] samples of row i, row after row.  The result is only for
-    that plan: its coefficients are not numbers.
+    of one value per sample, polys[i]'s over the sizes[i] samples of row i,
+    so that its `values_plan` on the stretch evaluates row i under polys[i].
+    The result is only for that plan: its coefficients are not numbers.
     """
     first = polys[0]
     if all(P == first for P in polys):
         return first
     values = np.array([[c for _, c in P.terms] for P in polys])
-    spread = (lambda c: c[:, None]) if len(set(sizes)) == 1 else (lambda c: np.repeat(c, sizes))
     return PolynomialNonlinearity(
-        tuple((idx, spread(values[:, t])) for t, (idx, _) in enumerate(first.terms))
+        tuple((idx, np.repeat(values[:, t], sizes)) for t, (idx, _) in enumerate(first.terms))
     )
 
 
@@ -427,30 +421,27 @@ def _jet_samples(coeffs: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _block_means(
-    P: PolynomialNonlinearity,
-    cutoff: int,
-    coeffs: np.ndarray,
-    jet: tuple[np.ndarray, np.ndarray] | None = None,
+    P: PolynomialNonlinearity, coeffs: np.ndarray, jet: tuple[np.ndarray, np.ndarray] | None = None
 ) -> np.ndarray:
     """Means of P(u, u_x, conj u, conj u_x) over one period, one per row of coeffs.
 
-    ``coeffs`` is (n, 2*cutoff+1).  Row for row this is the arithmetic of
-    sampling u and derivative(u) with `SpectralField.to_samples` on the grid
-    the product needs at mode 0 (`_grid(P, cutoff, 0)`) and averaging P over
-    it, so each mean is bitwise equal to the one-row call.  The samples are
-    `_jet_samples` of coeffs on that grid, or ``jet`` if the caller keeps
-    them (the witness search keeps the structured witnesses'); one
-    `evaluate_values` call evaluates P on them.
+    ``coeffs`` is (n, 2*cutoff+1), the cutoff read from its width.  Row for
+    row this is the arithmetic of sampling u and derivative(u) with
+    `SpectralField.to_samples` on the grid the product needs at mode 0
+    (`_grid(P, cutoff, 0)`) and averaging P over it, so each mean is bitwise
+    equal to the one-row call.  The samples are `_jet_samples` of coeffs on
+    that grid, or ``jet`` if the caller keeps them (the witness search keeps
+    the structured witnesses'); one `evaluate_values` call evaluates P.
     """
     if P.is_zero():
         return np.zeros(len(coeffs), dtype=np.complex128)
-    u, du = _jet_samples(coeffs, _grid(P, cutoff, 0)[2]) if jet is None else jet
+    u, du = _jet_samples(coeffs, _grid(P, coeffs.shape[1] // 2, 0)[2]) if jet is None else jet
     return np.mean(P.evaluate_values(u, du), axis=1)
 
 
 def criterion_functional(F: PolynomialNonlinearity, psi: SpectralField) -> float:
     """G(psi): normalized-mean of Im F_omega along psi.  Always real."""
-    return float(_block_means(F.wirtinger("omega"), psi.cutoff, psi.coeffs[None])[0].imag)
+    return float(_block_means(F.wirtinger("omega"), psi.coeffs[None])[0].imag)
 
 
 @dataclass(frozen=True)
@@ -612,12 +603,12 @@ def _witness(fo, trials, cutoffs, tol, seed, decay) -> tuple[SpectralField, floa
         for j, (cut, block) in enumerate(_STRUCTURED_BLOCKS):
             scanned.append((cut, block))
             grid = _grid(fo, cut, 0)  # None for a zero fo, whose means take no samples
-            yield _block_means(fo, cut, block, grid and _structured_jet(j, grid[2])).imag
+            yield _block_means(fo, block, grid and _structured_jet(j, grid[2])).imag
         rng = np.random.default_rng(seed)
         for cut in cutoffs:
             block = _random_coefficients(trials, cut, decay, rng)
             scanned.append((cut, block))
-            yield _block_means(fo, cut, block).imag
+            yield _block_means(fo, block).imag
 
     j, i, g, above = _scan(means(), tol)
     cut, block = scanned[j]
@@ -630,29 +621,24 @@ def _scan(values, tol) -> tuple[int, int, float, bool]:
     a row-by-row scan of the arrays picks.
 
     That scan returns the first row with |g| > tol (above True); failing
-    that, its pick is the first row, replaced by each later row whose |g| is
-    strictly larger (so a NaN first row stays and later NaN rows never win;
-    above False).  Here each array is checked in a few numpy steps, and
-    ``values``, an iterable, is read only up to the array that holds the
-    first row above tol.
+    that, the first row if its |g| is NaN, else the first row of the largest
+    |g| that is not NaN (above False).  Here each array is checked in a few
+    numpy steps, and ``values``, an iterable, is read only up to the array
+    that holds the first row above tol; without one, the pick is made once,
+    on all the arrays joined.
     """
-    best = None  # (j, i, g, |g|) of the pick so far
+    read = []  # the arrays read, none of them with a row above tol
     for j, g in enumerate(values):
-        a = np.abs(g)
-        over = a > tol
+        over = np.abs(g) > tol
         if over.any():
             i = int(over.argmax())
             return j, i, float(g[i]), True
-        if not len(a):
-            continue
-        if best is None:
-            best = (j, 0, g[0], a[0])
-        top = np.fmax.reduce(a)  # the largest |g| that is not NaN (NaN if all are)
-        if top > best[3]:
-            i = int((a == top).argmax())
-            best = (j, i, g[i], top)
-    j, i, g, _ = best
-    return j, i, float(g), False
+        read.append(g)
+    g = np.concatenate(read)
+    a = np.abs(g)
+    n = 0 if np.isnan(a[0]) else int(np.nanargmax(a))
+    j = int(np.searchsorted(np.cumsum([len(r) for r in read]), n, side="right"))
+    return j, n - sum(len(r) for r in read[:j]), float(g[n]), False
 
 
 # -- presets and text format ---------------------------------------------------

@@ -502,23 +502,21 @@ def random_field(
 
 
 def _random_coefficients(
-    count: int,
-    cutoff: int,
-    decay: float,
-    rng: np.random.Generator,
-    amplitude: float = 1.0,
+    count: int, cutoff: int, decay: float, rng: np.random.Generator, amplitude: float = 1.0,
     side: str | None = None,
 ) -> np.ndarray:
     """(count, 2*cutoff+1) coefficients, row i those of the i-th of `count`
     successive `random_field` calls with these arguments on `rng`."""
-    k = np.arange(-cutoff, cutoff + 1)
     w = _weight(cutoff, -decay / 2.0)
     g = rng.standard_normal((count, 2, 2 * cutoff + 1))  # real, then imaginary parts
     c = amplitude * w * (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)
-    if side == "plus":
-        c[:, k <= 0] = 0.0
-    elif side == "minus":
-        c[:, k >= 0] = 0.0
-    elif side is not None:
-        raise ValueError(f"unknown side {side!r}")
+    if side is not None:
+        c[:, ~_side(np.arange(-cutoff, cutoff + 1), side)] = 0.0
     return c
+
+
+def _side(k: np.ndarray, side: str) -> np.ndarray:
+    """Which wavenumbers k lie on `side`: k > 0 for 'plus', k < 0 for 'minus'."""
+    if side not in ("plus", "minus"):
+        raise ValueError(f"unknown side {side!r}")
+    return k > 0 if side == "plus" else k < 0

@@ -154,6 +154,15 @@ def test_cubic_audit_and_eps_study_match_separate_runs(tmp_path, monkeypatch, ep
     assert s["analyses"][2]["metrics"]["beta"] == table.beta
 
 
+def test_eps_rate_fails_on_a_truncated_run(tmp_path):
+    # cubic(60) at alpha = 2.5 leaves the blowup ceiling: the default-eps row
+    # is truncated, and the eps study holds that row, so both analyses fail.
+    s = run("cubic", tmp_path, overrides={"c": "60", "alpha": "2.5"})
+    names = {a["name"]: a for a in s["analyses"]}
+    for name in ("energy_audit", "eps_rate"):
+        assert names[name]["metrics"]["truncated"] is True and not names[name]["pass"], name
+
+
 def test_run_computes_the_criterion_verdict_once(tmp_path, monkeypatch):
     calls = []
     check = experiments.check_wellposedness_condition
@@ -541,6 +550,11 @@ def test_cli_verbs_reject_flags_they_do_not_read(tmp_path, capsys):
         # a run with an explicit nonlinearity takes no family parameters
         ["run", "--preset", "cubic", "--nonlinearity", str(nl), "--c", "5", "--out", out],
         ["run", "--preset", "example_d", "--nonlinearity", str(nl), "--c2", "1", "--out", out],
+        # and neither does a check of one
+        ["check", "--nonlinearity", str(nl), "--c", "2", "--out", out],
+        ["check", "--nonlinearity", str(nl), "--m", "2", "--out", out],
+        ["check", "--nonlinearity", str(nl), "--c1", "2", "--out", out],
+        ["check", "--preset", "cubic", "--nonlinearity", str(nl), "--c2", "2", "--out", out],
         ["estimates", "--modes", "5", "--alpha", "7", "--out", out],
         ["estimates", "--preset", "cubic", "--out", out],
         ["audit", "--trajectory", "t.csv", "--sidecar", "t.json", "--alpha", "3", "--out", out],

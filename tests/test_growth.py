@@ -277,9 +277,6 @@ def dense_resonant_decomposition(
     used_m1 = d2 & (k1_int != 0) & (th != 0)
     if np.any(used_m1 & (delta == 0.0)):
         raise AssertionError("zero denominator on the separated index set")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.abs(delta) / (np.abs(k1) * np.maximum(abs_k2, 1.0) ** (alpha - 1.0))
-    min_ratio = float(np.min(ratio[used_m1])) if np.any(used_m1) else float("inf")
 
     exp_d = np.exp(1j * delta * t)
     exp_s = np.exp(1j * sigma * t)
@@ -310,7 +307,6 @@ def dense_resonant_decomposition(
         k1=k1_arr,
         k2=k2_arr,
         mean_im=mean_im,
-        min_denominator_ratio=min_ratio,
     )
 
 
@@ -325,7 +321,6 @@ def assert_matches_oracle(traj, F, t):
     for name, ref in want.by_name().items():
         err = np.linalg.norm(got.by_name()[name] - ref)
         assert err <= 1e-12 * np.linalg.norm(ref) + 1e-15 * scale, (name, err)
-    assert got.min_denominator_ratio == want.min_denominator_ratio
     assert got.mean_im == want.mean_im
     assert np.array_equal(got.k, want.k)
 
@@ -384,7 +379,6 @@ def test_series_is_bitwise_its_one_snapshot_calls_on_column_bands():
         want = resonant_decomposition(traj, F, t)
         for name, ref in want.by_name().items():
             assert np.array_equal(got.by_name()[name].view(np.float64), ref.view(np.float64)), name
-        assert got.min_denominator_ratio == want.min_denominator_ratio
         assert got.mean_im == want.mean_im
 
 
@@ -449,7 +443,6 @@ def oracle_resonant_decomposition(
     cols = ks[::-1]
     abs_cols = np.abs(cols)
     p_cols = p[::-1]
-    q_cols = np.maximum(abs_cols.astype(float), 1.0) ** (alpha - 1.0)
     # Column vectors: k2 vhat(k2), k2 dv(k2) for the omega family and
     # k2 conj(vhat(-k2)), k2 conj(dv(-k2)) for the omega_bar family.
     x_o = np.stack([cols * vhat[::-1], cols * dv[::-1]], axis=1)
@@ -463,7 +456,6 @@ def oracle_resonant_decomposition(
     n11, n21 = np.zeros(n, complex), np.zeros(n, complex)
     m1, k1_arr = np.zeros(n, complex), np.zeros(n, complex)
     m2, k2_arr = np.zeros(n, complex), np.zeros(n, complex)
-    min_ratio = float("inf")
     # With both windows zero (F free of omega and omega_bar up to a mean
     # theta_omega) every pair sum is an exact zero and no pair is used.
     rows = max(1, _BLOCK_ENTRIES // n)
@@ -480,10 +472,6 @@ def oracle_resonant_decomposition(
         used = d2 & th_used[r]
         if np.any(delta[used] == 0.0):
             raise AssertionError("zero denominator on the separated index set")
-        if np.any(used):
-            q = np.broadcast_to(q_cols, used.shape)[used]
-            ratio = np.abs(delta[used]) / (abs_k1[used] * q)
-            min_ratio = min(min_ratio, float(np.min(ratio)))
 
         # delta = 0 on D2 only at k1 = 0, where P_nonmean theta vanishes.
         w1 = np.zeros(delta.shape)
@@ -515,7 +503,6 @@ def oracle_resonant_decomposition(
         k1=-phase * k1_arr,
         k2=-phase * k2_arr,
         mean_im=mean_im,
-        min_denominator_ratio=min_ratio,
     )
 
 
@@ -547,7 +534,6 @@ def test_series_is_bitwise_the_per_snapshot_oracle(F, cutoff, alpha, seeds, t0, 
         for name, ref in want.by_name().items():
             # compared as float64s, so that signed zeros count
             assert np.array_equal(got.by_name()[name].view(np.float64), ref.view(np.float64)), name
-        assert got.min_denominator_ratio == want.min_denominator_ratio
         assert got.mean_im == want.mean_im
 
 
@@ -563,7 +549,6 @@ def test_decomposition_at_2048_fits_256_mb():
     assert peak < 256 * 2**20, peak
     for name, arr in parts.by_name().items():
         assert arr.shape == (4097,) and np.all(np.isfinite(arr)), name
-    assert np.isfinite(parts.min_denominator_ratio)
 
 
 def test_series_memory_has_no_pair_grid_term():
@@ -597,13 +582,13 @@ def _band_series(cutoff, seeds):
 
 
 def test_series_worker_raises_no_runtime_warning():
-    # The separated sums divide by |k1| = 0 on the diagonal of every band;
-    # numpy's warnings for it stay off.
+    # The separated sums divide by delta and sigma only where they are
+    # nonzero, so numpy raises no warning.
     traj = _band_series(130, [5, 6, 7])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         parts = decomposition_series(traj, example_c(1j))
-    assert all(np.isfinite(p.min_denominator_ratio) for p in parts)
+    assert all(np.all(np.isfinite(a)) for p in parts for a in p.by_name().values())
 
 
 def test_decomposition_collapses_for_linear_flow():
@@ -644,7 +629,6 @@ def test_omega_free_pair_sums_are_exact_zeros(F):
     for name in ("n11", "n21", "m1", "m2", "k1", "k2"):
         assert np.array_equal(got.by_name()[name], np.zeros(129)), name
         assert np.array_equal(got.by_name()[name], want.by_name()[name]), name
-    assert got.min_denominator_ratio == want.min_denominator_ratio == float("inf")
     assert_matches_oracle(traj, F, 0.1)
 
 
@@ -707,12 +691,20 @@ def test_decomposition_linear_in_high_mode_amplitude():
     assert abs(vals[2.0][1] - 2 * vals[1.0][1]) < 1e-12
 
 
-def test_separated_denominator_bound():
-    # On the separated set |(|k|^alpha - |k2|^alpha)| >= c |k1| |k2|^{alpha-1}.
-    u = decaying_data(16, seed=7, rate=0.5)
-    traj = _single_snapshot_record(u, 2.5, 0.1)
-    parts = resonant_decomposition(traj, example_c(1j), 0.1)
-    assert parts.min_denominator_ratio > 0.3
+@pytest.mark.parametrize("K", [4, 16, 64, 256])
+@pytest.mark.parametrize("alpha", [2.05, 2.5, 3.0, 4.0])
+def test_separated_denominator_bound(K, alpha):
+    # On every separated pair (k1 = k - k2, 0 < 2|k1| < |k2|, |k|, |k2| <= K)
+    # ||k|^alpha - |k2|^alpha| >= |k1| |k2|^{alpha-1}: the ratio is at least
+    # 2 (1 - 2^-alpha) >= 1.5 for alpha >= 2.
+    ks = np.arange(-K, K + 1)
+    k, k2 = ks[:, None], ks[None, :]
+    k1 = k - k2
+    sep = (k1 != 0) & (2 * np.abs(k1) < np.abs(k2))
+    delta = np.abs(k.astype(float)) ** alpha - np.abs(k2.astype(float)) ** alpha
+    bound = np.abs(k1) * np.abs(k2.astype(float)) ** (alpha - 1.0)
+    assert sep.any()
+    assert np.all(np.abs(delta)[sep] >= bound[sep])
 
 
 def _splitting_residual(dt):
@@ -958,6 +950,22 @@ def test_probe_initial_data_rejects_an_unknown_side():
         probe_initial_data(SpectralField.constant(1.0, 2), 16, 2.6, side="minsu")
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: random_field(4, 2.0, np.random.default_rng(0), side="minsu"),
+        lambda: probe_initial_data(SpectralField.constant(1.0, 2), 16, 2.6, side="minsu"),
+        lambda: directional_growth(
+            _single_snapshot_record(SpectralField.constant(1.0, 2), 3.0, 0.1), cubic(1j), side="minsu"
+        ),
+    ],
+    ids=["random_field", "probe_initial_data", "directional_growth"],
+)
+def test_one_side_rule_rejects_an_unknown_side(call):
+    with pytest.raises(ValueError, match="^unknown side 'minsu'$"):
+        call()
+
+
 def test_growth_csv(tmp_path):
     rep = GrowthReport(
         side="minus", fit_window=(0.0, 0.1), mode_rates={-2: 2.0, -3: 3.1},
@@ -1004,7 +1012,7 @@ def test_audit_norms_are_bitwise_the_per_snapshot_norms(K, S, s, alpha, seed, ba
             if 7 * t + j in bad:
                 a[rng.integers(2 * K + 1)] = (np.nan, np.inf)[t % 2]
             arrays.append(a)
-        parts.append(ResonantParts(0.1 * t, np.arange(-K, K + 1), *arrays, 0.0, 1.0))
+        parts.append(ResonantParts(0.1 * t, np.arange(-K, K + 1), *arrays, 0.0))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         got = resonant_norm_audit(parts, s, alpha)

@@ -655,7 +655,7 @@ def test_one_large_row_mean_is_the_one_row_arithmetic(cutoff, monkeypatch):
         return _samples(c, m)
 
     monkeypatch.setattr("fnlslab.nonlinearity._samples", counted)
-    got = _block_means(fo, cutoff, u.coeffs[None])
+    got = _block_means(fo, u.coeffs[None])
     assert got.tobytes() == np.complex128(_one_mean(fo, u)).tobytes()
     assert shapes == [(2, 2 * cutoff + 1)]
 
@@ -961,6 +961,8 @@ def _map_block(draw):
 # the inverse on one 4500-point grid, the forward transform on its half grids
 @example(([(PolynomialNonlinearity.from_terms({(1, 1, 0, 0): 1.0}), 2200)], 0), 0)
 @example(([(example_d(1.0, 2.0), 9), (PolynomialNonlinearity.zero(), 3), (cubic(1j), 5)], 3), 0)
+# the probe block's F and control at one cutoff: one run of two coefficient sets on one grid
+@example(([(example_c(1j), 32), (example_c(1.0), 32)], 32), 0)
 @settings(max_examples=60, deadline=None)
 def test_rows_map_with_output_cutoffs_matches_one_row_oracle(case, seed):
     rows, kout = case
