@@ -132,13 +132,11 @@ def young_constant(n: int, depth: int, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class CorrectionLadder:
-    """Depth, coefficients and Young constants for a given (alpha, r)."""
+    """Depth and summed Young constant a = sum a_n for a given (alpha, r)."""
 
     alpha: float
     r: float
     depth: int
-    c: tuple[float, ...]
-    a_n: tuple[float, ...]
     a: float
 
     @classmethod
@@ -146,9 +144,8 @@ class CorrectionLadder:
         if not 1 <= r < math.inf:
             raise ValueError(f"r must be finite and >= 1, not {r}")
         n_max = ladder_depth(alpha)
-        c = tuple(correction_coefficient(n, alpha) for n in range(1, n_max + 1))
         a_n = tuple(young_constant(n, n_max, alpha) for n in range(1, n_max + 1))
-        return cls(alpha, r, n_max, c, a_n, float(sum(a_n)))
+        return cls(alpha, r, n_max, float(sum(a_n)))
 
 
 # -- alias-free weighted integrals ----------------------------------------------
@@ -246,7 +243,6 @@ class ModifiedEnergy:
     norm_u: float
     norm_v: float
     corrections: tuple[float, ...]
-    theta_norm: float
     mean_im: float
     coercive: bool
     lower: float
@@ -284,7 +280,7 @@ def _energies(u, F: PolynomialNonlinearity, ladder: CorrectionLadder):
             upper = nu**2 + 1.5 * nv**2 + 2.0 * a * nu**2 * w ** (2 * depth)
             slack = 1e-12 * max(1.0, e2)
             coercive = (lower <= e2 + slack) and (e2 <= upper + slack)
-            yield ModifiedEnergy(math.sqrt(e2), nu, nv, ls, w, mean_im, coercive, lower, upper)
+            yield ModifiedEnergy(math.sqrt(e2), nu, nv, ls, mean_im, coercive, lower, upper)
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Numerical stress tests for the bilinear and commutator inequalities.
 
 Each operator here has a proven bound with an implicit constant; the lab
-measures LHS/RHS ratios over random and adversarial ensembles at increasing
+measures LHS/RHS ratios over random and adversarial pairs at increasing
 frequency cutoffs and checks the finite-sample surrogate of "uniform
 constant": the max ratio's growth factor between consecutive dyadic cutoffs
 must stay below 2 beyond a burn-in cutoff, and the log-log slope of max ratio
@@ -24,9 +24,10 @@ slowly varying f and a single high mode g = e^{iKx} the commutator is
 O(K^{s-2}) rather than O(K^{s-1}), which the frequency-separated family
 checks by fitting the exponent.
 
-An ensemble draws each cutoff's pairs together and evaluates them as blocks
-of pairs: one block per cutoff, split by `spectral._block_size` only where
-it would pass the budget of rows x grid points that the energy audit shares.
+An ensemble draws each cutoff's pairs together (its Gaussian pairs, then a
+lacunary and a frequency-separated pair) and evaluates them as blocks of
+pairs: one block per cutoff, split by `spectral._block_size` only where it
+would pass the budget of rows x grid points that the energy audit shares.
 The block arithmetic is the row functions of `spectral`: the f operands of a
 block are sampled in one inverse transform, the g operands in another, and
 every product comes back in one forward transform.  `refined_commutator` is
@@ -70,16 +71,15 @@ _SEPARATED_LOW = 3  # the largest low mode of a separated pair's f
 class EnsembleSpec:
     """Sampling plan: increasing cutoffs, samples per cutoff, coefficient decay.
 
-    ``adversarial`` appends the lacunary and frequency-separated families to
-    the Gaussian draws at every cutoff; a separated pair's f has a mode up
-    to 3, so every cutoff must then be at least 3.
+    Every cutoff draws its Gaussian pairs plus a lacunary and a
+    frequency-separated pair; a separated pair's f has a mode up to 3, so
+    every cutoff must be at least 3.
     """
 
     cutoffs: tuple[int, ...] = (16, 32, 64, 128, 256)
     samples_per_cutoff: int = 8
     decay: float = 2.0
     seed: int = 0
-    adversarial: bool = True
 
     def __post_init__(self):
         if self.samples_per_cutoff < 1:
@@ -88,16 +88,13 @@ class EnsembleSpec:
             raise ValueError("cutoffs must not be empty")
         if any(b <= a for a, b in zip(self.cutoffs, self.cutoffs[1:])):
             raise ValueError("cutoffs must be increasing")
-        if self.cutoffs[0] < 0:
-            raise ValueError("cutoffs must be >= 0")
-        if self.adversarial and self.cutoffs[0] < _SEPARATED_LOW:
+        if self.cutoffs[0] < _SEPARATED_LOW:
             raise ValueError(f"adversarial pairs need cutoffs >= {_SEPARATED_LOW}")
 
 
 @dataclass
 class RatioReport:
     estimate: str
-    params: dict
     cutoffs: tuple[int, ...]
     max_ratio: np.ndarray
     median_ratio: np.ndarray
@@ -197,17 +194,15 @@ def _sample_block(
     """The pairs of one cutoff as an (f, g) block, drawn as pair-by-pair draws would.
 
     One draw of 2 * samples_per_cutoff Gaussian fields gives f in its even
-    rows and g in its odd rows; the adversarial pairs follow.
+    rows and g in its odd rows; the lacunary and the separated pair follow.
     """
     c = _random_coefficients(2 * spec.samples_per_cutoff, cutoff, spec.decay, rng)
-    f, g = [c[0::2]], [c[1::2]]
-    if spec.adversarial:
-        f.append(_lacunary_field(cutoff, rng).coeffs[None])
-        g.append(_lacunary_field(cutoff, rng).coeffs[None])
-        sep_f, sep_g = _separated_pair(cutoff, rng)
-        f.append(sep_f.coeffs[None])
-        g.append(sep_g.coeffs[None])
-    return np.concatenate(f), np.concatenate(g)
+    lac_f, lac_g = _lacunary_field(cutoff, rng), _lacunary_field(cutoff, rng)
+    sep_f, sep_g = _separated_pair(cutoff, rng)
+    return (
+        np.concatenate((c[0::2], lac_f.coeffs[None], sep_f.coeffs[None])),
+        np.concatenate((c[1::2], lac_g.coeffs[None], sep_g.coeffs[None])),
+    )
 
 
 ESTIMATE_NAMES = ("bilinear", "commutator", "refined_commutator")
@@ -243,7 +238,7 @@ def run_ensemble(op: str, spec: EnsembleSpec, **params) -> RatioReport:
     medr = np.asarray(medr)
     with np.errstate(divide="ignore", invalid="ignore"):
         growth = maxr[1:] / maxr[:-1]
-    return RatioReport(op, dict(params), tuple(spec.cutoffs), maxr, medr, growth)
+    return RatioReport(op, tuple(spec.cutoffs), maxr, medr, growth)
 
 
 def bounded_constant_check(

@@ -352,7 +352,6 @@ def sup_l2_gap(a: TrajectoryRecord, b: TrajectoryRecord) -> float:
 class EpsConvergenceTable:
     """Pairwise sup-in-time L2 differences across a viscosity family."""
 
-    eps_values: tuple[float, ...]
     pairs: list[tuple[float, float, float]]  # (eps_i, eps_j, sup_t L2 diff)
     beta: float  # fitted exponent of diff ~ |eps_i - eps_j|^beta
     truncated: bool
@@ -387,7 +386,7 @@ def eps_convergence_table(runs: list[TrajectoryRecord]) -> EpsConvergenceTable:
     beta = float("nan")
     if len(xs) >= 2 and max(xs) > min(xs):
         beta = float(np.polyfit(xs, ys, 1)[0])
-    return EpsConvergenceTable(tuple(eps_list), pairs, beta, truncated)
+    return EpsConvergenceTable(pairs, beta, truncated)
 
 
 # -- storage -------------------------------------------------------------------

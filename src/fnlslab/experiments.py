@@ -489,11 +489,11 @@ def run(
     record = _Run(spec, F, params, custom, cfg, seed, out_dir, study)
     results = []
     for analysis in analyses:
-        if analysis == "dynamics":
-            # auto-dispatch: well-posed families get the energy audit, the
-            # others the paired-resolution growth probe
-            analysis = "energy_audit" if record.verdict.satisfied else "growth_probe"
         try:
+            if analysis == "dynamics":
+                # auto-dispatch: well-posed families get the energy audit, the
+                # others the paired-resolution growth probe
+                analysis = "energy_audit" if record.verdict.satisfied else "growth_probe"
             ok, metrics = getattr(record, analysis)()
         except Exception as exc:  # analysis failures are data, not crashes
             ok, metrics = False, {"error": f"{type(exc).__name__}: {exc}"}

@@ -337,7 +337,7 @@ def resonant_norm_audit(
 
 # -- growth fitting and the verdict ----------------------------------------------
 
-# The thresholds of the verdict, echoed in every GrowthReport and Verdict.
+# The thresholds of the verdict, echoed in every Verdict.
 _RATE_TOL = 0.25
 _MIN_CONSECUTIVE = 5
 _DIVERGE_THRESHOLD = 1e-3
@@ -346,13 +346,12 @@ _AGREE_THRESHOLD = 1e-6
 
 @dataclass
 class GrowthReport:
+    """Fitted rates of the modes on one side, mean Im P0 T_w, their match, the K/2K gap."""
+
     side: str
-    fit_window: tuple[float, float]
     mode_rates: dict[int, float]
-    ratios: dict[int, float]  # rate / (-k), comparable to mean Im P0 T_w
     predicted_slope: float
     matching_run: int  # longest consecutive-mode run matching the prediction
-    rate_tol: float
     divergence: float | None = None
 
 
@@ -365,7 +364,8 @@ def directional_growth(
 ) -> GrowthReport:
     """Least-squares exponential rates of |uhat(t,k)| on one frequency half.
 
-    The fitted rate of mode k divided by -k is compared against the window
+    The rates are fitted over fit_window, by default (0.05, 0.3) times the last
+    time.  The fitted rate of mode k divided by -k is compared against the window
     mean of Im P0 T_w to a relative 0.25; under the one-sided mechanism they
     agree on the growing half.  Modes dipping below 1e-13 are excluded.
     """
@@ -385,20 +385,17 @@ def directional_growth(
     predicted = float(np.mean(_block_means(F.wirtinger("omega"), rows).imag))
 
     rates: dict[int, float] = {}
-    ratios: dict[int, float] = {}
     for k in side_modes:
         col = amps[:, k + traj.config.cutoff]
         if np.min(col) < 1e-13:
             continue
-        slope = float(np.polyfit(ts, np.log(col), 1)[0])
-        rates[k] = slope
-        ratios[k] = slope / (-k)
+        rates[k] = float(np.polyfit(ts, np.log(col), 1)[0])
 
     run = 0
     best = 0
     scale = max(abs(predicted), 1e-30)
     for k in side_modes:
-        if k in ratios and abs(ratios[k] - predicted) <= _RATE_TOL * scale:
+        if k in rates and abs(rates[k] / (-k) - predicted) <= _RATE_TOL * scale:
             run += 1
             best = max(best, run)
         else:
@@ -407,12 +404,9 @@ def directional_growth(
     divergence = sup_l2_gap(traj, paired) if paired is not None else None
     return GrowthReport(
         side=side,
-        fit_window=(float(lo), float(hi)),
         mode_rates=rates,
-        ratios=ratios,
         predicted_slope=predicted,
         matching_run=best,
-        rate_tol=_RATE_TOL,
         divergence=divergence,
     )
 
@@ -459,7 +453,7 @@ def nonexistence_verdict(
         side=report.side,
         matching_run=report.matching_run,
         min_consecutive=_MIN_CONSECUTIVE,
-        rate_tol=report.rate_tol,
+        rate_tol=_RATE_TOL,
         divergence=report.divergence,
         diverge_threshold=_DIVERGE_THRESHOLD,
         agree_threshold=_AGREE_THRESHOLD,

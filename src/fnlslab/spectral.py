@@ -131,7 +131,7 @@ def _join_halves(hat: np.ndarray, band: int, m: int) -> None:
     np.multiply(even, 0.5, out=even)
 
 
-class DealiasBudgetError(RuntimeError):
+class DealiasBudgetError(ValueError):
     """Raised when an alias-free product would exceed the padded-grid budget."""
 
 

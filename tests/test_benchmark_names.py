@@ -3,9 +3,10 @@
 `perfbench/tracing.py`'s LAYERS table names each traced function by module
 and attribute, and the tracer patches them with `getattr`; the workloads in
 `perfbench/workloads.py` call fnlslab through its modules (``evolution.
-integrate``), directly or through ``res.timed(fn, *args, **kwargs)``.  A
-renamed function or a dropped keyword crashes a benchmark run, not a test,
-so both files are read here (by `ast`, without importing the harness).
+integrate``), directly or through ``res.timed(fn, *args, **kwargs)``, and so
+does the per-layer bench `tools/layer_bench.py`.  A renamed function or a
+dropped keyword crashes a benchmark run, not a test, so these files are read
+here (by `ast`, without importing the harness).
 """
 
 import ast
@@ -15,25 +16,26 @@ from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
 
 
-def _parse(name: str) -> ast.Module:
-    return ast.parse((PERFBENCH / name).read_text())
+def _parse(path: str) -> ast.Module:
+    return ast.parse((ROOT / path).read_text())
 
 
 def _layers() -> list[tuple[str, str, str]]:
-    for node in _parse("tracing.py").body:
+    for node in _parse("perfbench/tracing.py").body:
         if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]:
             return ast.literal_eval(node.value)
     raise AssertionError("perfbench/tracing.py assigns no LAYERS")
 
 
-def _workload_calls() -> list[tuple[str, str, int, list[str]]]:
-    """(module, attribute, positional count, keywords) of every call that
-    `perfbench/workloads.py` makes to an fnlslab module's attribute, with
-    ``res.timed(fn, ...)`` read as a call of fn without ``busy``."""
-    tree = _parse("workloads.py")
+def _module_calls(path: str) -> list[tuple[str, str, int, list[str]]]:
+    """(module, attribute, positional count, keywords) of every call that the
+    file at `path` makes to an fnlslab module's attribute, with
+    ``res.timed(fn, ...)`` read as a call of fn without ``busy``, and a
+    ``**mapping`` argument, whose keys are not known here, left out."""
+    tree = _parse(path)
     modules = {a.asname or a.name for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) and node.module == "fnlslab" for a in node.names}
 
@@ -45,7 +47,7 @@ def _workload_calls() -> list[tuple[str, str, int, list[str]]]:
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
-        args, keywords = node.args, [k.arg for k in node.keywords]
+        args, keywords = node.args, [k.arg for k in node.keywords if k.arg is not None]
         name = target(node.func)
         if name is None and getattr(node.func, "attr", None) == "timed" and args:
             name, args, keywords = target(args[0]), args[1:], [k for k in keywords if k != "busy"]
@@ -64,9 +66,19 @@ def test_every_traced_layer_resolves(layer, module_name, path):
         assert callable(getattr(module, path))
 
 
-def test_every_workload_call_binds():
-    calls = _workload_calls()
-    assert ("nonlinearity", "check_wellposedness_condition", 1, ["seed"]) in calls
+def _bind(calls) -> None:
     for module_name, attr, positional, keywords in calls:
         fn = getattr(importlib.import_module(f"fnlslab.{module_name}"), attr)
         inspect.signature(fn).bind(*[None] * positional, **dict.fromkeys(keywords))
+
+
+def test_every_workload_call_binds():
+    calls = _module_calls("perfbench/workloads.py")
+    assert ("nonlinearity", "check_wellposedness_condition", 1, ["seed"]) in calls
+    _bind(calls)
+
+
+def test_every_layer_bench_call_binds():
+    calls = _module_calls("tools/layer_bench.py")
+    assert ("estimates", "EnsembleSpec", 0, ["cutoffs", "samples_per_cutoff", "seed"]) in calls
+    _bind(calls)

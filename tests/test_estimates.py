@@ -127,17 +127,6 @@ def test_ensembles_bounded(op, params):
     assert np.all(rep.max_ratio >= 0) and np.all(np.isfinite(rep.max_ratio))
 
 
-def test_single_sample_report_is_the_single_ratio():
-    spec = EnsembleSpec(cutoffs=(16,), samples_per_cutoff=1, seed=5, adversarial=False)
-    rep = run_ensemble("bilinear", spec, s0=0.0, s1=1.0, s2=1.0)
-    rng = np.random.default_rng(5)
-    f = random_field(16, spec.decay, rng)
-    g = random_field(16, spec.decay, rng)
-    expect = one_row(_bilinear_ratios, 0.0, 1.0, 1.0, f, g)
-    assert rep.max_ratio[0] == pytest.approx(expect)
-    assert rep.median_ratio[0] == pytest.approx(expect)
-
-
 def test_reports_deterministic():
     spec = EnsembleSpec(cutoffs=(16, 32), samples_per_cutoff=3, seed=11)
     a = run_ensemble("commutator", spec, s=1.0)
@@ -185,10 +174,8 @@ def test_spec_rejects_cutoffs_its_pairs_cannot_hold():
         assert np.all(np.isfinite(rep.max_ratio))
     with pytest.raises(ValueError, match="empty"):
         EnsembleSpec(cutoffs=())
-    with pytest.raises(ValueError, match=">= 0"):
-        EnsembleSpec(cutoffs=(-1, 4), adversarial=False)
-    rep = run_ensemble("commutator", EnsembleSpec(cutoffs=(0, 2), adversarial=False), s=1.0)
-    assert rep.max_ratio.shape == (2,)
+    with pytest.raises(ValueError, match="adversarial"):
+        EnsembleSpec(cutoffs=(-1, 4))
 
 
 # -- the per-pair oracle: the ensemble as it ran before it ran in blocks -------
@@ -253,9 +240,8 @@ def _oracle_sample_pairs(cutoff, spec, rng):
             random_field(cutoff, spec.decay, rng),
             random_field(cutoff, spec.decay, rng),
         )
-    if spec.adversarial:
-        yield _lacunary_field(cutoff, rng), _lacunary_field(cutoff, rng)
-        yield _separated_pair(cutoff, rng)
+    yield _lacunary_field(cutoff, rng), _lacunary_field(cutoff, rng)
+    yield _separated_pair(cutoff, rng)
 
 
 def oracle_run_ensemble(op, spec, **params):
@@ -287,7 +273,7 @@ def oracle_run_ensemble(op, spec, **params):
     medr = np.asarray(medr)
     with np.errstate(divide="ignore", invalid="ignore"):
         growth = maxr[1:] / maxr[:-1]
-    return RatioReport(op, dict(params), tuple(spec.cutoffs), maxr, medr, growth)
+    return RatioReport(op, tuple(spec.cutoffs), maxr, medr, growth)
 
 
 JOBS = [  # run_estimates' four jobs, then other exponents and an explicit eps
@@ -305,18 +291,17 @@ JOBS = [  # run_estimates' four jobs, then other exponents and an explicit eps
     st.sampled_from(JOBS),
     st.lists(st.integers(3, 64), min_size=1, max_size=4, unique=True).map(sorted),
     st.integers(1, 4),
-    st.booleans(),
     st.floats(0.5, 3.0),
     st.integers(0, 2**32 - 1),
     st.sampled_from([spectral._BLOCK_POINTS, 500, 1]),  # 1: a block per pair
 )
-@example(JOBS[3], [16, 32, 64, 128, 256], 6, True, 2.0, 0, spectral._BLOCK_POINTS)
+@example(JOBS[3], [16, 32, 64, 128, 256], 6, 2.0, 0, spectral._BLOCK_POINTS)
 @settings(max_examples=60, deadline=None)
 def test_ensemble_is_bitwise_the_per_pair_oracle(
-    job, cutoffs, samples, adversarial, decay, seed, block_points
+    job, cutoffs, samples, decay, seed, block_points
 ):
     op, params = job
-    spec = EnsembleSpec(tuple(cutoffs), samples, decay, seed, adversarial)
+    spec = EnsembleSpec(tuple(cutoffs), samples, decay, seed)
     kept, spectral._BLOCK_POINTS = spectral._BLOCK_POINTS, block_points
     try:
         got = run_ensemble(op, spec, **params)

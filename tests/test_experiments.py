@@ -504,6 +504,35 @@ def test_custom_run_takes_the_analyses_of_its_verdict(tmp_path, capsys):
     assert not (out / "energy_trace.csv").exists() and not (out / "eps_rate.csv").exists()
 
 
+def test_run_records_a_failed_verdict_under_dynamics(tmp_path):
+    # the verdict's grid passes the budget: the criterion records the error,
+    # and so does the dynamics dispatch that reads the verdict
+    from fnlslab.nonlinearity import parse_nonlinearity
+
+    s = run("cubic", tmp_path, nonlinearity=parse_nonlinearity("0 5000000 0 0 0 1\n"))
+    assert [a["name"] for a in s["analyses"]] == ["criterion", "dynamics"]
+    for a in s["analyses"]:
+        assert not a["pass"]
+        assert a["metrics"]["error"].startswith("DealiasBudgetError: alias-free grid needs")
+    assert json.loads(read(tmp_path / "summary.json")) == s
+
+
+def test_cli_grid_budget_error_is_exit_two(tmp_path, capsys):
+    nl = tmp_path / "big.nl"
+    nl.write_text("0 5000000 0 0 0 1\n")
+    meta = {"alpha": 3.0, "eps": 0.0, "cutoff": 2, "dt": 0.01, "horizon": 0.01}
+    sidecar, csv = tmp_path / "t.json", tmp_path / "t.csv"
+    sidecar.write_text(json.dumps(meta))
+    csv.write_text("t,k,re,im\n" + "".join(f"{t},{k},0.1,0\n" for t in (0, 0.01) for k in range(-2, 3)))
+    for argv in (
+        ["check", "--nonlinearity", str(nl)],
+        ["audit", "--nonlinearity", str(nl), "--trajectory", str(csv), "--sidecar", str(sidecar),
+         "--out", str(tmp_path / "art")],
+    ):
+        assert cli_main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: alias-free grid needs ")
+
+
 def test_cli_estimates_verb(tmp_path, capsys):
     rc = cli_main(["estimates", "--quick", "--out", str(tmp_path)])
     assert rc == 0
